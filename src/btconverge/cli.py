@@ -10,9 +10,8 @@ from __future__ import annotations
 
 import argparse
 import json
-import random
 import sys
-from typing import Optional
+from typing import Callable, Optional
 
 from . import bundled as bundles
 from .backchain import (
@@ -54,42 +53,37 @@ EXIT_REFUTED = 1
 EXIT_ERROR = 2
 
 
+def _model_document(bundle, substitution: Optional[dict] = None) -> dict:
+    return build_document(bundle.model, list(bundle.abstraction), bundle.delta, substitution)
+
+
+def _surveying_robot_library_document() -> dict:
+    doc = library_document(*bundles.surveying_robot_library())
+    doc["delta"] = bundles.surveying_robot().delta
+    return doc
+
+
+_BUNDLED: dict[str, Callable[[], dict]] = {
+    "eat_tree": lambda: _model_document(bundles.eat_tree()),
+    "surveying_robot": lambda: _model_document(bundles.surveying_robot()),
+    "surveying_robot_library": _surveying_robot_library_document,
+    "mobile_manipulator": lambda: library_document(*bundles.mobile_manipulator()),
+    "patrol": lambda: _model_document(
+        bundles.patrol(), substitution_block(bundles.patrol_substitution(), "mb_patrol")
+    ),
+    "gridworld": lambda: _model_document(bundles.gridworld()),
+}
+
+
 def _bundled_document(name: str) -> dict:
-    if name == "eat_tree":
-        b = bundles.eat_tree()
-        return build_document(b.model, list(b.abstraction), b.delta)
-    if name == "surveying_robot":
-        b = bundles.surveying_robot()
-        return build_document(b.model, list(b.abstraction), b.delta)
-    if name == "gridworld":
-        b = bundles.gridworld()
-        return build_document(b.model, list(b.abstraction), b.delta)
-    if name == "patrol":
-        b = bundles.patrol()
-        spec = bundles.patrol_substitution()
-        return build_document(
-            b.model, list(b.abstraction), b.delta, substitution=substitution_block(spec, "mb_patrol")
-        )
-    if name == "surveying_robot_library":
-        lib, root = bundles.surveying_robot_library()
-        doc = library_document(lib, root)
-        doc["delta"] = bundles.surveying_robot().delta
-        return doc
-    if name == "mobile_manipulator":
-        lib, root = bundles.mobile_manipulator()
-        return library_document(lib, root)
-    raise SpecError(f"unknown bundled spec {name!r}")
+    build = _BUNDLED.get(name)
+    if build is None:
+        raise SpecError(f"unknown bundled spec {name!r}")
+    return build()
 
 
 def bundled_names() -> list[str]:
-    return [
-        "eat_tree",
-        "surveying_robot",
-        "surveying_robot_library",
-        "mobile_manipulator",
-        "patrol",
-        "gridworld",
-    ]
+    return list(_BUNDLED)
 
 
 def _load_spec(ref: str) -> LoadedSpec:
@@ -164,9 +158,7 @@ def cmd_check(args: argparse.Namespace) -> int:
     from .prepares import certify_convergence
 
     try:
-        outcome = certify_convergence(
-            model, members, delta=delta, seeds=seeds, max_steps=args.max_steps
-        )
+        outcome = certify_convergence(model, members, delta=delta, seeds=seeds)
     except FtsPreconditionError as exc:
         report = {
             "status": "refuted",
@@ -345,7 +337,6 @@ def build_parser() -> argparse.ArgumentParser:
         prog="btconverge",
         description="Convergence analysis for behavior-tree control policies",
     )
-    parser.add_argument("--rng-seed", type=int, default=0, help="seed for any randomized features")
     sub = parser.add_subparsers(dest="command", required=True)
 
     def common(p: argparse.ArgumentParser) -> None:
@@ -357,7 +348,6 @@ def build_parser() -> argparse.ArgumentParser:
     common(p_check)
     p_check.add_argument("--seed-classes", help="comma list of flavor:leaf tokens")
     p_check.add_argument("--delta", type=float)
-    p_check.add_argument("--max-steps", type=int)
     p_check.set_defaults(fn=cmd_check)
 
     p_sim = sub.add_parser("simulate", help="run the closed loop from a start cell")
@@ -389,7 +379,6 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: Optional[list[str]] = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    random.seed(args.rng_seed)
     try:
         return args.fn(args)
     except (

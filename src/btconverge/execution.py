@@ -1,15 +1,21 @@
-"""Closed-loop simulation and finite-time-success checking.
+"""Closed-loop simulation, finite-time-success checks and exact hit times.
 
 The discrete-time execution ticks the tree at the current cell, applies the
 resolved action's successor map, and repeats.  When the tick resolves a
 Condition leaf there is no controller to apply; the simulator halts and
 reports it rather than freezing silently.
+
+Exit times, hitting times and action deadlines all come from one memoized
+walk over a finite deterministic step map.  A walk ends in the goal, at a
+cell with no step, or by closing a cycle, so its answer is exact and needs
+no step cap.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Optional
+from functools import partial
+from typing import Callable, Iterable, Iterator, Optional
 
 from .bt import BTModel, NodeKind, Status, tick
 from .statespace import Region
@@ -42,6 +48,38 @@ class Trace:
             lines.append(f"{k} {cell} {name} {status.value}")
         lines.append(f"# halt: {self.halt}")
         return "\n".join(lines)
+
+
+def loop_next(model: BTModel, x: int) -> Optional[int]:
+    """One closed-loop step from x; None where a Condition resolves."""
+    leaf, _status = tick(model, x)
+    if model.kinds[leaf] is not NodeKind.ACTION:
+        return None
+    return model.leaves[leaf].controller.next(x)
+
+
+def _hit_times(
+    step: Callable[[int], Optional[int]], goal: Region, starts: Iterable[int]
+) -> Iterator[tuple[int, Optional[int]]]:
+    """Yield (start, k) per start: the first k >= 0 with step^k(start) in goal.
+
+    k is None when the walk reaches a cell whose step is None or closes a
+    cycle outside goal.  The walks share one memo, so every cell is stepped
+    at most once per call.
+    """
+    memo: dict[int, Optional[int]] = {}
+    for start in starts:
+        path: list[int] = []
+        x: Optional[int] = start
+        while x is not None and x not in memo and x not in goal:
+            memo[x] = None  # provisional: a walk that returns here closed a cycle
+            path.append(x)
+            x = step(x)
+        hit = None if x is None else memo.get(x, 0)  # not memoized: x is in goal
+        for y in reversed(path):
+            hit = None if hit is None else hit + 1
+            memo[y] = hit
+        yield start, hit
 
 
 def simulate(
@@ -124,19 +162,8 @@ def check_fts(model: BTModel, leaf: int) -> FtsVerdict:
     for c in goal.cells():
         if nxt(c) not in goal:
             return FtsVerdict(False, "goal-invariance", c, 1)
-    cap = max(horizon, model.world.cell_count + 1)
-    for c in basin.cells():
-        x = c
-        hit: Optional[int] = 0 if x in goal else None
-        if hit is None:
-            for k in range(1, cap + 1):
-                x = nxt(x)
-                if x in goal:
-                    hit = k
-                    break
-        if hit is None:
-            return FtsVerdict(False, "deadline", c, None)
-        if hit > horizon:
+    for c, hit in _hit_times(nxt, goal, basin.cells()):
+        if hit is None or hit > horizon:
             return FtsVerdict(False, "deadline", c, hit)
     return FtsVerdict(True)
 
@@ -152,57 +179,30 @@ class ExitResult:
         return self.steps is not None
 
 
-def empirical_exit_time(model: BTModel, region: Region, max_steps: Optional[int] = None) -> ExitResult:
+def empirical_exit_time(model: BTModel, region: Region) -> ExitResult:
     """Closed-loop bound on how long the state can remain inside region.
 
-    Simulates the full loop from every region cell and returns the maximum
-    first step at which the state leaves.  On a finite deterministic system
-    a trajectory that has not left within cell_count steps never will, so
-    the default cap makes non-exit a certainty, not a timeout guess.
+    Walks the full loop from every region cell and returns the maximum
+    first step at which the state leaves.  The witness is the smallest cell
+    whose walk never leaves: it closes a cycle inside region or reaches a
+    cell where a Condition resolves.
     """
     if region.n != model.world.cell_count:
         raise ExecutionError("region over a different universe")
-    cap = max_steps if max_steps is not None else model.world.cell_count + 1
     worst = 0
-    for c in region.cells():
-        x = c
-        exited: Optional[int] = None
-        for k in range(1, cap + 1):
-            leaf, _status = tick(model, x)
-            if model.kinds[leaf] is not NodeKind.ACTION:
-                break  # state frozen: no controller applies here
-            x = model.leaves[leaf].controller.next(x)
-            if x not in region:
-                exited = k
-                break
-        if exited is None:
+    for c, steps in _hit_times(partial(loop_next, model), region.complement(), region.cells()):
+        if steps is None:
             return ExitResult(None, c)
-        worst = max(worst, exited)
+        worst = max(worst, steps)
     return ExitResult(worst)
 
 
 def hitting_time(model: BTModel, x0: int, goal: Region, max_steps: int) -> Optional[int]:
-    """First step at which the closed loop reaches goal from x0, or None."""
-    x = x0
-    if x in goal:
-        return 0
-    for k in range(1, max_steps + 1):
-        leaf, _status = tick(model, x)
-        if model.kinds[leaf] is not NodeKind.ACTION:
-            return None
-        x = model.leaves[leaf].controller.next(x)
-        if x in goal:
-            return k
-    return None
+    """First step, if at most max_steps, at which the closed loop reaches goal from x0."""
+    _, hit = next(_hit_times(partial(loop_next, model), goal, [x0]))
+    return hit if hit is not None and hit <= max_steps else None
 
 
 def closed_loop_targets(model: BTModel) -> list[Optional[int]]:
     """Per-cell next cell under the full loop; None where a Condition resolves."""
-    out: list[Optional[int]] = []
-    for c in range(model.world.cell_count):
-        leaf, _status = tick(model, c)
-        if model.kinds[leaf] is NodeKind.ACTION:
-            out.append(model.leaves[leaf].controller.next(c))
-        else:
-            out.append(None)
-    return out
+    return [loop_next(model, c) for c in range(model.world.cell_count)]

@@ -91,9 +91,6 @@ class Relation:
     def is_reflexive(self) -> bool:
         return all(row >> i & 1 for i, row in enumerate(self.rows))
 
-    def is_irreflexive(self) -> bool:
-        return not any(row >> i & 1 for i, row in enumerate(self.rows))
-
     def is_transitive(self) -> bool:
         for i in range(self.n):
             row = self.rows[i]

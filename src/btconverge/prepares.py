@@ -307,7 +307,6 @@ def certify_convergence(
     abstraction: Iterable[int],
     delta: Optional[float] = None,
     seeds: Optional[Iterable[int]] = None,
-    max_steps: Optional[int] = None,
 ) -> Certificate | Refutation:
     """Run the full pipeline: slices, condensation, exit times, step bound.
 
@@ -352,7 +351,7 @@ def certify_convergence(
     for ci in ordered:
         if ci in condensed.sinks:
             continue
-        result: ExitResult = empirical_exit_time(model, condensed.class_cells(ci), max_steps)
+        result: ExitResult = empirical_exit_time(model, condensed.class_cells(ci))
         if result.steps is None:
             return Refutation(
                 "no-exit",

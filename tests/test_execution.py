@@ -1,8 +1,10 @@
 """Simulator, finite-time-success checks, and exit-time bounds."""
 
+from functools import partial
+
 import pytest
 
-from btconverge.bt import BTModel, Doa, Status, action, condition, seq
+from btconverge.bt import BTModel, Doa, NodeKind, Status, action, condition, fal, seq
 from btconverge.execution import (
     HALT_MAX_STEPS,
     HALT_NO_ACTION,
@@ -15,6 +17,7 @@ from btconverge.execution import (
 )
 from btconverge.statespace import Region, SuccessorMap, World
 from btconverge import bundled
+from helpers import naive_tick_path, random_region
 
 
 def chain_model(n=6, basin=None, goal=None, horizon=3):
@@ -219,3 +222,130 @@ def test_survey_trace_cycles_through_all_four_stages():
         for x in trace.states if x in stages[name]
     }
     assert visited == {"go_home", "charge", "goto_path", "follow_path"}
+
+
+# ----------------------------------------------------------------------
+# differential check against a naive per-start stepper
+
+
+def _forward_closure(ctrl, n, cells):
+    seen = set()
+    todo = list(cells)
+    while todo:
+        x = todo.pop()
+        if x not in seen:
+            seen.add(x)
+            todo.append(ctrl.next(x))
+    return Region.from_cells(n, seen)
+
+
+def random_loop_model(rng, n):
+    """A random tree whose actions carry random maps and basin data.
+
+    The maps are random functions, so the loop has fixed points, cycles
+    through several cells and merging paths; Condition leaves freeze the
+    cells where they resolve.  Basins and goals are mostly forward-closed,
+    so deadline checks are reached, and otherwise arbitrary within what
+    BTModel accepts (goal inside basin and success, basin clear of failure).
+    """
+    count = [0]
+
+    def leaf():
+        count[0] += 1
+        name = f"l{count[0]}"
+        if rng.random() < 0.25:
+            return condition(name, random_region(rng, n))
+        ctrl = SuccessorMap([rng.randrange(n) for _ in range(n)])
+        if rng.random() < 0.8:
+            basin = _forward_closure(ctrl, n, rng.sample(range(n), rng.randint(0, 3)))
+        else:
+            basin = random_region(rng, n)
+        if rng.random() < 0.8:
+            picked = rng.sample(list(basin.cells()), min(len(basin), rng.randint(0, 2)))
+            goal = _forward_closure(ctrl, n, picked) & basin
+        else:
+            goal = random_region(rng, n) & basin
+        success = goal | random_region(rng, n)
+        failure = random_region(rng, n) - success - basin
+        return action(name, success, failure, ctrl, Doa(basin, goal, rng.randint(1, 4)))
+
+    def node(depth):
+        if depth >= 3 or rng.random() < 0.4:
+            return leaf()
+        kids = [node(depth + 1) for _ in range(rng.randint(1, 3))]
+        return seq(*kids) if rng.random() < 0.5 else fal(*kids)
+
+    kids = [node(1) for _ in range(rng.randint(1, 3))]
+    return BTModel(World(n), seq(*kids) if rng.random() < 0.5 else fal(*kids))
+
+
+def naive_loop_step(model, x):
+    leaf = naive_tick_path(model, x)[-1]
+    if model.kinds[leaf] is NodeKind.CONDITION:
+        return None
+    return model.leaves[leaf].controller.next(x)
+
+
+def naive_hit(step, x, goal, cap):
+    """First k <= cap with step^k(x) in goal, stepping one cell at a time."""
+    for k in range(cap + 1):
+        if x in goal:
+            return k
+        x = step(x)
+        if x is None:
+            return None
+    return None
+
+
+def naive_fts(model, leaf):
+    """(kind, witness, step) of the first failed rule, or None when all hold.
+
+    BTModel already rejects basin/goal data that breaks the static rules.
+    """
+    data = model.leaves[leaf]
+    basin, goal, horizon = data.doa.basin, data.doa.goal, data.doa.horizon
+    n = model.world.cell_count
+    nxt = data.controller.next
+    for kind, closed in (("basin-invariance", basin), ("goal-invariance", goal)):
+        bad = [c for c in range(n) if c in closed and nxt(c) not in closed]
+        if bad:
+            return kind, bad[0], 1
+    for c in range(n):
+        if c in basin:
+            # n steps visit n + 1 cells: a walk that has not hit goal by then never will
+            hit = naive_hit(nxt, c, goal, n)
+            if hit is None or hit > horizon:
+                return "deadline", c, hit
+    return None
+
+
+def test_exact_walks_match_naive_stepper(rng):
+    seen = set()
+    for _ in range(60):
+        n = rng.choice([5, 9, 16])
+        model = random_loop_model(rng, n)
+        step = partial(naive_loop_step, model)
+        for leaf in model.action_vertices():
+            verdict = check_fts(model, leaf)
+            want = naive_fts(model, leaf)
+            assert bool(verdict) is (want is None)
+            if want is not None:
+                assert (verdict.kind, verdict.witness, verdict.step) == want
+                seen.add((want[0], want[2] is None))
+        for _ in range(3):
+            region = random_region(rng, n)
+            want_steps, want_witness = 0, None
+            for c in region.cells():
+                hit = naive_hit(step, c, region.complement(), n)
+                if hit is None:
+                    want_steps, want_witness = None, c
+                    break
+                want_steps = max(want_steps, hit)
+            result = empirical_exit_time(model, region)
+            assert (result.steps, result.witness) == (want_steps, want_witness)
+            seen.add(("exit", want_steps is None))
+        for _ in range(5):
+            x0, goal, cap = rng.randrange(n), random_region(rng, n), rng.randint(0, n + 2)
+            assert hitting_time(model, x0, goal, cap) == naive_hit(step, x0, goal, cap)
+    # the corpus reaches the deadline rule both ways and exits both ways
+    assert {("deadline", True), ("deadline", False), ("exit", True), ("exit", False)} <= seen
