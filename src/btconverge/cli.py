@@ -33,6 +33,7 @@ from .prepares import (
     analysis_set,
     behavior_graph,
     build_prepares_graph,
+    certify_convergence,
     condense,
 )
 from .specfile import (
@@ -107,6 +108,17 @@ def _resolve_delta(spec: LoadedSpec, override: Optional[float]) -> Optional[floa
     return None
 
 
+def _delta_arg(text: str) -> float:
+    """argparse type for --delta: a non-negative float, +inf included."""
+    try:
+        value = float(text)
+    except ValueError:
+        value = None
+    if value is None or not value >= 0:
+        raise argparse.ArgumentTypeError(f"must be a non-negative number, got {text!r}")
+    return value
+
+
 def _abstraction_vertices(spec: LoadedSpec) -> list[int]:
     model = spec.model
     if spec.abstraction:
@@ -152,13 +164,12 @@ def cmd_check(args: argparse.Namespace) -> int:
     model = spec.model
     delta = _resolve_delta(spec, args.delta)
     members = _abstraction_vertices(spec)
-    graph = build_prepares_graph(model, members, delta)
-    condensed = condense(graph)
+    condensed = condense(build_prepares_graph(model, members, delta))
     seeds = _parse_seed_classes(args.seed_classes, model, condensed)
-    from .prepares import certify_convergence
-
     try:
-        outcome = certify_convergence(model, members, delta=delta, seeds=seeds)
+        outcome = certify_convergence(
+            model, members, delta=delta, seeds=seeds, condensed=condensed
+        )
     except FtsPreconditionError as exc:
         report = {
             "status": "refuted",
@@ -347,7 +358,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_check = sub.add_parser("check", help="certify convergence or refute it")
     common(p_check)
     p_check.add_argument("--seed-classes", help="comma list of flavor:leaf tokens")
-    p_check.add_argument("--delta", type=float)
+    p_check.add_argument("--delta", type=_delta_arg)
     p_check.set_defaults(fn=cmd_check)
 
     p_sim = sub.add_parser("simulate", help="run the closed loop from a start cell")
@@ -360,7 +371,7 @@ def build_parser() -> argparse.ArgumentParser:
     common(p_exp)
     p_exp.add_argument("--which", choices=("tree", "prepares", "condensed", "behavior"), required=True)
     p_exp.add_argument("--seed-classes")
-    p_exp.add_argument("--delta", type=float)
+    p_exp.add_argument("--delta", type=_delta_arg)
     p_exp.set_defaults(fn=cmd_export)
 
     p_bc = sub.add_parser("backchain", help="generate a tree from a library")
@@ -371,7 +382,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_sub = sub.add_parser("substitute", help="install the guarded controller subtree")
     common(p_sub)
-    p_sub.add_argument("--delta", type=float)
+    p_sub.add_argument("--delta", type=_delta_arg)
     p_sub.set_defaults(fn=cmd_substitute)
     return parser
 

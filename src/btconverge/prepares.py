@@ -307,12 +307,15 @@ def certify_convergence(
     abstraction: Iterable[int],
     delta: Optional[float] = None,
     seeds: Optional[Iterable[int]] = None,
+    condensed: Optional[CondensedGraph] = None,
 ) -> Certificate | Refutation:
     """Run the full pipeline: slices, condensation, exit times, step bound.
 
     Every abstraction member must pass its finite-time-success check first;
     failures raise FtsPreconditionError.  A sink class containing non-goal
-    slices, or a class some cell never leaves, yields a Refutation.
+    slices, or a class some cell never leaves, yields a Refutation.  A
+    caller that already condensed the slice graph of this abstraction and
+    delta passes it as ``condensed`` so it is not built again.
     """
     members = sorted(set(abstraction))
     failures: dict[str, object] = {}
@@ -329,8 +332,9 @@ def certify_convergence(
     if failures:
         raise FtsPreconditionError(failures)
 
-    graph = build_prepares_graph(model, members, delta)
-    condensed = condense(graph)
+    if condensed is None:
+        condensed = condense(build_prepares_graph(model, members, delta))
+    graph = condensed.graph
     if seeds is None:
         chosen = analysis_set(condensed, range(len(condensed.classes)))
     else:

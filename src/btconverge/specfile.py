@@ -53,8 +53,10 @@ def parse_document(doc: dict) -> LoadedSpec:
         raise SpecError(f"unsupported format {doc.get('format')!r}; expected {FORMAT!r}")
     world = _parse_world(_require(doc, "universe", dict))
     delta = doc.get("delta")
-    if delta is not None and not isinstance(delta, (int, float)):
-        raise SpecError("delta must be a number")
+    if delta is not None and (
+        isinstance(delta, bool) or not isinstance(delta, (int, float)) or not delta >= 0
+    ):
+        raise SpecError(f"delta must be a non-negative number, got {delta!r}")
 
     leaves = {}
     for entry in doc.get("leaves", []):

@@ -180,6 +180,9 @@ class World:
             dims = {len(p) for p in pts}
             if len(dims) != 1:
                 raise WorldError("coordinate vectors must share one dimension")
+            for c, p in enumerate(pts):
+                if not all(map(math.isfinite, p)):
+                    raise WorldError(f"coordinates of cell {c} are not finite: {list(p)}")
             self.coords = pts
         elif adjacency is not None:
             rows = [0] * cell_count
@@ -209,17 +212,54 @@ class World:
         return Region.full(self.cell_count)
 
     def _balls(self, delta: float) -> tuple[int, ...]:
-        """Per-cell bitset of cells within delta (including the cell itself)."""
+        """Per-cell bitset of cells within delta (including the cell itself).
+
+        A cell list: cells are bucketed on a grid of width just above delta,
+        so two cells within delta lie in the same or adjacent buckets, and
+        only those pairs reach the exact test ``math.dist(p, q) <= delta``.
+        The number of distance tests grows with cells x neighbours, not
+        cells squared.  A negative or NaN delta relates no two cells.
+        """
         cached = self._ball_cache.get(delta)
         if cached is not None:
             return cached
-        n = self.cell_count
-        rows = [1 << c for c in range(n)]
-        for p in range(n):
-            for q in range(p + 1, n):
-                if self.distance(p, q) <= delta:
-                    rows[p] |= 1 << q
-                    rows[q] |= 1 << p
+        pts = self.coords
+        rows = [1 << c for c in range(self.cell_count)]
+        if delta >= 0:
+            dist, floor = math.dist, math.floor
+            axes = list(zip(*pts))
+            lows = [min(axis) for axis in axes]
+            spreads = [max(axis) - lo for axis, lo in zip(axes, lows)]
+            # The relative margin keeps cells within delta at most one bucket
+            # apart after rounding; the spread floor caps the buckets per axis
+            # at 2**30 so the quotient's rounding stays inside that margin.
+            width = max(delta * (1 + 2**-20), max(spreads, default=0.0) * 2**-30) or 1.0
+            if width == math.inf:
+                # delta = +inf, or a spread past the float range (where the
+                # quotient could be inf / inf): one bucket holds every cell.
+                axes = []
+            # Mixed-radix bucket keys.  A span of buckets + 3 per axis keeps
+            # every key plus a -1/0/+1 step per axis distinct.
+            keys = [0] * len(pts)
+            offsets = [0]
+            scale = 1
+            for axis, lo, spread in zip(axes, lows, spreads):
+                keys = [k + floor((x - lo) / width) * scale for k, x in zip(keys, axis)]
+                offsets = [o + d * scale for o in offsets for d in (-1, 0, 1)]
+                scale *= floor(spread / width) + 4
+            forward = [o for o in offsets if o > 0]
+            buckets: dict[int, list[int]] = {}
+            for c, key in enumerate(keys):
+                buckets.setdefault(key, []).append(c)
+            for key, members in buckets.items():
+                near = [q for o in forward for q in buckets.get(key + o, ())]
+                for i, p in enumerate(members):
+                    here, row, bit = pts[p], rows[p], 1 << p
+                    for q in members[i + 1:] + near:
+                        if dist(here, pts[q]) <= delta:
+                            row |= 1 << q
+                            rows[q] |= bit
+                    rows[p] = row
         result = tuple(rows)
         self._ball_cache[delta] = result
         return result

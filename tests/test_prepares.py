@@ -357,6 +357,21 @@ def test_single_goal_seed_gives_zero_bound():
     assert cert.bound == 0
 
 
+def test_certify_reuses_a_prebuilt_condensation():
+    sr = bundled.surveying_robot()
+    model = sr.model
+    members = [model.vertex_of(n) for n in sr.abstraction]
+    condensed = condense(build_prepares_graph(model, members, sr.delta))
+    fresh = certify_convergence(model, members, sr.delta)
+    reused = certify_convergence(model, members, sr.delta, condensed=condensed)
+    assert reused.condensed is condensed and reused.graph is condensed.graph
+    assert (reused.bound, reused.refined_bound, reused.per_class_exit) == (
+        fresh.bound,
+        fresh.refined_bound,
+        fresh.per_class_exit,
+    )
+
+
 def test_certificate_bound_holds_exhaustively():
     sr = bundled.surveying_robot()
     model = sr.model

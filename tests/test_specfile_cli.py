@@ -94,6 +94,9 @@ def test_augmented_document_round_trips():
         (lambda d: d["leaves"].append(dict(d["leaves"][0])), "duplicate"),
         (lambda d: d["leaves"][0].pop("next"), "one target per cell"),
         (lambda d: d.update(abstraction=["ghost"]), "unknown leaf"),
+        (lambda d: d.update(delta=float("nan")), "delta"),
+        (lambda d: d.update(delta=-1), "delta"),
+        (lambda d: d.update(delta=True), "delta"),
     ],
 )
 def test_parse_errors_are_reported(mutate, message):
@@ -145,6 +148,35 @@ def test_check_malformed_spec_exits_two(tmp_path, capsys):
     code, _out, err = run_cli("check", "--spec", str(path), capsys=capsys)
     assert code == 2
     assert "ghost" in err
+
+
+def test_check_nan_coordinate_exits_two(tmp_path, capsys):
+    b = bundled.gridworld()
+    doc = json.loads(dump_document(build_document(b.model, list(b.abstraction), b.delta)))
+    doc["universe"]["coords"][3][1] = float("nan")
+    path = tmp_path / "nan.json"
+    path.write_text(json.dumps(doc))  # json writes the bare NaN token it also reads
+    assert "NaN" in path.read_text()
+    code, _out, err = run_cli("check", "--spec", str(path), capsys=capsys)
+    assert code == 2
+    assert "universe: coordinates of cell 3 are not finite" in err
+
+
+@pytest.mark.parametrize("command", [["check"], ["export", "--which", "prepares"], ["substitute"]])
+@pytest.mark.parametrize("value", ["nan", "-1", "-inf", "one"])
+def test_malformed_delta_flag_is_a_usage_error(command, value, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main([*command, "--spec", "bundled:patrol", f"--delta={value}"])
+    assert exc.value.code == 2
+    assert "--delta: must be a non-negative number" in capsys.readouterr().err
+
+
+def test_infinite_delta_flag_still_certifies(capsys):
+    code, out, _err = run_cli(
+        "check", "--spec", "bundled:gridworld", "--delta", "inf", capsys=capsys
+    )
+    assert code == 0
+    assert "status: certified" in out
 
 
 def test_check_missing_file_exits_two(capsys):

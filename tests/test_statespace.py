@@ -178,3 +178,74 @@ def test_step_bound_invariant_under_cell_relabeling(rng):
     w2 = World(n, coords=coords2)
     m2 = SuccessorMap(targets2)
     assert step_bound(w1, [m1]) == pytest.approx(step_bound(w2, [m2]))
+
+
+def random_metric_world(rng) -> World:
+    """0-3 dimensions, 1-60 cells, lattices with duplicates or uniform floats."""
+    dim = rng.randrange(4)
+    n = rng.randrange(1, 61)
+    scale = 10.0 ** rng.uniform(-6, 12)
+    offset = rng.choice([0.0, rng.uniform(-1e6, 1e6)]) * scale
+    if rng.random() < 0.5:
+        side = rng.randrange(1, 6)
+        coord = lambda: offset + rng.randrange(side) * scale
+    else:
+        coord = lambda: offset + rng.uniform(-1, 1) * scale
+    return World(n, coords=[tuple(coord() for _ in range(dim)) for _ in range(n)])
+
+
+def test_balls_match_all_pairs(rng):
+    for _ in range(80):
+        w = random_metric_world(rng)
+        n, pts = w.cell_count, w.coords
+        dists = {(p, q): math.dist(pts[p], pts[q]) for p in range(n) for q in range(p + 1, n)}
+        spread = max(dists.values(), default=0.0)
+        deltas = [0.0, 1e-9, rng.uniform(0, 1.5) * spread, math.inf, -1.0, math.nan]
+        deltas += rng.sample(sorted(dists.values()), min(4, len(dists)))  # ties
+        for delta in deltas:
+            rows = [1 << c for c in range(n)]
+            for (p, q), d in dists.items():
+                if d <= delta:
+                    rows[p] |= 1 << q
+                    rows[q] |= 1 << p
+            assert w._balls(delta) == tuple(rows), (pts, delta)
+            if not delta >= 0:
+                continue
+            for _ in range(5):
+                a = Region(n, rng.getrandbits(n))
+                b = Region(n, rng.getrandbits(n))
+                if a.is_empty or b.is_empty:
+                    continue
+                nearest = min(math.dist(pts[p], pts[q]) for p in a.cells() for q in b.cells())
+                assert w.neighboring(a, b, delta) == (nearest <= delta)
+
+
+def test_balls_compare_only_adjacent_buckets(monkeypatch):
+    side = 100
+    n = side * side
+    w = World(n, coords=[(float(c % side), float(c // side)) for c in range(n)])
+    calls = 0
+    real_dist = math.dist
+
+    def counting_dist(p, q):
+        nonlocal calls
+        calls += 1
+        return real_dist(p, q)
+
+    monkeypatch.setattr(math, "dist", counting_dist)
+    balls = w._balls(1.0)
+    assert calls <= 10 * n  # the all-pairs loop makes n * (n - 1) / 2
+    assert sum(row.bit_count() for row in balls) == n + 2 * (2 * side * (side - 1))
+
+
+def test_balls_when_the_coordinate_spread_overflows():
+    w = World(3, coords=[(-1e308,), (0.0,), (1e308,)])
+    assert w._balls(1.0) == (0b001, 0b010, 0b100)
+    assert w._balls(1e308) == (0b011, 0b111, 0b110)
+    assert w._balls(math.inf) == (0b111,) * 3
+
+
+def test_world_rejects_non_finite_coordinates():
+    for bad in (math.nan, math.inf, -math.inf):
+        with pytest.raises(WorldError, match="cell 1 .* not finite"):
+            World(2, coords=[(0.0, 0.0), (1.0, bad)])
