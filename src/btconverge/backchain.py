@@ -338,6 +338,7 @@ def check_bc_convergence(
     delta: Optional[float] = None,
     seeds: Optional[Iterable[int]] = None,
     require_hypothesis: bool = False,
+    built: Optional[BcBt] = None,
 ) -> BcConvergenceReport:
     """Certify a backchained tree; check the acyclic transition pattern.
 
@@ -347,7 +348,9 @@ def check_bc_convergence(
     of the conditions upstream of it.  A library whose actions undo
     upstream conditions, like a recharge cycle, fails that hypothesis; the
     violation is reported (or raised with require_hypothesis), the pattern
-    claim is skipped, and the general certification still runs.
+    claim is skipped, and the general certification still runs.  A caller
+    that already ran ``build_bcbt(lib, root)`` passes the result as
+    ``built`` so the tree is not built and analysed again.
     """
     links = validate_bc_assumptions(lib, root)
     hypothesis_witnesses: list[tuple[Id, int]] = []
@@ -365,7 +368,8 @@ def check_bc_convergence(
                     f"action {i!r}: basin leaves its upstream success regions at cell {witness}"
                 )
             hypothesis_witnesses.append((i, witness))
-    built = build_bcbt(lib, root)
+    if built is None:
+        built = build_bcbt(lib, root)
     abstraction = [built.vertex_of[i] for i in lib.actions if i in built.vertex_of]
     result = certify_convergence(built.model, abstraction, delta=delta, seeds=seeds)
     hypothesis_ok = not hypothesis_witnesses

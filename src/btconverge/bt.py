@@ -280,56 +280,49 @@ def propagate_metadata(model: BTModel) -> tuple[tuple[Region, ...], tuple[Region
 
 
 def influence_regions(model: BTModel, success: tuple[Region, ...], failure: tuple[Region, ...]) -> tuple[Region, ...]:
-    """Necessary-condition region per vertex.
+    """Necessary-condition region per vertex, in one top-down pass.
 
-    The influence region of a vertex intersects, over every strict left
-    uncle whose parent is a Sequence, that uncle's success region, and over
-    every strict left uncle whose parent is a Fallback, its failure region.
-    Empty ranges contribute the full universe.
+    By definition the influence region of a vertex intersects, over every
+    strict left uncle whose parent is a Sequence, that uncle's success
+    region, and over every strict left uncle whose parent is a Fallback,
+    its failure region; no left uncle leaves the full universe.  The left
+    uncles of a child are its earlier siblings plus the left uncles of its
+    parent, so the root's region is the universe and a child's region is
+    its parent's narrowed by the success (Sequence parent) or failure
+    (Fallback parent) regions of its earlier siblings.
     """
-    orders = model.orders()
-    parent = model.tree.parent
-    lu_in = orders.left_uncle.converse()  # row[i] = {j : j left-uncle of i}
-    out: list[Region] = []
-    for i in range(model.n):
-        region = model.world.full_region()
-        bits = lu_in.successors(i)
-        while bits:
-            low = bits & -bits
-            j = low.bit_length() - 1
-            bits ^= low
-            p = parent[j]
-            if model.kinds[p] is NodeKind.SEQUENCE:
-                region &= success[j]
-            elif model.kinds[p] is NodeKind.FALLBACK:
-                region &= failure[j]
-        out.append(region)
+    out: list[Region] = [model.world.full_region()] * model.n
+    for v in range(model.n):  # preorder ids: a parent comes before its children
+        gate = success if model.kinds[v] is NodeKind.SEQUENCE else failure
+        region = out[v]
+        for c in model.tree.children[v]:
+            out[c] = region
+            region = region & gate[c]
     return tuple(out)
 
 
 def pathways(model: BTModel) -> tuple[frozenset[int], frozenset[int]]:
     """Vertices whose success (failure) propagates to the root unhindered.
 
-    A vertex is on the success pathway when no right uncle of it has a
-    Sequence parent; on the failure pathway when no right uncle has a
-    Fallback parent.
+    By definition a vertex is on the success pathway when no right uncle of
+    it has a Sequence parent, and on the failure pathway when no right
+    uncle has a Fallback parent.  The right uncles of a child are its later
+    siblings plus the right uncles of its parent, so, top down: the root is
+    on both pathways, and a child is on the success pathway when its parent
+    is and either it is the last child or the parent is not a Sequence.
+    The failure pathway is the mirror rule for Fallback.
     """
-    orders = model.orders()
-    parent = model.tree.parent
-    seq_parent = 0
-    fal_parent = 0
-    for v in range(model.n):
-        p = parent[v]
-        if p is None:
-            continue
-        if model.kinds[p] is NodeKind.SEQUENCE:
-            seq_parent |= 1 << v
-        elif model.kinds[p] is NodeKind.FALLBACK:
-            fal_parent |= 1 << v
-    ru_in = orders.right_uncle.converse()  # row[i] = {j : j right-uncle of i}
-    s_path = frozenset(i for i in range(model.n) if not ru_in.successors(i) & seq_parent)
-    f_path = frozenset(i for i in range(model.n) if not ru_in.successors(i) & fal_parent)
-    return s_path, f_path
+    root = model.tree.root
+    s_path = {root}
+    f_path = {root}
+    for v in range(model.n):  # preorder ids: a parent comes before its children
+        kids = model.tree.children[v]
+        kind = model.kinds[v]
+        if v in s_path:
+            s_path.update(kids[-1:] if kind is NodeKind.SEQUENCE else kids)
+        if v in f_path:
+            f_path.update(kids[-1:] if kind is NodeKind.FALLBACK else kids)
+    return frozenset(s_path), frozenset(f_path)
 
 
 def operating_regions(

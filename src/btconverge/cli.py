@@ -296,7 +296,7 @@ def cmd_backchain(args: argparse.Namespace) -> int:
     for issue in operating.violations:
         report_lines.append(f"  violation: {issue}")
     if args.certify:
-        report = check_bc_convergence(lib, root, delta=spec.delta)
+        report = check_bc_convergence(lib, root, delta=spec.delta, built=built)
         if report.pattern_ok is None:
             pattern = "n/a (basin hypothesis fails; general certification used)"
         else:

@@ -4,9 +4,10 @@ An ordered tree is a rooted tree with an additional left-to-right order
 among the children of every vertex.  It is stored as two edge sets over a
 dense vertex range 0..n-1: child-to-parent edges and left-to-right sibling
 edges.  From those we derive the ancestor order, the sibling order, the
-uncle orders obtained by composition, and the parent map.  Everything
-downstream (tick semantics, influence regions, pathway sets) is phrased in
-terms of these orders.
+uncle orders obtained by composition, and the parent map.  Influence
+regions and pathway sets are defined through the uncle orders; the region
+analysis in ``bt`` computes them in one top-down pass instead, and the
+tests compare it against these orders.
 """
 
 from __future__ import annotations

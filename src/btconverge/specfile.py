@@ -104,9 +104,20 @@ def _require(doc: dict, key: str, typ: type) -> Any:
     return value
 
 
+def _is_int(value: Any) -> bool:
+    """A JSON integer; ``true``/``false`` are ints to Python but not here."""
+    return type(value) is int
+
+
+def _check_ints(values: list, where: str) -> None:
+    for value in values:
+        if type(value) is not int:
+            raise SpecError(f"{where}: expected integers, got {value!r}")
+
+
 def _parse_world(block: dict) -> World:
     cells = block.get("cells")
-    if not isinstance(cells, int) or cells <= 0:
+    if not _is_int(cells) or cells <= 0:
         raise SpecError("universe.cells must be a positive integer")
     coords = block.get("coords")
     adjacency = block.get("adjacency")
@@ -114,7 +125,12 @@ def _parse_world(block: dict) -> World:
         if coords is not None:
             return World(cells, coords=coords)
         if adjacency is not None:
-            pairs = [(int(p), int(q)) for p, q in adjacency]
+            if not isinstance(adjacency, list) or not all(
+                isinstance(pair, list) and len(pair) == 2 for pair in adjacency
+            ):
+                raise SpecError("universe.adjacency must be a list of cell pairs")
+            _check_ints([c for pair in adjacency for c in pair], "universe.adjacency")
+            pairs = [(p, q) for p, q in adjacency]
             if block.get("adjacency_directed"):
                 rows = [0] * cells
                 for p, q in pairs:
@@ -131,6 +147,7 @@ def _parse_world(block: dict) -> World:
 def _parse_region(value: Any, world: World, where: str) -> Region:
     if not isinstance(value, list):
         raise SpecError(f"{where}: expected a list of cell indices")
+    _check_ints(value, where)
     try:
         return Region.from_cells(world.cell_count, value)
     except WorldError as exc:
@@ -156,6 +173,7 @@ def _parse_leaf(entry: dict, world: World) -> LeafData:
         targets = entry.get("next")
         if not isinstance(targets, list) or len(targets) != world.cell_count:
             raise SpecError(f"leaf {name!r}: next must list one target per cell")
+        _check_ints(targets, f"leaf {name!r} next")
         try:
             controller = SuccessorMap(targets)
         except WorldError as exc:
@@ -178,7 +196,7 @@ def _parse_leaf(entry: dict, world: World) -> LeafData:
 
 def _parse_doa(block: dict, world: World, name: str) -> Doa:
     horizon = block.get("horizon")
-    if not isinstance(horizon, int) or horizon <= 0:
+    if not _is_int(horizon) or horizon <= 0:
         raise SpecError(f"leaf {name!r}: doa.horizon must be a positive integer")
     try:
         return Doa(
@@ -238,22 +256,27 @@ def _parse_substitution(block: dict, world: World, model: BTModel) -> Substituti
         if parent is None:
             raise SpecError("substitution target has no enclosing fallback")
         target = parent
-    if not isinstance(target, int):
+    if not _is_int(target):
         raise SpecError("substitution.target must be a leaf name or vertex id")
     budget = block.get("time_budget")
-    if not isinstance(budget, int) or budget < 0:
+    if not _is_int(budget) or budget < 0:
         raise SpecError("substitution.time_budget must be a non-negative integer")
     hyst_cap = block.get("hysteresis_cap", 0)
-    if not isinstance(hyst_cap, int) or hyst_cap < 0:
+    if not _is_int(hyst_cap) or hyst_cap < 0:
         raise SpecError("substitution.hysteresis_cap must be a non-negative integer")
     dd_next = block.get("dd_next")
     if not isinstance(dd_next, list):
         raise SpecError("substitution.dd_next must be a target array")
+    _check_ints(dd_next, "substitution.dd_next")
     rr_block = block.get("rr")
     if not isinstance(rr_block, dict):
         raise SpecError("substitution.rr block missing")
+    rr_next = rr_block.get("next", [])
+    if not isinstance(rr_next, list):
+        raise SpecError("substitution.rr.next must be a target array")
+    _check_ints(rr_next, "substitution.rr.next")
     try:
-        rr_ctrl = SuccessorMap(rr_block.get("next", []))
+        rr_ctrl = SuccessorMap(rr_next)
     except WorldError as exc:
         raise SpecError(f"substitution.rr.next: {exc}") from exc
     rr_doa = None

@@ -403,6 +403,33 @@ def test_surveying_library_certifies_despite_cycle():
         check_bc_convergence(lib, root, delta=delta, require_hypothesis=True)
 
 
+@pytest.mark.parametrize(
+    "library",
+    [chain_library, bundled.surveying_robot_library, bundled.mobile_manipulator],
+)
+def test_check_reuses_a_prebuilt_tree(library, monkeypatch):
+    from btconverge import backchain
+
+    lib, root = library()
+    delta = 1.0
+    fresh = check_bc_convergence(lib, root, delta)
+    built = build_bcbt(lib, root)
+
+    def no_build(*_args, **_kwargs):
+        raise AssertionError("build_bcbt called although a tree was passed")
+
+    monkeypatch.setattr(backchain, "build_bcbt", no_build)
+    reused = check_bc_convergence(lib, root, delta, built=built)
+    assert reused.hypothesis_witnesses == fresh.hypothesis_witnesses
+    assert reused.pattern_ok == fresh.pattern_ok
+    assert reused.pattern_violations == fresh.pattern_violations
+    assert type(reused.result) is type(fresh.result)
+    if isinstance(fresh.result, Certificate):
+        assert reused.result.bound == fresh.result.bound
+        assert reused.result.condensed.classes == fresh.result.condensed.classes
+        assert reused.result.analysis_classes == fresh.result.analysis_classes
+
+
 def test_surveying_library_tree_has_documented_preorder_ids():
     lib, root = bundled.surveying_robot_library()
     built = build_bcbt(lib, root)

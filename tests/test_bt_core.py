@@ -1,5 +1,7 @@
 """Metadata propagation, tick, influence/operating regions, pathways."""
 
+import itertools
+
 import pytest
 
 from btconverge.bt import (
@@ -159,23 +161,75 @@ def test_tick_path_matches_naive_descent(rng):
             assert tick_path(model, x) == naive_tick_path(model, x)
 
 
+def deep_tree_model(rng, levels, n_cells=256):
+    """A Sequence/Fallback spine nested ``levels`` deep, with leaf siblings.
+
+    The deeper subtree is the last child at every level but one, where it
+    comes first, so the spine's bottom stays on one pathway.  A leaf's
+    region that gates its later siblings (success under a Sequence,
+    failure under a Fallback) misses at most one cell, so influence
+    regions stay nonempty down to the bottom.  The bottom leaf is "leaf0".
+    """
+    world = World(n_cells)
+    names = itertools.count()
+
+    def leaf(gate_is_success):
+        name = f"leaf{next(names)}"
+        gate = Region.full(n_cells) - Region.from_cells(
+            n_cells, rng.sample(range(n_cells), rng.randint(0, 1))
+        )
+        other = Region(n_cells, rng.getrandbits(n_cells)) - gate
+        s, f = (gate, other) if gate_is_success else (other, gate)
+        if rng.random() < 0.3:
+            return condition(name, s, s.complement())
+        return action(name, s, f, SuccessorMap.identity(n_cells))
+
+    node = leaf(rng.random() < 0.5)
+    first_at = rng.randrange(levels)
+    for level in range(levels):
+        is_seq = rng.random() < 0.5
+        if level == first_at:
+            kids = [node] + [leaf(is_seq) for _ in range(rng.randint(1, 2))]
+        else:
+            kids = [leaf(is_seq) for _ in range(rng.randint(0, 2))] + [node]
+        node = seq(*kids) if is_seq else fal(*kids)
+    return BTModel(world, node)
+
+
+def assert_matches_uncle_enumeration(model):
+    """Influence and pathways against the uncle orders, pair by pair."""
+    analysis = model.analysis()
+    orders = model.orders()
+    lu = set(orders.left_uncle.pairs())
+    ru = set(orders.right_uncle.pairs())
+    parent_kind = [None if p is None else model.kinds[p] for p in model.tree.parent]
+    for i in range(model.n):
+        expected = model.world.full_region()
+        seq_right_uncle = fal_right_uncle = False
+        for j in range(model.n):
+            if (j, i) in lu:
+                if parent_kind[j] is NodeKind.SEQUENCE:
+                    expected &= analysis.success[j]
+                elif parent_kind[j] is NodeKind.FALLBACK:
+                    expected &= analysis.failure[j]
+            if (j, i) in ru:
+                seq_right_uncle |= parent_kind[j] is NodeKind.SEQUENCE
+                fal_right_uncle |= parent_kind[j] is NodeKind.FALLBACK
+        assert analysis.influence[i] == expected
+        assert (i in analysis.success_pathway) == (not seq_right_uncle)
+        assert (i in analysis.failure_pathway) == (not fal_right_uncle)
+
+
 def test_influence_matches_uncle_enumeration_oracle(rng):
     for _ in range(40):
-        model = random_tree_model(rng, 12)
+        assert_matches_uncle_enumeration(random_tree_model(rng, 12))
+    for levels in (100, 120):
+        model = deep_tree_model(rng, levels)
+        assert_matches_uncle_enumeration(model)
         analysis = model.analysis()
-        orders = model.orders()
-        lu = set(orders.left_uncle.pairs())
-        for i in range(model.n):
-            expected = model.world.full_region()
-            for j in range(model.n):
-                if (j, i) not in lu:
-                    continue
-                p = model.tree.parent[j]
-                if model.kinds[p] is NodeKind.SEQUENCE:
-                    expected &= analysis.success[j]
-                elif model.kinds[p] is NodeKind.FALLBACK:
-                    expected &= analysis.failure[j]
-            assert analysis.influence[i] == expected
+        bottom = model.vertex_of("leaf0")
+        assert not analysis.influence[bottom].is_empty
+        assert (bottom in analysis.success_pathway) != (bottom in analysis.failure_pathway)
 
 
 def test_regions_partition_each_vertex(rng):

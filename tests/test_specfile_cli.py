@@ -97,6 +97,40 @@ def test_augmented_document_round_trips():
         (lambda d: d.update(delta=float("nan")), "delta"),
         (lambda d: d.update(delta=-1), "delta"),
         (lambda d: d.update(delta=True), "delta"),
+        # integer fields take neither JSON booleans nor floats
+        (lambda d: d["leaves"][0].update(success=[True]), "success: expected integers"),
+        (lambda d: d["leaves"][0].update(success=[1.0]), "success: expected integers"),
+        (lambda d: d["leaves"][0]["doa"].update(basin=[False]), "doa.basin: expected integers"),
+        (lambda d: d["leaves"][0]["next"].__setitem__(0, True), "next: expected integers"),
+        (lambda d: d["leaves"][0]["next"].__setitem__(0, 1.0), "next: expected integers"),
+        (lambda d: d["leaves"][0]["doa"].update(horizon=True), "doa.horizon"),
+        (lambda d: d["leaves"][0]["doa"].update(horizon=3.0), "doa.horizon"),
+        (lambda d: d["universe"].update(cells=True), "universe.cells"),
+        (lambda d: d["universe"].update(cells=54.0), "universe.cells"),
+        (lambda d: d["universe"].update(coords=None, adjacency=[[0, True]]), "universe.adjacency"),
+        (lambda d: d["universe"].update(coords=None, adjacency=[[0, 1.0]]), "universe.adjacency"),
+        (lambda d: d.update(substitution={"target": True}), "substitution.target"),
+        (lambda d: d.update(substitution={"target": 1.0}), "substitution.target"),
+        (
+            lambda d: d.update(substitution={"target": 0, "time_budget": True}),
+            "substitution.time_budget",
+        ),
+        (
+            lambda d: d.update(substitution={"target": 0, "time_budget": 5.0}),
+            "substitution.time_budget",
+        ),
+        (
+            lambda d: d.update(
+                substitution={"target": 0, "time_budget": 5, "hysteresis_cap": True}
+            ),
+            "substitution.hysteresis_cap",
+        ),
+        (
+            lambda d: d.update(
+                substitution={"target": 0, "time_budget": 5, "hysteresis_cap": 2.0}
+            ),
+            "substitution.hysteresis_cap",
+        ),
     ],
 )
 def test_parse_errors_are_reported(mutate, message):
@@ -280,6 +314,30 @@ def test_backchain_certify_survey_library(capsys):
     )
     assert code == 0
     assert "certified: bound" in out
+
+
+def test_backchain_certify_builds_the_tree_once(monkeypatch, capsys):
+    from btconverge import backchain, cli
+
+    calls = []
+    real_build = backchain.build_bcbt
+
+    def counting_build(*args, **kwargs):
+        calls.append(args)
+        return real_build(*args, **kwargs)
+
+    monkeypatch.setattr(backchain, "build_bcbt", counting_build)
+    monkeypatch.setattr(cli, "build_bcbt", counting_build)
+    code, out, _err = run_cli(
+        "backchain",
+        "--spec", "bundled:mobile_manipulator",
+        "--certify",
+        "--out", "/dev/null",
+        capsys=capsys,
+    )
+    assert code == 0
+    assert "certified: bound" in out
+    assert len(calls) == 1
 
 
 def test_substitute_patrol(tmp_path, capsys):
