@@ -339,6 +339,8 @@ def check_bc_convergence(
     seeds: Optional[Iterable[int]] = None,
     require_hypothesis: bool = False,
     built: Optional[BcBt] = None,
+    *,
+    links: Optional[LinkStructure] = None,
 ) -> BcConvergenceReport:
     """Certify a backchained tree; check the acyclic transition pattern.
 
@@ -350,9 +352,10 @@ def check_bc_convergence(
     violation is reported (or raised with require_hypothesis), the pattern
     claim is skipped, and the general certification still runs.  A caller
     that already ran ``build_bcbt(lib, root)`` passes the result as
-    ``built`` so the tree is not built and analysed again.
+    ``built`` so the tree is not built and analysed again, and one that
+    already ran ``compute_links(lib)`` passes it as ``links``.
     """
-    links = validate_bc_assumptions(lib, root)
+    links = validate_bc_assumptions(lib, root, links)
     hypothesis_witnesses: list[tuple[Id, int]] = []
     for i in sorted(lib.actions, key=_id_key):
         entry = lib.actions[i]

@@ -118,6 +118,7 @@ class BTModel:
         "leaves",
         "leaf_by_name",
         "_analysis",
+        "_loop",
     )
 
     def __init__(self, world: World, spec: NodeSpec) -> None:
@@ -157,6 +158,7 @@ class BTModel:
                 raise ModelError(f"duplicate leaf name {leaf.name!r}")
             self.leaf_by_name[leaf.name] = vid
         self._analysis: Optional[NodeAnalysis] = None
+        self._loop: Optional[tuple[Optional[int], ...]] = None
         self._validate()
 
     # ------------------------------------------------------------------
@@ -214,6 +216,12 @@ class BTModel:
         if self._analysis is None:
             self._analysis = analyze(self)
         return self._analysis
+
+    def closed_loop(self) -> tuple[Optional[int], ...]:
+        """Per-cell next cell of the closed loop; None where a Condition resolves."""
+        if self._loop is None:
+            self._loop = closed_loop_map(self)
+        return self._loop
 
     def __repr__(self) -> str:
         return f"BTModel(vertices={self.n}, cells={self.world.cell_count})"
@@ -355,6 +363,40 @@ def analyze(model: BTModel) -> NodeAnalysis:
     s_path, f_path = pathways(model)
     omega = operating_regions(model, running, success, failure, influence, s_path, f_path)
     return NodeAnalysis(running, success, failure, influence, omega, s_path, f_path)
+
+
+def closed_loop_map(model: BTModel) -> tuple[Optional[int], ...]:
+    """Tick-then-step successor of every cell, in one top-down pass.
+
+    This is the rule ``tick_path`` applies per cell, done with regions: a
+    Sequence hands a cell to its first child that has not succeeded there,
+    so child i is reached on the parent's region intersected with the
+    success regions of children 0..i-1, minus its own success region
+    unless it is the last child.  A Fallback is the mirror with failure
+    regions.  The leaves' regions partition the universe; each action leaf
+    copies its controller's targets over its own cells, and the cells where
+    a Condition resolves keep None.
+    """
+    analysis = model.analysis()
+    targets: list[Optional[int]] = [None] * model.world.cell_count
+    reached = [model.world.full_region()] * model.n
+    for v in range(model.n):  # preorder ids: a parent comes before its children
+        kind = model.kinds[v]
+        if kind is NodeKind.ACTION:
+            step = model.leaves[v].controller.targets
+            for x in reached[v].cells():
+                targets[x] = step[x]
+            continue
+        if kind is NodeKind.CONDITION:
+            continue
+        gate = analysis.success if kind is NodeKind.SEQUENCE else analysis.failure
+        region = reached[v]
+        *earlier, last = model.tree.children[v]
+        for c in earlier:
+            reached[c] = region - gate[c]
+            region = region & gate[c]
+        reached[last] = region
+    return tuple(targets)
 
 
 def tick_path(model: BTModel, x: int) -> list[int]:

@@ -119,6 +119,21 @@ def _delta_arg(text: str) -> float:
     return value
 
 
+def _int_arg(low: int, what: str) -> Callable[[str], int]:
+    """argparse type for an integer flag that must be at least low."""
+
+    def parse(text: str) -> int:
+        try:
+            value = int(text)
+        except ValueError:
+            value = None
+        if value is None or value < low:
+            raise argparse.ArgumentTypeError(f"must be a {what} integer, got {text!r}")
+        return value
+
+    return parse
+
+
 def _abstraction_vertices(spec: LoadedSpec) -> list[int]:
     model = spec.model
     if spec.abstraction:
@@ -296,7 +311,7 @@ def cmd_backchain(args: argparse.Namespace) -> int:
     for issue in operating.violations:
         report_lines.append(f"  violation: {issue}")
     if args.certify:
-        report = check_bc_convergence(lib, root, delta=spec.delta, built=built)
+        report = check_bc_convergence(lib, root, delta=spec.delta, built=built, links=links)
         if report.pattern_ok is None:
             pattern = "n/a (basin hypothesis fails; general certification used)"
         else:
@@ -363,8 +378,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_sim = sub.add_parser("simulate", help="run the closed loop from a start cell")
     common(p_sim)
-    p_sim.add_argument("--x0", type=int, required=True)
-    p_sim.add_argument("--steps", type=int, default=100)
+    p_sim.add_argument("--x0", type=_int_arg(0, "non-negative"), required=True)
+    p_sim.add_argument("--steps", type=_int_arg(1, "positive"), default=100)
     p_sim.set_defaults(fn=cmd_simulate)
 
     p_exp = sub.add_parser("export", help="emit DOT graphs")

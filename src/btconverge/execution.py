@@ -8,13 +8,14 @@ reports it rather than freezing silently.
 Exit times, hitting times and action deadlines all come from one memoized
 walk over a finite deterministic step map.  A walk ends in the goal, at a
 cell with no step, or by closing a cycle, so its answer is exact and needs
-no step cap.
+no step cap.  Closed-loop walks read the model's per-cell successor list
+(``BTModel.closed_loop``, built once per model), so no cell is ticked per
+query; only ``simulate`` ticks, because it reports statuses.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import partial
 from typing import Callable, Iterable, Iterator, Optional
 
 from .bt import BTModel, NodeKind, Status, tick
@@ -48,14 +49,6 @@ class Trace:
             lines.append(f"{k} {cell} {name} {status.value}")
         lines.append(f"# halt: {self.halt}")
         return "\n".join(lines)
-
-
-def loop_next(model: BTModel, x: int) -> Optional[int]:
-    """One closed-loop step from x; None where a Condition resolves."""
-    leaf, _status = tick(model, x)
-    if model.kinds[leaf] is not NodeKind.ACTION:
-        return None
-    return model.leaves[leaf].controller.next(x)
 
 
 def _hit_times(
@@ -190,7 +183,8 @@ def empirical_exit_time(model: BTModel, region: Region) -> ExitResult:
     if region.n != model.world.cell_count:
         raise ExecutionError("region over a different universe")
     worst = 0
-    for c, steps in _hit_times(partial(loop_next, model), region.complement(), region.cells()):
+    step = model.closed_loop().__getitem__
+    for c, steps in _hit_times(step, region.complement(), region.cells()):
         if steps is None:
             return ExitResult(None, c)
         worst = max(worst, steps)
@@ -199,10 +193,10 @@ def empirical_exit_time(model: BTModel, region: Region) -> ExitResult:
 
 def hitting_time(model: BTModel, x0: int, goal: Region, max_steps: int) -> Optional[int]:
     """First step, if at most max_steps, at which the closed loop reaches goal from x0."""
-    _, hit = next(_hit_times(partial(loop_next, model), goal, [x0]))
+    _, hit = next(_hit_times(model.closed_loop().__getitem__, goal, [x0]))
     return hit if hit is not None and hit <= max_steps else None
 
 
 def closed_loop_targets(model: BTModel) -> list[Optional[int]]:
     """Per-cell next cell under the full loop; None where a Condition resolves."""
-    return [loop_next(model, c) for c in range(model.world.cell_count)]
+    return list(model.closed_loop())

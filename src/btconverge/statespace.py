@@ -89,11 +89,12 @@ class Region:
         raise TypeError("Region truthiness is ambiguous; use .is_empty")
 
     def cells(self) -> Iterator[int]:
-        mask = self.mask
-        while mask:
-            low = mask & -mask
-            yield low.bit_length() - 1
-            mask ^= low
+        """The cells in ascending order, from one scan of the mask's binary digits."""
+        bits = bin(self.mask)[:1:-1]  # least significant digit first, "0b" dropped
+        c = bits.find("1")
+        while c >= 0:
+            yield c
+            c = bits.find("1", c + 1)
 
     def any_cell(self) -> int:
         if not self.mask:

@@ -84,6 +84,13 @@ class Augmentation:
     region and resets to zero otherwise.  One-step adjacency is directed:
     counter components move exactly as forced, base components move to a
     neighboring-or-same base cell.
+
+    The layout is base-cell-major: base cell c owns the block of
+    ``block = (time_cap + 1) * (hyst_cap + 1)`` augmented cells starting at
+    ``c * block``, and (t, h) sits at offset ``t * (hyst_cap + 1) + h``
+    inside it.  Lifted regions, counter regions, maps and adjacency rows
+    are therefore built per block from in-block patterns and offsets;
+    ``encode`` / ``decode`` convert single cells.
     """
 
     __slots__ = (
@@ -92,7 +99,8 @@ class Augmentation:
         "hyst_cap",
         "rok_base",
         "world",
-        "_base_neighbors",
+        "block",
+        "_next_offsets",
     )
 
     def __init__(
@@ -109,31 +117,28 @@ class Augmentation:
         self.time_cap = time_cap
         self.hyst_cap = hyst_cap
         self.rok_base = rok_base
-        n_base = base.cell_count
+        self.block = (time_cap + 1) * (hyst_cap + 1)
         if base.coords is not None:
             if base_delta is None:
                 raise SubstitutionError("metric base world needs its step bound")
-            balls = base._balls(base_delta)
-            self._base_neighbors = tuple(balls)
+            base_neighbors = base._balls(base_delta)
         elif base.adjacency_rows is not None:
-            self._base_neighbors = tuple(
-                row | (1 << c) for c, row in enumerate(base.adjacency_rows)
-            )
+            base_neighbors = [row | (1 << c) for c, row in enumerate(base.adjacency_rows)]
         else:
             raise SubstitutionError("base world needs coordinates or adjacency")
-        n_aug = n_base * (time_cap + 1) * (hyst_cap + 1)
-        rows = [0] * n_aug
-        for cell in range(n_aug):
-            c, t, h = self.decode(cell)
-            t2 = min(t + 1, time_cap)
-            h2 = min(h + 1, hyst_cap) if c in rok_base else 0
-            targets = self._base_neighbors[c]
-            while targets:
-                low = targets & -targets
-                c2 = low.bit_length() - 1
-                targets ^= low
-                rows[cell] |= 1 << self.encode(c2, t2, h2)
-        self.world = World(n_aug, adjacency_rows=rows)
+        # in-block offset of the counters' successor, per in-block offset,
+        # outside and inside the risk-ok region
+        times = [min(t + 1, time_cap) * (hyst_cap + 1) for t in range(time_cap + 1)]
+        hysts = range(hyst_cap + 1)
+        self._next_offsets = (
+            tuple(t2 for t2 in times for _h in hysts),
+            tuple(t2 + min(h + 1, hyst_cap) for t2 in times for h in hysts),
+        )
+        rows = []
+        for c, row in enumerate(base_neighbors):
+            unit = self._blocks(row, 1).mask  # bit 0 of each neighbour's block
+            rows.extend(unit << off for off in self._next_offsets[c in rok_base])
+        self.world = World(base.cell_count * self.block, adjacency_rows=rows)
 
     # ------------------------------------------------------------------
     def encode(self, c: int, t: int, h: int) -> int:
@@ -144,42 +149,48 @@ class Augmentation:
         c, t = divmod(cell, self.time_cap + 1)
         return c, t, h
 
+    def _blocks(self, base_mask: int, pattern: int) -> Region:
+        """The in-block pattern placed in the block of every base cell of base_mask."""
+        digits = format(pattern, f"0{self.block}b")
+        mask = int(bin(base_mask)[2:].translate({48: "0" * self.block, 49: digits}), 2)
+        return Region(self.base.cell_count * self.block, mask)
+
     def lift_region(self, base_region: Region) -> Region:
-        return Region.where(
-            self.world.cell_count, lambda cell: self.decode(cell)[0] in base_region
-        )
+        return self._blocks(base_region.mask, (1 << self.block) - 1)
 
     def project_region(self, region: Region) -> Region:
+        digits = format(region.mask, f"0{self.world.cell_count}b")[::-1]
+        k = self.block
         return Region.from_cells(
-            self.base.cell_count, (self.decode(cell)[0] for cell in region.cells())
+            self.base.cell_count,
+            (c for c in range(self.base.cell_count) if "1" in digits[c * k : (c + 1) * k]),
         )
 
     def time_ok_region(self) -> Region:
-        return Region.where(
-            self.world.cell_count, lambda cell: self.decode(cell)[1] < self.time_cap
-        )
+        """Cells whose time counter is below the budget: t < time_cap."""
+        pattern = (1 << self.time_cap * (self.hyst_cap + 1)) - 1
+        return self._blocks(self.base.full_region().mask, pattern)
 
     def hysteresis_ready_region(self) -> Region:
-        return Region.where(
-            self.world.cell_count, lambda cell: self.decode(cell)[2] >= self.hyst_cap
-        )
-
-    def step(self, c: int, t: int, h: int, base_target: int) -> int:
-        t2 = min(t + 1, self.time_cap)
-        h2 = min(h + 1, self.hyst_cap) if c in self.rok_base else 0
-        return self.encode(base_target, t2, h2)
+        """Cells whose hysteresis counter sits at its cap."""
+        stride = self.hyst_cap + 1
+        pattern = sum(1 << (t * stride + self.hyst_cap) for t in range(self.time_cap + 1))
+        return self._blocks(self.base.full_region().mask, pattern)
 
     def lift_map(self, base_targets: Sequence[int]) -> SuccessorMap:
         """Lift base-cell targets (indexed by base or augmented cell)."""
-        n_aug = self.world.cell_count
-        per_aug = len(base_targets) == n_aug
+        k = self.block
+        per_aug = len(base_targets) == self.world.cell_count
         if not per_aug and len(base_targets) != self.base.cell_count:
             raise SubstitutionError("target array length matches neither universe")
-        out = []
-        for cell in range(n_aug):
-            c, t, h = self.decode(cell)
-            base_target = base_targets[cell] if per_aug else base_targets[c]
-            out.append(self.step(c, t, h, base_target))
+        out: list[int] = []
+        for c in range(self.base.cell_count):
+            offsets = self._next_offsets[c in self.rok_base]
+            if per_aug:
+                out.extend(base_targets[c * k + i] * k + off for i, off in enumerate(offsets))
+            else:
+                start = base_targets[c] * k
+                out.extend(start + off for off in offsets)
         return SuccessorMap(out)
 
     def lift_leaf(self, leaf: LeafData) -> LeafData:

@@ -4,13 +4,14 @@ from functools import partial
 
 import pytest
 
-from btconverge.bt import BTModel, Doa, NodeKind, Status, action, condition, fal, seq
+from btconverge.bt import BTModel, Doa, NodeKind, Status, action, condition, fal, seq, tick
 from btconverge.execution import (
     HALT_MAX_STEPS,
     HALT_NO_ACTION,
     HALT_STOP,
     ExecutionError,
     check_fts,
+    closed_loop_targets,
     empirical_exit_time,
     hitting_time,
     simulate,
@@ -185,8 +186,6 @@ def test_empirical_exit_on_survey_cycle_matches_brute_force():
     region = condensed.class_cells(cycle)
     result = empirical_exit_time(model, region)
     # independent re-simulation with the precomputed closed-loop map
-    from btconverge.execution import closed_loop_targets
-
     loop = closed_loop_targets(model)
     worst = 0
     for c in region.cells():
@@ -349,3 +348,20 @@ def test_exact_walks_match_naive_stepper(rng):
             assert hitting_time(model, x0, goal, cap) == naive_hit(step, x0, goal, cap)
     # the corpus reaches the deadline rule both ways and exits both ways
     assert {("deadline", True), ("deadline", False), ("exit", True), ("exit", False)} <= seen
+
+
+def test_closed_loop_map_matches_per_cell_tick(rng):
+    seen = set()
+    for _ in range(60):
+        n = rng.choice([5, 9, 16, 40])
+        model = random_loop_model(rng, n)
+        want = []
+        for x in range(n):
+            leaf, _status = tick(model, x)
+            data = model.leaves[leaf]
+            want.append(data.controller.next(x) if data.kind is NodeKind.ACTION else None)
+        assert closed_loop_targets(model) == want
+        assert want == [naive_loop_step(model, x) for x in range(n)]
+        seen.update(t is None for t in want)
+    # the corpus has cells where a Condition resolves and cells where an action runs
+    assert seen == {True, False}

@@ -340,6 +340,55 @@ def test_backchain_certify_builds_the_tree_once(monkeypatch, capsys):
     assert len(calls) == 1
 
 
+def test_backchain_certify_computes_links_once(monkeypatch, capsys):
+    from btconverge import backchain, cli
+
+    calls = []
+    real_links = backchain.compute_links
+
+    def counting_links(*args, **kwargs):
+        calls.append(args)
+        return real_links(*args, **kwargs)
+
+    monkeypatch.setattr(backchain, "compute_links", counting_links)
+    monkeypatch.setattr(cli, "compute_links", counting_links)
+    code, out, _err = run_cli(
+        "backchain",
+        "--spec", "bundled:mobile_manipulator",
+        "--certify",
+        "--out", "/dev/null",
+        capsys=capsys,
+    )
+    assert code == 0
+    assert "certified: bound" in out
+    assert len(calls) == 1
+
+
+@pytest.mark.parametrize(
+    "flag, value, message",
+    [
+        ("--steps", "0", "--steps: must be a positive integer, got '0'"),
+        ("--steps", "-3", "--steps: must be a positive integer, got '-3'"),
+        ("--x0", "-1", "--x0: must be a non-negative integer, got '-1'"),
+        ("--x0", "abc", "--x0: must be a non-negative integer, got 'abc'"),
+    ],
+)
+def test_malformed_simulate_flag_is_a_usage_error(flag, value, message, capsys):
+    argv = {"--x0": "0", "--steps": "5", flag: value}
+    with pytest.raises(SystemExit) as exc:
+        main(["simulate", "--spec", "bundled:patrol", *(x for kv in argv.items() for x in kv)])
+    assert exc.value.code == 2
+    assert message in capsys.readouterr().err
+
+
+def test_simulate_start_outside_universe_exits_two(capsys):
+    code, _out, err = run_cli(
+        "simulate", "--spec", "bundled:patrol", "--x0", "10", capsys=capsys
+    )
+    assert code == 2
+    assert "start cell 10 outside universe" in err
+
+
 def test_substitute_patrol(tmp_path, capsys):
     out_path = tmp_path / "substituted.json"
     code, out, _err = run_cli(

@@ -249,3 +249,25 @@ def test_world_rejects_non_finite_coordinates():
     for bad in (math.nan, math.inf, -math.inf):
         with pytest.raises(WorldError, match="cell 1 .* not finite"):
             World(2, coords=[(0.0, 0.0), (1.0, bad)])
+
+
+def bit_clearing_cells(mask: int) -> list[int]:
+    """Reference: clear the lowest set bit until none is left."""
+    out = []
+    while mask:
+        low = mask & -mask
+        out.append(low.bit_length() - 1)
+        mask ^= low
+    return out
+
+
+def test_cells_match_bit_clearing_reference(rng):
+    masks = [0, 1, 1 << 63, 1 << 64, 1 << 39_999, (1 << 40_000) - 1]
+    for n in (1, 7, 64, 65, 1000, 40_000):
+        for density in (0.001, 0.05, 0.5, 0.95):
+            masks.append(sum(1 << c for c in range(n) if rng.random() < density))
+    for mask in masks:
+        region = Region(max(mask.bit_length(), 1), mask)
+        cells_iter = region.cells()
+        assert iter(cells_iter) is cells_iter  # lazy, not a list
+        assert list(cells_iter) == bit_clearing_cells(mask)

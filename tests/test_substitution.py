@@ -19,7 +19,7 @@ from btconverge.substitution import (
 )
 from btconverge import bundled
 
-from helpers import random_substitution_instance, rebuild_old_with_mb
+from helpers import random_region, random_substitution_instance, rebuild_old_with_mb
 
 
 @pytest.fixture(scope="module")
@@ -331,3 +331,95 @@ def test_augmentation_lift_and_project_roundtrip():
     assert aug.time_ok_region() == Region.where(
         aug.world.cell_count, lambda cell: aug.decode(cell)[1] < 2
     )
+
+
+def test_augmentation_products_match_decode_oracle(rng):
+    seen_rok = set()
+    for trial in range(40):
+        n_base = rng.randint(1, 6)
+        T, H = rng.choice([0, 1, 3, 7]), rng.choice([0, 1, 3, 7])
+        if trial % 4 == 3:
+            base = World(n_base, coords=[(rng.uniform(0, 4),) for _ in range(n_base)])
+            delta = rng.uniform(0, 2)
+            near = [
+                {q for q in range(n_base) if base.distance(c, q) <= delta} for c in range(n_base)
+            ]
+        else:
+            pairs = [(rng.randrange(n_base), rng.randrange(n_base)) for _ in range(n_base)]
+            base = World(n_base, adjacency=pairs, symmetric=rng.random() < 0.5)
+            delta = None
+            near = [
+                {c} | {q for q in range(n_base) if base.adjacency_rows[c] >> q & 1}
+                for c in range(n_base)
+            ]
+        rok = [Region.empty(n_base), Region.full(n_base), random_region(rng, n_base)][trial % 3]
+        seen_rok.add(trial % 3)
+        aug = Augmentation(base, T, H, rok, delta)
+        n_aug = n_base * (T + 1) * (H + 1)
+        assert aug.world.cell_count == n_aug
+
+        def decoded(cell):
+            c, rest = divmod(cell, (T + 1) * (H + 1))
+            return c, rest // (H + 1), rest % (H + 1)
+
+        def oracle_step(cell, base_target):
+            c, t, h = aug.decode(cell)
+            return aug.encode(base_target, min(t + 1, T), min(h + 1, H) if c in rok else 0)
+
+        for cell in range(n_aug):
+            assert aug.decode(cell) == decoded(cell)
+            assert aug.encode(*aug.decode(cell)) == cell
+        for r in (Region.empty(n_base), Region.full(n_base), random_region(rng, n_base)):
+            assert aug.lift_region(r) == Region.where(n_aug, lambda cell: aug.decode(cell)[0] in r)
+        for r in (Region.empty(n_aug), Region.full(n_aug), random_region(rng, n_aug)):
+            want = Region.from_cells(n_base, {aug.decode(cell)[0] for cell in r.cells()})
+            assert aug.project_region(r) == want
+        assert aug.time_ok_region() == Region.where(n_aug, lambda cell: aug.decode(cell)[1] < T)
+        assert aug.hysteresis_ready_region() == Region.where(
+            n_aug, lambda cell: aug.decode(cell)[2] >= H
+        )
+        per_base = [rng.randrange(n_base) for _ in range(n_base)]
+        assert aug.lift_map(per_base).targets == tuple(
+            oracle_step(cell, per_base[aug.decode(cell)[0]]) for cell in range(n_aug)
+        )
+        per_aug = [rng.randrange(n_base) for _ in range(n_aug)]
+        assert aug.lift_map(per_aug).targets == tuple(
+            oracle_step(cell, per_aug[cell]) for cell in range(n_aug)
+        )
+        rows = []
+        for cell in range(n_aug):
+            c = aug.decode(cell)[0]
+            rows.append(sum(1 << oracle_step(cell, q) for q in near[c]))
+        assert aug.world.adjacency_rows == tuple(rows)
+    assert seen_rok == {0, 1, 2}
+
+
+def test_substitution_and_reverification_do_no_per_cell_work(monkeypatch):
+    from btconverge import bt
+
+    b = bundled.patrol()
+    members = [b.model.vertex_of(n) for n in b.abstraction]
+    spec = dataclasses.replace(bundled.patrol_substitution(), time_budget=30, hysteresis_cap=4)
+    ticks, decodes = [], []
+    real_tick_path, real_decode = bt.tick_path, Augmentation.decode
+
+    def counting_tick_path(model, x):
+        ticks.append(x)
+        return real_tick_path(model, x)
+
+    def counting_decode(self, cell):
+        decodes.append(cell)
+        return real_decode(self, cell)
+
+    monkeypatch.setattr(bt, "tick_path", counting_tick_path)
+    monkeypatch.setattr(Augmentation, "decode", counting_decode)
+    cert = certify_convergence(b.model, members, b.delta)
+    result = substitute(b.model, spec, base_delta=b.delta)
+    assert decodes == []
+    report = verify_substituted_convergence(cert, result)
+    assert report and report.loop_exit_steps is not None
+    assert ticks == []
+    # the counters do see the per-cell paths
+    bt.tick(result.new_model, 0)
+    result.augmentation.decode(0)
+    assert ticks == [0] and decodes == [0]
