@@ -132,12 +132,16 @@ class LinkStructure:
 
 
 def compute_links(lib: ActionConditionLibrary) -> LinkStructure:
-    links = set()
-    for cid, centry in lib.conditions.items():
-        for a in centry.achievers:
-            for consumer, aentry in lib.actions.items():
-                if cid in aentry.preconditions:
-                    links.add((a, cid, consumer))
+    consumers: dict[Id, list[Id]] = {}
+    for consumer, aentry in lib.actions.items():
+        for cid in aentry.preconditions:
+            consumers.setdefault(cid, []).append(consumer)
+    links = {
+        (a, cid, consumer)
+        for cid, centry in lib.conditions.items()
+        for a in centry.achievers
+        for consumer in consumers.get(cid, ())
+    }
     pairs = {(a, c) for a, _b, c in links}
     order = _reflexive_transitive(pairs, lib.actions)
     downstream: dict[Id, frozenset] = {}

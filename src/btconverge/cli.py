@@ -9,7 +9,6 @@ verdict, 2 for spec or usage errors.
 from __future__ import annotations
 
 import argparse
-import json
 import sys
 from typing import Callable, Optional
 
@@ -232,7 +231,7 @@ def _certificate_report(model, cert: Certificate) -> dict:
 
 def _print_report(report: dict, args: argparse.Namespace) -> None:
     if args.format == "json":
-        _emit(json.dumps(report, indent=2, sort_keys=True) + "\n", args.out)
+        _emit(dump_document(report), args.out)
         return
     lines = [f"status: {report['status']}"]
     for key in (

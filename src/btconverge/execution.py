@@ -61,10 +61,11 @@ def _hit_times(
     at most once per call.
     """
     memo: dict[int, Optional[int]] = {}
+    in_goal = goal.digits()
     for start in starts:
         path: list[int] = []
         x: Optional[int] = start
-        while x is not None and x not in memo and x not in goal:
+        while x is not None and x not in memo and in_goal[x] != "1":
             memo[x] = None  # provisional: a walk that returns here closed a cycle
             path.append(x)
             x = step(x)
@@ -148,14 +149,16 @@ def check_fts(model: BTModel, leaf: int) -> FtsVerdict:
     if not goal.issubset(basin & data.success):
         bad = (goal - (basin & data.success)).any_cell()
         return FtsVerdict(False, "goal-static", bad, None)
-    nxt = data.controller.next
-    for c in basin.cells():
-        if nxt(c) not in basin:
+    nxt = data.controller.targets
+    basin_cells = list(basin.cells())
+    in_basin, in_goal = basin.digits(), goal.digits()
+    for c in basin_cells:
+        if in_basin[nxt[c]] != "1":
             return FtsVerdict(False, "basin-invariance", c, 1)
     for c in goal.cells():
-        if nxt(c) not in goal:
+        if in_goal[nxt[c]] != "1":
             return FtsVerdict(False, "goal-invariance", c, 1)
-    for c, hit in _hit_times(nxt, goal, basin.cells()):
+    for c, hit in _hit_times(nxt.__getitem__, goal, basin_cells):
         if hit is None or hit > horizon:
             return FtsVerdict(False, "deadline", c, hit)
     return FtsVerdict(True)
@@ -193,6 +196,8 @@ def empirical_exit_time(model: BTModel, region: Region) -> ExitResult:
 
 def hitting_time(model: BTModel, x0: int, goal: Region, max_steps: int) -> Optional[int]:
     """First step, if at most max_steps, at which the closed loop reaches goal from x0."""
+    if not 0 <= x0 < model.world.cell_count:
+        raise ExecutionError(f"start cell {x0} outside universe")
     _, hit = next(_hit_times(model.closed_loop().__getitem__, goal, [x0]))
     return hit if hit is not None and hit <= max_steps else None
 

@@ -69,10 +69,6 @@ class Relation:
                 yield (i, low.bit_length() - 1)
                 row ^= low
 
-    def successors(self, i: int) -> int:
-        """Bitset of vertices j with (i, j) in the relation."""
-        return self.rows[i]
-
     def union(self, other: "Relation") -> "Relation":
         self._check(other)
         return Relation._from_rows(self.n, [a | b for a, b in zip(self.rows, other.rows)])
@@ -103,11 +99,6 @@ class Relation:
                     return False
                 j_bits ^= low
         return True
-
-    def is_antisymmetric(self) -> bool:
-        return all(
-            i == j for i, j in self.pairs() if (j, i) in self
-        )
 
     def _check(self, other: "Relation") -> None:
         if self.n != other.n:
@@ -205,42 +196,61 @@ class OrderedTree:
         if len(roots) != 1:
             raise TreeStructureError(f"expected exactly one root, found {roots}")
         root = roots[0]
-        # acyclicity: walking up from any vertex must reach the root
-        for i in range(n):
+        kids: list[list[int]] = [[] for _ in range(n)]
+        for i, par in enumerate(parent):
+            if par is not None:
+                kids[par].append(i)
+        # acyclicity: every vertex but the root has one parent, so the
+        # vertices one DFS from the root misses are those whose walk up
+        # ends in a cycle; walk up from the smallest to name a cycle vertex
+        reached = [False] * n
+        stack = [root]
+        while stack:
+            v = stack.pop()
+            reached[v] = True
+            stack.extend(kids[v])
+        if not all(reached):
+            j: Optional[int] = reached.index(False)
             seen = set()
-            j: Optional[int] = i
-            while j is not None:
-                if j in seen:
-                    raise TreeStructureError(f"parent edges contain a cycle through {j}")
+            while j not in seen:
                 seen.add(j)
                 j = parent[j]
+            raise TreeStructureError(f"parent edges contain a cycle through {j}")
 
-        kids: dict[int, list[int]] = {i: [] for i in range(n)}
-        for i in range(n):
-            if parent[i] is not None:
-                kids[parent[i]].append(i)
+        after: list[list[int]] = [[] for _ in range(n)]
+        indegree = [0] * n
         for left, right in sibling_edges:
             if parent[left] != parent[right] or parent[left] is None:
                 raise TreeStructureError(
                     f"sibling edge ({left}, {right}) does not join children of one parent"
                 )
-
-        sib = Relation(n, sibling_edges)
-        sib_closed = reflexive_transitive_closure(sib)
-        if not sib_closed.is_antisymmetric():
-            raise TreeStructureError("sibling edges contain a cycle")
+            if left != right:  # a self-loop adds nothing to the reflexive order
+                after[left].append(right)
+                indegree[right] += 1
+        # Kahn sort of each child group: the closure of the sibling edges
+        # orders a group totally exactly when the sort finishes and never
+        # has two children ready at once.  A cycle in any group is reported
+        # in preference to an unordered pair in an earlier one.
         children: list[tuple[int, ...]] = [()] * n
-        for par, group in kids.items():
-            for a in group:
-                for b in group:
-                    if a != b and (a, b) not in sib_closed and (b, a) not in sib_closed:
-                        raise TreeStructureError(
-                            f"children {a} and {b} of {par} are not sibling-ordered"
-                        )
-            # total order: sort by number of right successors, descending
-            children[par] = tuple(
-                sorted(group, key=lambda v: -(sib_closed.successors(v).bit_count()))
-            )
+        unordered: Optional[tuple[int, int, int]] = None
+        for par, group in enumerate(kids):
+            ready = [v for v in group if not indegree[v]]
+            order: list[int] = []
+            while ready:
+                if len(ready) > 1 and unordered is None:
+                    unordered = (par, *sorted(ready)[:2])
+                v = ready.pop()
+                order.append(v)
+                for w in after[v]:
+                    indegree[w] -= 1
+                    if not indegree[w]:
+                        ready.append(w)
+            if len(order) < len(group):
+                raise TreeStructureError("sibling edges contain a cycle")
+            children[par] = tuple(order)
+        if unordered is not None:
+            par, a, b = unordered
+            raise TreeStructureError(f"children {a} and {b} of {par} are not sibling-ordered")
 
         self.n = n
         self.parent_edges = parent_edges

@@ -47,11 +47,12 @@ class PrepVertex:
 class PreparesGraph:
     """Slice vertices plus directed possible-transition edges."""
 
-    __slots__ = ("vertices", "edges", "index", "cell_vertex")
+    __slots__ = ("vertices", "edges", "index", "cell_vertex", "_succ")
 
     def __init__(self, vertices: Sequence[PrepVertex], edges: Iterable[tuple[int, int]]) -> None:
         self.vertices = tuple(vertices)
         self.edges = frozenset(edges)
+        self._succ = _successor_tuples(len(self.vertices), self.edges)
         self.index = {v.key(): i for i, v in enumerate(self.vertices)}
         if len(self.index) != len(self.vertices):
             raise AbstractionError("duplicate (owner, flavor) vertex")
@@ -72,7 +73,7 @@ class PreparesGraph:
         return None if i == -1 else i
 
     def successors(self, u: int) -> list[int]:
-        return sorted(w for uu, w in self.edges if uu == u)
+        return list(self._succ[u])
 
     def vertex(self, owner: int, flavor: str) -> int:
         try:
@@ -128,22 +129,24 @@ def build_prepares_graph(
                 vertices.append(PrepVertex(i, flavor, cells))
     vertices.sort(key=lambda v: v.key())
 
+    masks = [v.cells.mask for v in vertices]
     edges: set[tuple[int, int]] = set()
     for ui, u in enumerate(vertices):
         if u.flavor == FLAVOR_GOAL:
             continue
+        basin = basins[u.owner].mask
+        reach: Optional[int] = None  # u's dilation, built at its first candidate
         for wi, w in enumerate(vertices):
             if ui == wi:
                 continue
             if u.flavor == FLAVOR_OUTSIDE:
                 if w.flavor == FLAVOR_OUTSIDE and w.owner == u.owner:
                     continue
-            else:  # basin slice
-                if w.flavor != FLAVOR_GOAL and w.owner == u.owner:
-                    continue
-                if basins[u.owner].isdisjoint(w.cells):
-                    continue
-            if world.neighboring(u.cells, w.cells, delta):
+            elif (w.flavor != FLAVOR_GOAL and w.owner == u.owner) or not basin & masks[wi]:
+                continue  # basin slice: other owners' slices, any goal, inside the basin
+            if reach is None:
+                reach = world.dilate(u.cells, delta).mask
+            if reach & masks[wi]:
                 edges.add((ui, wi))
     return PreparesGraph(vertices, edges)
 
@@ -151,14 +154,11 @@ def build_prepares_graph(
 class CondensedGraph:
     """Strongly-connected-component quotient of a prepares graph (a DAG)."""
 
-    __slots__ = ("graph", "classes", "edges", "sinks", "class_of")
+    __slots__ = ("graph", "classes", "edges", "sinks", "class_of", "_succ")
 
     def __init__(self, graph: PreparesGraph) -> None:
         n = len(graph.vertices)
-        succ: list[list[int]] = [[] for _ in range(n)]
-        for u, w in graph.edges:
-            succ[u].append(w)
-        comp = _tarjan_scc(n, succ)
+        comp = _tarjan_scc(n, graph._succ)
         groups: dict[int, list[int]] = {}
         for v, c in enumerate(comp):
             groups.setdefault(c, []).append(v)
@@ -172,11 +172,11 @@ class CondensedGraph:
             for u, w in graph.edges
             if class_of[u] != class_of[w]
         )
-        has_out = {u for u, _ in edges}
         self.graph = graph
         self.classes = tuple(tuple(sorted(g)) for g in ordered)
         self.edges = edges
-        self.sinks = frozenset(ci for ci in range(len(ordered)) if ci not in has_out)
+        self._succ = _successor_tuples(len(ordered), edges)
+        self.sinks = frozenset(ci for ci, out in enumerate(self._succ) if not out)
         self.class_of = tuple(class_of)
 
     def class_cells(self, ci: int) -> Region:
@@ -193,7 +193,7 @@ class CondensedGraph:
         return tuple(self.graph.vertices[v].key() for v in self.classes[ci])
 
     def successors(self, ci: int) -> list[int]:
-        return sorted(cj for c, cj in self.edges if c == ci)
+        return list(self._succ[ci])
 
     def is_goal_class(self, ci: int) -> bool:
         return all(self.graph.vertices[v].flavor == FLAVOR_GOAL for v in self.classes[ci])
@@ -443,6 +443,14 @@ def certificate_as_fts_leaf(model: BTModel, cert: Certificate, name: str = "cert
         doa=Doa(cert.start_cells(), cert.goal_cells(), max(cert.bound, 1)),
     )
     return BTModel(model.world, leaf)
+
+
+def _successor_tuples(n: int, edges: Iterable[tuple[int, int]]) -> tuple[tuple[int, ...], ...]:
+    """Per vertex 0..n-1, its edge targets in ascending order."""
+    succ: list[list[int]] = [[] for _ in range(n)]
+    for u, w in edges:
+        succ[u].append(w)
+    return tuple(tuple(sorted(ws)) for ws in succ)
 
 
 def _tarjan_scc(n: int, succ: Sequence[Sequence[int]]) -> list[int]:

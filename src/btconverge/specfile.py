@@ -10,7 +10,9 @@ index and reports the offending field.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass
+from json.encoder import encode_basestring_ascii
 from typing import Any, Optional
 
 from .backchain import ActionConditionLibrary, ActionEntry, ConditionEntry
@@ -312,7 +314,7 @@ def _parse_substitution(block: dict, world: World, model: BTModel) -> Substituti
 
 
 def _region_cells(region: Region) -> list[int]:
-    return sorted(region.cells())
+    return list(region.cells())
 
 
 def _world_block(world: World) -> dict:
@@ -435,4 +437,66 @@ def library_document(lib: ActionConditionLibrary, root: Optional[str] = None) ->
 
 
 def dump_document(doc: dict) -> str:
-    return json.dumps(doc, indent=2, sort_keys=True) + "\n"
+    """The text of ``json.dumps(doc, indent=2, sort_keys=True) + "\\n"``, byte for byte.
+
+    With an indent the stdlib encoder runs in pure Python, one call per
+    value.  This writer does the same walk but writes a list of plain ints
+    (cell arrays, successor targets: most of a document) with one join.
+    Keys must be strings, as they are in every document.
+    """
+    out: list[str] = []
+    _write(doc, "\n", out)
+    out.append("\n")
+    return "".join(out)
+
+
+_INT = frozenset({int})
+
+
+def _write(value: Any, newline: str, out: list[str]) -> None:
+    """Append value's indented JSON text; newline is "\\n" plus its indent."""
+    inner = newline + "  "
+    if isinstance(value, dict):
+        if not value:
+            out.append("{}")
+            return
+        sep = "{" + inner
+        for key, item in sorted(value.items()):
+            out.append(sep)
+            out.append(encode_basestring_ascii(key))
+            out.append(": ")
+            _write(item, inner, out)
+            sep = "," + inner
+        out.append(newline + "}")
+    elif isinstance(value, (list, tuple)):
+        if not value:
+            out.append("[]")
+        elif _INT.issuperset(map(type, value)):  # plain ints only: bools print as true/false
+            out.append("[" + inner + ("," + inner).join(map(int.__repr__, value)) + newline + "]")
+        else:
+            sep = "[" + inner
+            for item in value:
+                out.append(sep)
+                _write(item, inner, out)
+                sep = "," + inner
+            out.append(newline + "]")
+    else:
+        out.append(_scalar(value))
+
+
+def _scalar(value: Any) -> str:
+    if isinstance(value, str):
+        return encode_basestring_ascii(value)
+    if value is None:
+        return "null"
+    if value is True:
+        return "true"
+    if value is False:
+        return "false"
+    if isinstance(value, int):
+        return int.__repr__(value)
+    if isinstance(value, float):
+        if math.isfinite(value):
+            return float.__repr__(value)
+        return "NaN" if value != value else ("Infinity" if value > 0 else "-Infinity")
+    raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")

@@ -9,6 +9,9 @@ a step bound) or declared through an explicit adjacency relation.
 from __future__ import annotations
 
 import math
+from functools import reduce
+from itertools import compress, count
+from operator import or_
 from typing import Callable, Iterable, Iterator, Optional, Sequence
 
 
@@ -89,12 +92,24 @@ class Region:
         raise TypeError("Region truthiness is ambiguous; use .is_empty")
 
     def cells(self) -> Iterator[int]:
-        """The cells in ascending order, from one scan of the mask's binary digits."""
+        """The cells in ascending order, from one scan of the mask's binary digits.
+
+        When at least a quarter of the digits are set, they are picked in C
+        (``itertools.compress``); sparser masks jump between set digits with
+        ``str.find``, which skips runs of zeros in C.
+        """
         bits = bin(self.mask)[:1:-1]  # least significant digit first, "0b" dropped
-        c = bits.find("1")
-        while c >= 0:
-            yield c
-            c = bits.find("1", c + 1)
+        if self.mask.bit_count() * 4 >= len(bits):
+            return compress(count(), bits.encode().translate(_DIGIT_VALUES))
+        return _set_digits(bits)
+
+    def digits(self) -> str:
+        """One "0"/"1" character per cell, cell 0 first: O(1) membership in loops.
+
+        ``cell in region`` shifts the whole mask, so a loop of tests over a
+        big universe is quadratic; indexing this string once per loop is not.
+        """
+        return bin(self.mask)[:1:-1].ljust(self.n, "0")
 
     def any_cell(self) -> int:
         if not self.mask:
@@ -109,6 +124,16 @@ class Region:
 
     def __repr__(self) -> str:
         return f"Region({self.n}, cells={sorted(self.cells())})"
+
+
+_DIGIT_VALUES = bytes.maketrans(b"01", b"\0\1")
+
+
+def _set_digits(bits: str) -> Iterator[int]:
+    c = bits.find("1")
+    while c >= 0:
+        yield c
+        c = bits.find("1", c + 1)
 
 
 class SuccessorMap:
@@ -265,6 +290,25 @@ class World:
         self._ball_cache[delta] = result
         return result
 
+    def dilate(self, region: Region, delta: Optional[float] = None) -> Region:
+        """The cells at most one step from region, region included.
+
+        One pass over region's cells ORs their metric balls (delta needed)
+        or their adjacency rows, so a slice is dilated once and then tested
+        against any number of targets with one mask AND each.
+        """
+        if region.n != self.cell_count:
+            raise WorldError("regions belong to a different universe")
+        if self.coords is not None:
+            if delta is None:
+                raise WorldError("metric neighboring needs a step bound delta")
+            rows, mask = self._balls(delta), 0
+        elif self.adjacency_rows is not None:
+            rows, mask = self.adjacency_rows, region.mask
+        else:
+            raise WorldError("world has neither coordinates nor adjacency")
+        return Region(self.cell_count, reduce(or_, map(rows.__getitem__, region.cells()), mask))
+
     def neighboring(self, a: Region, b: Region, delta: Optional[float] = None) -> bool:
         """True when a one-step transition between the two regions is possible.
 
@@ -272,18 +316,9 @@ class World:
         """
         if a.is_empty or b.is_empty:
             raise WorldError("neighboring is undefined for empty regions")
-        if a.n != self.cell_count or b.n != self.cell_count:
+        if b.n != self.cell_count:
             raise WorldError("regions belong to a different universe")
-        if self.coords is not None:
-            if delta is None:
-                raise WorldError("metric neighboring needs a step bound delta")
-            balls = self._balls(delta)
-            return any(balls[p] & b.mask for p in a.cells())
-        if self.adjacency_rows is not None:
-            if a.mask & b.mask:
-                return True
-            return any(self.adjacency_rows[p] & b.mask for p in a.cells())
-        raise WorldError("world has neither coordinates nor adjacency")
+        return not self.dilate(a, delta).isdisjoint(b)
 
 
 def step_bound(world: World, maps: Iterable[SuccessorMap]) -> float:

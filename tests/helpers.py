@@ -7,8 +7,9 @@ evaluation, graph edges by direct rule checks over all vertex pairs.
 
 from __future__ import annotations
 
+import math
 import random
-from typing import Optional
+from typing import Optional, Union
 
 from btconverge.backchain import ActionConditionLibrary, ActionEntry, ConditionEntry
 from btconverge.bt import (
@@ -204,11 +205,15 @@ def oracle_orders(model_or_tree) -> dict[str, set[tuple[int, int]]]:
 
 
 def random_gridworld_model(
-    rng: random.Random, side: int = 5, n_parts: int = 4
+    rng: random.Random, side: int = 5, n_parts: int = 4, world: Optional[World] = None
 ) -> tuple[BTModel, list[int], float]:
-    """A fallback of guarded actions whose operating regions partition the grid."""
+    """A fallback of guarded actions whose operating regions partition the grid.
+
+    ``world`` replaces the side x side coordinate grid (same cell count).
+    """
     n = side * side
-    world = World(n, coords=[(float(c % side), float(c // side)) for c in range(n)])
+    if world is None:
+        world = World(n, coords=[(float(c % side), float(c // side)) for c in range(n)])
     cells = list(range(n))
     rng.shuffle(cells)
     cut = sorted(rng.sample(range(1, n), n_parts - 1))
@@ -273,6 +278,17 @@ def oracle_prepares_edges(model: BTModel, abstraction: list[int], delta: float):
             if world.neighboring(ci, cj, delta):
                 edges.add(((i, fi), (j, fj)))
     return edges
+
+
+def oracle_neighboring(world: World, a: Region, b: Region, delta: Optional[float]) -> bool:
+    """Neighboring from its definition: a cell pair within delta, or overlap / an adjacent pair."""
+    if world.coords is not None:
+        return any(
+            math.dist(world.coords[p], world.coords[q]) <= delta
+            for p in a.cells()
+            for q in b.cells()
+        )
+    return any(p == q or world.adjacency_rows[p] >> q & 1 for p in a.cells() for q in b.cells())
 
 
 # ----------------------------------------------------------------------
@@ -374,6 +390,99 @@ def chain_library(n_cells: int = 12) -> tuple[ActionConditionLibrary, str]:
         ),
     }
     return ActionConditionLibrary(world, actions, conditions), "finish"
+
+
+def staged_chain_library(stages: int, width: int = 5) -> tuple[ActionConditionLibrary, str]:
+    """``stages`` funnels of ``width`` cells on a line, each the precondition of the next.
+
+    Action a_i drives [w*i, w*(i+1)) forward; condition c_i is x >= w*(i+1),
+    achieved by a_i.  The root is the last action, so backchaining nests
+    every stage.
+    """
+    n = stages * width + 1
+    world = World(n, coords=[(float(x),) for x in range(n)])
+    names = [f"a{i:03d}" for i in range(stages)]
+    conds = [f"c{i:03d}" for i in range(stages - 1)]
+    actions = {}
+    for i, name in enumerate(names):
+        lo, hi = width * i, width * (i + 1)
+        above = Region.where(n, lambda x, hi=hi: x >= hi)
+        leaf = LeafData(
+            name,
+            NodeKind.ACTION,
+            above,
+            Region.empty(n),
+            SuccessorMap.from_function(n, lambda x, lo=lo, hi=hi: x + 1 if lo <= x < hi else x),
+            Doa(Region.where(n, lambda x, lo=lo: x >= lo), above, width),
+        )
+        actions[name] = ActionEntry(leaf, (conds[i - 1],) if i else ())
+    conditions = {}
+    for i, cid in enumerate(conds):
+        holds = Region.where(n, lambda x, hi=width * (i + 1): x >= hi)
+        conditions[cid] = ConditionEntry(
+            LeafData(cid, NodeKind.CONDITION, holds, holds.complement()), (names[i],)
+        )
+    return ActionConditionLibrary(world, actions, conditions), names[-1]
+
+
+# ----------------------------------------------------------------------
+# closure-based ordered-tree validation: the reference for the linear validator
+
+
+def closure_tree_check(
+    n: int, parent_edges: list[tuple[int, int]], sibling_edges: list[tuple[int, int]]
+) -> Union[tuple[str, tuple[tuple[int, ...], ...]], tuple[str, str, object]]:
+    """("ok", children) or ("error", reason, detail) by closure over all sibling pairs.
+
+    Reasons: range, overlap, self-loop, two-parents, root, cycle (detail: the
+    vertex named), sibling-edge, sibling-cycle, unordered (detail: the
+    parent and its incomparable child pairs).
+    """
+    parents, siblings = set(parent_edges), set(sibling_edges)
+    if any(not (0 <= i < n and 0 <= j < n) for i, j in parents | siblings):
+        return ("error", "range", None)
+    if parents & siblings:
+        return ("error", "overlap", None)
+    parent: list[Optional[int]] = [None] * n
+    for child, par in parents:
+        if child == par:
+            return ("error", "self-loop", None)
+        if parent[child] is not None:
+            return ("error", "two-parents", None)
+        parent[child] = par
+    if sum(p is None for p in parent) != 1:
+        return ("error", "root", None)
+    for i in range(n):
+        seen: list[int] = []
+        j: Optional[int] = i
+        while j is not None:
+            if j in seen:
+                return ("error", "cycle", j)
+            seen.append(j)
+            j = parent[j]
+    if any(parent[a] != parent[b] or parent[a] is None for a, b in siblings):
+        return ("error", "sibling-edge", None)
+    before = {(a, a) for a in range(n)} | siblings
+    changed = True
+    while changed:
+        extra = {(a, d) for a, b in before for c, d in before if b == c} - before
+        changed = bool(extra)
+        before |= extra
+    if any(a != b and (b, a) in before for a, b in before):
+        return ("error", "sibling-cycle", None)
+    children = []
+    for par in range(n):
+        group = [v for v in range(n) if parent[v] == par]
+        bad = {
+            (a, b)
+            for a in group
+            for b in group
+            if a != b and (a, b) not in before and (b, a) not in before
+        }
+        if bad:
+            return ("error", "unordered", (par, bad))
+        children.append(tuple(sorted(group, key=lambda v: -sum((v, w) in before for w in group))))
+    return ("ok", tuple(children))
 
 
 # ----------------------------------------------------------------------

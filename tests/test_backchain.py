@@ -22,7 +22,7 @@ from btconverge.prepares import Certificate
 from btconverge.statespace import Region, SuccessorMap, World
 from btconverge import bundled
 
-from helpers import chain_library, random_library
+from helpers import chain_library, random_library, staged_chain_library
 
 
 @pytest.fixture(scope="module")
@@ -454,3 +454,21 @@ def test_links_of_library_without_links():
     links = compute_links(lib)
     assert links.post["finish"] == frozenset()
     assert links.acc["finish"] == frozenset()
+
+
+def test_links_match_the_action_condition_scan(rng):
+    libraries = [
+        staged_chain_library(20),
+        chain_library(),
+        bundled.mobile_manipulator(),
+        bundled.surveying_robot_library(),
+    ] + [random_library(rng) for _ in range(20)]
+    for lib, _root in libraries:
+        expected = {
+            (a, cid, consumer)
+            for cid, centry in lib.conditions.items()
+            for a in centry.achievers
+            for consumer, aentry in lib.actions.items()
+            if cid in aentry.preconditions
+        }
+        assert compute_links(lib).links == expected

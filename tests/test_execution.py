@@ -206,6 +206,12 @@ def test_hitting_time_basic():
     assert hitting_time(model, 0, goal, 3) is None
 
 
+@pytest.mark.parametrize("x0", [-1, 6])
+def test_hitting_time_rejects_a_start_outside_the_universe(x0):
+    with pytest.raises(ExecutionError, match="outside universe"):
+        hitting_time(chain_model(), x0, Region.from_cells(6, [5]), 10)
+
+
 def test_survey_trace_cycles_through_all_four_stages():
     """From the path with a filling survey, the loop revisits every stage."""
     sr = bundled.surveying_robot()

@@ -11,7 +11,7 @@ from btconverge.ordered_tree import (
     reflexive_transitive_closure,
 )
 
-from helpers import oracle_orders, random_tree_model
+from helpers import closure_tree_check, oracle_orders, random_tree_model
 
 # The seven-vertex example tree: a root A with children B, C, D; B has
 # children E, F and C has children G, H.
@@ -105,6 +105,116 @@ def test_single_vertex_tree_orders():
 def test_malformed_trees_are_rejected(n, parents, siblings, message):
     with pytest.raises(TreeStructureError, match=message):
         OrderedTree(n, parents, siblings)
+
+
+def random_tree_edges(rng, n):
+    """Random ordered tree: consecutive sibling edges plus transitively redundant ones."""
+    order = list(range(n))
+    rng.shuffle(order)
+    parents, groups = [], {}
+    for k in range(1, n):
+        child, par = order[k], order[rng.randrange(k)]
+        parents.append((child, par))
+        groups.setdefault(par, []).append(child)
+    siblings = []
+    for group in groups.values():
+        rng.shuffle(group)
+        siblings += zip(group, group[1:])
+        for _ in range(rng.randint(0, 2)):
+            if len(group) >= 3:
+                i, j = sorted(rng.sample(range(len(group)), 2))
+                siblings.append((group[i], group[j]))
+    return parents, siblings
+
+
+def mutate_tree_edges(rng, n, parents, siblings):
+    """One random defect (or a harmless sibling self-loop) applied to valid edges."""
+    parents, siblings = list(parents), list(siblings)
+    kind = rng.choice(
+        ["none", "drop", "reverse", "swap", "self", "random", "reparent", "root", "second"]
+    )
+    parent = dict(parents)
+    if kind == "drop" and siblings:
+        siblings.remove(rng.choice(siblings))
+    elif kind == "reverse" and siblings:
+        a, b = rng.choice(siblings)
+        siblings.append((b, a))
+    elif kind == "swap" and siblings:
+        a, b = siblings.pop(rng.randrange(len(siblings)))
+        siblings.append((b, a))
+    elif kind == "self" and parents:
+        v = rng.choice(parents)[0]
+        siblings.append((v, v))
+    elif kind == "random":
+        siblings.append((rng.randrange(n), rng.randrange(n)))
+    elif kind == "reparent" and parents:
+        u = rng.choice(parents)[0]
+        below = [v for v in range(n) if v != u and u in _ancestors(parent, v)]
+        if below:
+            parents.remove((u, parent[u]))
+            parents.append((u, rng.choice(below)))
+    elif kind == "root" and parents:
+        parents.remove(rng.choice(parents))
+    elif kind == "second" and parents:
+        u = rng.choice(parents)[0]
+        other = rng.choice([v for v in range(n) if v not in (u, parent[u])] or [u])
+        if other != u:
+            parents.append((u, other))
+    return parents, siblings
+
+
+def _ancestors(parent, v):
+    out = []
+    while v in parent and v not in out:
+        out.append(v)
+        v = parent[v]
+    return out
+
+
+ERROR_TEXT = {
+    "range": "outside vertex range",
+    "overlap": "overlap",
+    "self-loop": "self-loop parent edge",
+    "two-parents": "two parents",
+    "root": "exactly one root",
+    "sibling-edge": "does not join children of one parent",
+    "sibling-cycle": "sibling edges contain a cycle",
+}
+
+
+def test_linear_validation_matches_closure_check(rng):
+    for _ in range(400):
+        n = rng.randint(1, 12)
+        parents, siblings = random_tree_edges(rng, n)
+        for _ in range(rng.randint(1, 2)):  # two defects test which one is reported
+            parents, siblings = mutate_tree_edges(rng, n, parents, siblings)
+        expected = closure_tree_check(n, parents, siblings)
+        try:
+            tree = OrderedTree(n, parents, siblings)
+        except TreeStructureError as exc:
+            message = str(exc)
+            assert expected[0] == "error", (n, parents, siblings, message)
+            reason, detail = expected[1], expected[2]
+            if reason == "cycle":
+                assert message == f"parent edges contain a cycle through {detail}"
+            elif reason == "unordered":
+                par, bad = detail
+                words = message.split()
+                a, b, got_par = int(words[1]), int(words[3]), int(words[5])
+                assert message.endswith("are not sibling-ordered")
+                assert got_par == par and (a, b) in bad
+            else:
+                assert ERROR_TEXT[reason] in message
+        else:
+            assert expected == ("ok", tree.children), (n, parents, siblings)
+
+
+def test_validation_accepts_a_deep_tree():
+    # 2,000 nested levels: no recursion, no per-vertex walk to the root
+    n = 4001
+    children = {v: [v + 1, v + 2] for v in range(0, n - 1, 2)}
+    tree = OrderedTree.from_children(children, n)
+    assert tree.children[0] == (1, 2) and tree.parent[n - 1] == n - 3
 
 
 def test_parent_and_sibling_edges_must_not_overlap():

@@ -1,8 +1,11 @@
 """Slice graph construction, condensation, analysis sets, certification."""
 
+import dataclasses
 import random
 
 import pytest
+
+from btconverge.backchain import build_bcbt
 
 from btconverge.bt import NodeKind
 from btconverge.execution import check_fts, hitting_time, simulate
@@ -21,7 +24,8 @@ from btconverge.prepares import (
     check_acyclic_case,
     condense,
 )
-from btconverge.statespace import Region
+from btconverge.statespace import Region, World
+from btconverge.substitution import substitute
 from btconverge import bundled
 
 from helpers import (
@@ -29,6 +33,7 @@ from helpers import (
     two_stage_sequence_model,
     oracle_prepares_edges,
     random_gridworld_model,
+    staged_chain_library,
 )
 
 # ----------------------------------------------------------------------
@@ -208,6 +213,83 @@ def test_prepares_edges_match_rule_oracle(rng):
             (graph.vertices[u].key(), graph.vertices[w].key()) for u, w in graph.edges
         }
         assert got == oracle_prepares_edges(model, abstraction, delta)
+
+
+def edge_keys(graph):
+    return {(graph.vertices[u].key(), graph.vertices[w].key()) for u, w in graph.edges}
+
+
+def test_dilated_edges_match_pairwise_neighboring(rng):
+    """One dilation per slice gives the edges of the pairwise neighboring loop.
+
+    Slices never overlap here: the abstraction must partition the universe.
+    Overlapping regions are covered by the dilation test in test_statespace.
+    """
+    cases = []
+    for _ in range(8):  # metric worlds at several step bounds
+        side = rng.choice([4, 5, 6])
+        model, members, _ = random_gridworld_model(rng, side, rng.randint(2, 5))
+        cases.append((model, members, rng.choice([0.5, 1.0, 1.5, 3.0])))
+    for _ in range(8):  # adjacency worlds, directed or symmetric
+        side = rng.choice([4, 5, 6])
+        n = side * side
+        pairs = [(rng.randrange(n), rng.randrange(n)) for _ in range(rng.randrange(3 * n))]
+        world = World(n, adjacency=pairs, symmetric=rng.random() < 0.5)
+        model, members, _ = random_gridworld_model(rng, side, rng.randint(2, 5), world=world)
+        cases.append((model, members, None))
+    b = bundled.patrol()
+    for budget, cap in ((2, 0), (4, 1), (6, 2)):  # augmented substitution worlds
+        spec = dataclasses.replace(bundled.patrol_substitution(), time_budget=budget, hysteresis_cap=cap)
+        new = substitute(b.model, spec, base_delta=b.delta).new_model
+        cases.append((new, list(new.action_vertices()), None))
+    for model, members, delta in cases:
+        graph = build_prepares_graph(model, members, delta)
+        assert graph.cell_vertex is not None
+        assert edge_keys(graph) == oracle_prepares_edges(model, members, delta)
+
+
+def test_slice_graph_dilates_each_slice_once(monkeypatch):
+    lib, root = staged_chain_library(20)
+    model = build_bcbt(lib, root).model
+    members = list(model.action_vertices())
+    calls = {"neighboring": 0, "dilate": 0}
+    real_dilate = World.dilate
+
+    def counting_dilate(self, region, delta=None):
+        calls["dilate"] += 1
+        return real_dilate(self, region, delta)
+
+    def counting_neighboring(self, a, b, delta=None):
+        calls["neighboring"] += 1
+        raise AssertionError("neighboring called per slice pair")
+
+    monkeypatch.setattr(World, "dilate", counting_dilate)
+    monkeypatch.setattr(World, "neighboring", counting_neighboring)
+    graph = build_prepares_graph(model, members, 1.0)
+    non_goal = sum(v.flavor != "c" for v in graph.vertices)
+    assert len(graph.vertices) == 21 and len(graph.edges) == 20
+    assert calls == {"neighboring": 0, "dilate": non_goal}
+
+
+def test_metric_slice_graph_without_delta_is_rejected():
+    lib, root = staged_chain_library(3)
+    model = build_bcbt(lib, root).model
+    with pytest.raises(ValueError, match="delta"):
+        build_prepares_graph(model, list(model.action_vertices()))
+
+
+def test_successors_match_edge_scan(rng):
+    for _ in range(10):
+        model, members, delta = random_gridworld_model(rng, rng.choice([4, 5]), rng.randint(2, 5))
+        graph = build_prepares_graph(model, members, delta)
+        condensed = condense(graph)
+        for u in range(len(graph.vertices)):
+            assert graph.successors(u) == sorted(w for x, w in graph.edges if x == u)
+        for ci in range(len(condensed.classes)):
+            assert condensed.successors(ci) == sorted(cj for c, cj in condensed.edges if c == ci)
+        assert condensed.sinks == frozenset(
+            ci for ci in range(len(condensed.classes)) if not condensed.successors(ci)
+        )
 
 
 def test_goal_slices_have_no_outgoing_edges(rng):

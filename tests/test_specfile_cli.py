@@ -85,6 +85,65 @@ def test_augmented_document_round_trips():
     assert_models_equal(result.new_model, loaded.model)
 
 
+def random_json(rng, depth=0):
+    """A random JSON value mixing the shapes documents use with the encoder's edge cases."""
+    scalars = [
+        lambda: rng.randint(-5, 5),
+        lambda: rng.choice([-(2**70), 2**64 + 1, -1, 0, 10**30]),
+        lambda: rng.choice([True, False, None]),
+        lambda: rng.choice([-0.0, 0.0, 1e300, -1e-300, 0.1, 1.5, float("nan"),
+                            float("inf"), float("-inf"), rng.uniform(-1e6, 1e6)]),
+        lambda: rng.choice(["", "a", "caf\u00e9", "\u2603 snow", "tab\tnew\nline",
+                            "quote\" back\\slash", "\x00\x1f\x7f", "\U0001f600", "/"]),
+    ]
+    roll = rng.random()
+    if depth >= 4 or roll < 0.35:
+        return rng.choice(scalars)()
+    if roll < 0.55:  # an int list, sometimes with a bool, float or nested list inside
+        items = [rng.randint(-(2**40), 2**40) for _ in range(rng.randint(0, 6))]
+        if items and rng.random() < 0.4:
+            items[rng.randrange(len(items))] = rng.choice([True, False, 2.0, [], [1]])
+        return items
+    if roll < 0.75:
+        return [random_json(rng, depth + 1) for _ in range(rng.randint(0, 4))]
+    keys = ["", "a", "B", "b", "caf\u00e9", "z\n", "\u2603", "10", "9"]
+    return {k: random_json(rng, depth + 1) for k in rng.sample(keys, rng.randint(0, 5))}
+
+
+def test_dump_document_matches_json_dumps_on_random_trees(rng):
+    for _ in range(300):
+        doc = {"root": random_json(rng)}
+        assert dump_document(doc) == json.dumps(doc, indent=2, sort_keys=True) + "\n"
+    for value in ([], {}, [[]], [{}], {"a": {}}, [True, 1], [1, True], (1, 2), [0.0, -0.0]):
+        doc = {"v": value}
+        assert dump_document(doc) == json.dumps(doc, indent=2, sort_keys=True) + "\n"
+
+
+def program_documents():
+    """The six bundled documents, a 20-stage backchain output and a patrol substitute output."""
+    from btconverge.backchain import build_bcbt
+    from btconverge.cli import _bundled_document
+    from btconverge.substitution import substitute
+
+    from helpers import staged_chain_library
+
+    docs = {name: _bundled_document(name) for name in bundled_names()}
+    lib, root = staged_chain_library(20)
+    abstraction = [lib.actions[a].leaf.name for a in lib.action_ids()]
+    docs["chain20-backchain"] = build_document(build_bcbt(lib, root).model, abstraction, 1.0)
+    b = bundled.patrol()
+    result = substitute(b.model, bundled.patrol_substitution(), base_delta=b.delta)
+    docs["patrol-substitute"] = build_document(result.new_model)
+    return docs
+
+
+def test_dump_document_matches_json_dumps_on_program_documents():
+    docs = program_documents()
+    assert len(docs) == 8
+    for name, doc in docs.items():
+        assert dump_document(doc) == json.dumps(doc, indent=2, sort_keys=True) + "\n", name
+
+
 @pytest.mark.parametrize(
     "mutate, message",
     [

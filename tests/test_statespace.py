@@ -7,6 +7,8 @@ from hypothesis import given, strategies as st
 
 from btconverge.statespace import Region, SuccessorMap, World, WorldError, step_bound
 
+from helpers import oracle_neighboring
+
 
 def cells(region: Region) -> set[int]:
     return set(region.cells())
@@ -264,10 +266,55 @@ def bit_clearing_cells(mask: int) -> list[int]:
 def test_cells_match_bit_clearing_reference(rng):
     masks = [0, 1, 1 << 63, 1 << 64, 1 << 39_999, (1 << 40_000) - 1]
     for n in (1, 7, 64, 65, 1000, 40_000):
-        for density in (0.001, 0.05, 0.5, 0.95):
+        for density in (0.001, 0.05, 0.2, 0.25, 0.3, 0.5, 0.95):
             masks.append(sum(1 << c for c in range(n) if rng.random() < density))
     for mask in masks:
         region = Region(max(mask.bit_length(), 1), mask)
         cells_iter = region.cells()
         assert iter(cells_iter) is cells_iter  # lazy, not a list
         assert list(cells_iter) == bit_clearing_cells(mask)
+
+
+def test_digits_index_every_cell(rng):
+    for n in (1, 5, 64, 65, 300):
+        for _ in range(10):
+            region = Region(n, rng.getrandbits(n) & rng.getrandbits(n))
+            digits = region.digits()
+            assert len(digits) == n
+            assert [c for c in range(n) if digits[c] == "1"] == bit_clearing_cells(region.mask)
+
+
+def random_adjacency_world(rng) -> World:
+    n = rng.randrange(1, 40)
+    pairs = [(rng.randrange(n), rng.randrange(n)) for _ in range(rng.randrange(2 * n))]
+    return World(n, adjacency=pairs, symmetric=rng.random() < 0.5)
+
+
+def test_dilate_matches_pairwise_definition(rng):
+    """Dilation and neighboring against the cell-pair definition, overlapping regions included."""
+    for _ in range(60):
+        if rng.random() < 0.5:
+            w = random_metric_world(rng)
+            dists = sorted(math.dist(p, q) for p in w.coords for q in w.coords)
+            deltas = [0.0, rng.choice(dists), rng.uniform(0, 1.5) * dists[-1], math.inf]
+        else:
+            w, deltas = random_adjacency_world(rng), [None]
+        n = w.cell_count
+        for delta in deltas:
+            for _ in range(6):
+                a = Region(n, rng.getrandbits(n) or 1)
+                b = Region(n, rng.getrandbits(n) or 1)
+                if rng.random() < 0.3:
+                    b = b | a  # overlapping regions always neighbor
+                one = lambda q: oracle_neighboring(w, a, Region.from_cells(n, [q]), delta)
+                assert list(w.dilate(a, delta).cells()) == [q for q in range(n) if one(q)]
+                assert w.neighboring(a, b, delta) == oracle_neighboring(w, a, b, delta)
+
+
+def test_dilate_needs_delta_or_adjacency():
+    metric = World(3, coords=[(0.0,), (1.0,), (2.0,)])
+    with pytest.raises(WorldError, match="delta"):
+        metric.dilate(Region(3, 1))
+    with pytest.raises(WorldError, match="neither"):
+        World(3).dilate(Region(3, 1))
+    assert metric.dilate(Region(3, 0), 1.0).is_empty
