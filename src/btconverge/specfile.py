@@ -12,6 +12,7 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass
+from itertools import chain
 from json.encoder import encode_basestring_ascii
 from typing import Any, Optional
 
@@ -112,9 +113,51 @@ def _is_int(value: Any) -> bool:
 
 
 def _check_ints(values: list, where: str) -> None:
-    for value in values:
-        if type(value) is not int:
-            raise SpecError(f"{where}: expected integers, got {value!r}")
+    if not _INT.issuperset(map(type, values)):
+        bad = next(value for value in values if type(value) is not int)
+        raise SpecError(f"{where}: expected integers, got {bad!r}")
+
+
+def _parse_bool(block: dict, key: str, where: str) -> bool:
+    """An optional JSON ``true``/``false`` field, false when missing; nothing else is read as one."""
+    value = block.get(key, False)
+    if type(value) is not bool:
+        raise SpecError(f"{where}.{key} must be true or false, got {value!r}")
+    return value
+
+
+_NUMBER = frozenset({int, float})
+
+
+def _fits_floats(numbers: Any) -> bool:
+    try:
+        list(map(float, numbers))
+    except OverflowError:  # an integer past the float range
+        return False
+    return True
+
+
+def _check_coords(coords: Any, cells: int) -> None:
+    """One list of non-bool numbers per cell, all of one length; World checks finiteness.
+
+    The whole block is checked in C first; only a bad block is walked
+    point by point, to name the first bad entry.
+    """
+    if not isinstance(coords, list) or len(coords) != cells:
+        raise SpecError(f"universe.coords must be a list of {cells} coordinate lists")
+    if {list} == set(map(type, coords)) and len(set(map(len, coords))) == 1:
+        flat = list(chain.from_iterable(coords))
+        types = set(map(type, flat))
+        if _NUMBER.issuperset(types) and (int not in types or _fits_floats(flat)):
+            return
+    dim = len(coords[0]) if isinstance(coords[0], list) else None
+    for i, point in enumerate(coords):
+        if not isinstance(point, list) or not _NUMBER.issuperset(map(type, point)):
+            raise SpecError(f"universe.coords[{i}] must be a list of numbers")
+        if len(point) != dim:
+            raise SpecError(f"universe.coords[{i}] has {len(point)} coordinates, not {dim}")
+        if not _fits_floats(point):
+            raise SpecError(f"universe.coords[{i}] holds an integer past the float range")
 
 
 def _parse_world(block: dict) -> World:
@@ -125,6 +168,7 @@ def _parse_world(block: dict) -> World:
     adjacency = block.get("adjacency")
     try:
         if coords is not None:
+            _check_coords(coords, cells)
             return World(cells, coords=coords)
         if adjacency is not None:
             if not isinstance(adjacency, list) or not all(
@@ -132,15 +176,8 @@ def _parse_world(block: dict) -> World:
             ):
                 raise SpecError("universe.adjacency must be a list of cell pairs")
             _check_ints([c for pair in adjacency for c in pair], "universe.adjacency")
-            pairs = [(p, q) for p, q in adjacency]
-            if block.get("adjacency_directed"):
-                rows = [0] * cells
-                for p, q in pairs:
-                    if not (0 <= p < cells and 0 <= q < cells):
-                        raise WorldError(f"adjacency pair ({p}, {q}) outside universe")
-                    rows[p] |= 1 << q
-                return World(cells, adjacency_rows=rows)
-            return World(cells, adjacency=pairs)
+            directed = _parse_bool(block, "adjacency_directed", "universe")
+            return World(cells, adjacency=adjacency, symmetric=not directed)
         return World(cells)
     except WorldError as exc:
         raise SpecError(f"universe: {exc}") from exc
@@ -196,7 +233,9 @@ def _parse_leaf(entry: dict, world: World) -> LeafData:
         raise SpecError(f"leaf {name!r}: {exc}") from exc
 
 
-def _parse_doa(block: dict, world: World, name: str) -> Doa:
+def _parse_doa(block: Any, world: World, name: str) -> Doa:
+    if not isinstance(block, dict):
+        raise SpecError(f"leaf {name!r}: doa must be an object")
     horizon = block.get("horizon")
     if not _is_int(horizon) or horizon <= 0:
         raise SpecError(f"leaf {name!r}: doa.horizon must be a positive integer")
@@ -248,7 +287,9 @@ def _parse_library(block: dict, world: World) -> tuple[ActionConditionLibrary, O
     return lib, root
 
 
-def _parse_substitution(block: dict, world: World, model: BTModel) -> SubstitutionSpec:
+def _parse_substitution(block: Any, world: World, model: BTModel) -> SubstitutionSpec:
+    if not isinstance(block, dict):
+        raise SpecError("substitution must be an object")
     target = block.get("target")
     if isinstance(target, str):
         if target not in model.leaf_by_name:
@@ -303,7 +344,7 @@ def _parse_substitution(block: dict, world: World, model: BTModel) -> Substituti
         rok_success=_parse_region(block.get("risk_ok", []), world, "substitution.risk_ok"),
         time_budget=budget,
         hysteresis_cap=hyst_cap,
-        hysteresis=bool(block.get("hysteresis", False)),
+        hysteresis=_parse_bool(block, "hysteresis", "substitution"),
         dd_success=dd_success,
         dd_failure=dd_failure,
     )
@@ -321,20 +362,11 @@ def _world_block(world: World) -> dict:
     block: dict[str, Any] = {"cells": world.cell_count}
     if world.coords is not None:
         block["coords"] = [list(p) for p in world.coords]
-    elif world.adjacency_rows is not None:
-        pairs = []
-        symmetric = True
-        for p, row in enumerate(world.adjacency_rows):
-            bits = row
-            while bits:
-                low = bits & -bits
-                q = low.bit_length() - 1
-                bits ^= low
-                pairs.append([p, q])
-                if not world.adjacency_rows[q] >> p & 1:
-                    symmetric = False
-        block["adjacency"] = pairs
-        if not symmetric:
+    elif world.neighbors is not None:
+        pairs = [(p, q) for p, near in enumerate(world.neighbors) for q in near]
+        block["adjacency"] = list(map(list, pairs))
+        edges = set(pairs)
+        if any((q, p) not in edges for p, q in pairs):
             block["adjacency_directed"] = True
     return block
 

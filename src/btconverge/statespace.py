@@ -9,9 +9,7 @@ a step bound) or declared through an explicit adjacency relation.
 from __future__ import annotations
 
 import math
-from functools import reduce
-from itertools import compress, count
-from operator import or_
+from itertools import chain, compress, count
 from typing import Callable, Iterable, Iterator, Optional, Sequence
 
 
@@ -32,12 +30,25 @@ class Region:
 
     @classmethod
     def from_cells(cls, n: int, cells: Iterable[int]) -> "Region":
-        mask = 0
+        """The region of the given cells (repeats allowed).
+
+        A few cells are shifted into the mask one by one; more mark a byte
+        per cell and become the mask in one base-2 parse, as ``dilate``
+        does, instead of one whole-mask OR per cell.
+        """
+        cells = list(cells)
+        if cells and not (0 <= min(cells) and max(cells) < n):
+            bad = next(c for c in cells if not 0 <= c < n)
+            raise WorldError(f"cell {bad} outside universe of {n} cells")
+        if len(cells) * 64 < n:
+            mask = 0
+            for c in cells:
+                mask |= 1 << c
+            return cls(n, mask)
+        marks = bytearray(n)
         for c in cells:
-            if not 0 <= c < n:
-                raise WorldError(f"cell {c} outside universe of {n} cells")
-            mask |= 1 << c
-        return cls(n, mask)
+            marks[c] = 1
+        return cls(n, int(marks.translate(_MARK_DIGITS)[::-1], 2))
 
     @classmethod
     def full(cls, n: int) -> "Region":
@@ -127,6 +138,7 @@ class Region:
 
 
 _DIGIT_VALUES = bytes.maketrans(b"01", b"\0\1")
+_MARK_DIGITS = bytes.maketrans(b"\0\1", b"01")
 
 
 def _set_digits(bits: str) -> Iterator[int]:
@@ -142,12 +154,13 @@ class SuccessorMap:
     __slots__ = ("n", "targets")
 
     def __init__(self, targets: Sequence[int]) -> None:
+        targets = tuple(targets)
         n = len(targets)
-        for c, t in enumerate(targets):
-            if not 0 <= t < n:
-                raise WorldError(f"successor of cell {c} is {t}, outside universe")
+        if targets and not (0 <= min(targets) and max(targets) < n):
+            c, t = next((c, t) for c, t in enumerate(targets) if not 0 <= t < n)
+            raise WorldError(f"successor of cell {c} is {t}, outside universe")
         self.n = n
-        self.targets = tuple(targets)
+        self.targets = targets
 
     @classmethod
     def from_function(cls, n: int, fn: Callable[[int], int]) -> "SuccessorMap":
@@ -173,59 +186,88 @@ class SuccessorMap:
 class World:
     """A finite cell universe with optional metric coordinates or adjacency.
 
-    Exactly one of ``coords`` / ``adjacency`` can be supplied.  With coords,
-    neighboring is metric: two nonempty regions are neighboring when their
-    minimal pairwise euclidean distance is at most the step bound delta.
-    With adjacency, two regions are neighboring when they overlap or some
-    cross pair is related.  Adjacency rows may be directed; symmetric inputs
+    Exactly one of ``coords`` / ``adjacency`` / ``neighbors`` can be supplied.
+    With coords, neighboring is metric: two nonempty regions are neighboring
+    when their minimal pairwise euclidean distance is at most the step bound
+    delta.  With adjacency, two regions are neighboring when they overlap or
+    some cross pair is related.  Adjacency may be directed; symmetric inputs
     stay symmetric.
+
+    Both kinds keep one neighbour structure: per-cell ascending tuples of
+    cell ids, built on first use (the metric ones once per delta), so memory
+    grows with cells x neighbours.  ``neighbors`` takes such tuples as they
+    are, already sorted and inside the universe.
     """
 
-    __slots__ = ("cell_count", "coords", "adjacency_rows", "_ball_cache")
+    __slots__ = ("cell_count", "coords", "_pairs", "_neighbors", "_rows", "_ball_cache")
 
     def __init__(
         self,
         cell_count: int,
         coords: Optional[Sequence[Sequence[float]]] = None,
         adjacency: Optional[Iterable[tuple[int, int]]] = None,
-        adjacency_rows: Optional[Sequence[int]] = None,
+        neighbors: Optional[Sequence[Sequence[int]]] = None,
         symmetric: bool = True,
     ) -> None:
         if cell_count <= 0:
             raise WorldError("cell_count must be positive")
-        given = sum(x is not None for x in (coords, adjacency, adjacency_rows))
+        given = sum(x is not None for x in (coords, adjacency, neighbors))
         if given > 1:
-            raise WorldError("give at most one of coords / adjacency")
+            raise WorldError("give at most one of coords / adjacency / neighbors")
         self.cell_count = cell_count
         self.coords: Optional[tuple[tuple[float, ...], ...]] = None
-        self.adjacency_rows: Optional[tuple[int, ...]] = None
+        self._pairs: Optional[tuple[list[tuple[int, int]], bool]] = None
+        self._neighbors: Optional[tuple[tuple[int, ...], ...]] = None
+        self._rows: Optional[tuple[int, ...]] = None
         if coords is not None:
-            pts = tuple(tuple(float(x) for x in p) for p in coords)
-            if len(pts) != cell_count:
+            if len(coords) != cell_count:
                 raise WorldError("need one coordinate vector per cell")
-            dims = {len(p) for p in pts}
+            dims = set(map(len, coords))
             if len(dims) != 1:
                 raise WorldError("coordinate vectors must share one dimension")
-            for c, p in enumerate(pts):
-                if not all(map(math.isfinite, p)):
-                    raise WorldError(f"coordinates of cell {c} are not finite: {list(p)}")
+            # converted and checked as one flat run, then cut back into points
+            flat = list(map(float, chain.from_iterable(coords)))
+            dim = dims.pop()
+            pts = tuple(zip(*[iter(flat)] * dim)) if dim else ((),) * cell_count
+            if not all(map(math.isfinite, flat)):
+                c = next(c for c, p in enumerate(pts) if not all(map(math.isfinite, p)))
+                raise WorldError(f"coordinates of cell {c} are not finite: {list(pts[c])}")
             self.coords = pts
         elif adjacency is not None:
-            rows = [0] * cell_count
-            for p, q in adjacency:
+            pairs = [(p, q) for p, q in adjacency]
+            for p, q in pairs:
                 if not (0 <= p < cell_count and 0 <= q < cell_count):
                     raise WorldError(f"adjacency pair ({p}, {q}) outside universe")
-                rows[p] |= 1 << q
-                if symmetric:
-                    rows[q] |= 1 << p
-            self.adjacency_rows = tuple(rows)
-        elif adjacency_rows is not None:
-            if len(adjacency_rows) != cell_count:
-                raise WorldError("need one adjacency row per cell")
-            self.adjacency_rows = tuple(adjacency_rows)
-        self._ball_cache: dict[float, tuple[int, ...]] = {}
+            self._pairs = (pairs, symmetric)
+        elif neighbors is not None:
+            if len(neighbors) != cell_count:
+                raise WorldError("need one neighbour list per cell")
+            self._neighbors = tuple(map(tuple, neighbors))
+        self._ball_cache: dict[float, tuple[tuple[int, ...], ...]] = {}
 
     # ------------------------------------------------------------------
+    @property
+    def neighbors(self) -> Optional[tuple[tuple[int, ...], ...]]:
+        """Per-cell ascending tuples of the cells one adjacency step away; None
+        for a world without adjacency.  Built from the pairs on first read."""
+        if self._pairs is not None:
+            pairs, symmetric = self._pairs
+            near: list[set[int]] = [set() for _ in range(self.cell_count)]
+            for p, q in pairs:
+                near[p].add(q)
+                if symmetric:
+                    near[q].add(p)
+            self._neighbors = tuple(tuple(sorted(s)) for s in near)
+            self._pairs = None
+        return self._neighbors
+
+    @property
+    def adjacency_rows(self) -> Optional[tuple[int, ...]]:
+        """Read-only view of ``neighbors`` as one bitmask per cell, made on first read."""
+        if self._rows is None and self.neighbors is not None:
+            self._rows = tuple(sum(1 << q for q in row) for row in self.neighbors)
+        return self._rows
+
     def distance(self, a: int, b: int) -> float:
         if self.coords is None:
             raise WorldError("world has no coordinates")
@@ -237,8 +279,8 @@ class World:
     def full_region(self) -> Region:
         return Region.full(self.cell_count)
 
-    def _balls(self, delta: float) -> tuple[int, ...]:
-        """Per-cell bitset of cells within delta (including the cell itself).
+    def _balls(self, delta: float) -> tuple[tuple[int, ...], ...]:
+        """Per-cell ascending tuple of the cells within delta, the cell itself included.
 
         A cell list: cells are bucketed on a grid of width just above delta,
         so two cells within delta lie in the same or adjacent buckets, and
@@ -250,7 +292,8 @@ class World:
         if cached is not None:
             return cached
         pts = self.coords
-        rows = [1 << c for c in range(self.cell_count)]
+        ids = list(range(self.cell_count))  # one int object per cell, shared by every tuple
+        near = [[c] for c in ids]
         if delta >= 0:
             dist, floor = math.dist, math.floor
             axes = list(zip(*pts))
@@ -275,39 +318,41 @@ class World:
                 scale *= floor(spread / width) + 4
             forward = [o for o in offsets if o > 0]
             buckets: dict[int, list[int]] = {}
-            for c, key in enumerate(keys):
+            for c, key in zip(ids, keys):
                 buckets.setdefault(key, []).append(c)
             for key, members in buckets.items():
-                near = [q for o in forward for q in buckets.get(key + o, ())]
+                others = [q for o in forward for q in buckets.get(key + o, ())]
                 for i, p in enumerate(members):
-                    here, row, bit = pts[p], rows[p], 1 << p
-                    for q in members[i + 1:] + near:
+                    here, mine = pts[p], near[p]
+                    for q in members[i + 1:] + others:
                         if dist(here, pts[q]) <= delta:
-                            row |= 1 << q
-                            rows[q] |= bit
-                    rows[p] = row
-        result = tuple(rows)
+                            mine.append(q)
+                            near[q].append(p)
+        result = tuple(map(tuple, map(sorted, near)))
         self._ball_cache[delta] = result
         return result
 
     def dilate(self, region: Region, delta: Optional[float] = None) -> Region:
         """The cells at most one step from region, region included.
 
-        One pass over region's cells ORs their metric balls (delta needed)
-        or their adjacency rows, so a slice is dilated once and then tested
-        against any number of targets with one mask AND each.
+        The neighbour tuples of region's cells mark a byte per cell, and the
+        marks become a mask with one base-2 parse, so a slice is dilated once
+        and then tested against any number of targets with one mask AND each.
         """
         if region.n != self.cell_count:
             raise WorldError("regions belong to a different universe")
         if self.coords is not None:
             if delta is None:
                 raise WorldError("metric neighboring needs a step bound delta")
-            rows, mask = self._balls(delta), 0
-        elif self.adjacency_rows is not None:
-            rows, mask = self.adjacency_rows, region.mask
+            near, mask = self._balls(delta), 0
+        elif self.neighbors is not None:
+            near, mask = self.neighbors, region.mask
         else:
             raise WorldError("world has neither coordinates nor adjacency")
-        return Region(self.cell_count, reduce(or_, map(rows.__getitem__, region.cells()), mask))
+        marks = bytearray(self.cell_count)
+        for q in chain.from_iterable(map(near.__getitem__, region.cells())):
+            marks[q] = 1
+        return Region(self.cell_count, int(marks.translate(_MARK_DIGITS)[::-1], 2) | mask)
 
     def neighboring(self, a: Region, b: Region, delta: Optional[float] = None) -> bool:
         """True when a one-step transition between the two regions is possible.

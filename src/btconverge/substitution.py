@@ -88,7 +88,7 @@ class Augmentation:
     The layout is base-cell-major: base cell c owns the block of
     ``block = (time_cap + 1) * (hyst_cap + 1)`` augmented cells starting at
     ``c * block``, and (t, h) sits at offset ``t * (hyst_cap + 1) + h``
-    inside it.  Lifted regions, counter regions, maps and adjacency rows
+    inside it.  Lifted regions, counter regions, maps and neighbour lists
     are therefore built per block from in-block patterns and offsets;
     ``encode`` / ``decode`` convert single cells.
     """
@@ -122,8 +122,8 @@ class Augmentation:
             if base_delta is None:
                 raise SubstitutionError("metric base world needs its step bound")
             base_neighbors = base._balls(base_delta)
-        elif base.adjacency_rows is not None:
-            base_neighbors = [row | (1 << c) for c, row in enumerate(base.adjacency_rows)]
+        elif base.neighbors is not None:
+            base_neighbors = [sorted({c, *near}) for c, near in enumerate(base.neighbors)]
         else:
             raise SubstitutionError("base world needs coordinates or adjacency")
         # in-block offset of the counters' successor, per in-block offset,
@@ -134,11 +134,19 @@ class Augmentation:
             tuple(t2 for t2 in times for _h in hysts),
             tuple(t2 + min(h + 1, hyst_cap) for t2 in times for h in hysts),
         )
-        rows = []
-        for c, row in enumerate(base_neighbors):
-            unit = self._blocks(row, 1).mask  # bit 0 of each neighbour's block
-            rows.extend(unit << off for off in self._next_offsets[c in rok_base])
-        self.world = World(base.cell_count * self.block, adjacency_rows=rows)
+        # Column q of a source block: where each of its cells goes when the
+        # base part moves to q.  Zipping the columns of a base cell's sorted
+        # neighbours gives each of its augmented cells a sorted neighbour tuple.
+        rok = rok_base.digits()
+        columns = {
+            flag: [tuple(map((q * self.block).__add__, offsets)) for q in range(base.cell_count)]
+            for flag, offsets in zip("01", self._next_offsets)
+            if flag in rok
+        }
+        near_aug: list[tuple[int, ...]] = []
+        for c, near in enumerate(base_neighbors):
+            near_aug.extend(zip(*map(columns[rok[c]].__getitem__, near)))
+        self.world = World(base.cell_count * self.block, neighbors=near_aug)
 
     # ------------------------------------------------------------------
     def encode(self, c: int, t: int, h: int) -> int:

@@ -202,6 +202,136 @@ def test_parse_errors_are_reported(mutate, message):
         parse_document(doc)
 
 
+def gridworld_document() -> dict:
+    b = bundled.gridworld()
+    return json.loads(dump_document(build_document(b.model, list(b.abstraction), b.delta)))
+
+
+@pytest.mark.parametrize(
+    "coords, message",
+    [
+        (5, "universe.coords must be a list of 36 coordinate lists"),
+        ("x", "universe.coords must be a list of 36 coordinate lists"),
+        ([[0, 0]] * 35, "universe.coords must be a list of 36 coordinate lists"),
+        ({2: [None, 0]}, r"universe.coords\[2\] must be a list of numbers"),
+        ({2: None}, r"universe.coords\[2\] must be a list of numbers"),
+        ({1: ["0", "1"]}, r"universe.coords\[1\] must be a list of numbers"),
+        ({0: [True, 1]}, r"universe.coords\[0\] must be a list of numbers"),
+        ({4: [[1], 2]}, r"universe.coords\[4\] must be a list of numbers"),
+        ({4: {"x": 1}}, r"universe.coords\[4\] must be a list of numbers"),
+        ({3: [1, 2, 3]}, r"universe.coords\[3\] has 3 coordinates, not 2"),
+        ({3: [10**400, 0]}, r"universe.coords\[3\] holds an integer past the float range"),
+    ],
+)
+def test_malformed_coords_exit_two_naming_the_entry(coords, message, tmp_path, capsys):
+    doc = gridworld_document()
+    if isinstance(coords, dict):
+        for i, point in coords.items():
+            doc["universe"]["coords"][i] = point
+    else:
+        doc["universe"]["coords"] = coords
+    with pytest.raises(SpecError, match=message):
+        parse_document(doc)
+    path = tmp_path / "coords.json"
+    path.write_text(json.dumps(doc))
+    code, out, err = run_cli("check", "--spec", str(path), capsys=capsys)
+    assert (code, out) == (2, "")
+    assert "universe.coords" in err and "Traceback" not in err
+
+
+def test_integer_coordinates_still_load():
+    doc = gridworld_document()
+    doc["universe"]["coords"] = [[int(x) for x in p] for p in doc["universe"]["coords"]]
+    assert parse_document(doc).world.coords == parse_document(gridworld_document()).world.coords
+
+
+@pytest.mark.parametrize("value", ["false", "no", "true", 1.5, 0, 1, None, [], {}])
+def test_boolean_fields_take_only_json_booleans(value):
+    patrol, eat = bundled.patrol(), bundled.eat_tree()
+    sub_doc = build_document(
+        patrol.model, list(patrol.abstraction), patrol.delta,
+        substitution=substitution_block(bundled.patrol_substitution(), "mb_patrol"),
+    )
+    adj_doc = build_document(eat.model, list(eat.abstraction), eat.delta)
+    for doc, block, key, message in (
+        (sub_doc, "substitution", "hysteresis", "substitution.hysteresis"),
+        (adj_doc, "universe", "adjacency_directed", "universe.adjacency_directed"),
+    ):
+        bad = json.loads(dump_document(doc))
+        bad[block][key] = value
+        with pytest.raises(SpecError, match=message + " must be true or false"):
+            parse_document(bad)
+    for flag in (True, False):
+        good = json.loads(dump_document(sub_doc))
+        good["substitution"]["hysteresis"] = flag
+        assert parse_document(good).substitution.hysteresis is flag
+        good = json.loads(dump_document(adj_doc))
+        good["universe"]["adjacency_directed"] = flag
+        # eat_tree lists every pair both ways, so reading them as directed changes nothing
+        assert parse_document(good).world.neighbors == eat.model.world.neighbors
+
+
+def test_directed_adjacency_round_trips():
+    from btconverge.specfile import FORMAT, _world_block
+
+    universe = {"cells": 4, "adjacency": [[0, 1], [1, 2], [2, 1], [3, 3]], "adjacency_directed": True}
+    world = parse_document({"format": FORMAT, "universe": universe}).world
+    assert world.neighbors == ((1,), (2,), (1,), (3,))
+    assert world.adjacency_rows == (0b10, 0b100, 0b10, 0b1000)
+    assert _world_block(world) == universe
+    del universe["adjacency_directed"]
+    world = parse_document({"format": FORMAT, "universe": universe}).world
+    assert world.neighbors == ((1,), (0, 2), (1,), (3,))
+    assert _world_block(world) == {**universe, "adjacency": [[0, 1], [1, 0], [1, 2], [2, 1], [3, 3]]}
+
+
+BAD_VALUES = [None, [], {}, "x", 1.5, True, -1, 10**9, [[1, [2]]], [[0.5], "y"]]
+
+
+def field_paths(rng, value, path=(), depth=0):
+    """Paths to the fields of value and to a few entries of its lists, two levels down."""
+    if isinstance(value, dict):
+        keys = value.keys()
+    elif isinstance(value, list) and value:
+        keys = sorted({0, len(value) - 1, rng.randrange(len(value))})
+    else:
+        return
+    for key in keys:
+        yield path + (key,)
+        if depth < 2:
+            yield from field_paths(rng, value[key], path + (key,), depth + 1)
+
+
+def test_parse_fuzz_raises_only_spec_errors(rng):
+    """Single-field mutations of the universe and substitution blocks of the bundled documents."""
+    import copy
+
+    from btconverge.cli import _bundled_document
+
+    tried = 0
+    for name in bundled_names():
+        doc = json.loads(dump_document(_bundled_document(name)))
+        blocks = [key for key in ("universe", "substitution") if key in doc]
+        paths = [(key,) for key in blocks]
+        for key in blocks:
+            paths += field_paths(rng, doc[key], (key,))
+        for path in paths:
+            for bad in BAD_VALUES:
+                mutated = copy.deepcopy(doc)
+                parent = mutated
+                for key in path[:-1]:
+                    parent = parent[key]
+                parent[path[-1]] = copy.deepcopy(bad)
+                tried += 1
+                try:
+                    parse_document(mutated)
+                except SpecError:
+                    pass
+                except Exception as exc:
+                    pytest.fail(f"{name} {path} = {bad!r}: {type(exc).__name__}: {exc}")
+    assert tried > 500
+
+
 # ----------------------------------------------------------------------
 # CLI
 

@@ -141,8 +141,8 @@ def test_neighboring_adjacency_mode():
 
 
 def test_adjacency_rows_can_be_directed():
-    rows = [0b10, 0b00]  # 0 -> 1 only
-    w = World(2, adjacency_rows=rows)
+    w = World(2, neighbors=[(1,), ()])  # 0 -> 1 only
+    assert w.adjacency_rows == (0b10, 0b00)
     a = Region.from_cells(2, [0])
     b = Region.from_cells(2, [1])
     assert w.neighboring(a, b)
@@ -202,15 +202,16 @@ def test_balls_match_all_pairs(rng):
         n, pts = w.cell_count, w.coords
         dists = {(p, q): math.dist(pts[p], pts[q]) for p in range(n) for q in range(p + 1, n)}
         spread = max(dists.values(), default=0.0)
-        deltas = [0.0, 1e-9, rng.uniform(0, 1.5) * spread, math.inf, -1.0, math.nan]
+        deltas = [0.0, 1e-9, rng.uniform(0, 1.5) * spread, math.inf, -math.inf, -1.0, math.nan]
         deltas += rng.sample(sorted(dists.values()), min(4, len(dists)))  # ties
         for delta in deltas:
-            rows = [1 << c for c in range(n)]
+            rows = [{c} for c in range(n)]
             for (p, q), d in dists.items():
                 if d <= delta:
-                    rows[p] |= 1 << q
-                    rows[q] |= 1 << p
-            assert w._balls(delta) == tuple(rows), (pts, delta)
+                    rows[p].add(q)
+                    rows[q].add(p)
+            assert w._balls(delta) == tuple(tuple(sorted(row)) for row in rows), (pts, delta)
+            assert w.neighbors is None and w.adjacency_rows is None
             if not delta >= 0:
                 continue
             for _ in range(5):
@@ -237,14 +238,15 @@ def test_balls_compare_only_adjacent_buckets(monkeypatch):
     monkeypatch.setattr(math, "dist", counting_dist)
     balls = w._balls(1.0)
     assert calls <= 10 * n  # the all-pairs loop makes n * (n - 1) / 2
-    assert sum(row.bit_count() for row in balls) == n + 2 * (2 * side * (side - 1))
+    assert sum(map(len, balls)) == n + 2 * (2 * side * (side - 1))
+    assert balls[side + 1] == (1, side, side + 1, side + 2, 2 * side + 1)
 
 
 def test_balls_when_the_coordinate_spread_overflows():
     w = World(3, coords=[(-1e308,), (0.0,), (1e308,)])
-    assert w._balls(1.0) == (0b001, 0b010, 0b100)
-    assert w._balls(1e308) == (0b011, 0b111, 0b110)
-    assert w._balls(math.inf) == (0b111,) * 3
+    assert w._balls(1.0) == ((0,), (1,), (2,))
+    assert w._balls(1e308) == ((0, 1), (0, 1, 2), (1, 2))
+    assert w._balls(math.inf) == ((0, 1, 2),) * 3
 
 
 def test_world_rejects_non_finite_coordinates():
@@ -309,6 +311,65 @@ def test_dilate_matches_pairwise_definition(rng):
                 one = lambda q: oracle_neighboring(w, a, Region.from_cells(n, [q]), delta)
                 assert list(w.dilate(a, delta).cells()) == [q for q in range(n) if one(q)]
                 assert w.neighboring(a, b, delta) == oracle_neighboring(w, a, b, delta)
+
+
+def test_adjacency_neighbour_lists_match_pair_definition(rng):
+    """Symmetric and directed adjacency lists against the pairs they encode."""
+    for _ in range(40):
+        n = rng.randrange(1, 40)
+        pairs = [(rng.randrange(n), rng.randrange(n)) for _ in range(rng.randrange(3 * n))]
+        for symmetric in (True, False):
+            w = World(n, adjacency=pairs, symmetric=symmetric)
+            related = set(pairs) | ({(q, p) for p, q in pairs} if symmetric else set())
+            want = tuple(tuple(q for q in range(n) if (p, q) in related) for p in range(n))
+            assert w.neighbors == want
+            assert w.adjacency_rows == tuple(sum(1 << q for q in near) for near in want)
+            for _ in range(6):
+                a = Region(n, rng.getrandbits(n) or 1)
+                one = lambda q: oracle_neighboring(w, a, Region.from_cells(n, [q]), None)
+                assert list(w.dilate(a).cells()) == [q for q in range(n) if one(q)]
+
+
+def test_worlds_built_from_neighbour_lists():
+    w = World(3, neighbors=[[1, 2], (), [0]])
+    assert w.neighbors == ((1, 2), (), (0,))
+    assert w.dilate(Region(3, 0b010)) == Region(3, 0b010)
+    assert w.dilate(Region(3, 0b100)) == Region(3, 0b101)
+    with pytest.raises(WorldError, match="one neighbour list per cell"):
+        World(3, neighbors=[(1,), ()])
+    with pytest.raises(WorldError, match="at most one"):
+        World(2, adjacency=[(0, 1)], neighbors=[(1,), ()])
+
+
+def test_adjacency_pairs_are_read_on_first_use():
+    """A huge universe with a few pairs costs nothing until its neighbour lists are needed."""
+    w = World(10**12, adjacency=[(0, 1)])
+    assert w.cell_count == 10**12
+    with pytest.raises(WorldError, match="outside universe"):
+        World(3, adjacency=[(0, 3)])
+
+
+def test_from_cells_matches_shifts_on_both_paths(rng):
+    for n in (1, 63, 64, 65, 1000, 5000):
+        for size in (0, 1, n // 64, n // 64 + 1, n // 2, 2 * n):
+            cells = [rng.randrange(n) for _ in range(size)]
+            want = 0
+            for c in cells:
+                want |= 1 << c
+            assert Region.from_cells(n, cells).mask == want
+            assert Region.from_cells(n, iter(cells)).mask == want
+    for bad in (-1, 5):
+        with pytest.raises(WorldError, match=f"cell {bad} outside universe of 5 cells"):
+            Region.from_cells(5, [0, 1, 2, 3, 4, bad, 0])
+        with pytest.raises(WorldError, match=f"cell {bad} outside"):
+            Region.from_cells(5, [bad])
+
+
+def test_successor_map_names_the_first_target_outside():
+    for targets, message in (([1, -1, 9], "cell 1 is -1"), ((0, 1, 3), "cell 2 is 3")):
+        with pytest.raises(WorldError, match=f"successor of {message}, outside universe"):
+            SuccessorMap(targets)
+    assert SuccessorMap(iter([2, 0, 1])).targets == (2, 0, 1)
 
 
 def test_dilate_needs_delta_or_adjacency():

@@ -19,7 +19,12 @@ from btconverge.substitution import (
 )
 from btconverge import bundled
 
-from helpers import random_region, random_substitution_instance, rebuild_old_with_mb
+from helpers import (
+    oracle_neighboring,
+    random_region,
+    random_substitution_instance,
+    rebuild_old_with_mb,
+)
 
 
 @pytest.fixture(scope="module")
@@ -392,6 +397,67 @@ def test_augmentation_products_match_decode_oracle(rng):
             rows.append(sum(1 << oracle_step(cell, q) for q in near[c]))
         assert aug.world.adjacency_rows == tuple(rows)
     assert seen_rok == {0, 1, 2}
+
+
+def test_augmented_neighbour_lists_and_dilation_match_oracles(rng):
+    """Augmented worlds over metric, symmetric and directed bases, all three risk-ok cases."""
+    seen = set()
+    for trial in range(36):
+        n_base = rng.randint(1, 6)
+        T, H = rng.choice([0, 1, 3]), rng.choice([0, 1, 3])
+        kind = trial % 3
+        if kind == 0:
+            base = World(n_base, coords=[(rng.uniform(0, 4),) for _ in range(n_base)])
+            delta = rng.uniform(0, 2)
+            near = [{q for q in range(n_base) if base.distance(c, q) <= delta} for c in range(n_base)]
+        else:
+            pairs = [(rng.randrange(n_base), rng.randrange(n_base)) for _ in range(n_base)]
+            base = World(n_base, adjacency=pairs, symmetric=kind == 1)
+            delta = None
+            near = [
+                {c} | {q for p, q in pairs if p == c} | ({p for p, q in pairs if q == c} if kind == 1 else set())
+                for c in range(n_base)
+            ]
+        rok_case = trial // 3 % 3
+        rok = [Region.empty(n_base), Region.full(n_base), random_region(rng, n_base)][rok_case]
+        seen.add((kind, rok_case))
+        aug = Augmentation(base, T, H, rok, delta)
+        n_aug = aug.world.cell_count
+
+        def step(cell, q):
+            c, t, h = aug.decode(cell)
+            return aug.encode(q, min(t + 1, T), min(h + 1, H) if c in rok else 0)
+
+        want = tuple(
+            tuple(sorted(step(cell, q) for q in near[aug.decode(cell)[0]])) for cell in range(n_aug)
+        )
+        assert aug.world.neighbors == want
+        for _ in range(4):
+            a = random_region(rng, n_aug, allow_empty=False)
+            one = lambda q: oracle_neighboring(aug.world, a, Region.from_cells(n_aug, [q]), None)
+            assert list(aug.world.dilate(a).cells()) == [q for q in range(n_aug) if one(q)]
+    assert len(seen) == 9
+
+
+def test_augmentation_stores_neighbour_lists_not_bitsets(patrol_setup):
+    """The (100, 10) patrol product: memory grows with cells x neighbours, not cells squared."""
+    import tracemalloc
+
+    b = bundled.patrol()
+    spec = bundled.patrol_substitution()
+    tracemalloc.start()
+    try:
+        aug = Augmentation(b.model.world, 100, 10, spec.rok_success, b.delta)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert aug.world.cell_count == 11_110
+    assert peak < 4 * 2**20  # one bitset row per augmented cell took 9.8 MiB
+    # the verdict path never derives the bitset view
+    b, cert = patrol_setup[:2]
+    result = substitute(b.model, dataclasses.replace(spec, time_budget=30, hysteresis_cap=4), b.delta)
+    assert verify_substituted_convergence(cert, result)
+    assert result.new_model.world._rows is None
 
 
 def test_substitution_and_reverification_do_no_per_cell_work(monkeypatch):
