@@ -445,17 +445,24 @@ class AbstractionVerdict:
 
 
 def validate_abstraction(model: BTModel, vertices: Iterable[int]) -> AbstractionVerdict:
-    """Check that the chosen vertices' operating regions partition the universe."""
+    """Check that the chosen vertices' operating regions partition the universe.
+
+    The regions are disjoint exactly when their sizes add up to the size of
+    their union, so pairs are only compared, to name the overlaps, when
+    that count is off.
+    """
     omega = model.analysis().omega
     verts = sorted(set(vertices))
+    union = 0
+    for i in verts:
+        union |= omega[i].mask
     overlaps = []
-    covered = Region.empty(model.world.cell_count)
-    for idx, i in enumerate(verts):
-        for j in verts[idx + 1 :]:
-            if not omega[i].isdisjoint(omega[j]):
-                overlaps.append((i, j))
-        covered |= omega[i]
-    uncovered = covered.complement()
+    if sum(len(omega[i]) for i in verts) != union.bit_count():
+        for idx, i in enumerate(verts):
+            for j in verts[idx + 1 :]:
+                if not omega[i].isdisjoint(omega[j]):
+                    overlaps.append((i, j))
+    uncovered = Region(model.world.cell_count, union).complement()
     return AbstractionVerdict(not overlaps and uncovered.is_empty, tuple(overlaps), uncovered)
 
 

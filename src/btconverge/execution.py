@@ -5,18 +5,24 @@ resolved action's successor map, and repeats.  When the tick resolves a
 Condition leaf there is no controller to apply; the simulator halts and
 reports it rather than freezing silently.
 
-Exit times, hitting times and action deadlines all come from one memoized
-walk over a finite deterministic step map.  A walk ends in the goal, at a
-cell with no step, or by closing a cycle, so its answer is exact and needs
-no step cap.  Closed-loop walks read the model's per-cell successor list
-(``BTModel.closed_loop``, built once per model), so no cell is ticked per
-query; only ``simulate`` ticks, because it reports statuses.
+Exit times and action deadlines come from one hit-time kernel over a
+finite deterministic step map.  A walk ends in the goal, at a cell with no
+step, or by closing a cycle, so its answer is exact and needs no step cap.
+The kernel's memo is one list per call, seeded in C from the goal's digits;
+its answers, the successors of a check's cells and their membership in a
+region are read with ``operator.itemgetter`` gathers, so Python only loops
+over the cells a walk has to step.  ``hitting_time`` has a single start and
+walks forward with a visited set instead.  Closed-loop walks read the
+model's per-cell successor list (``BTModel.closed_loop``, built once per
+model), so no cell is ticked per query; only ``simulate`` ticks, because it
+reports statuses.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Iterable, Iterator, Optional
+from operator import itemgetter
+from typing import Callable, Optional, Sequence
 
 from .bt import BTModel, NodeKind, Status, tick
 from .statespace import Region
@@ -52,28 +58,40 @@ class Trace:
 
 
 def _hit_times(
-    step: Callable[[int], Optional[int]], goal: Region, starts: Iterable[int]
-) -> Iterator[tuple[int, Optional[int]]]:
-    """Yield (start, k) per start: the first k >= 0 with step^k(start) in goal.
+    targets: Sequence[Optional[int]], goal: Region, starts: Sequence[int]
+) -> tuple[Optional[int], ...]:
+    """Per start, the first k >= 0 with targets^k(start) in goal, aligned with starts.
 
-    k is None when the walk reaches a cell whose step is None or closes a
-    cycle outside goal.  The walks share one memo, so every cell is stepped
-    at most once per call.
+    k is None when the walk reaches a cell whose target is None or closes a
+    cycle outside goal.  The memo is one list per call, seeded in C from
+    the goal's digits (0 in goal, -1 not yet walked), so every cell is
+    stepped at most once per call and the answers are one gather.
     """
-    memo: dict[int, Optional[int]] = {}
-    in_goal = goal.digits()
-    for start in starts:
+    memo: list[Optional[int]] = list(map(_MEMO_SEED, goal.digits()))
+    for x in starts:
+        if memo[x] != -1:
+            continue
         path: list[int] = []
-        x: Optional[int] = start
-        while x is not None and x not in memo and in_goal[x] != "1":
+        while x is not None and memo[x] == -1:
             memo[x] = None  # provisional: a walk that returns here closed a cycle
             path.append(x)
-            x = step(x)
-        hit = None if x is None else memo.get(x, 0)  # not memoized: x is in goal
-        for y in reversed(path):
-            hit = None if hit is None else hit + 1
-            memo[y] = hit
-        yield start, hit
+            x = targets[x]
+        hit = None if x is None else memo[x]
+        if hit is not None:  # on a None hit the path keeps its provisional None
+            for y in reversed(path):
+                hit += 1
+                memo[y] = hit
+    return _gather(memo, starts)
+
+
+_MEMO_SEED = {"1": 0, "0": -1}.__getitem__
+
+
+def _gather(seq: Sequence, keys: Sequence[int]) -> tuple:
+    """seq[k] for each k in keys, as a tuple, gathered in C."""
+    if len(keys) > 1:
+        return itemgetter(*keys)(seq)
+    return tuple(seq[k] for k in keys)  # itemgetter returns no tuple for 0 or 1 keys
 
 
 def simulate(
@@ -130,8 +148,9 @@ def check_fts(model: BTModel, leaf: int) -> FtsVerdict:
 
     The leaf's own dynamics are iterated from every basin cell: the basin
     and the goal must each be closed under one step, and every basin cell
-    must reach the goal within the leaf's step deadline.  An empty basin is
-    vacuously fine.
+    must reach the goal within the leaf's step deadline.  A goal cell hits
+    at step 0, so only basin - goal is walked.  An empty basin is vacuously
+    fine.
     """
     data = model.leaves.get(leaf)
     if data is None or model.kinds[leaf] is not NodeKind.ACTION:
@@ -150,17 +169,18 @@ def check_fts(model: BTModel, leaf: int) -> FtsVerdict:
         bad = (goal - (basin & data.success)).any_cell()
         return FtsVerdict(False, "goal-static", bad, None)
     nxt = data.controller.targets
-    basin_cells = list(basin.cells())
-    in_basin, in_goal = basin.digits(), goal.digits()
-    for c in basin_cells:
-        if in_basin[nxt[c]] != "1":
-            return FtsVerdict(False, "basin-invariance", c, 1)
-    for c in goal.cells():
-        if in_goal[nxt[c]] != "1":
-            return FtsVerdict(False, "goal-invariance", c, 1)
-    for c, hit in _hit_times(nxt.__getitem__, goal, basin_cells):
-        if hit is None or hit > horizon:
-            return FtsVerdict(False, "deadline", c, hit)
+    for kind, closed in (("basin-invariance", basin), ("goal-invariance", goal)):
+        cells = list(closed.cells())
+        ok = _gather(closed.digits(), _gather(nxt, cells))
+        if "0" in ok:
+            return FtsVerdict(False, kind, cells[ok.index("0")], 1)
+    # goal cells hit at 0 and the horizon is positive, so only basin - goal can fail
+    starts = list((basin - goal).cells())
+    hits = _hit_times(nxt, goal, starts)
+    if None in hits or max(hits, default=0) > horizon:
+        for c, hit in zip(starts, hits):
+            if hit is None or hit > horizon:
+                return FtsVerdict(False, "deadline", c, hit)
     return FtsVerdict(True)
 
 
@@ -185,21 +205,28 @@ def empirical_exit_time(model: BTModel, region: Region) -> ExitResult:
     """
     if region.n != model.world.cell_count:
         raise ExecutionError("region over a different universe")
-    worst = 0
-    step = model.closed_loop().__getitem__
-    for c, steps in _hit_times(step, region.complement(), region.cells()):
-        if steps is None:
-            return ExitResult(None, c)
-        worst = max(worst, steps)
-    return ExitResult(worst)
+    cells = list(region.cells())
+    hits = _hit_times(model.closed_loop(), region.complement(), cells)
+    if None in hits:
+        return ExitResult(None, cells[hits.index(None)])
+    return ExitResult(max(hits, default=0))
 
 
 def hitting_time(model: BTModel, x0: int, goal: Region, max_steps: int) -> Optional[int]:
     """First step, if at most max_steps, at which the closed loop reaches goal from x0."""
     if not 0 <= x0 < model.world.cell_count:
         raise ExecutionError(f"start cell {x0} outside universe")
-    _, hit = next(_hit_times(model.closed_loop().__getitem__, goal, [x0]))
-    return hit if hit is not None and hit <= max_steps else None
+    step = model.closed_loop()
+    seen: set[int] = set()
+    x: Optional[int] = x0
+    for k in range(max_steps + 1):
+        if x in goal:
+            return k
+        seen.add(x)
+        x = step[x]
+        if x is None or x in seen:
+            return None
+    return None
 
 
 def closed_loop_targets(model: BTModel) -> list[Optional[int]]:

@@ -44,10 +44,13 @@ class PrepVertex:
         return (self.owner, self.flavor)
 
 
+_UNBUILT = object()  # a lazy attribute not computed yet
+
+
 class PreparesGraph:
     """Slice vertices plus directed possible-transition edges."""
 
-    __slots__ = ("vertices", "edges", "index", "cell_vertex", "_succ")
+    __slots__ = ("vertices", "edges", "index", "_cell_vertex", "_succ")
 
     def __init__(self, vertices: Sequence[PrepVertex], edges: Iterable[tuple[int, int]]) -> None:
         self.vertices = tuple(vertices)
@@ -56,20 +59,31 @@ class PreparesGraph:
         self.index = {v.key(): i for i, v in enumerate(self.vertices)}
         if len(self.index) != len(self.vertices):
             raise AbstractionError("duplicate (owner, flavor) vertex")
-        n_cells = self.vertices[0].cells.n if self.vertices else 0
-        lookup = [-1] * n_cells
-        disjoint = True
-        for i, v in enumerate(self.vertices):
-            for c in v.cells.cells():
-                if lookup[c] != -1:
-                    disjoint = False
-                lookup[c] = i
-        self.cell_vertex = tuple(lookup) if disjoint else None
+        self._cell_vertex: object = _UNBUILT
+
+    @property
+    def cell_vertex(self) -> Optional[tuple[int, ...]]:
+        """Per cell, the vertex whose slice holds it (-1 for none); None if slices overlap.
+
+        Built on first read: the verdict path never reads it.
+        """
+        if self._cell_vertex is _UNBUILT:
+            n_cells = self.vertices[0].cells.n if self.vertices else 0
+            lookup = [-1] * n_cells
+            disjoint = True
+            for i, v in enumerate(self.vertices):
+                for c in v.cells.cells():
+                    if lookup[c] != -1:
+                        disjoint = False
+                    lookup[c] = i
+            self._cell_vertex = tuple(lookup) if disjoint else None
+        return self._cell_vertex
 
     def vertex_of_cell(self, cell: int) -> Optional[int]:
-        if self.cell_vertex is None:
+        lookup = self.cell_vertex
+        if lookup is None:
             raise AbstractionError("vertex regions overlap; no per-cell lookup")
-        i = self.cell_vertex[cell]
+        i = lookup[cell]
         return None if i == -1 else i
 
     def successors(self, u: int) -> list[int]:

@@ -266,25 +266,36 @@ def _parse_tree(node: Any, leaves: dict[str, LeafData]) -> NodeSpec:
     raise SpecError(f"unknown tree node type {key!r}")
 
 
-def _parse_library(block: dict, world: World) -> tuple[ActionConditionLibrary, Optional[str]]:
+def _parse_library(block: Any, world: World) -> tuple[ActionConditionLibrary, Optional[str]]:
+    if not isinstance(block, dict):
+        raise SpecError("library must be an object")
     actions = {}
-    for entry in block.get("actions", []):
+    for i, entry in enumerate(_list_of(block, "actions", dict, "library")):
         leaf = _parse_leaf({**entry, "kind": "action"}, world)
-        pre = entry.get("preconditions", [])
+        pre = _list_of(entry, "preconditions", str, f"library.actions[{i}]")
         actions[leaf.name] = ActionEntry(leaf, tuple(pre))
     conditions = {}
-    for entry in block.get("conditions", []):
+    for i, entry in enumerate(_list_of(block, "conditions", dict, "library")):
         leaf = _parse_leaf({**entry, "kind": "condition"}, world)
-        ach = entry.get("achievers", [])
+        ach = _list_of(entry, "achievers", str, f"library.conditions[{i}]")
         conditions[leaf.name] = ConditionEntry(leaf, tuple(ach))
     try:
         lib = ActionConditionLibrary(world, actions, conditions)
     except ValueError as exc:
         raise SpecError(f"library: {exc}") from exc
     root = block.get("root")
-    if root is not None and root not in actions:
+    if root is not None and (not isinstance(root, str) or root not in actions):
         raise SpecError(f"library root {root!r} is not an action")
     return lib, root
+
+
+def _list_of(block: dict, key: str, typ: type, where: str) -> list:
+    """The optional list field block[key] (empty when missing), each entry a typ."""
+    value = block.get(key, [])
+    if not isinstance(value, list) or not all(isinstance(v, typ) for v in value):
+        noun = "objects" if typ is dict else "strings"
+        raise SpecError(f"{where}.{key} must be a list of {noun}")
+    return value
 
 
 def _parse_substitution(block: Any, world: World, model: BTModel) -> SubstitutionSpec:

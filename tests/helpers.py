@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import math
 import random
-from typing import Optional, Union
+from typing import Callable, Iterable, Iterator, Optional, Union
 
 from btconverge.backchain import ActionConditionLibrary, ActionEntry, ConditionEntry
 from btconverge.bt import (
@@ -612,3 +612,64 @@ def rebuild_old_with_mb(model: BTModel, success: Optional[Region] = None, failur
             ),
         ),
     )
+
+
+# ----------------------------------------------------------------------
+# hit times: the dict-memo generator the array kernel replaced
+
+
+def generator_hit_times(
+    step: Callable[[int], Optional[int]], goal: Region, starts: Iterable[int]
+) -> Iterator[tuple[int, Optional[int]]]:
+    """Yield (start, k) per start: the first k >= 0 with step^k(start) in goal.
+
+    k is None when the walk reaches a cell whose step is None or closes a
+    cycle outside goal; the walks share one dict memo.
+    """
+    memo: dict[int, Optional[int]] = {}
+    in_goal = goal.digits()
+    for start in starts:
+        path: list[int] = []
+        x: Optional[int] = start
+        while x is not None and x not in memo and in_goal[x] != "1":
+            memo[x] = None  # provisional: a walk that returns here closed a cycle
+            path.append(x)
+            x = step(x)
+        hit = None if x is None else memo.get(x, 0)  # not memoized: x is in goal
+        for y in reversed(path):
+            hit = None if hit is None else hit + 1
+            memo[y] = hit
+        yield start, hit
+
+
+def generator_fts(model: BTModel, leaf: int) -> tuple[bool, Optional[str], Optional[int], Optional[int]]:
+    """(ok, kind, witness, step) of check_fts' dynamic rules, walked with the generator.
+
+    Every basin cell is walked, goal cells included, and the invariance
+    rules are per-cell loops.
+    """
+    data = model.leaves[leaf]
+    basin, goal, horizon = data.doa.basin, data.doa.goal, data.doa.horizon
+    nxt = data.controller.targets
+    in_basin, in_goal = basin.digits(), goal.digits()
+    for c in basin.cells():
+        if in_basin[nxt[c]] != "1":
+            return False, "basin-invariance", c, 1
+    for c in goal.cells():
+        if in_goal[nxt[c]] != "1":
+            return False, "goal-invariance", c, 1
+    for c, hit in generator_hit_times(nxt.__getitem__, goal, basin.cells()):
+        if hit is None or hit > horizon:
+            return False, "deadline", c, hit
+    return True, None, None, None
+
+
+def generator_exit_time(model: BTModel, region: Region) -> tuple[Optional[int], Optional[int]]:
+    """(steps, witness) of empirical_exit_time, walked with the generator."""
+    worst = 0
+    step = model.closed_loop().__getitem__
+    for c, steps in generator_hit_times(step, region.complement(), region.cells()):
+        if steps is None:
+            return None, c
+        worst = max(worst, steps)
+    return worst, None

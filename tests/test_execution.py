@@ -4,12 +4,14 @@ from functools import partial
 
 import pytest
 
+from btconverge import execution
 from btconverge.bt import BTModel, Doa, NodeKind, Status, action, condition, fal, seq, tick
 from btconverge.execution import (
     HALT_MAX_STEPS,
     HALT_NO_ACTION,
     HALT_STOP,
     ExecutionError,
+    _hit_times,
     check_fts,
     closed_loop_targets,
     empirical_exit_time,
@@ -18,7 +20,13 @@ from btconverge.execution import (
 )
 from btconverge.statespace import Region, SuccessorMap, World
 from btconverge import bundled
-from helpers import naive_tick_path, random_region
+from helpers import (
+    generator_exit_time,
+    generator_fts,
+    generator_hit_times,
+    naive_tick_path,
+    random_region,
+)
 
 
 def chain_model(n=6, basin=None, goal=None, horizon=3):
@@ -324,21 +332,53 @@ def naive_fts(model, leaf):
     return None
 
 
+def random_fts_model(rng, n):
+    """One action over n cells whose basin data passes or fails each dynamic FTS rule."""
+    if rng.random() < 0.3:  # every walk runs down to cell 0, in up to n - 1 steps
+        ctrl = SuccessorMap([rng.randrange(x) if x else 0 for x in range(n)])
+    else:
+        ctrl = SuccessorMap([x if rng.random() < 0.2 else rng.randrange(n) for x in range(n)])
+    if rng.random() < 0.7:
+        basin = _forward_closure(ctrl, n, rng.sample(range(n), min(n, rng.randint(0, 3))))
+    else:
+        basin = random_region(rng, n)
+    if rng.random() < 0.6:
+        picked = rng.sample(list(basin.cells()), min(len(basin), rng.randint(0, 2)))
+        goal = _forward_closure(ctrl, n, picked) & basin
+    else:
+        goal = random_region(rng, n) & basin
+    success = goal | random_region(rng, n)
+    failure = random_region(rng, n) - success - basin
+    spec = action("a", success, failure, ctrl, Doa(basin, goal, rng.randint(1, 3)))
+    return BTModel(World(n), seq(spec))
+
+
 def test_exact_walks_match_naive_stepper(rng):
+    """check_fts, empirical_exit_time and hitting_time against the naive stepper and the generator.
+
+    The corpus reaches every failing FTS kind that BTModel lets through (it
+    rejects the static ones) with its witness and step, and exits from 0, 1
+    and more cells both ways.
+    """
     seen = set()
+
+    def check_leaf(model, leaf):
+        verdict = check_fts(model, leaf)
+        got = (verdict.ok, verdict.kind, verdict.witness, verdict.step)
+        assert got == generator_fts(model, leaf)
+        want = naive_fts(model, leaf)
+        assert got == ((True, None, None, None) if want is None else (False, *want))
+        seen.add(verdict.kind if verdict.kind != "deadline" else ("deadline", verdict.step is None))
+
     for _ in range(60):
         n = rng.choice([5, 9, 16])
         model = random_loop_model(rng, n)
         step = partial(naive_loop_step, model)
         for leaf in model.action_vertices():
-            verdict = check_fts(model, leaf)
-            want = naive_fts(model, leaf)
-            assert bool(verdict) is (want is None)
-            if want is not None:
-                assert (verdict.kind, verdict.witness, verdict.step) == want
-                seen.add((want[0], want[2] is None))
-        for _ in range(3):
-            region = random_region(rng, n)
+            check_leaf(model, leaf)
+        for _ in range(4):
+            one = Region.from_cells(n, [rng.randrange(n)])
+            region = rng.choice([Region.empty(n), one, random_region(rng, n), random_region(rng, n)])
             want_steps, want_witness = 0, None
             for c in region.cells():
                 hit = naive_hit(step, c, region.complement(), n)
@@ -348,12 +388,76 @@ def test_exact_walks_match_naive_stepper(rng):
                 want_steps = max(want_steps, hit)
             result = empirical_exit_time(model, region)
             assert (result.steps, result.witness) == (want_steps, want_witness)
-            seen.add(("exit", want_steps is None))
+            assert (result.steps, result.witness) == generator_exit_time(model, region)
+            seen.add(("exit", min(len(region), 2), want_steps is None))
         for _ in range(5):
             x0, goal, cap = rng.randrange(n), random_region(rng, n), rng.randint(0, n + 2)
             assert hitting_time(model, x0, goal, cap) == naive_hit(step, x0, goal, cap)
-    # the corpus reaches the deadline rule both ways and exits both ways
-    assert {("deadline", True), ("deadline", False), ("exit", True), ("exit", False)} <= seen
+    for _ in range(300):
+        model = random_fts_model(rng, rng.randint(1, 12))
+        check_leaf(model, model.vertex_of("a"))
+    assert {None, "basin-invariance", "goal-invariance", ("deadline", True), ("deadline", False)} <= seen
+    exits = {("exit", 0, False), ("exit", 1, False), ("exit", 1, True), ("exit", 2, False), ("exit", 2, True)}
+    assert exits <= seen
+
+
+def random_step_map(rng, n):
+    """Per-cell targets with None steps, self-loops, cycles and merging paths."""
+    targets = []
+    for x in range(n):
+        r = rng.random()
+        targets.append(None if r < 0.15 else x if r < 0.3 else rng.randrange(n))
+    return targets
+
+
+def test_hit_time_kernel_matches_generator_and_naive_stepper(rng):
+    seen = set()
+    for _ in range(400):
+        n = rng.randint(1, 12)
+        targets = random_step_map(rng, n)
+        goal = random_region(rng, n)
+        in_goal = goal.digits()
+        # any order, repeats and goal cells allowed; 0, 1, 2 and more starts
+        starts = [rng.randrange(n) for _ in range(rng.choice([0, 1, 2, rng.randint(3, 2 * n + 3)]))]
+        hits = _hit_times(targets, goal, starts)
+        assert type(hits) is tuple
+        assert hits == tuple(naive_hit(targets.__getitem__, x, goal, n) for x in starts)
+        assert hits == tuple(hit for _, hit in generator_hit_times(targets.__getitem__, goal, starts))
+        seen.add(min(len(starts), 3))
+        seen.update("none" if h is None else "goal" if h == 0 else "walk" for h in hits)
+        if any(in_goal[c] == "1" and (t is None or in_goal[t] == "0") for c, t in enumerate(targets)):
+            seen.add("goal steps out")
+    assert {0, 1, 2, 3, "none", "goal", "walk", "goal steps out"} <= seen
+
+
+def test_kernel_walks_only_the_cells_that_can_fail(monkeypatch):
+    """check_fts walks basin - goal; empirical_exit_time the region; hitting_time no memo."""
+    calls = []
+
+    def spy(targets, goal, starts):
+        calls.append((goal, list(starts)))
+        return real(targets, goal, starts)
+
+    real = execution._hit_times
+    monkeypatch.setattr(execution, "_hit_times", spy)
+    n = 8
+    goal = Region.from_cells(n, [5, 6, 7])
+    model = chain_model(n, goal=goal, horizon=5)
+    assert check_fts(model, model.vertex_of("walk"))
+    assert calls == [(goal, [0, 1, 2, 3, 4])]
+    sr = bundled.surveying_robot().model
+    for leaf in sr.action_vertices():
+        doa = sr.leaves[leaf].doa
+        calls.clear()
+        assert check_fts(sr, leaf)
+        assert calls == ([(doa.goal, list((doa.basin - doa.goal).cells()))] if doa and not doa.basin.is_empty else [])
+    region = Region.from_cells(n, [1, 3, 4])
+    calls.clear()
+    assert empirical_exit_time(model, region).steps == 2
+    assert calls == [(region.complement(), [1, 3, 4])]
+    calls.clear()
+    assert hitting_time(model, 0, goal, 10) == 5
+    assert calls == []
 
 
 def test_closed_loop_map_matches_per_cell_tick(rng):

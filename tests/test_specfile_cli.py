@@ -303,7 +303,7 @@ def field_paths(rng, value, path=(), depth=0):
 
 
 def test_parse_fuzz_raises_only_spec_errors(rng):
-    """Single-field mutations of the universe and substitution blocks of the bundled documents."""
+    """Single-field mutations of the universe, library and substitution blocks of the bundled documents."""
     import copy
 
     from btconverge.cli import _bundled_document
@@ -311,7 +311,7 @@ def test_parse_fuzz_raises_only_spec_errors(rng):
     tried = 0
     for name in bundled_names():
         doc = json.loads(dump_document(_bundled_document(name)))
-        blocks = [key for key in ("universe", "substitution") if key in doc]
+        blocks = [key for key in ("universe", "library", "substitution") if key in doc]
         paths = [(key,) for key in blocks]
         for key in blocks:
             paths += field_paths(rng, doc[key], (key,))
