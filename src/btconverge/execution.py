@@ -11,11 +11,10 @@ step, or by closing a cycle, so its answer is exact and needs no step cap.
 The kernel's memo is one list per call, seeded in C from the goal's digits;
 its answers, the successors of a check's cells and their membership in a
 region are read with ``operator.itemgetter`` gathers, so Python only loops
-over the cells a walk has to step.  ``hitting_time`` has a single start and
-walks forward with a visited set instead.  Closed-loop walks read the
-model's per-cell successor list (``BTModel.closed_loop``, built once per
-model), so no cell is ticked per query; only ``simulate`` ticks, because it
-reports statuses.
+over the cells a walk has to step.  ``hitting_time`` is the same kernel
+with one start.  Closed-loop walks read the model's per-cell successor
+list (``BTModel.closed_loop``, built once per model), so no cell is ticked
+per query; only ``simulate`` ticks, because it reports statuses.
 """
 
 from __future__ import annotations
@@ -216,17 +215,8 @@ def hitting_time(model: BTModel, x0: int, goal: Region, max_steps: int) -> Optio
     """First step, if at most max_steps, at which the closed loop reaches goal from x0."""
     if not 0 <= x0 < model.world.cell_count:
         raise ExecutionError(f"start cell {x0} outside universe")
-    step = model.closed_loop()
-    seen: set[int] = set()
-    x: Optional[int] = x0
-    for k in range(max_steps + 1):
-        if x in goal:
-            return k
-        seen.add(x)
-        x = step[x]
-        if x is None or x in seen:
-            return None
-    return None
+    hit = _hit_times(model.closed_loop(), goal, [x0])[0]
+    return hit if hit is not None and hit <= max_steps else None
 
 
 def closed_loop_targets(model: BTModel) -> list[Optional[int]]:

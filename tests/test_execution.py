@@ -431,7 +431,7 @@ def test_hit_time_kernel_matches_generator_and_naive_stepper(rng):
 
 
 def test_kernel_walks_only_the_cells_that_can_fail(monkeypatch):
-    """check_fts walks basin - goal; empirical_exit_time the region; hitting_time no memo."""
+    """check_fts walks basin - goal; empirical_exit_time the region."""
     calls = []
 
     def spy(targets, goal, starts):
@@ -455,9 +455,6 @@ def test_kernel_walks_only_the_cells_that_can_fail(monkeypatch):
     calls.clear()
     assert empirical_exit_time(model, region).steps == 2
     assert calls == [(region.complement(), [1, 3, 4])]
-    calls.clear()
-    assert hitting_time(model, 0, goal, 10) == 5
-    assert calls == []
 
 
 def test_closed_loop_map_matches_per_cell_tick(rng):
