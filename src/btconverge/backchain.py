@@ -19,7 +19,7 @@ from dataclasses import dataclass
 from typing import Hashable, Iterable, Optional
 
 from .bt import BTModel, LeafData, NodeKind, NodeSpec, fal, seq
-from .prepares import Certificate, Refutation, behavior_graph, certify_convergence
+from .prepares import Certificate, Refutation, behavior_graph, certify_convergence, reach
 from .statespace import Region, World
 
 Id = Hashable
@@ -142,13 +142,19 @@ def compute_links(lib: ActionConditionLibrary) -> LinkStructure:
         for a in centry.achievers
         for consumer in consumers.get(cid, ())
     }
-    pairs = {(a, c) for a, _b, c in links}
-    order = _reflexive_transitive(pairs, lib.actions)
+    succ: dict[Id, list[Id]] = {i: [] for i in lib.actions}
+    by_achiever: dict[Id, list[tuple[Id, Id, Id]]] = {i: [] for i in lib.actions}
+    for link in links:
+        succ[link[0]].append(link[2])
+        by_achiever[link[0]].append(link)
+    order: set[tuple[Id, Id]] = set()
     downstream: dict[Id, frozenset] = {}
     post: dict[Id, frozenset] = {}
     acc: dict[Id, frozenset] = {}
     for i in lib.actions:
-        mine = frozenset(t for t in links if (i, t[0]) in order)
+        below = reach(succ, [i])
+        order.update((i, j) for j in below)
+        mine = frozenset(t for j in below for t in by_achiever[j])
         downstream[i] = mine
         post[i] = frozenset(b for _a, b, _c in mine)
         acc_set = set()
@@ -157,24 +163,6 @@ def compute_links(lib: ActionConditionLibrary) -> LinkStructure:
             acc_set.update(pre[: pre.index(b)])
         acc[i] = frozenset(acc_set)
     return LinkStructure(frozenset(links), frozenset(order), downstream, post, acc)
-
-
-def _reflexive_transitive(pairs: set[tuple[Id, Id]], ids: Iterable[Id]) -> set[tuple[Id, Id]]:
-    succ: dict[Id, set[Id]] = {}
-    for a, c in pairs:
-        succ.setdefault(a, set()).add(c)
-    closed = {(i, i) for i in ids}
-    for start in list(ids):
-        seen: set[Id] = set()
-        stack = list(succ.get(start, ()))
-        while stack:
-            j = stack.pop()
-            if j in seen:
-                continue
-            seen.add(j)
-            stack.extend(succ.get(j, ()))
-        closed.update((start, j) for j in seen)
-    return closed
 
 
 def validate_bc_assumptions(lib: ActionConditionLibrary, root: Id, links: Optional[LinkStructure] = None) -> LinkStructure:

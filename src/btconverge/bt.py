@@ -125,18 +125,19 @@ class BTModel:
         kinds: list[NodeKind] = []
         names: list[Optional[str]] = []
         leaves: dict[int, LeafData] = {}
-        children_map: dict[int, list[int]] = {}
+        children: list[list[int]] = []
 
         def visit(node: NodeSpec) -> int:
             vid = len(kinds)
             kinds.append(node.kind)
             names.append(node.leaf.name if node.leaf is not None else None)
-            children_map[vid] = []
+            kids: list[int] = []
+            children.append(kids)
             if node.kind in (NodeKind.SEQUENCE, NodeKind.FALLBACK):
                 if not node.children:
                     raise ModelError(f"{node.kind.value} vertex {vid} has no children")
                 for child in node.children:
-                    children_map[vid].append(visit(child))
+                    kids.append(visit(child))
             else:
                 if node.children:
                     raise ModelError("leaf nodes cannot have children")
@@ -146,9 +147,8 @@ class BTModel:
             return vid
 
         visit(spec)
-        n = len(kinds)
         self.world = world
-        self.tree = OrderedTree.from_children(children_map, n)
+        self.tree = OrderedTree(children)
         self.kinds = tuple(kinds)
         self.names = tuple(names)
         self.leaves = leaves

@@ -22,8 +22,9 @@ from .backchain import (
     compute_links,
     verify_bc_operating,
 )
+from .bt import ModelError
 from .dotexport import behavior_dot, condensed_dot, prepares_dot, tree_dot
-from .execution import simulate
+from .execution import ExecutionError, simulate
 from .prepares import (
     AbstractionError,
     Certificate,
@@ -45,7 +46,7 @@ from .specfile import (
     parse_document,
     substitution_block,
 )
-from .statespace import step_bound
+from .statespace import WorldError, step_bound
 from .substitution import SubstitutionError, substitute, verify_preservation
 
 EXIT_OK = 0
@@ -367,10 +368,10 @@ def build_parser() -> argparse.ArgumentParser:
     def common(p: argparse.ArgumentParser) -> None:
         p.add_argument("--spec", required=True, help="spec path or bundled:<name>")
         p.add_argument("--out", help="write output to this file")
-        p.add_argument("--format", choices=("text", "json"), default="text")
 
     p_check = sub.add_parser("check", help="certify convergence or refute it")
     common(p_check)
+    p_check.add_argument("--format", choices=("text", "json"), default="text")
     p_check.add_argument("--seed-classes", help="comma list of flavor:leaf tokens")
     p_check.add_argument("--delta", type=_delta_arg)
     p_check.set_defaults(fn=cmd_check)
@@ -412,8 +413,11 @@ def main(argv: Optional[list[str]] = None) -> int:
         LibraryError,
         AssumptionError,
         SubstitutionError,
+        ModelError,
+        WorldError,
+        ExecutionError,
+        FtsPreconditionError,
         FileNotFoundError,
-        ValueError,
     ) as exc:
         sys.stderr.write(f"error: {exc}\n")
         return EXIT_ERROR

@@ -1,10 +1,11 @@
 """Ordered trees and the partial orders derived from them.
 
 An ordered tree is a rooted tree with an additional left-to-right order
-among the children of every vertex.  It is stored as two edge sets over a
-dense vertex range 0..n-1: child-to-parent edges and left-to-right sibling
-edges.  From those we derive the ancestor order, the sibling order, the
-uncle orders obtained by composition, and the parent map.  Influence
+among the children of every vertex.  It is stored as one ordered child
+tuple per vertex over a dense vertex range 0..n-1; the parent map and the
+root follow from them.  The parent->child pairs and the consecutive-sibling
+pairs of those tuples generate the ancestor order and the sibling order,
+and composing those gives the uncle orders.  Influence
 regions and pathway sets are defined through the uncle orders; the region
 analysis in ``bt`` computes them in one top-down pass instead, and the
 tests compare it against these orders.
@@ -13,11 +14,11 @@ tests compare it against these orders.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Iterator, Optional
+from typing import Iterable, Iterator, Optional, Sequence
 
 
 class TreeStructureError(ValueError):
-    """Raised when edge sets do not describe a valid ordered tree."""
+    """Raised when child lists do not describe a valid ordered tree."""
 
 
 class Relation:
@@ -68,10 +69,6 @@ class Relation:
                 low = row & -row
                 yield (i, low.bit_length() - 1)
                 row ^= low
-
-    def union(self, other: "Relation") -> "Relation":
-        self._check(other)
-        return Relation._from_rows(self.n, [a | b for a, b in zip(self.rows, other.rows)])
 
     def converse(self) -> "Relation":
         rows = [0] * self.n
@@ -160,46 +157,32 @@ class TreeOrders:
 
 
 class OrderedTree:
-    """Vertex set plus parent and sibling edge sets, validated on construction.
+    """Ordered child lists over vertices 0..n-1, validated on construction.
 
-    parent_edges are (child, parent) pairs; sibling_edges are (left, right)
-    pairs between children of the same parent.  The children of every vertex
-    must be totally ordered by the closure of the sibling edges.
+    children[v] lists v's children left to right; n is len(children).
+    Exactly one vertex must be nobody's child (the root), no vertex may be
+    listed twice, and every vertex must be reached from the root.
     """
 
-    __slots__ = ("n", "parent_edges", "sibling_edges", "parent", "children", "root", "_orders")
+    __slots__ = ("n", "parent", "children", "root", "_orders")
 
-    def __init__(
-        self,
-        n: int,
-        parent_edges: Iterable[tuple[int, int]],
-        sibling_edges: Iterable[tuple[int, int]],
-    ) -> None:
-        parent_edges = frozenset(parent_edges)
-        sibling_edges = frozenset(sibling_edges)
-        if n <= 0:
+    def __init__(self, children: Sequence[Iterable[int]]) -> None:
+        children = tuple(map(tuple, children))
+        n = len(children)
+        if n == 0:
             raise TreeStructureError("tree needs at least one vertex")
-        for i, j in parent_edges | sibling_edges:
-            if not (0 <= i < n and 0 <= j < n):
-                raise TreeStructureError(f"edge ({i}, {j}) outside vertex range")
-        if parent_edges & sibling_edges:
-            raise TreeStructureError("parent and sibling edge sets overlap")
-
         parent: list[Optional[int]] = [None] * n
-        for child, par in parent_edges:
-            if child == par:
-                raise TreeStructureError(f"self-loop parent edge at {child}")
-            if parent[child] is not None:
-                raise TreeStructureError(f"vertex {child} has two parents")
-            parent[child] = par
+        for par, group in enumerate(children):
+            for child in group:
+                if not 0 <= child < n:
+                    raise TreeStructureError(f"child {child} of {par} outside vertex range")
+                if parent[child] is not None:
+                    raise TreeStructureError(f"vertex {child} is listed as a child twice")
+                parent[child] = par
         roots = [i for i in range(n) if parent[i] is None]
         if len(roots) != 1:
             raise TreeStructureError(f"expected exactly one root, found {roots}")
         root = roots[0]
-        kids: list[list[int]] = [[] for _ in range(n)]
-        for i, par in enumerate(parent):
-            if par is not None:
-                kids[par].append(i)
         # acyclicity: every vertex but the root has one parent, so the
         # vertices one DFS from the root misses are those whose walk up
         # ends in a cycle; walk up from the smallest to name a cycle vertex
@@ -208,70 +191,20 @@ class OrderedTree:
         while stack:
             v = stack.pop()
             reached[v] = True
-            stack.extend(kids[v])
+            stack.extend(children[v])
         if not all(reached):
             j: Optional[int] = reached.index(False)
             seen = set()
             while j not in seen:
                 seen.add(j)
                 j = parent[j]
-            raise TreeStructureError(f"parent edges contain a cycle through {j}")
-
-        after: list[list[int]] = [[] for _ in range(n)]
-        indegree = [0] * n
-        for left, right in sibling_edges:
-            if parent[left] != parent[right] or parent[left] is None:
-                raise TreeStructureError(
-                    f"sibling edge ({left}, {right}) does not join children of one parent"
-                )
-            if left != right:  # a self-loop adds nothing to the reflexive order
-                after[left].append(right)
-                indegree[right] += 1
-        # Kahn sort of each child group: the closure of the sibling edges
-        # orders a group totally exactly when the sort finishes and never
-        # has two children ready at once.  A cycle in any group is reported
-        # in preference to an unordered pair in an earlier one.
-        children: list[tuple[int, ...]] = [()] * n
-        unordered: Optional[tuple[int, int, int]] = None
-        for par, group in enumerate(kids):
-            ready = [v for v in group if not indegree[v]]
-            order: list[int] = []
-            while ready:
-                if len(ready) > 1 and unordered is None:
-                    unordered = (par, *sorted(ready)[:2])
-                v = ready.pop()
-                order.append(v)
-                for w in after[v]:
-                    indegree[w] -= 1
-                    if not indegree[w]:
-                        ready.append(w)
-            if len(order) < len(group):
-                raise TreeStructureError("sibling edges contain a cycle")
-            children[par] = tuple(order)
-        if unordered is not None:
-            par, a, b = unordered
-            raise TreeStructureError(f"children {a} and {b} of {par} are not sibling-ordered")
+            raise TreeStructureError(f"child lists contain a cycle through {j}")
 
         self.n = n
-        self.parent_edges = parent_edges
-        self.sibling_edges = sibling_edges
         self.parent = tuple(parent)
-        self.children = tuple(children)
+        self.children = children
         self.root = root
         self._orders: Optional[TreeOrders] = None
-
-    @classmethod
-    def from_children(cls, children: dict[int, Iterable[int]], n: int) -> "OrderedTree":
-        """Build from ordered child lists; consecutive children become sibling edges."""
-        parent_edges = []
-        sibling_edges = []
-        for par, group in children.items():
-            group = list(group)
-            for child in group:
-                parent_edges.append((child, par))
-            for left, right in zip(group, group[1:]):
-                sibling_edges.append((left, right))
-        return cls(n, parent_edges, sibling_edges)
 
     def orders(self) -> TreeOrders:
         if self._orders is None:
@@ -280,10 +213,12 @@ class OrderedTree:
 
     def _derive(self) -> TreeOrders:
         n = self.n
-        # parent_order: (ancestor-or-self, descendant); close parent->child edges
-        down = Relation(n, ((p, c) for c, p in self.parent_edges))
+        kids = self.children
+        # parent_order: (ancestor-or-self, descendant); close parent->child pairs
+        down = Relation(n, ((p, c) for p, group in enumerate(kids) for c in group))
         parent_order = reflexive_transitive_closure(down)
-        sibling_order = reflexive_transitive_closure(Relation(n, self.sibling_edges))
+        adjacent = Relation(n, (pair for group in kids for pair in zip(group, group[1:])))
+        sibling_order = reflexive_transitive_closure(adjacent)
         strict_sib = sibling_order.strict()
         left_uncle = compose(strict_sib, parent_order)
         right_uncle = compose(strict_sib.converse(), parent_order)
@@ -299,12 +234,6 @@ class OrderedTree:
             right_to_left=right_to_left,
             parent_map=self.parent,
         )
-
-    def ancestors_or_self(self, i: int) -> Iterator[int]:
-        j: Optional[int] = i
-        while j is not None:
-            yield j
-            j = self.parent[j]
 
     def __repr__(self) -> str:
         return f"OrderedTree(n={self.n}, root={self.root})"

@@ -13,7 +13,7 @@ reaching the goals.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Iterable, Optional, Sequence
+from typing import Iterable, Mapping, Optional, Sequence
 
 from .bt import BTModel, Doa, NodeKind, action as action_spec, validate_abstraction
 from .execution import ExitResult, check_fts, closed_loop_targets, empirical_exit_time
@@ -50,12 +50,12 @@ _UNBUILT = object()  # a lazy attribute not computed yet
 class PreparesGraph:
     """Slice vertices plus directed possible-transition edges."""
 
-    __slots__ = ("vertices", "edges", "index", "_cell_vertex", "_succ")
+    __slots__ = ("vertices", "edges", "succ", "index", "_cell_vertex")
 
     def __init__(self, vertices: Sequence[PrepVertex], edges: Iterable[tuple[int, int]]) -> None:
         self.vertices = tuple(vertices)
         self.edges = frozenset(edges)
-        self._succ = _successor_tuples(len(self.vertices), self.edges)
+        self.succ = _successor_tuples(len(self.vertices), self.edges)
         self.index = {v.key(): i for i, v in enumerate(self.vertices)}
         if len(self.index) != len(self.vertices):
             raise AbstractionError("duplicate (owner, flavor) vertex")
@@ -85,9 +85,6 @@ class PreparesGraph:
             raise AbstractionError("vertex regions overlap; no per-cell lookup")
         i = lookup[cell]
         return None if i == -1 else i
-
-    def successors(self, u: int) -> list[int]:
-        return list(self._succ[u])
 
     def vertex(self, owner: int, flavor: str) -> int:
         try:
@@ -166,13 +163,17 @@ def build_prepares_graph(
 
 
 class CondensedGraph:
-    """Strongly-connected-component quotient of a prepares graph (a DAG)."""
+    """Strongly-connected-component quotient of a prepares graph (a DAG).
 
-    __slots__ = ("graph", "classes", "edges", "sinks", "class_of", "_succ")
+    ``completion`` lists the classes in the order Tarjan's algorithm
+    finished them, which puts every class after all of its successors.
+    """
+
+    __slots__ = ("graph", "classes", "edges", "succ", "sinks", "class_of", "completion")
 
     def __init__(self, graph: PreparesGraph) -> None:
         n = len(graph.vertices)
-        comp = _tarjan_scc(n, graph._succ)
+        comp = _tarjan_scc(n, graph.succ)
         groups: dict[int, list[int]] = {}
         for v, c in enumerate(comp):
             groups.setdefault(c, []).append(v)
@@ -189,9 +190,10 @@ class CondensedGraph:
         self.graph = graph
         self.classes = tuple(tuple(sorted(g)) for g in ordered)
         self.edges = edges
-        self._succ = _successor_tuples(len(ordered), edges)
-        self.sinks = frozenset(ci for ci, out in enumerate(self._succ) if not out)
+        self.succ = _successor_tuples(len(ordered), edges)
+        self.sinks = frozenset(ci for ci, out in enumerate(self.succ) if not out)
         self.class_of = tuple(class_of)
+        self.completion = tuple(class_of[groups[c][0]] for c in range(len(groups)))
 
     def class_cells(self, ci: int) -> Region:
         cells = self.graph.vertices[self.classes[ci][0]].cells
@@ -206,9 +208,6 @@ class CondensedGraph:
     def class_keys(self, ci: int) -> tuple[tuple[int, str], ...]:
         return tuple(self.graph.vertices[v].key() for v in self.classes[ci])
 
-    def successors(self, ci: int) -> list[int]:
-        return list(self._succ[ci])
-
     def is_goal_class(self, ci: int) -> bool:
         return all(self.graph.vertices[v].flavor == FLAVOR_GOAL for v in self.classes[ci])
 
@@ -222,18 +221,23 @@ def condense(graph: PreparesGraph) -> CondensedGraph:
 
 def analysis_set(condensed: CondensedGraph, seeds: Iterable[int]) -> frozenset[int]:
     """Forward-reachability closure of the seed classes: no edge leaves it."""
-    todo = list(dict.fromkeys(seeds))
-    for ci in todo:
+    seeds = set(seeds)
+    for ci in seeds:
         if not 0 <= ci < len(condensed.classes):
             raise AbstractionError(f"seed class {ci} does not exist")
-    seen = set(todo)
+    return frozenset(reach(condensed.succ, seeds))
+
+
+def reach(succ: Sequence | Mapping, starts: Iterable) -> set:
+    """Every vertex reachable from starts in zero or more steps; succ[v] lists v's successors."""
+    seen = set(starts)
+    todo = list(seen)
     while todo:
-        ci = todo.pop()
-        for cj in condensed.successors(ci):
-            if cj not in seen:
-                seen.add(cj)
-                todo.append(cj)
-    return frozenset(seen)
+        for w in succ[todo.pop()]:
+            if w not in seen:
+                seen.add(w)
+                todo.append(w)
+    return seen
 
 
 @dataclass(frozen=True)
@@ -245,30 +249,20 @@ class BehaviorGraph:
 
     def reachability(self) -> frozenset[tuple[int, int]]:
         """Strict reachability pairs (transitive closure without the diagonal)."""
-        succ: dict[int, set[int]] = {i: set() for i in self.nodes}
+        succ: dict[int, list[int]] = {i: [] for i in self.nodes}
         for i, j in self.edges:
-            succ[i].add(j)
-        closed: set[tuple[int, int]] = set()
-        for start in self.nodes:
-            stack = list(succ[start])
-            seen: set[int] = set()
-            while stack:
-                j = stack.pop()
-                if j in seen:
-                    continue
-                seen.add(j)
-                stack.extend(succ[j])
-            closed.update((start, j) for j in seen if j != start)
-        return frozenset(closed)
+            succ[i].append(j)
+        return frozenset(
+            (start, j) for start in self.nodes for j in reach(succ, [start]) if j != start
+        )
 
 
 def behavior_graph(graph: PreparesGraph, vertex_subset: Iterable[int]) -> BehaviorGraph:
     subset = set(vertex_subset)
-    nodes = tuple(sorted({graph.vertices[v].owner for v in subset}))
+    owner = [v.owner for v in graph.vertices]
+    nodes = tuple(sorted({owner[v] for v in subset}))
     edges = frozenset(
-        (graph.vertices[u].owner, graph.vertices[w].owner)
-        for u, w in graph.edges
-        if u in subset and w in subset
+        (owner[u], owner[w]) for u in subset for w in graph.succ[u] if w in subset
     )
     return BehaviorGraph(nodes, edges)
 
@@ -381,7 +375,7 @@ def certify_convergence(
         per_class[ci] = result.steps
     worst = max(per_class.values(), default=0)
     bound = len(ordered) * worst
-    refined = _longest_path_bound(condensed, set(ordered), per_class)
+    refined = _longest_path_bound(condensed, chosen, per_class)
     return Certificate(
         graph=graph,
         condensed=condensed,
@@ -515,31 +509,16 @@ def _tarjan_scc(n: int, succ: Sequence[Sequence[int]]) -> list[int]:
 
 
 def _longest_path_bound(
-    condensed: CondensedGraph, chosen: set[int], per_class: dict[int, int]
+    condensed: CondensedGraph, chosen: frozenset[int], per_class: dict[int, int]
 ) -> int:
-    """Max over paths in the chosen sub-DAG of summed non-sink exit times."""
-    order = _topo_order(condensed, chosen)
+    """Max over paths in the chosen sub-DAG of summed non-sink exit times.
+
+    Completion order visits every class after its successors, and an
+    analysis set holds every successor of its classes.
+    """
     best: dict[int, int] = {}
-    for ci in reversed(order):
-        weight = per_class.get(ci, 0)
-        succs = [cj for cj in condensed.successors(ci) if cj in chosen]
-        best[ci] = weight + max((best[cj] for cj in succs), default=0)
+    for ci in condensed.completion:
+        if ci in chosen:
+            after = max((best[cj] for cj in condensed.succ[ci]), default=0)
+            best[ci] = per_class.get(ci, 0) + after
     return max(best.values(), default=0)
-
-
-def _topo_order(condensed: CondensedGraph, chosen: set[int]) -> list[int]:
-    indeg = {ci: 0 for ci in chosen}
-    for ci, cj in condensed.edges:
-        if ci in chosen and cj in chosen:
-            indeg[cj] += 1
-    ready = sorted(ci for ci, d in indeg.items() if d == 0)
-    order: list[int] = []
-    while ready:
-        ci = ready.pop()
-        order.append(ci)
-        for cj in condensed.successors(ci):
-            if cj in chosen:
-                indeg[cj] -= 1
-                if indeg[cj] == 0:
-                    ready.append(cj)
-    return order

@@ -16,8 +16,8 @@ from itertools import chain
 from json.encoder import encode_basestring_ascii
 from typing import Any, Optional
 
-from .backchain import ActionConditionLibrary, ActionEntry, ConditionEntry
-from .bt import BTModel, Doa, LeafData, NodeKind, NodeSpec
+from .backchain import ActionConditionLibrary, ActionEntry, ConditionEntry, LibraryError
+from .bt import BTModel, Doa, LeafData, ModelError, NodeKind, NodeSpec
 from .statespace import Region, SuccessorMap, World, WorldError
 from .substitution import RrLeaf, SubstitutionSpec
 
@@ -44,7 +44,7 @@ def load_path(path: str) -> LoadedSpec:
     with open(path, "r", encoding="utf-8") as fh:
         try:
             doc = json.load(fh)
-        except json.JSONDecodeError as exc:
+        except ValueError as exc:  # bad JSON or UTF-8, or an integer past the digit limit
             raise SpecError(f"{path}: not valid JSON: {exc}") from exc
     return parse_document(doc)
 
@@ -62,7 +62,7 @@ def parse_document(doc: dict) -> LoadedSpec:
         raise SpecError(f"delta must be a non-negative number, got {delta!r}")
 
     leaves = {}
-    for entry in doc.get("leaves", []):
+    for entry in _list_of(doc, "leaves", dict):
         leaf = _parse_leaf(entry, world)
         if leaf.name in leaves:
             raise SpecError(f"duplicate leaf {leaf.name!r}")
@@ -73,11 +73,12 @@ def parse_document(doc: dict) -> LoadedSpec:
         spec = _parse_tree(doc["tree"], leaves)
         try:
             model = BTModel(world, spec)
-        except ValueError as exc:
+        except ModelError as exc:
             raise SpecError(f"tree: {exc}") from exc
 
-    abstraction = doc.get("abstraction")
-    if abstraction is not None:
+    abstraction = None
+    if doc.get("abstraction") is not None:
+        abstraction = _list_of(doc, "abstraction", str)
         if model is None:
             raise SpecError("abstraction block without a tree")
         for name in abstraction:
@@ -220,17 +221,14 @@ def _parse_leaf(entry: dict, world: World) -> LeafData:
     doa = None
     if entry.get("doa") is not None:
         doa = _parse_doa(entry["doa"], world, name)
-    try:
-        return LeafData(
-            name,
-            NodeKind.ACTION if kind == "action" else NodeKind.CONDITION,
-            success,
-            failure,
-            controller,
-            doa,
-        )
-    except ValueError as exc:
-        raise SpecError(f"leaf {name!r}: {exc}") from exc
+    return LeafData(
+        name,
+        NodeKind.ACTION if kind == "action" else NodeKind.CONDITION,
+        success,
+        failure,
+        controller,
+        doa,
+    )
 
 
 def _parse_doa(block: Any, world: World, name: str) -> Doa:
@@ -239,14 +237,11 @@ def _parse_doa(block: Any, world: World, name: str) -> Doa:
     horizon = block.get("horizon")
     if not _is_int(horizon) or horizon <= 0:
         raise SpecError(f"leaf {name!r}: doa.horizon must be a positive integer")
-    try:
-        return Doa(
-            _parse_region(block.get("basin", []), world, f"leaf {name!r} doa.basin"),
-            _parse_region(block.get("goal", []), world, f"leaf {name!r} doa.goal"),
-            horizon,
-        )
-    except ValueError as exc:
-        raise SpecError(f"leaf {name!r} doa: {exc}") from exc
+    return Doa(
+        _parse_region(block.get("basin", []), world, f"leaf {name!r} doa.basin"),
+        _parse_region(block.get("goal", []), world, f"leaf {name!r} doa.goal"),
+        horizon,
+    )
 
 
 def _parse_tree(node: Any, leaves: dict[str, LeafData]) -> NodeSpec:
@@ -254,7 +249,7 @@ def _parse_tree(node: Any, leaves: dict[str, LeafData]) -> NodeSpec:
         raise SpecError("tree nodes must be objects with one of seq / fal / leaf")
     key, value = next(iter(node.items()))
     if key == "leaf":
-        if value not in leaves:
+        if not isinstance(value, str) or value not in leaves:
             raise SpecError(f"tree references unknown leaf {value!r}")
         leaf = leaves[value]
         return NodeSpec(leaf.kind, leaf=leaf)
@@ -281,7 +276,7 @@ def _parse_library(block: Any, world: World) -> tuple[ActionConditionLibrary, Op
         conditions[leaf.name] = ConditionEntry(leaf, tuple(ach))
     try:
         lib = ActionConditionLibrary(world, actions, conditions)
-    except ValueError as exc:
+    except LibraryError as exc:
         raise SpecError(f"library: {exc}") from exc
     root = block.get("root")
     if root is not None and (not isinstance(root, str) or root not in actions):
@@ -289,12 +284,16 @@ def _parse_library(block: Any, world: World) -> tuple[ActionConditionLibrary, Op
     return lib, root
 
 
-def _list_of(block: dict, key: str, typ: type, where: str) -> list:
-    """The optional list field block[key] (empty when missing), each entry a typ."""
+def _list_of(block: dict, key: str, typ: type, where: str = "") -> list:
+    """The optional list field block[key] (empty when missing), each entry a typ.
+
+    ``where`` is the path of ``block`` in the document, empty for the top level.
+    """
     value = block.get(key, [])
     if not isinstance(value, list) or not all(isinstance(v, typ) for v in value):
         noun = "objects" if typ is dict else "strings"
-        raise SpecError(f"{where}.{key} must be a list of {noun}")
+        path = f"{where}.{key}" if where else key
+        raise SpecError(f"{path} must be a list of {noun}")
     return value
 
 

@@ -465,8 +465,9 @@ def verify_substituted_convergence(
     }
     allowed_next = {
         old_key_to_new(old_graph.vertices[w].key())
-        for u, w in old_graph.edges
-        if old_graph.vertices[u].owner == mb_old
+        for u, vtx in enumerate(old_graph.vertices)
+        if vtx.owner == mb_old
+        for w in old_graph.succ[u]
     }
     sources_old = {
         old_key_to_new(old_graph.vertices[u].key())
@@ -504,13 +505,10 @@ def verify_substituted_convergence(
     for edge in sorted(new_plain - old_plain_mapped):
         diffs.append(f"new edge absent from old graph: {edge}")
     for edge in sorted(old_plain_mapped - new_plain):
-        if edge[1][0] == mb_v or edge[0][0] == mb_v:
-            # old flow into/out of the model-based slice may now route via the loop
-            target_ok = any(
-                new_key(w)[0] in loop_owners and new_key(u) == edge[0]
-                for u, w in new_graph.edges
-            )
-            if edge[1][0] == mb_v and target_ok:
+        if edge[1][0] == mb_v and edge[0] in new_graph.index:
+            # old flow into the model-based slice may now route via the loop
+            u = new_graph.index[edge[0]]
+            if any(new_graph.vertices[w].owner in loop_owners for w in new_graph.succ[u]):
                 continue
         diffs.append(f"old edge missing from new graph: {edge}")
 

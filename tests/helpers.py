@@ -426,63 +426,66 @@ def staged_chain_library(stages: int, width: int = 5) -> tuple[ActionConditionLi
 
 
 # ----------------------------------------------------------------------
-# closure-based ordered-tree validation: the reference for the linear validator
+# brute-force references for the child-list validator, links and path bounds
 
 
-def closure_tree_check(
-    n: int, parent_edges: list[tuple[int, int]], sibling_edges: list[tuple[int, int]]
-) -> Union[tuple[str, tuple[tuple[int, ...], ...]], tuple[str, str, object]]:
-    """("ok", children) or ("error", reason, detail) by closure over all sibling pairs.
+def walk_tree_check(
+    children: list[list[int]],
+) -> Union[tuple[str, tuple[Optional[int], ...]], tuple[str, str, object]]:
+    """("ok", parent map) or ("error", reason, detail) by walking to the root from every vertex.
 
-    Reasons: range, overlap, self-loop, two-parents, root, cycle (detail: the
-    vertex named), sibling-edge, sibling-cycle, unordered (detail: the
-    parent and its incomparable child pairs).
+    Reasons: empty, range, twice, root, cycle (detail: the first vertex seen
+    twice on the walk up from the smallest vertex that never reaches the root).
     """
-    parents, siblings = set(parent_edges), set(sibling_edges)
-    if any(not (0 <= i < n and 0 <= j < n) for i, j in parents | siblings):
+    n = len(children)
+    if n == 0:
+        return ("error", "empty", None)
+    listed = [(p, c) for p, group in enumerate(children) for c in group]
+    if any(not 0 <= c < n for _p, c in listed):
         return ("error", "range", None)
-    if parents & siblings:
-        return ("error", "overlap", None)
-    parent: list[Optional[int]] = [None] * n
-    for child, par in parents:
-        if child == par:
-            return ("error", "self-loop", None)
-        if parent[child] is not None:
-            return ("error", "two-parents", None)
-        parent[child] = par
-    if sum(p is None for p in parent) != 1:
+    parents_of = {v: [p for p, c in listed if c == v] for v in range(n)}
+    if any(len(ps) > 1 for ps in parents_of.values()):
+        return ("error", "twice", None)
+    roots = [v for v in range(n) if not parents_of[v]]
+    if len(roots) != 1:
         return ("error", "root", None)
-    for i in range(n):
-        seen: list[int] = []
-        j: Optional[int] = i
-        while j is not None:
-            if j in seen:
-                return ("error", "cycle", j)
-            seen.append(j)
-            j = parent[j]
-    if any(parent[a] != parent[b] or parent[a] is None for a, b in siblings):
-        return ("error", "sibling-edge", None)
-    before = {(a, a) for a in range(n)} | siblings
-    changed = True
-    while changed:
-        extra = {(a, d) for a, b in before for c, d in before if b == c} - before
-        changed = bool(extra)
-        before |= extra
-    if any(a != b and (b, a) in before for a, b in before):
-        return ("error", "sibling-cycle", None)
-    children = []
-    for par in range(n):
-        group = [v for v in range(n) if parent[v] == par]
-        bad = {
-            (a, b)
-            for a in group
-            for b in group
-            if a != b and (a, b) not in before and (b, a) not in before
-        }
-        if bad:
-            return ("error", "unordered", (par, bad))
-        children.append(tuple(sorted(group, key=lambda v: -sum((v, w) in before for w in group))))
-    return ("ok", tuple(children))
+    for v in range(n):
+        walk: list[int] = []
+        while parents_of[v]:
+            if v in walk:
+                return ("error", "cycle", v)
+            walk.append(v)
+            v = parents_of[v][0]
+    return ("ok", tuple(ps[0] if ps else None for ps in parents_of.values()))
+
+
+def pairwise_links(lib: ActionConditionLibrary) -> tuple[set, set, dict]:
+    """(links, order, downstream) by closing the achiever->consumer pairs and
+    then testing every link against every action's row of the order."""
+    links = {
+        (a, cid, consumer)
+        for cid, centry in lib.conditions.items()
+        for a in centry.achievers
+        for consumer, aentry in lib.actions.items()
+        if cid in aentry.preconditions
+    }
+    order = {(i, i) for i in lib.actions} | {(a, c) for a, _b, c in links}
+    while True:
+        extra = {(a, d) for a, b in order for c, d in order if b == c} - order
+        if not extra:
+            break
+        order |= extra
+    downstream = {i: {t for t in links if (i, t[0]) in order} for i in lib.actions}
+    return links, order, downstream
+
+
+def path_bound(succ, chosen, weight: dict[int, int]) -> int:
+    """Largest summed weight over every path of the DAG succ that starts in chosen."""
+
+    def best(ci: int) -> int:
+        return weight.get(ci, 0) + max((best(cj) for cj in succ[ci]), default=0)
+
+    return max((best(ci) for ci in chosen), default=0)
 
 
 # ----------------------------------------------------------------------

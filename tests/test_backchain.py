@@ -22,7 +22,7 @@ from btconverge.prepares import Certificate
 from btconverge.statespace import Region, SuccessorMap, World
 from btconverge import bundled
 
-from helpers import chain_library, random_library, staged_chain_library
+from helpers import chain_library, pairwise_links, random_library, staged_chain_library
 
 
 @pytest.fixture(scope="module")
@@ -462,13 +462,10 @@ def test_links_match_the_action_condition_scan(rng):
         chain_library(),
         bundled.mobile_manipulator(),
         bundled.surveying_robot_library(),
-    ] + [random_library(rng) for _ in range(20)]
+    ] + [random_library(rng, max_actions=rng.choice([5, 12])) for _ in range(20)]
     for lib, _root in libraries:
-        expected = {
-            (a, cid, consumer)
-            for cid, centry in lib.conditions.items()
-            for a in centry.achievers
-            for consumer, aentry in lib.actions.items()
-            if cid in aentry.preconditions
-        }
-        assert compute_links(lib).links == expected
+        links, order, downstream = pairwise_links(lib)
+        got = compute_links(lib)
+        assert got.links == links
+        assert got.order == order
+        assert got.downstream == downstream

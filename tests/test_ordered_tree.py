@@ -11,18 +11,16 @@ from btconverge.ordered_tree import (
     reflexive_transitive_closure,
 )
 
-from helpers import closure_tree_check, oracle_orders, random_tree_model
+from helpers import oracle_orders, random_tree_model, walk_tree_check
 
-# The seven-vertex example tree: a root A with children B, C, D; B has
+# The eight-vertex example tree: a root A with children B, C, D; B has
 # children E, F and C has children G, H.
 A, B, C, D, E, F, G, H = range(8)
 
 
 @pytest.fixture()
 def example_tree() -> OrderedTree:
-    return OrderedTree.from_children(
-        {A: [B, C, D], B: [E, F], C: [G, H]}, 8
-    )
+    return OrderedTree([[B, C, D], [E, F], [G, H], [], [], [], [], []])
 
 
 def test_closure_includes_transitive_and_reflexive_pairs(example_tree):
@@ -85,7 +83,7 @@ def test_left_to_right_chain(example_tree):
 
 
 def test_single_vertex_tree_orders():
-    tree = OrderedTree(1, [], [])
+    tree = OrderedTree([[]])
     orders = tree.orders()
     assert set(orders.left_uncle.pairs()) == set()
     assert set(orders.right_uncle.pairs()) == set()
@@ -93,133 +91,111 @@ def test_single_vertex_tree_orders():
 
 
 @pytest.mark.parametrize(
-    "n, parents, siblings, message",
+    "children, message",
     [
-        (3, [(1, 0), (2, 0), (0, 1)], [(1, 2)], "root"),
-        (3, [(1, 0), (1, 2)], [], "two parents"),
-        (3, [(1, 0), (2, 1)], [(1, 2)], "sibling edge"),
-        (4, [(1, 0), (2, 0), (3, 0)], [(1, 2)], "sibling-ordered"),
-        (3, [(1, 0), (2, 0)], [(1, 2), (2, 1)], "cycle"),
+        ([], "at least one vertex"),
+        ([[1], [0]], "exactly one root, found \\[\\]"),
+        ([[1], [], []], "exactly one root, found \\[0, 2\\]"),
+        ([[1, 2], [2], []], "vertex 2 is listed as a child twice"),
+        ([[1, 1], []], "vertex 1 is listed as a child twice"),
+        ([[1], [], [3], [2]], "cycle through 2"),
+        ([[1], [], [2]], "cycle through 2"),
+        ([[1, 3], []], "child 3 of 0 outside vertex range"),
+        ([[1, -1], []], "child -1 of 0 outside vertex range"),
+    ],
+    ids=[
+        "empty", "no-root", "two-roots", "two-parents", "twice-in-one-list",
+        "cycle", "self-child", "past-n", "negative",
     ],
 )
-def test_malformed_trees_are_rejected(n, parents, siblings, message):
+def test_malformed_child_lists_are_rejected(children, message):
     with pytest.raises(TreeStructureError, match=message):
-        OrderedTree(n, parents, siblings)
+        OrderedTree(children)
 
 
-def random_tree_edges(rng, n):
-    """Random ordered tree: consecutive sibling edges plus transitively redundant ones."""
+def random_child_lists(rng, n):
+    """A random ordered tree over shuffled vertex ids, as child lists."""
     order = list(range(n))
     rng.shuffle(order)
-    parents, groups = [], {}
+    children = [[] for _ in range(n)]
     for k in range(1, n):
-        child, par = order[k], order[rng.randrange(k)]
-        parents.append((child, par))
-        groups.setdefault(par, []).append(child)
-    siblings = []
-    for group in groups.values():
+        children[order[rng.randrange(k)]].append(order[k])
+    for group in children:
         rng.shuffle(group)
-        siblings += zip(group, group[1:])
-        for _ in range(rng.randint(0, 2)):
-            if len(group) >= 3:
-                i, j = sorted(rng.sample(range(len(group)), 2))
-                siblings.append((group[i], group[j]))
-    return parents, siblings
+    return children
 
 
-def mutate_tree_edges(rng, n, parents, siblings):
-    """One random defect (or a harmless sibling self-loop) applied to valid edges."""
-    parents, siblings = list(parents), list(siblings)
-    kind = rng.choice(
-        ["none", "drop", "reverse", "swap", "self", "random", "reparent", "root", "second"]
-    )
-    parent = dict(parents)
-    if kind == "drop" and siblings:
-        siblings.remove(rng.choice(siblings))
-    elif kind == "reverse" and siblings:
-        a, b = rng.choice(siblings)
-        siblings.append((b, a))
-    elif kind == "swap" and siblings:
-        a, b = siblings.pop(rng.randrange(len(siblings)))
-        siblings.append((b, a))
-    elif kind == "self" and parents:
-        v = rng.choice(parents)[0]
-        siblings.append((v, v))
-    elif kind == "random":
-        siblings.append((rng.randrange(n), rng.randrange(n)))
-    elif kind == "reparent" and parents:
-        u = rng.choice(parents)[0]
-        below = [v for v in range(n) if v != u and u in _ancestors(parent, v)]
-        if below:
-            parents.remove((u, parent[u]))
-            parents.append((u, rng.choice(below)))
-    elif kind == "root" and parents:
-        parents.remove(rng.choice(parents))
-    elif kind == "second" and parents:
-        u = rng.choice(parents)[0]
-        other = rng.choice([v for v in range(n) if v not in (u, parent[u])] or [u])
-        if other != u:
-            parents.append((u, other))
-    return parents, siblings
-
-
-def _ancestors(parent, v):
-    out = []
-    while v in parent and v not in out:
-        out.append(v)
-        v = parent[v]
-    return out
+def break_child_lists(rng, children):
+    """Valid child lists with at most one defect: (lists, defect kind)."""
+    children = [list(group) for group in children]
+    n = len(children)
+    parent = {c: p for p, group in enumerate(children) for c in group}
+    kind = rng.choice(["none", "duplicate", "self", "range", "orphan", "adopt"])
+    if kind in ("duplicate", "orphan", "adopt") and not parent:
+        return children, "none"
+    v = rng.choice(list(parent)) if parent else 0
+    if kind == "duplicate":  # listed under a second parent, or twice under its own
+        group = children[rng.randrange(n)]
+        group.insert(rng.randint(0, len(group)), v)
+    elif kind == "self":  # its own only child: a one-vertex cycle, or no root left
+        v = rng.randrange(n)
+        if v in parent:
+            children[parent[v]].remove(v)
+        children[v].append(v)
+    elif kind == "range":
+        children[rng.randrange(n)].append(rng.choice([n, n + 7, -1]))
+    elif kind == "orphan":  # a second root
+        children[parent[v]].remove(v)
+    elif kind == "adopt":  # moved below one of its own descendants: a longer cycle
+        below, todo = [], list(children[v])
+        while todo:
+            w = todo.pop()
+            below.append(w)
+            todo.extend(children[w])
+        if not below:
+            return children, "none"
+        children[parent[v]].remove(v)
+        children[rng.choice(below)].append(v)
+    return children, kind
 
 
 ERROR_TEXT = {
+    "empty": "tree needs at least one vertex",
     "range": "outside vertex range",
-    "overlap": "overlap",
-    "self-loop": "self-loop parent edge",
-    "two-parents": "two parents",
-    "root": "exactly one root",
-    "sibling-edge": "does not join children of one parent",
-    "sibling-cycle": "sibling edges contain a cycle",
+    "twice": "is listed as a child twice",
+    "root": "expected exactly one root",
 }
 
 
-def test_linear_validation_matches_closure_check(rng):
-    for _ in range(400):
-        n = rng.randint(1, 12)
-        parents, siblings = random_tree_edges(rng, n)
-        for _ in range(rng.randint(1, 2)):  # two defects test which one is reported
-            parents, siblings = mutate_tree_edges(rng, n, parents, siblings)
-        expected = closure_tree_check(n, parents, siblings)
+def test_child_list_validation_matches_walk_to_root(rng):
+    seen = set()
+    for _ in range(600):
+        children, kind = break_child_lists(rng, random_child_lists(rng, rng.randint(1, 12)))
+        expected = walk_tree_check(children)
+        seen.add((kind, expected[0] if expected[0] == "ok" else expected[1]))
         try:
-            tree = OrderedTree(n, parents, siblings)
+            tree = OrderedTree(children)
         except TreeStructureError as exc:
-            message = str(exc)
-            assert expected[0] == "error", (n, parents, siblings, message)
-            reason, detail = expected[1], expected[2]
-            if reason == "cycle":
-                assert message == f"parent edges contain a cycle through {detail}"
-            elif reason == "unordered":
-                par, bad = detail
-                words = message.split()
-                a, b, got_par = int(words[1]), int(words[3]), int(words[5])
-                assert message.endswith("are not sibling-ordered")
-                assert got_par == par and (a, b) in bad
+            assert expected[0] == "error", (children, str(exc))
+            if expected[1] == "cycle":
+                assert str(exc) == f"child lists contain a cycle through {expected[2]}"
             else:
-                assert ERROR_TEXT[reason] in message
+                assert ERROR_TEXT[expected[1]] in str(exc), (children, str(exc))
         else:
-            assert expected == ("ok", tree.children), (n, parents, siblings)
+            assert expected == ("ok", tree.parent), children
+            assert tree.children == tuple(map(tuple, children))
+            assert tree.root == tree.parent.index(None)
+    # every defect was drawn and every outcome of the walk was reached
+    assert {kind for kind, _ in seen} >= {"none", "duplicate", "self", "range", "orphan", "adopt"}
+    assert {outcome for _, outcome in seen} >= {"ok", "range", "twice", "root", "cycle"}
 
 
 def test_validation_accepts_a_deep_tree():
     # 2,000 nested levels: no recursion, no per-vertex walk to the root
     n = 4001
-    children = {v: [v + 1, v + 2] for v in range(0, n - 1, 2)}
-    tree = OrderedTree.from_children(children, n)
+    children = [[v + 1, v + 2] if v % 2 == 0 and v < n - 1 else [] for v in range(n)]
+    tree = OrderedTree(children)
     assert tree.children[0] == (1, 2) and tree.parent[n - 1] == n - 3
-
-
-def test_parent_and_sibling_edges_must_not_overlap():
-    with pytest.raises(TreeStructureError, match="overlap"):
-        OrderedTree(2, [(1, 0)], [(1, 0)])
 
 
 def test_strict_orders_are_complementary(rng):

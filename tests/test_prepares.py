@@ -23,6 +23,7 @@ from btconverge.prepares import (
     certify_convergence,
     check_acyclic_case,
     condense,
+    _longest_path_bound,
 )
 from btconverge.statespace import Region, World
 from btconverge.substitution import substitute
@@ -32,6 +33,7 @@ from helpers import (
     two_stage_fallback_model,
     two_stage_sequence_model,
     oracle_prepares_edges,
+    path_bound,
     random_gridworld_model,
     staged_chain_library,
 )
@@ -284,11 +286,11 @@ def test_successors_match_edge_scan(rng):
         graph = build_prepares_graph(model, members, delta)
         condensed = condense(graph)
         for u in range(len(graph.vertices)):
-            assert graph.successors(u) == sorted(w for x, w in graph.edges if x == u)
+            assert graph.succ[u] == tuple(sorted(w for x, w in graph.edges if x == u))
         for ci in range(len(condensed.classes)):
-            assert condensed.successors(ci) == sorted(cj for c, cj in condensed.edges if c == ci)
+            assert condensed.succ[ci] == tuple(sorted(cj for c, cj in condensed.edges if c == ci))
         assert condensed.sinks == frozenset(
-            ci for ci in range(len(condensed.classes)) if not condensed.successors(ci)
+            ci for ci in range(len(condensed.classes)) if not condensed.succ[ci]
         )
 
 
@@ -372,6 +374,37 @@ def test_condensation_matches_reachability_oracle(rng):
         # acyclicity: no mutual class pairs
         for ci, cj in condensed.edges:
             assert (cj, ci) not in condensed.edges or ci == cj
+
+
+def test_completion_order_and_path_bound_match_brute_force(rng):
+    """Condensed edges point back in Tarjan's completion order, and the
+    refined-bound walk over it equals the maximum over explicit paths."""
+    graphs = [_random_digraph(rng, rng.randint(1, 16)) for _ in range(40)]
+    for _ in range(10):
+        model, members, delta = random_gridworld_model(rng, rng.choice([4, 5]), rng.randint(2, 5))
+        graphs.append(build_prepares_graph(model, members, delta))
+    for graph in graphs:
+        condensed = condense(graph)
+        n = len(condensed.classes)
+        position = {ci: k for k, ci in enumerate(condensed.completion)}
+        assert sorted(position) == list(range(n)) == sorted(condensed.completion)
+        for ci, cj in condensed.edges:
+            assert position[cj] < position[ci], (ci, cj)
+        weights = {ci: rng.randint(0, 9) for ci in range(n) if ci not in condensed.sinks}
+        chosen = analysis_set(condensed, rng.sample(range(n), rng.randint(1, n)))
+        assert _longest_path_bound(condensed, chosen, weights) == path_bound(
+            condensed.succ, chosen, weights
+        )
+    sr = bundled.surveying_robot()
+    members = [sr.model.vertex_of(name) for name in sr.abstraction]
+    lib, root = staged_chain_library(6)
+    chain = build_bcbt(lib, root).model
+    for model, members, delta in ((sr.model, members, sr.delta), (chain, chain.action_vertices(), 1.0)):
+        cert = certify_convergence(model, list(members), delta)
+        assert isinstance(cert, Certificate) and len(cert.analysis_classes) > 2
+        assert cert.refined_bound == path_bound(
+            cert.condensed.succ, cert.analysis_classes, cert.per_class_exit
+        )
 
 
 def test_condensation_of_acyclic_graph_is_singletons(rng):

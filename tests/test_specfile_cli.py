@@ -303,7 +303,7 @@ def field_paths(rng, value, path=(), depth=0):
 
 
 def test_parse_fuzz_raises_only_spec_errors(rng):
-    """Single-field mutations of the universe, library and substitution blocks of the bundled documents."""
+    """Single-field mutations of every block of the bundled documents."""
     import copy
 
     from btconverge.cli import _bundled_document
@@ -311,7 +311,7 @@ def test_parse_fuzz_raises_only_spec_errors(rng):
     tried = 0
     for name in bundled_names():
         doc = json.loads(dump_document(_bundled_document(name)))
-        blocks = [key for key in ("universe", "library", "substitution") if key in doc]
+        blocks = list(doc)
         paths = [(key,) for key in blocks]
         for key in blocks:
             paths += field_paths(rng, doc[key], (key,))
@@ -576,6 +576,71 @@ def test_simulate_start_outside_universe_exits_two(capsys):
     )
     assert code == 2
     assert "start cell 10 outside universe" in err
+
+
+def _library_document(horizon=None, drop_delta=False):
+    from btconverge.cli import _bundled_document
+
+    doc = _bundled_document("surveying_robot_library")
+    if drop_delta:
+        del doc["delta"]
+    for entry in doc["library"]["actions"]:
+        if horizon is not None and entry.get("doa"):
+            entry["doa"]["horizon"] = horizon
+    return dump_document(doc)
+
+
+@pytest.mark.parametrize(
+    "argv, text, message",
+    [
+        (["check", "--spec", "bundled:surveying_robot", "--seed-classes", "b:nope"], None,
+         "unknown leaf 'nope'"),
+        (["simulate", "--spec", "bundled:patrol", "--x0", "99999"], None,
+         "start cell 99999 outside universe"),
+        (["backchain", "--certify"], _library_document(drop_delta=True),
+         "metric neighboring needs a step bound delta"),
+        (["backchain", "--certify"], _library_document(horizon=1),
+         "finite-time-success check failed for: ['charge'"),
+        (["check"], b"{\"format\": \"btconverge/1\xff\"}", "not valid JSON"),
+        (["check"], '{"format": ' + "9" * 5000 + "}", "not valid JSON"),
+    ],
+    ids=["model", "execution", "world", "fts-precondition", "utf-8", "digit-limit"],
+)
+def test_package_errors_exit_two(argv, text, message, tmp_path, capsys):
+    if text is not None:
+        path = tmp_path / "spec.json"
+        (path.write_bytes if isinstance(text, bytes) else path.write_text)(text)
+        argv = [argv[0], "--spec", str(path), "--out", str(tmp_path / "out"), *argv[1:]]
+    code, _out, err = run_cli(*argv, capsys=capsys)
+    assert code == 2
+    assert err.startswith("error: ") and message in err
+
+
+def test_internal_value_error_is_not_a_spec_error(monkeypatch):
+    import btconverge.cli as cli
+
+    def broken(*args, **kwargs):
+        raise ValueError("internal bug")
+
+    monkeypatch.setattr(cli, "simulate", broken)
+    with pytest.raises(ValueError, match="internal bug"):
+        main(["simulate", "--spec", "bundled:patrol", "--x0", "0"])
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["simulate", "--x0", "0"],
+        ["export", "--which", "tree"],
+        ["backchain"],
+        ["substitute"],
+    ],
+)
+def test_format_is_a_check_option_only(argv, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main([*argv, "--spec", "bundled:patrol", "--format", "json"])
+    assert exc.value.code == 2
+    assert "unrecognized arguments: --format json" in capsys.readouterr().err
 
 
 def test_substitute_patrol(tmp_path, capsys):

@@ -6,9 +6,11 @@ import pytest
 
 from btconverge.bt import BTModel, Doa, NodeKind, action, condition, fal, seq
 from btconverge.execution import simulate
-from btconverge.prepares import Certificate, certify_convergence
+from btconverge.prepares import Certificate, PreparesGraph, certify_convergence
 from btconverge.statespace import Region, SuccessorMap, World
+from btconverge import substitution
 from btconverge.substitution import (
+    DD_NAME,
     Augmentation,
     RrLeaf,
     SubstitutionError,
@@ -85,6 +87,32 @@ def test_substituted_convergence_report(patrol_setup):
     assert report.loop_exit_steps is not None
     assert report.loop_exit_steps <= spec.time_budget
     assert isinstance(report.result, Certificate)
+
+
+def test_old_flow_into_the_model_based_slice_may_route_via_the_loop(patrol_setup, monkeypatch):
+    """An old edge into the model-based slice may be missing from the new graph
+    only when its source now has an edge into the guarded loop."""
+    b, cert, _spec, result = patrol_setup
+    old = cert.graph
+    park_b = old.vertex(b.model.vertex_of("park"), "b")
+    mb_b = old.vertex(b.model.vertex_of("mb_patrol"), "b")
+    old_cert = dataclasses.replace(
+        cert, graph=PreparesGraph(old.vertices, old.edges | {(park_b, mb_b)})
+    )
+    real = substitution.build_prepares_graph
+    new_model = result.new_model
+
+    def with_edge_into_loop(model, members, delta=None):
+        graph = real(model, members, delta)
+        u = graph.vertex(new_model.vertex_of("park"), "b")
+        w = graph.vertex(new_model.vertex_of(DD_NAME), "a")
+        return PreparesGraph(graph.vertices, graph.edges | {(u, w)})
+
+    edge = ((new_model.vertex_of("park"), "b"), (new_model.vertex_of("mb_patrol"), "b"))
+    missing = f"old edge missing from new graph: {edge}"
+    assert verify_substituted_convergence(old_cert, result).graph_diffs == (missing,)
+    monkeypatch.setattr(substitution, "build_prepares_graph", with_edge_into_loop)
+    assert verify_substituted_convergence(old_cert, result).graph_diffs == ()
 
 
 def test_zero_budget_keeps_old_behavior():
