@@ -16,10 +16,19 @@ cross-checked against it in the tests.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import chain
 from typing import Hashable, Iterable, Optional
 
 from .bt import BTModel, LeafData, NodeKind, NodeSpec, fal, seq
-from .prepares import Certificate, Refutation, behavior_graph, certify_convergence, reach
+from .prepares import (
+    BehaviorGraph,
+    Certificate,
+    Refutation,
+    behavior_graph,
+    certify_convergence,
+    reach,
+    reach_masks,
+)
 from .statespace import Region, World
 
 Id = Hashable
@@ -371,19 +380,56 @@ def check_bc_convergence(
     pattern_ok: Optional[bool] = None
     violations: list[tuple[Id, Id]] = []
     if hypothesis_ok and isinstance(result, Certificate):
-        pattern_ok = True
         chosen_vertices = [
             v for ci in result.analysis_classes for v in result.condensed.classes[ci]
         ]
         bg = behavior_graph(result.graph, chosen_vertices)
-        for u, w in sorted(bg.reachability()):
-            iu, iw = built.id_of[u], built.id_of[w]
-            if not links.post[iu] & (links.acc[iw] | set(lib.actions[iw].preconditions)):
-                pattern_ok = False
-                violations.append((iu, iw))
+        violations = _pattern_violations(lib, links, built, bg)
+        pattern_ok = not violations
     return BcConvergenceReport(
         hypothesis_ok, tuple(hypothesis_witnesses), pattern_ok, tuple(violations), result
     )
+
+
+def _pattern_violations(
+    lib: ActionConditionLibrary, links: LinkStructure, built: BcBt, bg: BehaviorGraph
+) -> list[tuple[Id, Id]]:
+    """The pairs (u, w) where u strictly reaches w in bg but post[u] misses acc[w] | pre[w].
+
+    Sorted by (u vertex, w vertex).  Instead of listing every reachable pair,
+    bitmasks over bg.nodes give each w its ancestors and the nodes whose
+    postconditions touch one of w's conditions; the violations are the
+    ancestors outside the second mask.  A condition b is in post[u] exactly
+    when u link-reaches the achiever of some link (a, b, c).
+    """
+    nodes = bg.nodes
+    pos = {v: k for k, v in enumerate(nodes)}
+    pred: list[list[int]] = [[] for _ in nodes]
+    for u, w in bg.edges:
+        pred[pos[w]].append(pos[u])
+    anc = reach_masks(pred, [1 << k for k in range(len(nodes))])
+    index = {a: i for i, a in enumerate(lib.actions)}
+    link_pred: list[list[int]] = [[] for _ in index]
+    for a, _b, c in links.links:
+        link_pred[index[c]].append(index[a])
+    own = [1 << pos[built.vertex_of[a]] if built.vertex_of.get(a) in pos else 0 for a in index]
+    link_anc = reach_masks(link_pred, own)
+    touches: dict[Id, int] = {}
+    for a, b, _c in links.links:
+        touches[b] = touches.get(b, 0) | link_anc[index[a]]
+    found: list[tuple[int, int]] = []
+    for k, w in enumerate(nodes):
+        iw = built.id_of[w]
+        good = 1 << k  # a node is never its own strict ancestor
+        for b in chain(links.acc[iw], lib.actions[iw].preconditions):
+            good |= touches.get(b, 0)
+        bad = anc[k] & ~good
+        while bad:
+            low = bad & -bad
+            found.append((low.bit_length() - 1, k))
+            bad ^= low
+    found.sort()
+    return [(built.id_of[nodes[u]], built.id_of[nodes[w]]) for u, w in found]
 
 
 def lint_library(lib: ActionConditionLibrary) -> list[str]:

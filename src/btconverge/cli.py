@@ -417,7 +417,7 @@ def main(argv: Optional[list[str]] = None) -> int:
         WorldError,
         ExecutionError,
         FtsPreconditionError,
-        FileNotFoundError,
+        OSError,  # an unreadable spec (missing, a directory, no permission) or --out path
     ) as exc:
         sys.stderr.write(f"error: {exc}\n")
         return EXIT_ERROR

@@ -240,6 +240,27 @@ def reach(succ: Sequence | Mapping, starts: Iterable) -> set:
     return seen
 
 
+def reach_masks(succ: Sequence[Sequence[int]], own: Sequence[int]) -> list[int]:
+    """Per vertex v, the OR of own[w] over every w that v reaches in zero or more steps.
+
+    One pass over Tarjan's components in completion order, which finishes
+    every component after all of the components it reaches.
+    """
+    comp = _tarjan_scc(len(succ), succ)
+    members: list[list[int]] = [[] for _ in range(max(comp, default=-1) + 1)]
+    for v, c in enumerate(comp):
+        members[c].append(v)
+    masks = [0] * len(members)
+    for c, group in enumerate(members):
+        mask = 0
+        for v in group:
+            mask |= own[v]
+            for w in succ[v]:
+                mask |= masks[comp[w]]  # 0 inside c itself: its own bits come from group
+        masks[c] = mask
+    return [masks[c] for c in comp]
+
+
 @dataclass(frozen=True)
 class BehaviorGraph:
     """Projection of an analysis set's edges back onto abstraction members."""

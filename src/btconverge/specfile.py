@@ -14,6 +14,7 @@ import math
 from dataclasses import dataclass
 from itertools import chain
 from json.encoder import encode_basestring_ascii
+from operator import itemgetter
 from typing import Any, Optional
 
 from .backchain import ActionConditionLibrary, ActionEntry, ConditionEntry, LibraryError
@@ -364,10 +365,6 @@ def _parse_substitution(block: Any, world: World, model: BTModel) -> Substitutio
 # serialization
 
 
-def _region_cells(region: Region) -> list[int]:
-    return list(region.cells())
-
-
 def _world_block(world: World) -> dict:
     block: dict[str, Any] = {"cells": world.cell_count}
     if world.coords is not None:
@@ -381,19 +378,20 @@ def _world_block(world: World) -> dict:
     return block
 
 
-def _leaf_entry(leaf: LeafData) -> dict:
+def _leaf_entry(leaf: LeafData, ids: list[int]) -> dict:
+    """The leaf's document entry; ids is ``list(range(cells))``, shared by one document's regions."""
     entry: dict[str, Any] = {
         "name": leaf.name,
         "kind": "action" if leaf.kind is NodeKind.ACTION else "condition",
-        "success": _region_cells(leaf.success),
-        "failure": _region_cells(leaf.failure),
+        "success": leaf.success.pick(ids),
+        "failure": leaf.failure.pick(ids),
     }
     if leaf.controller is not None:
         entry["next"] = list(leaf.controller.targets)
     if leaf.doa is not None:
         entry["doa"] = {
-            "basin": _region_cells(leaf.doa.basin),
-            "goal": _region_cells(leaf.doa.goal),
+            "basin": leaf.doa.basin.pick(ids),
+            "goal": leaf.doa.goal.pick(ids),
             "horizon": leaf.doa.horizon,
         }
     return entry
@@ -413,10 +411,11 @@ def build_document(
     delta: Optional[float] = None,
     substitution: Optional[dict] = None,
 ) -> dict:
+    ids = list(range(model.world.cell_count))
     doc: dict[str, Any] = {
         "format": FORMAT,
         "universe": _world_block(model.world),
-        "leaves": [_leaf_entry(model.leaves[v]) for v in sorted(model.leaves)],
+        "leaves": [_leaf_entry(model.leaves[v], ids) for v in sorted(model.leaves)],
         "tree": _tree_block(model, model.tree.root),
     }
     if delta is not None:
@@ -429,42 +428,44 @@ def build_document(
 
 
 def substitution_block(spec: SubstitutionSpec, target_name: Optional[str] = None) -> dict:
+    ids = list(range(spec.rok_success.n))
     block: dict[str, Any] = {
         "target": target_name if target_name is not None else spec.target,
         "time_budget": spec.time_budget,
         "hysteresis_cap": spec.hysteresis_cap,
         "hysteresis": spec.hysteresis,
-        "risk_ok": _region_cells(spec.rok_success),
+        "risk_ok": spec.rok_success.pick(ids),
         "dd_next": list(spec.dd_targets),
         "rr": {
-            "success": _region_cells(spec.rr.success),
-            "failure": _region_cells(spec.rr.failure),
+            "success": spec.rr.success.pick(ids),
+            "failure": spec.rr.failure.pick(ids),
             "next": list(spec.rr.controller.targets),
         },
     }
     if spec.rr.doa is not None:
         block["rr"]["doa"] = {
-            "basin": _region_cells(spec.rr.doa.basin),
-            "goal": _region_cells(spec.rr.doa.goal),
+            "basin": spec.rr.doa.basin.pick(ids),
+            "goal": spec.rr.doa.goal.pick(ids),
             "horizon": spec.rr.doa.horizon,
         }
     if spec.dd_success is not None:
-        block["dd_success"] = _region_cells(spec.dd_success)
+        block["dd_success"] = spec.dd_success.pick(ids)
     if spec.dd_failure is not None:
-        block["dd_failure"] = _region_cells(spec.dd_failure)
+        block["dd_failure"] = spec.dd_failure.pick(ids)
     return block
 
 
 def library_document(lib: ActionConditionLibrary, root: Optional[str] = None) -> dict:
+    ids = list(range(lib.world.cell_count))
     actions = []
     for aid in lib.action_ids():
-        entry = _leaf_entry(lib.actions[aid].leaf)
+        entry = _leaf_entry(lib.actions[aid].leaf, ids)
         entry.pop("kind")
         entry["preconditions"] = list(lib.actions[aid].preconditions)
         actions.append(entry)
     conditions = []
     for cid in lib.condition_ids():
-        entry = _leaf_entry(lib.conditions[cid].leaf)
+        entry = _leaf_entry(lib.conditions[cid].leaf, ids)
         entry.pop("kind")
         entry["achievers"] = list(lib.conditions[cid].achievers)
         conditions.append(entry)
@@ -483,11 +484,12 @@ def dump_document(doc: dict) -> str:
 
     With an indent the stdlib encoder runs in pure Python, one call per
     value.  This writer does the same walk but writes a list of plain ints
-    (cell arrays, successor targets: most of a document) with one join.
+    (cell arrays, successor targets: most of a document) with one gather
+    from a per-call table of decimal texts and one join.
     Keys must be strings, as they are in every document.
     """
     out: list[str] = []
-    _write(doc, "\n", out)
+    _write(doc, "\n", out, _Decimals())
     out.append("\n")
     return "".join(out)
 
@@ -495,7 +497,22 @@ def dump_document(doc: dict) -> str:
 _INT = frozenset({int})
 
 
-def _write(value: Any, newline: str, out: list[str]) -> None:
+class _Decimals(dict):
+    """int -> its decimal text, each entry made on first use; one table per document.
+
+    A document repeats the same few thousand cell ids hundreds of times, so
+    a list of ints becomes its texts in one ``itemgetter`` gather instead of
+    one ``int.__repr__`` call per entry.
+    """
+
+    __slots__ = ()
+
+    def __missing__(self, key: int) -> str:
+        text = self[key] = int.__repr__(key)
+        return text
+
+
+def _write(value: Any, newline: str, out: list[str], decimals: _Decimals) -> None:
     """Append value's indented JSON text; newline is "\\n" plus its indent."""
     inner = newline + "  "
     if isinstance(value, dict):
@@ -507,19 +524,23 @@ def _write(value: Any, newline: str, out: list[str]) -> None:
             out.append(sep)
             out.append(encode_basestring_ascii(key))
             out.append(": ")
-            _write(item, inner, out)
+            _write(item, inner, out, decimals)
             sep = "," + inner
         out.append(newline + "}")
     elif isinstance(value, (list, tuple)):
         if not value:
             out.append("[]")
         elif _INT.issuperset(map(type, value)):  # plain ints only: bools print as true/false
-            out.append("[" + inner + ("," + inner).join(map(int.__repr__, value)) + newline + "]")
+            if len(value) == 1:  # itemgetter of one key returns the text, not a tuple
+                body = decimals[value[0]]
+            else:
+                body = ("," + inner).join(itemgetter(*value)(decimals))
+            out.append("[" + inner + body + newline + "]")
         else:
             sep = "[" + inner
             for item in value:
                 out.append(sep)
-                _write(item, inner, out)
+                _write(item, inner, out, decimals)
                 sep = "," + inner
             out.append(newline + "]")
     else:

@@ -114,6 +114,14 @@ class Region:
             return compress(count(), bits.encode().translate(_DIGIT_VALUES))
         return _set_digits(bits)
 
+    def pick(self, items: Sequence) -> list:
+        """The entries of items at this region's cells, in cell order, picked in C.
+
+        With ``items = list(range(n))`` shared by many regions this is the
+        cell list without a Python step or a new int object per cell.
+        """
+        return list(compress(items, bin(self.mask)[:1:-1].encode().translate(_DIGIT_VALUES)))
+
     def digits(self) -> str:
         """One "0"/"1" character per cell, cell 0 first: O(1) membership in loops.
 

@@ -18,6 +18,8 @@ within the time budget, and the whole model re-certifies.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import chain, repeat
+from operator import add, mul
 from typing import Optional, Sequence
 
 from .bt import BTModel, Doa, LeafData, NodeKind, NodeSpec, condition as condition_spec
@@ -191,15 +193,14 @@ class Augmentation:
         per_aug = len(base_targets) == self.world.cell_count
         if not per_aug and len(base_targets) != self.base.cell_count:
             raise SubstitutionError("target array length matches neither universe")
-        out: list[int] = []
-        for c in range(self.base.cell_count):
-            offsets = self._next_offsets[c in self.rok_base]
-            if per_aug:
-                out.extend(base_targets[c * k + i] * k + off for i, off in enumerate(offsets))
-            else:
-                start = base_targets[c] * k
-                out.extend(start + off for off in offsets)
-        return SuccessorMap(out)
+        # per augmented cell: its block's counter offsets plus the target block's start
+        offsets = chain.from_iterable(
+            map(dict(zip("01", self._next_offsets)).__getitem__, self.rok_base.digits())
+        )
+        starts = map(mul, base_targets, repeat(k))
+        if not per_aug:
+            starts = chain.from_iterable(map(repeat, starts, repeat(k)))
+        return SuccessorMap(list(map(add, starts, offsets)))
 
     def lift_leaf(self, leaf: LeafData) -> LeafData:
         controller = None

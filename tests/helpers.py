@@ -479,6 +479,54 @@ def pairwise_links(lib: ActionConditionLibrary) -> tuple[set, set, dict]:
     return links, order, downstream
 
 
+def random_link_library(rng: random.Random, n_cells: int = 6) -> ActionConditionLibrary:
+    """A library of actions without basin data whose links may form cycles.
+
+    Every action achieves at most one condition and every condition is the
+    precondition of at most one action, as the library requires; anything
+    else is random, so a condition may have several achievers, and an
+    action may feed itself or an action upstream of it (the recharge shape)
+    and consume several conditions in any order.
+    """
+    world = World(n_cells)
+    names = [f"a{k}" for k in range(rng.randint(1, 7))]
+    conds = [f"c{k}" for k in range(rng.randint(0, 9))]
+    achievers: dict[str, list[str]] = {c: [] for c in conds}
+    for a in names:
+        if conds and rng.random() < 0.8:
+            achievers[rng.choice(conds)].append(a)
+    preconds: dict[str, list[str]] = {a: [] for a in names}
+    for c in conds:
+        if rng.random() < 0.85:
+            preconds[rng.choice(names)].append(c)
+    empty = Region.empty(n_cells)
+    actions = {
+        a: ActionEntry(LeafData(a, NodeKind.ACTION, empty, empty), tuple(rng.sample(pre, len(pre))))
+        for a, pre in preconds.items()
+    }
+    conditions = {}
+    for c in conds:
+        holds = random_region(rng, n_cells)
+        conditions[c] = ConditionEntry(
+            LeafData(c, NodeKind.CONDITION, holds, holds.complement()), tuple(achievers[c])
+        )
+    return ActionConditionLibrary(world, actions, conditions)
+
+
+def pair_list_pattern_violations(lib: ActionConditionLibrary, links, id_of: dict, bg) -> list:
+    """The acyclic-pattern check, one test per strictly reachable pair of bg, in sorted pair order.
+
+    A pair (u, w) violates the pattern when none of u's postconditions is a
+    pending or missing condition of w (acc[w] or w's preconditions).
+    """
+    violations = []
+    for u, w in sorted(bg.reachability()):
+        iu, iw = id_of[u], id_of[w]
+        if not links.post[iu] & (links.acc[iw] | set(lib.actions[iw].preconditions)):
+            violations.append((iu, iw))
+    return violations
+
+
 def path_bound(succ, chosen, weight: dict[int, int]) -> int:
     """Largest summed weight over every path of the DAG succ that starts in chosen."""
 

@@ -1,11 +1,15 @@
 """Library validation, link structure, generation, and the closed forms."""
 
+from collections import Counter
+
 import pytest
 
+from btconverge import backchain
 from btconverge.backchain import (
     ActionConditionLibrary,
     ActionEntry,
     AssumptionError,
+    BcBt,
     ConditionEntry,
     LibraryError,
     bc_influence,
@@ -18,11 +22,18 @@ from btconverge.backchain import (
     verify_bc_operating,
 )
 from btconverge.bt import LeafData, NodeKind
-from btconverge.prepares import Certificate
+from btconverge.prepares import BehaviorGraph, Certificate, behavior_graph
 from btconverge.statespace import Region, SuccessorMap, World
 from btconverge import bundled
 
-from helpers import chain_library, pairwise_links, random_library, staged_chain_library
+from helpers import (
+    chain_library,
+    pair_list_pattern_violations,
+    pairwise_links,
+    random_library,
+    random_link_library,
+    staged_chain_library,
+)
 
 
 @pytest.fixture(scope="module")
@@ -469,3 +480,72 @@ def test_links_match_the_action_condition_scan(rng):
         assert got.links == links
         assert got.order == order
         assert got.downstream == downstream
+
+
+# ----------------------------------------------------------------------
+# the acyclic-pattern check against the pair-list loop
+
+
+def _random_behavior_graph(rng, lib):
+    """Scattered distinct vertex ids for the actions and a random graph, self-loops included, on some of them."""
+    ids = rng.sample(range(3 * len(lib.actions) + 5), len(lib.actions))
+    vertex_of = dict(zip(lib.actions, ids))
+    nodes = tuple(sorted(rng.sample(ids, rng.randint(0, len(ids)))))
+    density = rng.choice([0.1, 0.3, 0.6])
+    edges = frozenset((u, w) for u in nodes for w in nodes if rng.random() < density)
+    built = BcBt(None, vertex_of, {v: a for a, v in vertex_of.items()})
+    return built, BehaviorGraph(nodes, edges)
+
+
+def test_pattern_masks_match_the_pair_list(rng):
+    seen = Counter()
+    for _ in range(400):
+        lib = random_link_library(rng)
+        links = compute_links(lib)
+        built, bg = _random_behavior_graph(rng, lib)
+        want = pair_list_pattern_violations(lib, links, built.id_of, bg)
+        assert backchain._pattern_violations(lib, links, built, bg) == want
+        seen["violations" if want else "clean"] += 1
+        if any(a != c and (c, a) in links.order for a, c in links.order) or any(
+            a == c for a, _b, c in links.links
+        ):
+            seen["link cycle"] += 1
+        if any(links.acc.values()):
+            seen["pending conditions"] += 1
+    assert len(seen) == 4 and min(seen.values()) >= 20, seen
+
+
+@pytest.mark.parametrize(
+    "library",
+    [
+        chain_library,
+        bundled.surveying_robot_library,
+        bundled.mobile_manipulator,
+        lambda: staged_chain_library(1),
+        lambda: staged_chain_library(2),
+        lambda: staged_chain_library(20),
+    ],
+)
+def test_check_reports_the_pair_list_pattern(library):
+    lib, root = library()
+    report = check_bc_convergence(lib, root, delta=1.0)
+    if not report.hypothesis_ok or not isinstance(report.result, Certificate):
+        assert report.pattern_ok is None and report.pattern_violations == ()
+        return
+    cert = report.result
+    chosen = [v for ci in cert.analysis_classes for v in cert.condensed.classes[ci]]
+    bg = behavior_graph(cert.graph, chosen)
+    built = build_bcbt(lib, root)
+    want = pair_list_pattern_violations(lib, compute_links(lib), built.id_of, bg)
+    assert report.pattern_violations == tuple(want)
+    assert report.pattern_ok is (not want)
+
+
+def test_pattern_check_lists_no_reachable_pairs(monkeypatch):
+    def no_pairs(_self):
+        raise AssertionError("check_bc_convergence listed the reachable pairs")
+
+    monkeypatch.setattr(BehaviorGraph, "reachability", no_pairs)
+    lib, root = staged_chain_library(20)
+    report = check_bc_convergence(lib, root, delta=1.0)
+    assert report.pattern_ok is True and isinstance(report.result, Certificate)

@@ -117,6 +117,33 @@ def test_dump_document_matches_json_dumps_on_random_trees(rng):
     for value in ([], {}, [[]], [{}], {"a": {}}, [True, 1], [1, True], (1, 2), [0.0, -0.0]):
         doc = {"v": value}
         assert dump_document(doc) == json.dumps(doc, indent=2, sort_keys=True) + "\n"
+    # int lists share one table of decimal texts per call: repeats within and
+    # across lists, one-element lists, negatives, and ints past 2**63
+    big = [2**63, -(2**63) - 1, 2**64 + 7, -(10**30)]
+    for _ in range(50):
+        pool = [rng.randint(-50, 50) for _ in range(rng.randint(1, 8))] + rng.sample(big, 2)
+        lists = [
+            [rng.choice(pool) for _ in range(rng.choice([1, 1, 2, 40, 300]))]
+            for _ in range(rng.randint(1, 6))
+        ]
+        doc = {"lists": lists, "one": [rng.choice(pool)], "nested": {"x": lists[0], "y": [lists[-1]]}}
+        assert dump_document(doc) == json.dumps(doc, indent=2, sort_keys=True) + "\n"
+    for value in ([0], [-1], [2**63], [True], [False], [[7]], [7, [7]], [-0, 0, -0]):
+        doc = {"v": value, "w": value}
+        assert dump_document(doc) == json.dumps(doc, indent=2, sort_keys=True) + "\n"
+
+
+def test_document_cell_lists_match_region_cells(rng):
+    from btconverge.bt import condition, seq
+    from btconverge.statespace import Region, World
+
+    for n in (1, 2, 63, 64, 65, 300):
+        sparse = Region.from_cells(n, rng.sample(range(n), max(1, n // 20)))
+        dense = Region(n, rng.getrandbits(n)) | Region.from_cells(n, [n - 1])
+        regions = [Region.full(n), Region.empty(n), sparse, dense]
+        model = BTModel(World(n), seq(*(condition(f"c{k}", r) for k, r in enumerate(regions))))
+        got = [(entry["success"], entry["failure"]) for entry in build_document(model)["leaves"]]
+        assert got == [(sorted(r.cells()), sorted(r.complement().cells())) for r in regions]
 
 
 def program_documents():
@@ -405,6 +432,22 @@ def test_infinite_delta_flag_still_certifies(capsys):
 def test_check_missing_file_exits_two(capsys):
     code, _out, _err = run_cli("check", "--spec", "/nonexistent.json", capsys=capsys)
     assert code == 2
+
+
+@pytest.mark.parametrize("command", ["check", "backchain", "substitute", "simulate"])
+def test_spec_path_that_is_a_directory_exits_two(command, tmp_path, capsys):
+    extra = ["--x0", "0"] if command == "simulate" else []
+    code, _out, err = run_cli(command, "--spec", str(tmp_path), *extra, capsys=capsys)
+    assert code == 2
+    assert err.startswith("error: ") and "Is a directory" in err
+
+
+def test_out_path_that_is_a_directory_exits_two(tmp_path, capsys):
+    code, _out, err = run_cli(
+        "check", "--spec", "bundled:surveying_robot", "--out", str(tmp_path), capsys=capsys
+    )
+    assert code == 2
+    assert err.startswith("error: ") and "Is a directory" in err
 
 
 def test_check_seed_classes(capsys):
