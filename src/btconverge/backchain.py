@@ -236,7 +236,11 @@ def build_bcbt(lib: ActionConditionLibrary, root: Id) -> BcBt:
             return leaf
         return fal(leaf, *(action_subtree(k) for k in entry.achievers))
 
-    model = BTModel(lib.world, action_subtree(root))
+    try:
+        model = BTModel(lib.world, action_subtree(root))
+    except RecursionError:  # the expansion recurses a few frames per nested action
+        depth = len(visiting)  # an unwound expansion leaves its action chain here
+        raise LibraryError(f"backchaining from {root!r} nests actions {depth} deep, past the recursion limit") from None
     vertex_of: dict[Id, int] = {}
     id_of: dict[int, Id] = {}
     names = {lib.actions[i].leaf.name: i for i in lib.actions}

@@ -172,6 +172,18 @@ def _emit(text: str, out: Optional[str]) -> None:
         sys.stdout.write(text)
 
 
+def _emit_document(doc: dict, report_lines: list[str], out: Optional[str]) -> None:
+    """With --out, the document goes to the file and the report to stdout;
+    without it, the report goes to stderr and the document to stdout."""
+    report = "\n".join(report_lines) + "\n"
+    if out:
+        _emit(dump_document(doc), out)
+        sys.stdout.write(report)
+    else:
+        sys.stderr.write(report)
+        sys.stdout.write(dump_document(doc))
+
+
 def cmd_check(args: argparse.Namespace) -> int:
     spec = _load_spec(args.spec)
     if spec.model is None:
@@ -323,13 +335,7 @@ def cmd_backchain(args: argparse.Namespace) -> int:
         else:
             report_lines.append(f"refuted: {report.result.detail}")
     abstraction = [lib.actions[a].leaf.name for a in lib.action_ids()]
-    doc = build_document(built.model, abstraction, spec.delta)
-    if args.out:
-        _emit(dump_document(doc), args.out)
-        sys.stdout.write("\n".join(report_lines) + "\n")
-    else:
-        sys.stderr.write("\n".join(report_lines) + "\n")
-        sys.stdout.write(dump_document(doc))
+    _emit_document(build_document(built.model, abstraction, spec.delta), report_lines, args.out)
     if not operating:
         return EXIT_REFUTED
     return EXIT_OK
@@ -348,13 +354,7 @@ def cmd_substitute(args: argparse.Namespace) -> int:
     ]
     if not verdict:
         report_lines.append(f"  {verdict.detail} (cell {verdict.witness})")
-    doc = build_document(result.new_model)
-    if args.out:
-        _emit(dump_document(doc), args.out)
-        sys.stdout.write("\n".join(report_lines) + "\n")
-    else:
-        sys.stderr.write("\n".join(report_lines) + "\n")
-        sys.stdout.write(dump_document(doc))
+    _emit_document(build_document(result.new_model), report_lines, args.out)
     return EXIT_OK if verdict else EXIT_REFUTED
 
 

@@ -340,18 +340,26 @@ def certify_convergence(
 ) -> Certificate | Refutation:
     """Run the full pipeline: slices, condensation, exit times, step bound.
 
-    Every abstraction member must pass its finite-time-success check first;
+    Each member's controller must move every cell of its operating region
+    at most one step: within delta, or to the cell itself or a neighbour,
+    as the slice graph's edges assume; a longer step raises StepError.
+    Every abstraction member must then pass its finite-time-success check;
     failures raise FtsPreconditionError.  A sink class containing non-goal
     slices, or a class some cell never leaves, yields a Refutation.  A
     caller that already condensed the slice graph of this abstraction and
     delta passes it as ``condensed`` so it is not built again.
     """
     members = sorted(set(abstraction))
+    omega = model.analysis().omega
+    ids = list(range(model.world.cell_count))  # shared by every member's cell list
     failures: dict[str, object] = {}
-    for i in members:
+    for i in members:  # StepError comes first: FTS failures are raised after the loop
         leaf = model.leaves.get(i)
+        if leaf is not None and leaf.controller is not None and not omega[i].is_empty:
+            cells = omega[i].pick(ids)
+            model.world.check_steps(cells, leaf.controller.targets, delta, f"leaf {leaf.name!r}")
         if leaf is None or model.kinds[i] is not NodeKind.ACTION or leaf.doa is None:
-            if model.analysis().omega[i].is_empty:
+            if omega[i].is_empty:
                 continue
             failures[model.names[i] or str(i)] = "missing basin data"
             continue

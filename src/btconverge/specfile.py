@@ -4,7 +4,8 @@ A document carries a universe block, leaf definitions, a tree, and
 optionally an abstraction list, an action/condition library, and a
 substitution block.  Regions serialize as sorted cell-index arrays,
 dynamics as per-cell target arrays.  Parsing validates every reference and
-index and reports the offending field.
+index; every error starts with the JSON path of the offending field, from
+the document root (``leaves[3].doa.horizon``, ``tree.seq[1].fal[0]``).
 """
 
 from __future__ import annotations
@@ -15,7 +16,7 @@ from dataclasses import dataclass
 from itertools import chain
 from json.encoder import encode_basestring_ascii
 from operator import itemgetter
-from typing import Any, Optional
+from typing import Any, Callable, Optional
 
 from .backchain import ActionConditionLibrary, ActionEntry, ConditionEntry, LibraryError
 from .bt import BTModel, Doa, LeafData, ModelError, NodeKind, NodeSpec
@@ -47,88 +48,141 @@ def load_path(path: str) -> LoadedSpec:
             doc = json.load(fh)
         except ValueError as exc:  # bad JSON or UTF-8, or an integer past the digit limit
             raise SpecError(f"{path}: not valid JSON: {exc}") from exc
+        except RecursionError:  # the decoder nests as deep as the interpreter's recursion limit
+            raise SpecError(f"{path}: not valid JSON: nested too deeply") from None
     return parse_document(doc)
 
 
 def parse_document(doc: dict) -> LoadedSpec:
-    if not isinstance(doc, dict):
-        raise SpecError("document must be a JSON object")
+    doc = _obj(doc, "document")
     if doc.get("format") != FORMAT:
-        raise SpecError(f"unsupported format {doc.get('format')!r}; expected {FORMAT!r}")
-    world = _parse_world(_require(doc, "universe", dict))
-    delta = doc.get("delta")
-    if delta is not None and (
-        isinstance(delta, bool) or not isinstance(delta, (int, float)) or not delta >= 0
-    ):
-        raise SpecError(f"delta must be a non-negative number, got {delta!r}")
+        raise SpecError(f"format must be {FORMAT!r}, got {doc.get('format')!r}")
+    world = _parse_world(_obj(doc.get("universe"), "universe"))
+    delta = _optional(_number, doc.get("delta"), "delta")
 
-    leaves = {}
-    for entry in _list_of(doc, "leaves", dict):
-        leaf = _parse_leaf(entry, world)
+    leaves: dict[str, LeafData] = {}
+    for i, entry in enumerate(_list(doc.get("leaves", []), "leaves", of=dict)):
+        leaf = _parse_leaf(entry, world, f"leaves[{i}]")
         if leaf.name in leaves:
-            raise SpecError(f"duplicate leaf {leaf.name!r}")
+            raise SpecError(f"leaves[{i}].name: duplicate leaf {leaf.name!r}")
         leaves[leaf.name] = leaf
 
     model = None
     if "tree" in doc:
-        spec = _parse_tree(doc["tree"], leaves)
         try:
-            model = BTModel(world, spec)
+            model = BTModel(world, _parse_tree(doc["tree"], leaves, "tree"))
         except ModelError as exc:
             raise SpecError(f"tree: {exc}") from exc
+        except RecursionError:  # both walks recurse once per tree level
+            raise SpecError("tree: nested too deeply") from None
 
     abstraction = None
     if doc.get("abstraction") is not None:
-        abstraction = _list_of(doc, "abstraction", str)
+        abstraction = _list(doc["abstraction"], "abstraction", of=str)
         if model is None:
-            raise SpecError("abstraction block without a tree")
-        for name in abstraction:
+            raise SpecError("abstraction: block without a tree")
+        for i, name in enumerate(abstraction):
             if name not in model.leaf_by_name:
-                raise SpecError(f"abstraction references unknown leaf {name!r}")
+                raise SpecError(f"abstraction[{i}]: unknown leaf {name!r}")
 
-    library = None
-    library_root = None
+    library, library_root = None, None
     if "library" in doc:
-        library, library_root = _parse_library(doc["library"], world)
+        library, library_root = _parse_library(_obj(doc["library"], "library"), world)
 
     substitution = None
     if "substitution" in doc:
         if model is None:
-            raise SpecError("substitution block without a tree")
-        substitution = _parse_substitution(doc["substitution"], world, model)
+            raise SpecError("substitution: block without a tree")
+        substitution = _parse_substitution(_obj(doc["substitution"], "substitution"), world, model)
 
     return LoadedSpec(doc, world, model, abstraction, delta, library, library_root, substitution)
 
 
-def _require(doc: dict, key: str, typ: type) -> Any:
-    if key not in doc:
-        raise SpecError(f"missing {key!r} block")
-    value = doc[key]
-    if not isinstance(value, typ):
-        raise SpecError(f"{key!r} must be a {typ.__name__}")
+# ----------------------------------------------------------------------
+# typed readers: each takes a value and its JSON path from the document
+# root, and raises SpecError("<path> ...") unless the value has its type.
+# The block parsers after them add only the cross-reference checks.
+
+
+def _obj(value: Any, path: str) -> dict:
+    if type(value) is not dict:
+        raise SpecError(f"{path} must be an object")
     return value
 
 
-def _is_int(value: Any) -> bool:
-    """A JSON integer; ``true``/``false`` are ints to Python but not here."""
-    return type(value) is int
-
-
-def _check_ints(values: list, where: str) -> None:
-    if not _INT.issuperset(map(type, values)):
-        bad = next(value for value in values if type(value) is not int)
-        raise SpecError(f"{where}: expected integers, got {bad!r}")
-
-
-def _parse_bool(block: dict, key: str, where: str) -> bool:
-    """An optional JSON ``true``/``false`` field, false when missing; nothing else is read as one."""
-    value = block.get(key, False)
-    if type(value) is not bool:
-        raise SpecError(f"{where}.{key} must be true or false, got {value!r}")
-    return value
-
-
+_NOUNS = {dict: "objects", str: "strings", list: "lists", int: "integers"}
+_INT = frozenset({int})
 _NUMBER = frozenset({int, float})
+
+
+def _list(value: Any, path: str, of: Optional[type] = None) -> list:
+    """A JSON array; with ``of``, every entry of exactly that type (a JSON
+    ``true`` is no integer), checked in C and walked only to name the first
+    bad entry."""
+    if type(value) is not list:
+        raise SpecError(f"{path} must be a list")
+    if of is not None and not {of}.issuperset(map(type, value)):
+        i, bad = next((i, item) for i, item in enumerate(value) if type(item) is not of)
+        raise SpecError(f"{path}: expected {_NOUNS[of]}, got {bad!r} at [{i}]")
+    return value
+
+
+def _int(value: Any, path: str, low: int) -> int:
+    """A JSON integer of at least low (0 or 1)."""
+    if type(value) is not int or value < low:
+        raise SpecError(f"{path} must be a {'positive' if low else 'non-negative'} integer")
+    return value
+
+
+def _number(value: Any, path: str) -> float:
+    """A non-negative JSON number inside the float range, inf included; not NaN or a boolean."""
+    if type(value) not in _NUMBER or not value >= 0 or not _fits_floats((value,)):
+        raise SpecError(f"{path} must be a non-negative number, got {value!r}")
+    return value
+
+
+def _bool(value: Any, path: str) -> bool:
+    if type(value) is not bool:
+        raise SpecError(f"{path} must be true or false, got {value!r}")
+    return value
+
+
+def _name(value: Any, path: str) -> str:
+    if type(value) is not str or not value:
+        raise SpecError(f"{path} must be a nonempty string")
+    return value
+
+
+def _optional(read: Callable[..., Any], value: Any, path: str, *args: Any) -> Any:
+    """read(value, path, *args), or None for a missing or null field."""
+    return None if value is None else read(value, path, *args)
+
+
+def _region(value: Any, path: str, world: World) -> Region:
+    try:
+        return Region.from_cells(world.cell_count, _list(value, path, of=int))
+    except WorldError as exc:
+        raise SpecError(f"{path}: {exc}") from exc
+
+
+def _targets(value: Any, path: str, cells: Optional[int] = None) -> SuccessorMap:
+    """A successor map: one target cell per cell (``cells`` of them, when given)."""
+    if cells is not None and (type(value) is not list or len(value) != cells):
+        raise SpecError(f"{path} must list one target per cell")
+    try:
+        return SuccessorMap(_list(value, path, of=int))
+    except WorldError as exc:
+        raise SpecError(f"{path}: {exc}") from exc
+
+
+def _pairs(value: Any, path: str) -> list[list[int]]:
+    """A list of [p, q] cell pairs, checked in C; only a bad list is walked."""
+    pairs = _list(value, path, of=list)
+    if not ({2} >= set(map(len, pairs)) and _INT.issuperset(map(type, chain.from_iterable(pairs)))):
+        for i, pair in enumerate(pairs):
+            if len(_list(pair, f"{path}[{i}]", of=int)) != 2:
+                raise SpecError(f"{path}[{i}] must be a pair of cells")
+    return pairs
 
 
 def _fits_floats(numbers: Any) -> bool:
@@ -139,7 +193,7 @@ def _fits_floats(numbers: Any) -> bool:
     return True
 
 
-def _check_coords(coords: Any, cells: int) -> None:
+def _coords(coords: Any, cells: int) -> list:
     """One list of non-bool numbers per cell, all of one length; World checks finiteness.
 
     The whole block is checked in C first; only a bad block is walked
@@ -151,7 +205,7 @@ def _check_coords(coords: Any, cells: int) -> None:
         flat = list(chain.from_iterable(coords))
         types = set(map(type, flat))
         if _NUMBER.issuperset(types) and (int not in types or _fits_floats(flat)):
-            return
+            return coords
     dim = len(coords[0]) if isinstance(coords[0], list) else None
     for i, point in enumerate(coords):
         if not isinstance(point, list) or not _NUMBER.issuperset(map(type, point)):
@@ -160,204 +214,131 @@ def _check_coords(coords: Any, cells: int) -> None:
             raise SpecError(f"universe.coords[{i}] has {len(point)} coordinates, not {dim}")
         if not _fits_floats(point):
             raise SpecError(f"universe.coords[{i}] holds an integer past the float range")
+    return coords
+
+
+def _fallback(value: Any, model: BTModel) -> int:
+    """substitution.target: a vertex id, or the name of a leaf whose parent it is."""
+    if type(value) is int:
+        return value
+    if not isinstance(value, str):
+        raise SpecError("substitution.target must be a leaf name or vertex id")
+    if value not in model.leaf_by_name:
+        raise SpecError(f"substitution.target: unknown leaf {value!r}")
+    parent = model.tree.parent[model.leaf_by_name[value]]
+    if parent is None:
+        raise SpecError(f"substitution.target: leaf {value!r} has no enclosing fallback")
+    return parent
 
 
 def _parse_world(block: dict) -> World:
-    cells = block.get("cells")
-    if not _is_int(cells) or cells <= 0:
-        raise SpecError("universe.cells must be a positive integer")
+    cells = _int(block.get("cells"), "universe.cells", 1)
     coords = block.get("coords")
     adjacency = block.get("adjacency")
     try:
         if coords is not None:
-            _check_coords(coords, cells)
-            return World(cells, coords=coords)
+            return World(cells, coords=_coords(coords, cells))
         if adjacency is not None:
-            if not isinstance(adjacency, list) or not all(
-                isinstance(pair, list) and len(pair) == 2 for pair in adjacency
-            ):
-                raise SpecError("universe.adjacency must be a list of cell pairs")
-            _check_ints([c for pair in adjacency for c in pair], "universe.adjacency")
-            directed = _parse_bool(block, "adjacency_directed", "universe")
-            return World(cells, adjacency=adjacency, symmetric=not directed)
+            pairs = _pairs(adjacency, "universe.adjacency")
+            directed = _bool(block.get("adjacency_directed", False), "universe.adjacency_directed")
+            return World(cells, adjacency=pairs, symmetric=not directed)
         return World(cells)
     except WorldError as exc:
         raise SpecError(f"universe: {exc}") from exc
 
 
-def _parse_region(value: Any, world: World, where: str) -> Region:
-    if not isinstance(value, list):
-        raise SpecError(f"{where}: expected a list of cell indices")
-    _check_ints(value, where)
-    try:
-        return Region.from_cells(world.cell_count, value)
-    except WorldError as exc:
-        raise SpecError(f"{where}: {exc}") from exc
-
-
-def _parse_leaf(entry: dict, world: World) -> LeafData:
-    name = entry.get("name")
-    if not isinstance(name, str) or not name:
-        raise SpecError("leaf without a name")
-    kind = entry.get("kind")
-    if kind not in ("action", "condition"):
-        raise SpecError(f"leaf {name!r}: kind must be action or condition")
-    success = _parse_region(entry.get("success", []), world, f"leaf {name!r} success")
+def _parse_leaf(entry: dict, world: World, path: str, kind: Optional[str] = None) -> LeafData:
+    """One leaf entry; a library entry passes its kind instead of carrying one."""
+    name = _name(entry.get("name"), f"{path}.name")
+    if kind is None:
+        kind = entry.get("kind")
+        if kind not in ("action", "condition"):
+            raise SpecError(f"{path}.kind must be action or condition")
+    success = _region(entry.get("success", []), f"{path}.success", world)
     if "failure" in entry:
-        failure = _parse_region(entry["failure"], world, f"leaf {name!r} failure")
+        failure = _region(entry["failure"], f"{path}.failure", world)
     elif kind == "condition":
         failure = success.complement()
     else:
         failure = Region.empty(world.cell_count)
     controller = None
     if kind == "action":
-        targets = entry.get("next")
-        if not isinstance(targets, list) or len(targets) != world.cell_count:
-            raise SpecError(f"leaf {name!r}: next must list one target per cell")
-        _check_ints(targets, f"leaf {name!r} next")
-        try:
-            controller = SuccessorMap(targets)
-        except WorldError as exc:
-            raise SpecError(f"leaf {name!r} next: {exc}") from exc
-    doa = None
-    if entry.get("doa") is not None:
-        doa = _parse_doa(entry["doa"], world, name)
-    return LeafData(
-        name,
-        NodeKind.ACTION if kind == "action" else NodeKind.CONDITION,
-        success,
-        failure,
-        controller,
-        doa,
+        controller = _targets(entry.get("next"), f"{path}.next", world.cell_count)
+    doa = _optional(_parse_doa, entry.get("doa"), f"{path}.doa", world)
+    return LeafData(name, NodeKind(kind), success, failure, controller, doa)
+
+
+def _parse_doa(value: Any, path: str, world: World) -> Doa:
+    block = _obj(value, path)
+    return Doa(  # keyword order is the order the fields are checked in
+        horizon=_int(block.get("horizon"), f"{path}.horizon", 1),
+        basin=_region(block.get("basin", []), f"{path}.basin", world),
+        goal=_region(block.get("goal", []), f"{path}.goal", world),
     )
 
 
-def _parse_doa(block: Any, world: World, name: str) -> Doa:
-    if not isinstance(block, dict):
-        raise SpecError(f"leaf {name!r}: doa must be an object")
-    horizon = block.get("horizon")
-    if not _is_int(horizon) or horizon <= 0:
-        raise SpecError(f"leaf {name!r}: doa.horizon must be a positive integer")
-    return Doa(
-        _parse_region(block.get("basin", []), world, f"leaf {name!r} doa.basin"),
-        _parse_region(block.get("goal", []), world, f"leaf {name!r} doa.goal"),
-        horizon,
-    )
-
-
-def _parse_tree(node: Any, leaves: dict[str, LeafData]) -> NodeSpec:
-    if not isinstance(node, dict) or len(node) != 1:
-        raise SpecError("tree nodes must be objects with one of seq / fal / leaf")
+def _parse_tree(node: Any, leaves: dict[str, LeafData], path: str) -> NodeSpec:
+    if len(_obj(node, path)) != 1:
+        raise SpecError(f"{path} must hold exactly one of seq / fal / leaf")
     key, value = next(iter(node.items()))
+    path = f"{path}.{key}"
     if key == "leaf":
-        if not isinstance(value, str) or value not in leaves:
-            raise SpecError(f"tree references unknown leaf {value!r}")
-        leaf = leaves[value]
+        leaf = leaves.get(_name(value, path))
+        if leaf is None:
+            raise SpecError(f"{path}: unknown leaf {value!r}")
         return NodeSpec(leaf.kind, leaf=leaf)
-    if key in ("seq", "fal"):
-        if not isinstance(value, list) or not value:
-            raise SpecError(f"{key} node needs a nonempty child list")
-        kind = NodeKind.SEQUENCE if key == "seq" else NodeKind.FALLBACK
-        return NodeSpec(kind, tuple(_parse_tree(child, leaves) for child in value))
-    raise SpecError(f"unknown tree node type {key!r}")
+    if key not in ("seq", "fal"):
+        raise SpecError(f"{path}: unknown tree node type")
+    if not _list(value, path):
+        raise SpecError(f"{path} must be a nonempty list")
+    children = (_parse_tree(child, leaves, f"{path}[{i}]") for i, child in enumerate(value))
+    return NodeSpec(NodeKind(key), tuple(children))
 
 
-def _parse_library(block: Any, world: World) -> tuple[ActionConditionLibrary, Optional[str]]:
-    if not isinstance(block, dict):
-        raise SpecError("library must be an object")
+def _parse_library(block: dict, world: World) -> tuple[ActionConditionLibrary, Optional[str]]:
     actions = {}
-    for i, entry in enumerate(_list_of(block, "actions", dict, "library")):
-        leaf = _parse_leaf({**entry, "kind": "action"}, world)
-        pre = _list_of(entry, "preconditions", str, f"library.actions[{i}]")
+    for i, entry in enumerate(_list(block.get("actions", []), "library.actions", of=dict)):
+        path = f"library.actions[{i}]"
+        leaf = _parse_leaf(entry, world, path, "action")
+        pre = _list(entry.get("preconditions", []), f"{path}.preconditions", of=str)
         actions[leaf.name] = ActionEntry(leaf, tuple(pre))
     conditions = {}
-    for i, entry in enumerate(_list_of(block, "conditions", dict, "library")):
-        leaf = _parse_leaf({**entry, "kind": "condition"}, world)
-        ach = _list_of(entry, "achievers", str, f"library.conditions[{i}]")
+    for i, entry in enumerate(_list(block.get("conditions", []), "library.conditions", of=dict)):
+        path = f"library.conditions[{i}]"
+        leaf = _parse_leaf(entry, world, path, "condition")
+        ach = _list(entry.get("achievers", []), f"{path}.achievers", of=str)
         conditions[leaf.name] = ConditionEntry(leaf, tuple(ach))
     try:
         lib = ActionConditionLibrary(world, actions, conditions)
     except LibraryError as exc:
         raise SpecError(f"library: {exc}") from exc
     root = block.get("root")
-    if root is not None and (not isinstance(root, str) or root not in actions):
-        raise SpecError(f"library root {root!r} is not an action")
+    if root is not None and _name(root, "library.root") not in actions:
+        raise SpecError(f"library.root: {root!r} is not an action")
     return lib, root
 
 
-def _list_of(block: dict, key: str, typ: type, where: str = "") -> list:
-    """The optional list field block[key] (empty when missing), each entry a typ.
-
-    ``where`` is the path of ``block`` in the document, empty for the top level.
-    """
-    value = block.get(key, [])
-    if not isinstance(value, list) or not all(isinstance(v, typ) for v in value):
-        noun = "objects" if typ is dict else "strings"
-        path = f"{where}.{key}" if where else key
-        raise SpecError(f"{path} must be a list of {noun}")
-    return value
-
-
-def _parse_substitution(block: Any, world: World, model: BTModel) -> SubstitutionSpec:
-    if not isinstance(block, dict):
-        raise SpecError("substitution must be an object")
-    target = block.get("target")
-    if isinstance(target, str):
-        if target not in model.leaf_by_name:
-            raise SpecError(f"substitution target leaf {target!r} unknown")
-        vertex = model.leaf_by_name[target]
-        parent = model.tree.parent[vertex]
-        if parent is None:
-            raise SpecError("substitution target has no enclosing fallback")
-        target = parent
-    if not _is_int(target):
-        raise SpecError("substitution.target must be a leaf name or vertex id")
-    budget = block.get("time_budget")
-    if not _is_int(budget) or budget < 0:
-        raise SpecError("substitution.time_budget must be a non-negative integer")
-    hyst_cap = block.get("hysteresis_cap", 0)
-    if not _is_int(hyst_cap) or hyst_cap < 0:
-        raise SpecError("substitution.hysteresis_cap must be a non-negative integer")
-    dd_next = block.get("dd_next")
-    if not isinstance(dd_next, list):
-        raise SpecError("substitution.dd_next must be a target array")
-    _check_ints(dd_next, "substitution.dd_next")
-    rr_block = block.get("rr")
-    if not isinstance(rr_block, dict):
-        raise SpecError("substitution.rr block missing")
-    rr_next = rr_block.get("next", [])
-    if not isinstance(rr_next, list):
-        raise SpecError("substitution.rr.next must be a target array")
-    _check_ints(rr_next, "substitution.rr.next")
-    try:
-        rr_ctrl = SuccessorMap(rr_next)
-    except WorldError as exc:
-        raise SpecError(f"substitution.rr.next: {exc}") from exc
-    rr_doa = None
-    if rr_block.get("doa") is not None:
-        rr_doa = _parse_doa(rr_block["doa"], world, "rr_controller")
-    rr = RrLeaf(
-        success=_parse_region(rr_block.get("success", []), world, "substitution.rr.success"),
-        failure=_parse_region(rr_block.get("failure", []), world, "substitution.rr.failure"),
-        controller=rr_ctrl,
-        doa=rr_doa,
-    )
-    dd_success = None
-    if block.get("dd_success") is not None:
-        dd_success = _parse_region(block["dd_success"], world, "substitution.dd_success")
-    dd_failure = None
-    if block.get("dd_failure") is not None:
-        dd_failure = _parse_region(block["dd_failure"], world, "substitution.dd_failure")
-    return SubstitutionSpec(
+def _parse_substitution(block: dict, world: World, model: BTModel) -> SubstitutionSpec:
+    target = _fallback(block.get("target"), model)
+    budget = _int(block.get("time_budget"), "substitution.time_budget", 0)
+    hyst_cap = _int(block.get("hysteresis_cap", 0), "substitution.hysteresis_cap", 0)
+    dd_next = _list(block.get("dd_next"), "substitution.dd_next", of=int)
+    rr = _obj(block.get("rr"), "substitution.rr")
+    return SubstitutionSpec(  # keyword order is the order the fields are checked in
         target=target,
-        dd_targets=dd_next,
-        rr=rr,
-        rok_success=_parse_region(block.get("risk_ok", []), world, "substitution.risk_ok"),
         time_budget=budget,
         hysteresis_cap=hyst_cap,
-        hysteresis=_parse_bool(block, "hysteresis", "substitution"),
-        dd_success=dd_success,
-        dd_failure=dd_failure,
+        dd_targets=dd_next,
+        rr=RrLeaf(
+            controller=_targets(rr.get("next", []), "substitution.rr.next"),
+            doa=_optional(_parse_doa, rr.get("doa"), "substitution.rr.doa", world),
+            success=_region(rr.get("success", []), "substitution.rr.success", world),
+            failure=_region(rr.get("failure", []), "substitution.rr.failure", world),
+        ),
+        dd_success=_optional(_region, block.get("dd_success"), "substitution.dd_success", world),
+        dd_failure=_optional(_region, block.get("dd_failure"), "substitution.dd_failure", world),
+        rok_success=_region(block.get("risk_ok", []), "substitution.risk_ok", world),
+        hysteresis=_bool(block.get("hysteresis", False), "substitution.hysteresis"),
     )
 
 
@@ -378,14 +359,10 @@ def _world_block(world: World) -> dict:
     return block
 
 
-def _leaf_entry(leaf: LeafData, ids: list[int]) -> dict:
-    """The leaf's document entry; ids is ``list(range(cells))``, shared by one document's regions."""
-    entry: dict[str, Any] = {
-        "name": leaf.name,
-        "kind": "action" if leaf.kind is NodeKind.ACTION else "condition",
-        "success": leaf.success.pick(ids),
-        "failure": leaf.failure.pick(ids),
-    }
+def _leaf_entry(leaf: LeafData | RrLeaf, ids: list[int], **fields: Any) -> dict:
+    """fields plus the leaf's regions and dynamics; ids is ``list(range(cells))``,
+    shared by one document's regions."""
+    entry = {**fields, "success": leaf.success.pick(ids), "failure": leaf.failure.pick(ids)}
     if leaf.controller is not None:
         entry["next"] = list(leaf.controller.targets)
     if leaf.doa is not None:
@@ -401,8 +378,7 @@ def _tree_block(model: BTModel, vertex: int) -> dict:
     kind = model.kinds[vertex]
     if kind in (NodeKind.ACTION, NodeKind.CONDITION):
         return {"leaf": model.names[vertex]}
-    key = "seq" if kind is NodeKind.SEQUENCE else "fal"
-    return {key: [_tree_block(model, c) for c in model.tree.children[vertex]]}
+    return {kind.value: [_tree_block(model, c) for c in model.tree.children[vertex]]}
 
 
 def build_document(
@@ -415,7 +391,10 @@ def build_document(
     doc: dict[str, Any] = {
         "format": FORMAT,
         "universe": _world_block(model.world),
-        "leaves": [_leaf_entry(model.leaves[v], ids) for v in sorted(model.leaves)],
+        "leaves": [
+            _leaf_entry(leaf, ids, name=leaf.name, kind=leaf.kind.value)
+            for leaf in map(model.leaves.__getitem__, sorted(model.leaves))
+        ],
         "tree": _tree_block(model, model.tree.root),
     }
     if delta is not None:
@@ -436,18 +415,8 @@ def substitution_block(spec: SubstitutionSpec, target_name: Optional[str] = None
         "hysteresis": spec.hysteresis,
         "risk_ok": spec.rok_success.pick(ids),
         "dd_next": list(spec.dd_targets),
-        "rr": {
-            "success": spec.rr.success.pick(ids),
-            "failure": spec.rr.failure.pick(ids),
-            "next": list(spec.rr.controller.targets),
-        },
+        "rr": _leaf_entry(spec.rr, ids),
     }
-    if spec.rr.doa is not None:
-        block["rr"]["doa"] = {
-            "basin": spec.rr.doa.basin.pick(ids),
-            "goal": spec.rr.doa.goal.pick(ids),
-            "horizon": spec.rr.doa.horizon,
-        }
     if spec.dd_success is not None:
         block["dd_success"] = spec.dd_success.pick(ids)
     if spec.dd_failure is not None:
@@ -457,18 +426,14 @@ def substitution_block(spec: SubstitutionSpec, target_name: Optional[str] = None
 
 def library_document(lib: ActionConditionLibrary, root: Optional[str] = None) -> dict:
     ids = list(range(lib.world.cell_count))
-    actions = []
-    for aid in lib.action_ids():
-        entry = _leaf_entry(lib.actions[aid].leaf, ids)
-        entry.pop("kind")
-        entry["preconditions"] = list(lib.actions[aid].preconditions)
-        actions.append(entry)
-    conditions = []
-    for cid in lib.condition_ids():
-        entry = _leaf_entry(lib.conditions[cid].leaf, ids)
-        entry.pop("kind")
-        entry["achievers"] = list(lib.conditions[cid].achievers)
-        conditions.append(entry)
+    actions = [
+        _leaf_entry(a.leaf, ids, name=a.leaf.name, preconditions=list(a.preconditions))
+        for a in map(lib.actions.__getitem__, lib.action_ids())
+    ]
+    conditions = [
+        _leaf_entry(c.leaf, ids, name=c.leaf.name, achievers=list(c.achievers))
+        for c in map(lib.conditions.__getitem__, lib.condition_ids())
+    ]
     block: dict[str, Any] = {"actions": actions, "conditions": conditions}
     if root is not None:
         block["root"] = root
@@ -492,9 +457,6 @@ def dump_document(doc: dict) -> str:
     _write(doc, "\n", out, _Decimals())
     out.append("\n")
     return "".join(out)
-
-
-_INT = frozenset({int})
 
 
 class _Decimals(dict):

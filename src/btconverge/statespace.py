@@ -10,11 +10,16 @@ from __future__ import annotations
 
 import math
 from itertools import chain, compress, count
+from operator import contains, eq, itemgetter, or_
 from typing import Callable, Iterable, Iterator, Optional, Sequence
 
 
 class WorldError(ValueError):
     """Raised for malformed universes or mismatched region universes."""
+
+
+class StepError(WorldError):
+    """A controller moves a cell farther than the one step the slice graph assumes."""
 
 
 class Region:
@@ -207,7 +212,7 @@ class World:
     are, already sorted and inside the universe.
     """
 
-    __slots__ = ("cell_count", "coords", "_pairs", "_neighbors", "_rows", "_ball_cache")
+    __slots__ = ("cell_count", "coords", "_pairs", "_neighbors", "_ball_cache")
 
     def __init__(
         self,
@@ -226,7 +231,6 @@ class World:
         self.coords: Optional[tuple[tuple[float, ...], ...]] = None
         self._pairs: Optional[tuple[list[tuple[int, int]], bool]] = None
         self._neighbors: Optional[tuple[tuple[int, ...], ...]] = None
-        self._rows: Optional[tuple[int, ...]] = None
         if coords is not None:
             if len(coords) != cell_count:
                 raise WorldError("need one coordinate vector per cell")
@@ -268,13 +272,6 @@ class World:
             self._neighbors = tuple(tuple(sorted(s)) for s in near)
             self._pairs = None
         return self._neighbors
-
-    @property
-    def adjacency_rows(self) -> Optional[tuple[int, ...]]:
-        """Read-only view of ``neighbors`` as one bitmask per cell, made on first read."""
-        if self._rows is None and self.neighbors is not None:
-            self._rows = tuple(sum(1 << q for q in row) for row in self.neighbors)
-        return self._rows
 
     def distance(self, a: int, b: int) -> float:
         if self.coords is None:
@@ -349,18 +346,42 @@ class World:
         """
         if region.n != self.cell_count:
             raise WorldError("regions belong to a different universe")
-        if self.coords is not None:
-            if delta is None:
-                raise WorldError("metric neighboring needs a step bound delta")
-            near, mask = self._balls(delta), 0
-        elif self.neighbors is not None:
-            near, mask = self.neighbors, region.mask
-        else:
-            raise WorldError("world has neither coordinates nor adjacency")
+        near, stays = self._steps(delta)
         marks = bytearray(self.cell_count)
         for q in chain.from_iterable(map(near.__getitem__, region.cells())):
             marks[q] = 1
-        return Region(self.cell_count, int(marks.translate(_MARK_DIGITS)[::-1], 2) | mask)
+        mask = int(marks.translate(_MARK_DIGITS)[::-1], 2)
+        return Region(self.cell_count, mask | region.mask if stays else mask)
+
+    def _steps(self, delta: Optional[float]) -> tuple[tuple[tuple[int, ...], ...], bool]:
+        """Per cell, the cells one step reaches, and whether the cell itself is left out of them."""
+        if self.coords is not None:
+            if delta is None:
+                raise WorldError("metric neighboring needs a step bound delta")
+            return self._balls(delta), False
+        if self.neighbors is not None:
+            return self.neighbors, True
+        raise WorldError("world has neither coordinates nor adjacency")
+
+    def check_steps(
+        self, cells: list[int], targets: Sequence[int], delta: Optional[float], who: str
+    ) -> None:
+        """Raise StepError unless each cell's target is at most one step away.
+
+        The targets and the membership tests are gathered in C; only a
+        failing check walks the cells, to name the first bad one.
+        """
+        near, stays = self._steps(delta)
+        if len(cells) == 1:
+            cells = cells * 2  # itemgetter of one key returns the item, not a 1-tuple
+        gather = itemgetter(*cells)
+        moved = gather(targets)
+        ok = map(contains, gather(near), moved)
+        if all(map(or_, map(eq, cells, moved), ok) if stays else ok):
+            return
+        c, t = next((c, t) for c, t in zip(cells, moved) if not (stays and c == t or t in near[c]))
+        why = "not a neighbour" if stays else f"{self.distance(c, t)} apart, past delta = {delta}"
+        raise StepError(f"{who} moves cell {c} to {t}: {why}")
 
     def neighboring(self, a: Region, b: Region, delta: Optional[float] = None) -> bool:
         """True when a one-step transition between the two regions is possible.

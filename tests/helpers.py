@@ -243,6 +243,65 @@ def random_gridworld_model(
     return model, abstraction, delta
 
 
+def random_funnel_model(
+    rng: random.Random, side: int, n_parts: int, metric: bool = True, jump: float = 0.1
+) -> tuple[BTModel, list[int]]:
+    """random_gridworld_model's partition, with controllers that work.
+
+    Each action steps one grid move toward the nearest cell of a random goal
+    and, on a metric grid, sometimes jumps to a random cell instead.  Its
+    basin is every cell whose walk reaches the goal without touching the
+    failure region, and its deadline the slowest such walk, so every
+    finite-time-success check passes.  An adjacency grid links each cell to
+    its four neighbours and gets no jumps.
+    """
+    n = side * side
+    xy = [(c % side, c // side) for c in range(n)]
+    if metric:
+        world = World(n, coords=[(float(x), float(y)) for x, y in xy])
+    else:
+        pairs = [(c, c + 1) for c in range(n) if xy[c][0] + 1 < side]
+        world = World(n, adjacency=pairs + [(c, c + side) for c in range(n - side)])
+    cells = list(range(n))
+    rng.shuffle(cells)
+    cut = sorted(rng.sample(range(1, n), n_parts - 1))
+    parts = [cells[a:b] for a, b in zip([0] + cut, cut + [n])]
+    failure = Region.empty(n)
+    children = []
+    for k in range(n_parts - 1, -1, -1):
+        allowed = [c for c in range(n) if c not in failure]
+        goal = set(rng.sample(allowed, min(len(allowed), rng.randint(1, 3))))
+
+        def toward(c):
+            if c in goal:
+                return c
+            if metric and rng.random() < jump:
+                return rng.randrange(n)
+            x, y = xy[c]
+            gx, gy = min((abs(xy[g][0] - x) + abs(xy[g][1] - y), xy[g]) for g in goal)[1]
+            if gx != x:
+                return c + (1 if gx > x else -1)
+            return c + (side if gy > y else -side)
+
+        targets = [toward(c) for c in range(n)]
+        hit = {c: 0 for c in goal}
+        for c in allowed:
+            walk = [c]
+            while walk[-1] not in hit and walk[-1] not in failure and len(walk) <= n:
+                walk.append(targets[walk[-1]])
+            if walk[-1] in hit:
+                for steps, x in enumerate(reversed(walk)):
+                    hit.setdefault(x, hit[walk[-1]] + steps)
+        goal_region = Region.from_cells(n, goal)
+        success = (Region(n, rng.getrandbits(n)) - failure) | goal_region
+        basin = Region.from_cells(n, hit)
+        doa = Doa(basin, goal_region, max(hit.values()) + rng.randint(1, 2))
+        children.append(action(f"act{k}", success, failure, SuccessorMap(targets), doa))
+        failure = failure | Region.from_cells(n, parts[k])
+    model = BTModel(world, fal(*reversed(children)))
+    return model, list(model.action_vertices())
+
+
 def oracle_prepares_edges(model: BTModel, abstraction: list[int], delta: float):
     """Direct evaluation of the six edge rules over all slice pairs."""
     analysis = model.analysis()
@@ -288,7 +347,8 @@ def oracle_neighboring(world: World, a: Region, b: Region, delta: Optional[float
             for p in a.cells()
             for q in b.cells()
         )
-    return any(p == q or world.adjacency_rows[p] >> q & 1 for p in a.cells() for q in b.cells())
+    rows = [sum(1 << q for q in near) for near in world.neighbors]
+    return any(p == q or rows[p] >> q & 1 for p in a.cells() for q in b.cells())
 
 
 # ----------------------------------------------------------------------

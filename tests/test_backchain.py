@@ -23,7 +23,7 @@ from btconverge.backchain import (
 )
 from btconverge.bt import LeafData, NodeKind
 from btconverge.prepares import BehaviorGraph, Certificate, behavior_graph
-from btconverge.statespace import Region, SuccessorMap, World
+from btconverge.statespace import Region, SuccessorMap, World, step_bound
 from btconverge import bundled
 
 from helpers import (
@@ -414,6 +414,13 @@ def test_surveying_library_certifies_despite_cycle():
         check_bc_convergence(lib, root, delta=delta, require_hypothesis=True)
 
 
+def library_delta(lib) -> float:
+    """The largest step lib's controllers make on a metric world; 1.0, unused, on an adjacency one."""
+    if lib.world.coords is None:
+        return 1.0
+    return step_bound(lib.world, [entry.leaf.controller for entry in lib.actions.values()])
+
+
 @pytest.mark.parametrize(
     "library",
     [chain_library, bundled.surveying_robot_library, bundled.mobile_manipulator],
@@ -422,7 +429,7 @@ def test_check_reuses_a_prebuilt_tree(library, monkeypatch):
     from btconverge import backchain
 
     lib, root = library()
-    delta = 1.0
+    delta = library_delta(lib)
     fresh = check_bc_convergence(lib, root, delta)
     built = build_bcbt(lib, root)
 
@@ -528,7 +535,7 @@ def test_pattern_masks_match_the_pair_list(rng):
 )
 def test_check_reports_the_pair_list_pattern(library):
     lib, root = library()
-    report = check_bc_convergence(lib, root, delta=1.0)
+    report = check_bc_convergence(lib, root, delta=library_delta(lib))
     if not report.hypothesis_ok or not isinstance(report.result, Certificate):
         assert report.pattern_ok is None and report.pattern_violations == ()
         return
@@ -539,6 +546,14 @@ def test_check_reports_the_pair_list_pattern(library):
     want = pair_list_pattern_violations(lib, compute_links(lib), built.id_of, bg)
     assert report.pattern_violations == tuple(want)
     assert report.pattern_ok is (not want)
+
+
+def test_library_nested_past_the_recursion_limit_is_a_library_error():
+    import sys
+
+    lib, root = staged_chain_library(sys.getrecursionlimit() // 2, 2)
+    with pytest.raises(LibraryError, match=rf"^backchaining from {root!r} nests actions \d+ deep"):
+        build_bcbt(lib, root)
 
 
 def test_pattern_check_lists_no_reachable_pairs(monkeypatch):

@@ -8,7 +8,7 @@ import pytest
 from btconverge.backchain import build_bcbt
 
 from btconverge.bt import NodeKind
-from btconverge.execution import check_fts, hitting_time, simulate
+from btconverge.execution import _hit_times, check_fts, hitting_time, simulate
 from btconverge.prepares import (
     AbstractionError,
     Certificate,
@@ -25,7 +25,7 @@ from btconverge.prepares import (
     condense,
     _longest_path_bound,
 )
-from btconverge.statespace import Region, World
+from btconverge.statespace import Region, StepError, World
 from btconverge.substitution import substitute
 from btconverge import bundled
 
@@ -34,6 +34,7 @@ from helpers import (
     two_stage_sequence_model,
     oracle_prepares_edges,
     path_bound,
+    random_funnel_model,
     random_gridworld_model,
     staged_chain_library,
 )
@@ -588,3 +589,38 @@ def test_certificate_refined_bound_not_larger():
     for c in cert.start_cells().cells():
         hit = hitting_time(model, c, goals, cert.bound)
         assert hit is not None and hit <= cert.refined_bound
+
+
+def test_verdicts_hold_in_the_closed_loop_under_an_honest_delta(rng):
+    """The one-step hypothesis is checked, so with it every verdict is exact.
+
+    delta is the longest step any member takes inside its operating region.
+    Every certificate's start cells reach its goal cells within
+    refined_bound, no refutation witness ever reaches a goal slice, and any
+    smaller delta is refused with StepError.
+    """
+    seen = set()
+    for _ in range(300):
+        metric = rng.random() < 0.6
+        model, members = random_funnel_model(rng, rng.randint(3, 6), rng.randint(2, 5), metric)
+        omega, world = model.analysis().omega, model.world
+        delta = None
+        if metric:
+            steps = [(c, model.leaves[v].controller.targets[c]) for v in members for c in omega[v].cells()]
+            delta = max(world.distance(c, t) for c, t in steps)
+        outcome = certify_convergence(model, members, delta=delta)
+        loop = model.closed_loop()
+        if isinstance(outcome, Certificate):
+            hits = _hit_times(loop, outcome.goal_cells(), list(outcome.start_cells().cells()))
+            assert None not in hits and max(hits) <= outcome.refined_bound
+        else:
+            goal = Region.empty(world.cell_count)
+            for v in outcome.condensed.graph.vertices:
+                if v.flavor == "c":
+                    goal |= v.cells
+            assert _hit_times(loop, goal, [outcome.witness_cell]) == (None,)
+        seen.add((type(outcome).__name__, metric))
+        if delta:
+            with pytest.raises(StepError, match="apart, past delta"):
+                certify_convergence(model, members, delta=delta * (1 - 1e-9))
+    assert len(seen) == 4, seen

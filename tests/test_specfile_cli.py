@@ -1,6 +1,7 @@
 """Document round-trips, validation diagnostics, CLI contract."""
 
 import json
+import re
 
 import pytest
 
@@ -23,7 +24,7 @@ def assert_models_equal(a: BTModel, b: BTModel) -> None:
     assert a.names == b.names
     assert a.world.cell_count == b.world.cell_count
     assert a.world.coords == b.world.coords
-    assert a.world.adjacency_rows == b.world.adjacency_rows
+    assert a.world.neighbors == b.world.neighbors
     for v, leaf in a.leaves.items():
         other = b.leaves[v]
         assert leaf.success == other.success and leaf.failure == other.failure
@@ -304,12 +305,153 @@ def test_directed_adjacency_round_trips():
     universe = {"cells": 4, "adjacency": [[0, 1], [1, 2], [2, 1], [3, 3]], "adjacency_directed": True}
     world = parse_document({"format": FORMAT, "universe": universe}).world
     assert world.neighbors == ((1,), (2,), (1,), (3,))
-    assert world.adjacency_rows == (0b10, 0b100, 0b10, 0b1000)
     assert _world_block(world) == universe
     del universe["adjacency_directed"]
     world = parse_document({"format": FORMAT, "universe": universe}).world
     assert world.neighbors == ((1,), (0, 2), (1,), (3,))
     assert _world_block(world) == {**universe, "adjacency": [[0, 1], [1, 0], [1, 2], [2, 1], [3, 3]]}
+
+
+def bundled_document(name: str) -> dict:
+    from btconverge.cli import _bundled_document
+
+    return json.loads(dump_document(_bundled_document(name)))
+
+
+def set_in(*keys_and_value):
+    """A mutation that sets doc[k0][k1]... to the last argument and returns doc."""
+    *keys, value = keys_and_value
+
+    def mutate(doc):
+        parent = doc
+        for key in keys[:-1]:
+            parent = parent[key]
+        parent[keys[-1]] = value
+        return doc
+
+    return mutate
+
+
+@pytest.mark.parametrize(
+    "name, mutate, path",
+    [
+        # document level
+        ("eat_tree", lambda d: [d], "document"),
+        ("eat_tree", set_in("format", "btconverge/0"), "format"),
+        ("eat_tree", lambda d: d.pop("universe") and d, "universe"),
+        ("eat_tree", set_in("delta", "1"), "delta"),
+        ("eat_tree", set_in("delta", 10**400), "delta"),
+        # universe block
+        ("eat_tree", set_in("universe", "cells", 0), "universe.cells"),
+        ("eat_tree", set_in("universe", "adjacency", {}), "universe.adjacency"),
+        ("eat_tree", set_in("universe", "adjacency", 1, [0]), "universe.adjacency[1]"),
+        ("eat_tree", set_in("universe", "adjacency", 2, [0, True]), "universe.adjacency[2]"),
+        ("eat_tree", set_in("universe", "adjacency", 0, [0, 99]), "universe"),
+        ("eat_tree", set_in("universe", "adjacency_directed", 1), "universe.adjacency_directed"),
+        ("gridworld", set_in("universe", "coords", 4, ["0", 1]), "universe.coords[4]"),
+        # leaves: every field of an entry
+        ("eat_tree", set_in("leaves", {}), "leaves"),
+        ("eat_tree", set_in("leaves", 1, 5), "leaves"),
+        ("eat_tree", set_in("leaves", 2, "name", ""), "leaves[2].name"),
+        ("eat_tree", set_in("leaves", 2, "name", "eat_apple"), "leaves[2].name"),
+        ("eat_tree", set_in("leaves", 1, "kind", "both"), "leaves[1].kind"),
+        ("eat_tree", set_in("leaves", 0, "success", "x"), "leaves[0].success"),
+        ("eat_tree", set_in("leaves", 0, "failure", [99]), "leaves[0].failure"),
+        ("eat_tree", set_in("leaves", 0, "next", [0]), "leaves[0].next"),
+        ("eat_tree", set_in("leaves", 0, "next", 0, -1), "leaves[0].next"),
+        ("eat_tree", set_in("leaves", 0, "doa", []), "leaves[0].doa"),
+        ("eat_tree", set_in("leaves", 0, "doa", "horizon", 0), "leaves[0].doa.horizon"),
+        ("eat_tree", set_in("leaves", 0, "doa", "goal", [True]), "leaves[0].doa.goal"),
+        # tree: the path follows the node keys down
+        ("eat_tree", set_in("tree", []), "tree"),
+        ("eat_tree", set_in("tree", {"seq": [], "fal": []}), "tree"),
+        ("eat_tree", set_in("tree", "fal", []), "tree.fal"),
+        ("eat_tree", set_in("tree", "fal", 1, "seq", 0, "leaf", "ghost"), "tree.fal[1].seq[0].leaf"),
+        ("eat_tree", set_in("tree", "fal", 1, "seq", 1, {"par": []}), "tree.fal[1].seq[1].par"),
+        ("patrol", set_in("tree", "seq", 1, 5), "tree.seq[1]"),
+        # abstraction
+        ("eat_tree", set_in("abstraction", "eat_apple"), "abstraction"),
+        ("eat_tree", set_in("abstraction", 1, "ghost"), "abstraction[1]"),
+        ("surveying_robot_library", set_in("abstraction", ["charge"]), "abstraction"),
+        # library
+        ("surveying_robot_library", set_in("library", []), "library"),
+        ("surveying_robot_library", set_in("library", "actions", 2, None), "library.actions"),
+        ("surveying_robot_library", set_in("library", "actions", 0, "next", [0]), "library.actions[0].next"),
+        (
+            "surveying_robot_library",
+            set_in("library", "actions", 0, "preconditions", [1]),
+            "library.actions[0].preconditions",
+        ),
+        (
+            "surveying_robot_library",
+            set_in("library", "conditions", 0, "achievers", "go_home"),
+            "library.conditions[0].achievers",
+        ),
+        ("surveying_robot_library", set_in("library", "conditions", 0, "name", 7), "library.conditions[0].name"),
+        ("surveying_robot_library", set_in("library", "actions", 0, "preconditions", ["ghost"]), "library"),
+        ("surveying_robot_library", set_in("library", "root", "at_home"), "library.root"),
+        # substitution
+        ("patrol", set_in("substitution", 5), "substitution"),
+        ("surveying_robot_library", set_in("substitution", {}), "substitution"),
+        ("patrol", set_in("substitution", "target", "ghost"), "substitution.target"),
+        (
+            "patrol",
+            lambda d: d.update(tree={"leaf": "mb_patrol"}, abstraction=None) or d,  # a root leaf
+            "substitution.target",
+        ),
+        ("patrol", set_in("substitution", "target", [1]), "substitution.target"),
+        ("patrol", set_in("substitution", "time_budget", -1), "substitution.time_budget"),
+        ("patrol", set_in("substitution", "hysteresis_cap", None), "substitution.hysteresis_cap"),
+        ("patrol", set_in("substitution", "dd_next", 0, 2.0), "substitution.dd_next"),
+        ("patrol", set_in("substitution", "rr", None), "substitution.rr"),
+        ("patrol", set_in("substitution", "rr", "next", [5]), "substitution.rr.next"),
+        ("patrol", set_in("substitution", "rr", "doa", "horizon", 0), "substitution.rr.doa.horizon"),
+        ("patrol", set_in("substitution", "rr", "success", [99]), "substitution.rr.success"),
+        ("patrol", set_in("substitution", "dd_failure", {}), "substitution.dd_failure"),
+        ("patrol", set_in("substitution", "risk_ok", [-1]), "substitution.risk_ok"),
+        ("patrol", set_in("substitution", "hysteresis", "no"), "substitution.hysteresis"),
+    ],
+)
+def test_spec_errors_start_with_the_json_path(name, mutate, path, tmp_path, capsys):
+    doc = mutate(bundled_document(name))
+    with pytest.raises(SpecError) as exc:
+        parse_document(doc)
+    assert re.match(re.escape(path) + "[ :]", str(exc.value)), str(exc.value)
+    spec = tmp_path / "spec.json"
+    spec.write_text(json.dumps(doc))
+    code, out, err = run_cli("export", "--spec", str(spec), "--which", "tree", capsys=capsys)
+    assert (code, out, err) == (2, "", f"error: {exc.value}\n")
+
+
+SPEC_ERROR_PATH = re.compile(
+    r"^(document|format|universe|delta|leaves|tree|abstraction|library|substitution)\b"
+)
+
+
+def deep_tree(doc: dict, levels: int) -> dict:
+    for _ in range(levels):
+        doc["tree"] = {"seq": [doc["tree"]]}
+    return doc
+
+
+def test_deeply_nested_document_exits_two(tmp_path, capsys):
+    doc = bundled_document("eat_tree")
+    text = json.dumps(doc).replace('"tree": ', '"tree": ' + '{"seq": [' * 5000, 1)
+    text = text[:-1] + "]}" * 5000 + "}"  # the tree is the last key json.dumps wrote
+    path = tmp_path / "deep.json"
+    path.write_text(text)
+    code, out, err = run_cli("check", "--spec", str(path), capsys=capsys)
+    assert (code, out) == (2, "")
+    assert err == f"error: {path}: not valid JSON: nested too deeply\n"
+
+
+def test_tree_nested_past_the_recursion_limit_is_a_spec_error():
+    import sys
+
+    doc = deep_tree(bundled_document("eat_tree"), sys.getrecursionlimit())
+    with pytest.raises(SpecError, match="^tree: nested too deeply$"):
+        parse_document(doc)
+    assert parse_document(deep_tree(bundled_document("eat_tree"), 50)).model.n == 55
 
 
 BAD_VALUES = [None, [], {}, "x", 1.5, True, -1, 10**9, [[1, [2]]], [[0.5], "y"]]
@@ -352,8 +494,8 @@ def test_parse_fuzz_raises_only_spec_errors(rng):
                 tried += 1
                 try:
                     parse_document(mutated)
-                except SpecError:
-                    pass
+                except SpecError as exc:
+                    assert SPEC_ERROR_PATH.match(str(exc)), f"{name} {path} = {bad!r}: {exc}"
                 except Exception as exc:
                     pytest.fail(f"{name} {path} = {bad!r}: {type(exc).__name__}: {exc}")
     assert tried > 500
@@ -657,6 +799,24 @@ def test_package_errors_exit_two(argv, text, message, tmp_path, capsys):
     code, _out, err = run_cli(*argv, capsys=capsys)
     assert code == 2
     assert err.startswith("error: ") and message in err
+
+
+@pytest.mark.parametrize("delta", ["0", "0.5"])
+def test_understated_delta_exits_two(delta, capsys):
+    code, out, err = run_cli("check", "--spec", "bundled:gridworld", "--delta", delta, capsys=capsys)
+    assert (code, out) == (2, "")
+    assert err == f"error: leaf 'go_right' moves cell 0 to 1: 1.0 apart, past delta = {float(delta)}\n"
+
+
+def test_step_to_a_non_adjacent_cell_exits_two(tmp_path, capsys):
+    doc = bundled_document("eat_tree")
+    assert doc["leaves"][0]["name"] == "eat_apple"  # it runs at cell 0, which is not next to 4
+    doc["leaves"][0]["next"][0] = 4
+    path = tmp_path / "jump.json"
+    path.write_text(json.dumps(doc))
+    code, out, err = run_cli("check", "--spec", str(path), capsys=capsys)
+    assert (code, out) == (2, "")
+    assert err == "error: leaf 'eat_apple' moves cell 0 to 4: not a neighbour\n"
 
 
 def test_internal_value_error_is_not_a_spec_error(monkeypatch):

@@ -142,7 +142,7 @@ def test_neighboring_adjacency_mode():
 
 def test_adjacency_rows_can_be_directed():
     w = World(2, neighbors=[(1,), ()])  # 0 -> 1 only
-    assert w.adjacency_rows == (0b10, 0b00)
+    assert w.neighbors == ((1,), ())
     a = Region.from_cells(2, [0])
     b = Region.from_cells(2, [1])
     assert w.neighboring(a, b)
@@ -211,7 +211,7 @@ def test_balls_match_all_pairs(rng):
                     rows[p].add(q)
                     rows[q].add(p)
             assert w._balls(delta) == tuple(tuple(sorted(row)) for row in rows), (pts, delta)
-            assert w.neighbors is None and w.adjacency_rows is None
+            assert w.neighbors is None
             if not delta >= 0:
                 continue
             for _ in range(5):
@@ -323,7 +323,6 @@ def test_adjacency_neighbour_lists_match_pair_definition(rng):
             related = set(pairs) | ({(q, p) for p, q in pairs} if symmetric else set())
             want = tuple(tuple(q for q in range(n) if (p, q) in related) for p in range(n))
             assert w.neighbors == want
-            assert w.adjacency_rows == tuple(sum(1 << q for q in near) for near in want)
             for _ in range(6):
                 a = Region(n, rng.getrandbits(n) or 1)
                 one = lambda q: oracle_neighboring(w, a, Region.from_cells(n, [q]), None)
