@@ -103,6 +103,31 @@ def condition(name: str, success: Region, failure: Optional[Region] = None) -> N
     return NodeSpec(NodeKind.CONDITION, leaf=LeafData(name, NodeKind.CONDITION, success, failure))
 
 
+def check_leaf(leaf: LeafData, world: World) -> None:
+    """Raise ModelError unless the leaf's regions, dynamics and basin fit its kind and world."""
+    universe = world.full_region()
+    if leaf.success.n != world.cell_count:
+        raise ModelError(f"leaf {leaf.name!r} regions are over a different universe")
+    if not leaf.success.isdisjoint(leaf.failure):
+        raise ModelError(f"leaf {leaf.name!r} has overlapping success and failure")
+    if leaf.kind is NodeKind.CONDITION:
+        if (leaf.success | leaf.failure) != universe:
+            raise ModelError(f"condition {leaf.name!r} must have an empty running region")
+        if leaf.controller is not None:
+            raise ModelError(f"condition {leaf.name!r} cannot carry a controller")
+    else:
+        if leaf.controller is None:
+            raise ModelError(f"action {leaf.name!r} needs a controller")
+        if leaf.controller.n != world.cell_count:
+            raise ModelError(f"action {leaf.name!r} controller universe mismatch")
+    if leaf.doa is not None:
+        running = universe - leaf.success - leaf.failure
+        if not leaf.doa.basin.issubset(running | leaf.success):
+            raise ModelError(f"leaf {leaf.name!r}: basin must avoid the failure region")
+        if not leaf.doa.goal.issubset(leaf.doa.basin & leaf.success):
+            raise ModelError(f"leaf {leaf.name!r}: goal must lie in basin and success region")
+
+
 class BTModel:
     """An immutable behavior-tree model bound to a world.
 
@@ -119,6 +144,7 @@ class BTModel:
         "leaf_by_name",
         "_analysis",
         "_loop",
+        "_leaf_at",
     )
 
     def __init__(self, world: World, spec: NodeSpec) -> None:
@@ -159,38 +185,9 @@ class BTModel:
             self.leaf_by_name[leaf.name] = vid
         self._analysis: Optional[NodeAnalysis] = None
         self._loop: Optional[tuple[Optional[int], ...]] = None
-        self._validate()
-
-    # ------------------------------------------------------------------
-    def _validate(self) -> None:
-        universe = self.world.full_region()
-        for vid, leaf in self.leaves.items():
-            if leaf.success.n != self.world.cell_count:
-                raise ModelError(f"leaf {leaf.name!r} regions are over a different universe")
-            if not leaf.success.isdisjoint(leaf.failure):
-                raise ModelError(f"leaf {leaf.name!r} has overlapping success and failure")
-            if leaf.kind is NodeKind.CONDITION:
-                if (leaf.success | leaf.failure) != universe:
-                    raise ModelError(
-                        f"condition {leaf.name!r} must have an empty running region"
-                    )
-                if leaf.controller is not None:
-                    raise ModelError(f"condition {leaf.name!r} cannot carry a controller")
-            else:
-                if leaf.controller is None:
-                    raise ModelError(f"action {leaf.name!r} needs a controller")
-                if leaf.controller.n != self.world.cell_count:
-                    raise ModelError(f"action {leaf.name!r} controller universe mismatch")
-            if leaf.doa is not None:
-                running = universe - leaf.success - leaf.failure
-                if not leaf.doa.basin.issubset(running | leaf.success):
-                    raise ModelError(
-                        f"leaf {leaf.name!r}: basin must avoid the failure region"
-                    )
-                if not leaf.doa.goal.issubset(leaf.doa.basin & leaf.success):
-                    raise ModelError(
-                        f"leaf {leaf.name!r}: goal must lie in basin and success region"
-                    )
+        self._leaf_at: Optional[list[int]] = None
+        for leaf in leaves.values():
+            check_leaf(leaf, world)
 
     # ------------------------------------------------------------------
     @property
@@ -218,10 +215,33 @@ class BTModel:
         return self._analysis
 
     def closed_loop(self) -> tuple[Optional[int], ...]:
-        """Per-cell next cell of the closed loop; None where a Condition resolves."""
+        """Per-cell next cell of the closed loop; None where a Condition resolves.
+
+        Each action leaf copies its controller's targets over the cells where
+        the tick reaches it; the cells where a Condition resolves keep None.
+        """
         if self._loop is None:
-            self._loop = closed_loop_map(self)
+            targets: list[Optional[int]] = [None] * self.world.cell_count
+            reached = tick_regions(self)
+            for v in self.action_vertices():
+                step = self.leaves[v].controller.targets
+                for x in reached[v].cells():
+                    targets[x] = step[x]
+            self._loop = tuple(targets)
         return self._loop
+
+    def leaf_at(self, x: int) -> int:
+        """The leaf the tick resolves to at cell x; the per-cell table is filled on first use."""
+        if not 0 <= x < self.world.cell_count:
+            raise ModelError(f"cell {x} outside universe of {self.world.cell_count} cells")
+        if self._leaf_at is None:
+            table = [0] * self.world.cell_count
+            reached = tick_regions(self)
+            for v in self.leaves:
+                for c in reached[v].cells():
+                    table[c] = v
+            self._leaf_at = table
+        return self._leaf_at[x]
 
     def __repr__(self) -> str:
         return f"BTModel(vertices={self.n}, cells={self.world.cell_count})"
@@ -247,43 +267,27 @@ def propagate_metadata(model: BTModel) -> tuple[tuple[Region, ...], tuple[Region
     some child runs (fails) after all earlier siblings succeeded.  A
     Fallback is the mirror image with success and failure exchanged.
     """
-    n = model.n
     universe = model.world.full_region()
-    running: list[Optional[Region]] = [None] * n
-    success: list[Optional[Region]] = [None] * n
-    failure: list[Optional[Region]] = [None] * n
+    running: list[Optional[Region]] = [None] * model.n
+    success: list[Optional[Region]] = [None] * model.n
+    failure: list[Optional[Region]] = [None] * model.n
 
-    for v in _postorder(model.tree):
-        kind = model.kinds[v]
-        if kind in (NodeKind.ACTION, NodeKind.CONDITION):
+    for v in reversed(range(model.n)):  # preorder ids: every child comes after its parent
+        kids = model.tree.children[v]
+        if not kids:
             leaf = model.leaves[v]
-            success[v] = leaf.success
-            failure[v] = leaf.failure
+            success[v], failure[v] = leaf.success, leaf.failure
             running[v] = universe - leaf.success - leaf.failure
             continue
-        kids = model.tree.children[v]
-        if kind is NodeKind.SEQUENCE:
-            gate = universe  # intersection of earlier siblings' success
-            r_acc = Region.empty(universe.n)
-            f_acc = Region.empty(universe.n)
-            for c in kids:
-                r_acc |= running[c] & gate
-                f_acc |= failure[c] & gate
-                gate = gate & success[c]
-            success[v] = gate
-            running[v] = r_acc
-            failure[v] = f_acc
-        else:
-            gate = universe  # intersection of earlier siblings' failure
-            r_acc = Region.empty(universe.n)
-            s_acc = Region.empty(universe.n)
-            for c in kids:
-                r_acc |= running[c] & gate
-                s_acc |= success[c] & gate
-                gate = gate & failure[c]
-            failure[v] = gate
-            running[v] = r_acc
-            success[v] = s_acc
+        # a Sequence passes a cell on where a child succeeds and stops where it fails
+        passes, stops = (success, failure) if model.kinds[v] is NodeKind.SEQUENCE else (failure, success)
+        gate = universe  # intersection of the earlier siblings' passing regions
+        r_acc = s_acc = Region.empty(universe.n)
+        for c in kids:
+            r_acc |= running[c] & gate
+            s_acc |= stops[c] & gate
+            gate = gate & passes[c]
+        passes[v], stops[v], running[v] = gate, s_acc, r_acc
     return tuple(running), tuple(success), tuple(failure)  # type: ignore[arg-type]
 
 
@@ -365,67 +369,43 @@ def analyze(model: BTModel) -> NodeAnalysis:
     return NodeAnalysis(running, success, failure, influence, omega, s_path, f_path)
 
 
-def closed_loop_map(model: BTModel) -> tuple[Optional[int], ...]:
-    """Tick-then-step successor of every cell, in one top-down pass.
+def tick_regions(model: BTModel) -> list[Region]:
+    """Per vertex, the cells where the tick reaches it, in one top-down pass.
 
-    This is the rule ``tick_path`` applies per cell, done with regions: a
-    Sequence hands a cell to its first child that has not succeeded there,
-    so child i is reached on the parent's region intersected with the
-    success regions of children 0..i-1, minus its own success region
+    A Sequence hands a cell to its first child that has not succeeded
+    there, so child i is reached on the parent's region intersected with
+    the success regions of children 0..i-1, minus its own success region
     unless it is the last child.  A Fallback is the mirror with failure
-    regions.  The leaves' regions partition the universe; each action leaf
-    copies its controller's targets over its own cells, and the cells where
-    a Condition resolves keep None.
+    regions.  The leaves' regions partition the universe.
     """
     analysis = model.analysis()
-    targets: list[Optional[int]] = [None] * model.world.cell_count
     reached = [model.world.full_region()] * model.n
     for v in range(model.n):  # preorder ids: a parent comes before its children
-        kind = model.kinds[v]
-        if kind is NodeKind.ACTION:
-            step = model.leaves[v].controller.targets
-            for x in reached[v].cells():
-                targets[x] = step[x]
+        kids = model.tree.children[v]
+        if not kids:
             continue
-        if kind is NodeKind.CONDITION:
-            continue
-        gate = analysis.success if kind is NodeKind.SEQUENCE else analysis.failure
+        gate = analysis.success if model.kinds[v] is NodeKind.SEQUENCE else analysis.failure
         region = reached[v]
-        *earlier, last = model.tree.children[v]
+        *earlier, last = kids
         for c in earlier:
             reached[c] = region - gate[c]
             region = region & gate[c]
         reached[last] = region
-    return tuple(targets)
+    return reached
 
 
 def tick_path(model: BTModel, x: int) -> list[int]:
     """Root-to-leaf vertex path the tick resolution takes at cell x."""
-    analysis = model.analysis()
-    path = [model.tree.root]
-    while True:
-        v = path[-1]
-        kind = model.kinds[v]
-        if kind in (NodeKind.ACTION, NodeKind.CONDITION):
-            return path
-        kids = model.tree.children[v]
-        chosen = kids[-1]
-        if kind is NodeKind.SEQUENCE:
-            for c in kids[:-1]:
-                if x not in analysis.success[c]:
-                    chosen = c
-                    break
-        else:
-            for c in kids[:-1]:
-                if x not in analysis.failure[c]:
-                    chosen = c
-                    break
-        path.append(chosen)
+    path = [model.leaf_at(x)]
+    parent = model.tree.parent
+    while parent[path[-1]] is not None:
+        path.append(parent[path[-1]])
+    return path[::-1]
 
 
 def tick(model: BTModel, x: int) -> tuple[int, Status]:
     """Resolve the executing leaf and the root status at cell x."""
-    leaf = tick_path(model, x)[-1]
+    leaf = model.leaf_at(x)
     data = model.leaves[leaf]
     if x in data.success:
         return leaf, Status.SUCCESS
@@ -465,14 +445,3 @@ def validate_abstraction(model: BTModel, vertices: Iterable[int]) -> Abstraction
     uncovered = Region(model.world.cell_count, union).complement()
     return AbstractionVerdict(not overlaps and uncovered.is_empty, tuple(overlaps), uncovered)
 
-
-def _postorder(tree: OrderedTree) -> Iterable[int]:
-    stack: list[tuple[int, bool]] = [(tree.root, False)]
-    while stack:
-        v, expanded = stack.pop()
-        if expanded:
-            yield v
-            continue
-        stack.append((v, True))
-        for c in reversed(tree.children[v]):
-            stack.append((c, False))

@@ -14,7 +14,9 @@ region are read with ``operator.itemgetter`` gathers, so Python only loops
 over the cells a walk has to step.  ``hitting_time`` is the same kernel
 with one start.  Closed-loop walks read the model's per-cell successor
 list (``BTModel.closed_loop``, built once per model), so no cell is ticked
-per query; only ``simulate`` ticks, because it reports statuses.
+per query.  ``simulate`` ticks, because it reports statuses; a tick reads
+the model's per-cell leaf table (``BTModel.leaf_at``), which the same
+top-down pass (``bt.tick_regions``) fills on the first tick.
 """
 
 from __future__ import annotations
@@ -217,8 +219,3 @@ def hitting_time(model: BTModel, x0: int, goal: Region, max_steps: int) -> Optio
         raise ExecutionError(f"start cell {x0} outside universe")
     hit = _hit_times(model.closed_loop(), goal, [x0])[0]
     return hit if hit is not None and hit <= max_steps else None
-
-
-def closed_loop_targets(model: BTModel) -> list[Optional[int]]:
-    """Per-cell next cell under the full loop; None where a Condition resolves."""
-    return list(model.closed_loop())

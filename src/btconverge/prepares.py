@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 from typing import Iterable, Mapping, Optional, Sequence
 
 from .bt import BTModel, Doa, NodeKind, action as action_spec, validate_abstraction
-from .execution import ExitResult, check_fts, closed_loop_targets, empirical_exit_time
+from .execution import ExitResult, check_fts, empirical_exit_time
 from .statespace import Region, SuccessorMap
 
 FLAVOR_OUTSIDE = "a"  # operating region minus basin
@@ -471,7 +471,7 @@ def certificate_as_fts_leaf(model: BTModel, cert: Certificate, name: str = "cert
     """
     analysis = model.analysis()
     root = model.tree.root
-    targets = [t if t is not None else c for c, t in enumerate(closed_loop_targets(model))]
+    targets = [t if t is not None else c for c, t in enumerate(model.closed_loop())]
     leaf = action_spec(
         name,
         success=analysis.success[root],

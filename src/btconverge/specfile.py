@@ -19,7 +19,7 @@ from operator import itemgetter
 from typing import Any, Callable, Optional
 
 from .backchain import ActionConditionLibrary, ActionEntry, ConditionEntry, LibraryError
-from .bt import BTModel, Doa, LeafData, ModelError, NodeKind, NodeSpec
+from .bt import BTModel, Doa, LeafData, ModelError, NodeKind, NodeSpec, check_leaf
 from .statespace import Region, SuccessorMap, World, WorldError
 from .substitution import RrLeaf, SubstitutionSpec
 
@@ -220,6 +220,8 @@ def _coords(coords: Any, cells: int) -> list:
 def _fallback(value: Any, model: BTModel) -> int:
     """substitution.target: a vertex id, or the name of a leaf whose parent it is."""
     if type(value) is int:
+        if not 0 <= value < model.n:
+            raise SpecError(f"substitution.target: vertex {value} outside 0..{model.n - 1}")
         return value
     if not isinstance(value, str):
         raise SpecError("substitution.target must be a leaf name or vertex id")
@@ -265,7 +267,12 @@ def _parse_leaf(entry: dict, world: World, path: str, kind: Optional[str] = None
     if kind == "action":
         controller = _targets(entry.get("next"), f"{path}.next", world.cell_count)
     doa = _optional(_parse_doa, entry.get("doa"), f"{path}.doa", world)
-    return LeafData(name, NodeKind(kind), success, failure, controller, doa)
+    leaf = LeafData(name, NodeKind(kind), success, failure, controller, doa)
+    try:
+        check_leaf(leaf, world)
+    except ModelError as exc:
+        raise SpecError(f"{path}: {exc}") from exc
+    return leaf
 
 
 def _parse_doa(value: Any, path: str, world: World) -> Doa:
@@ -301,12 +308,16 @@ def _parse_library(block: dict, world: World) -> tuple[ActionConditionLibrary, O
         path = f"library.actions[{i}]"
         leaf = _parse_leaf(entry, world, path, "action")
         pre = _list(entry.get("preconditions", []), f"{path}.preconditions", of=str)
+        if leaf.name in actions:
+            raise SpecError(f"{path}.name: duplicate action {leaf.name!r}")
         actions[leaf.name] = ActionEntry(leaf, tuple(pre))
     conditions = {}
     for i, entry in enumerate(_list(block.get("conditions", []), "library.conditions", of=dict)):
         path = f"library.conditions[{i}]"
         leaf = _parse_leaf(entry, world, path, "condition")
         ach = _list(entry.get("achievers", []), f"{path}.achievers", of=str)
+        if leaf.name in conditions:
+            raise SpecError(f"{path}.name: duplicate condition {leaf.name!r}")
         conditions[leaf.name] = ConditionEntry(leaf, tuple(ach))
     try:
         lib = ActionConditionLibrary(world, actions, conditions)
@@ -323,6 +334,10 @@ def _parse_substitution(block: dict, world: World, model: BTModel) -> Substituti
     budget = _int(block.get("time_budget"), "substitution.time_budget", 0)
     hyst_cap = _int(block.get("hysteresis_cap", 0), "substitution.hysteresis_cap", 0)
     dd_next = _list(block.get("dd_next"), "substitution.dd_next", of=int)
+    cells = world.cell_count
+    if len(dd_next) not in (cells, cells * (budget + 1) * (hyst_cap + 1)):
+        raise SpecError("substitution.dd_next must list one target per base or augmented cell")
+    _region(dd_next, "substitution.dd_next", world)  # every target is a base cell
     rr = _obj(block.get("rr"), "substitution.rr")
     return SubstitutionSpec(  # keyword order is the order the fields are checked in
         target=target,
@@ -330,7 +345,7 @@ def _parse_substitution(block: dict, world: World, model: BTModel) -> Substituti
         hysteresis_cap=hyst_cap,
         dd_targets=dd_next,
         rr=RrLeaf(
-            controller=_targets(rr.get("next", []), "substitution.rr.next"),
+            controller=_targets(rr.get("next"), "substitution.rr.next", cells),
             doa=_optional(_parse_doa, rr.get("doa"), "substitution.rr.doa", world),
             success=_region(rr.get("success", []), "substitution.rr.success", world),
             failure=_region(rr.get("failure", []), "substitution.rr.failure", world),

@@ -32,6 +32,7 @@ from .prepares import (
     Refutation,
     build_prepares_graph,
     certify_convergence,
+    condense,
 )
 from .statespace import Region, SuccessorMap, World
 
@@ -529,7 +530,7 @@ def verify_substituted_convergence(
                 f"budget of {result.spec.time_budget}"
             )
 
-    outcome = certify_convergence(new_model, abstraction, seeds=seeds)
+    outcome = certify_convergence(new_model, abstraction, seeds=seeds, condensed=condense(new_graph))
     return SubstitutionReport(
         ok=not diffs and isinstance(outcome, Certificate),
         graph_diffs=tuple(diffs),

@@ -6,6 +6,7 @@ import pytest
 
 from btconverge.bt import (
     BTModel,
+    ModelError,
     NodeKind,
     Status,
     action,
@@ -155,10 +156,20 @@ def test_tick_status_matches_root_regions(rng):
 
 
 def test_tick_path_matches_naive_descent(rng):
-    for _ in range(30):
-        model = random_tree_model(rng, 10)
+    models = [random_tree_model(rng, 10) for _ in range(30)]
+    models += [deep_tree_model(rng, levels, n_cells=64) for levels in (1, 2, 7, 40)]
+    for model in models:
         for x in range(model.world.cell_count):
             assert tick_path(model, x) == naive_tick_path(model, x)
+
+
+@pytest.mark.parametrize("offset", [-1, 0, 5])
+def test_tick_outside_universe_raises(eat, offset):
+    m = eat.model
+    x = offset if offset < 0 else m.world.cell_count + offset
+    for resolve in (tick, tick_path):
+        with pytest.raises(ModelError, match=f"cell {x} outside universe of 27 cells"):
+            resolve(m, x)
 
 
 def deep_tree_model(rng, levels, n_cells=256):

@@ -13,7 +13,6 @@ from btconverge.execution import (
     ExecutionError,
     _hit_times,
     check_fts,
-    closed_loop_targets,
     empirical_exit_time,
     hitting_time,
     simulate,
@@ -194,7 +193,7 @@ def test_empirical_exit_on_survey_cycle_matches_brute_force():
     region = condensed.class_cells(cycle)
     result = empirical_exit_time(model, region)
     # independent re-simulation with the precomputed closed-loop map
-    loop = closed_loop_targets(model)
+    loop = model.closed_loop()
     worst = 0
     for c in region.cells():
         x, k = c, 0
@@ -467,7 +466,7 @@ def test_closed_loop_map_matches_per_cell_tick(rng):
             leaf, _status = tick(model, x)
             data = model.leaves[leaf]
             want.append(data.controller.next(x) if data.kind is NodeKind.ACTION else None)
-        assert closed_loop_targets(model) == want
+        assert list(model.closed_loop()) == want
         assert want == [naive_loop_step(model, x) for x in range(n)]
         seen.update(t is None for t in want)
     # the corpus has cells where a Condition resolves and cells where an action runs

@@ -362,6 +362,17 @@ def set_in(*keys_and_value):
         ("eat_tree", set_in("leaves", 0, "doa", []), "leaves[0].doa"),
         ("eat_tree", set_in("leaves", 0, "doa", "horizon", 0), "leaves[0].doa.horizon"),
         ("eat_tree", set_in("leaves", 0, "doa", "goal", [True]), "leaves[0].doa.goal"),
+        (  # failure overlaps success
+            "eat_tree",
+            lambda d: d["leaves"][1].update(failure=d["leaves"][1]["success"][:1]) or d,
+            "leaves[1]",
+        ),
+        ("eat_tree", set_in("leaves", 0, "doa", "goal", [0]), "leaves[0]"),  # goal outside basin
+        (  # an entry the tree never references is checked all the same
+            "eat_tree",
+            lambda d: d["leaves"].append(dict(d["leaves"][0], name="x", failure=d["leaves"][0]["success"])) or d,
+            "leaves[3]",
+        ),
         # tree: the path follows the node keys down
         ("eat_tree", set_in("tree", []), "tree"),
         ("eat_tree", set_in("tree", {"seq": [], "fal": []}), "tree"),
@@ -390,6 +401,21 @@ def set_in(*keys_and_value):
         ("surveying_robot_library", set_in("library", "conditions", 0, "name", 7), "library.conditions[0].name"),
         ("surveying_robot_library", set_in("library", "actions", 0, "preconditions", ["ghost"]), "library"),
         ("surveying_robot_library", set_in("library", "root", "at_home"), "library.root"),
+        (
+            "surveying_robot_library",
+            lambda d: d["library"]["actions"].append(d["library"]["actions"][0]) or d,
+            "library.actions[5].name",
+        ),
+        (
+            "surveying_robot_library",
+            lambda d: d["library"]["conditions"].append(d["library"]["conditions"][0]) or d,
+            "library.conditions[6].name",
+        ),
+        (
+            "surveying_robot_library",
+            set_in("library", "conditions", 0, "failure", []),  # a condition that runs
+            "library.conditions[0]",
+        ),
         # substitution
         ("patrol", set_in("substitution", 5), "substitution"),
         ("surveying_robot_library", set_in("substitution", {}), "substitution"),
@@ -400,9 +426,14 @@ def set_in(*keys_and_value):
             "substitution.target",
         ),
         ("patrol", set_in("substitution", "target", [1]), "substitution.target"),
+        ("patrol", set_in("substitution", "target", -1), "substitution.target"),
         ("patrol", set_in("substitution", "time_budget", -1), "substitution.time_budget"),
         ("patrol", set_in("substitution", "hysteresis_cap", None), "substitution.hysteresis_cap"),
         ("patrol", set_in("substitution", "dd_next", 0, 2.0), "substitution.dd_next"),
+        ("patrol", set_in("substitution", "dd_next", [0] * 9), "substitution.dd_next"),
+        ("patrol", set_in("substitution", "dd_next", 0, 10**6), "substitution.dd_next"),
+        ("patrol", lambda d: d["substitution"]["rr"].pop("next") and d, "substitution.rr.next"),
+        ("patrol", set_in("substitution", "rr", "next", [0] * 9), "substitution.rr.next"),
         ("patrol", set_in("substitution", "rr", None), "substitution.rr"),
         ("patrol", set_in("substitution", "rr", "next", [5]), "substitution.rr.next"),
         ("patrol", set_in("substitution", "rr", "doa", "horizon", 0), "substitution.rr.doa.horizon"),
@@ -421,6 +452,23 @@ def test_spec_errors_start_with_the_json_path(name, mutate, path, tmp_path, caps
     spec.write_text(json.dumps(doc))
     code, out, err = run_cli("export", "--spec", str(spec), "--which", "tree", capsys=capsys)
     assert (code, out, err) == (2, "", f"error: {exc.value}\n")
+
+
+def test_dd_next_may_list_one_target_per_augmented_cell():
+    from btconverge.substitution import substitute
+
+    doc = bundled_document("patrol")
+    sub = doc["substitution"]
+    block = (sub["time_budget"] + 1) * (sub["hysteresis_cap"] + 1)
+    per_base = parse_document(doc)
+    sub["dd_next"] = [t for t in sub["dd_next"] for _ in range(block)]
+    per_aug = parse_document(doc)
+    assert len(per_aug.substitution.dd_targets) == block * per_base.world.cell_count
+    loops = [
+        substitute(s.model, s.substitution, base_delta=s.delta).new_model.closed_loop()
+        for s in (per_base, per_aug)
+    ]
+    assert loops[0] == loops[1]
 
 
 SPEC_ERROR_PATH = re.compile(

@@ -487,24 +487,25 @@ def test_substitution_and_reverification_do_no_per_cell_work(monkeypatch):
     members = [b.model.vertex_of(n) for n in b.abstraction]
     spec = dataclasses.replace(bundled.patrol_substitution(), time_budget=30, hysteresis_cap=4)
     ticks, decodes = [], []
-    real_tick_path, real_decode = bt.tick_path, Augmentation.decode
+    real_leaf_at, real_decode = bt.BTModel.leaf_at, Augmentation.decode
 
-    def counting_tick_path(model, x):
+    def counting_leaf_at(model, x):
         ticks.append(x)
-        return real_tick_path(model, x)
+        return real_leaf_at(model, x)
 
     def counting_decode(self, cell):
         decodes.append(cell)
         return real_decode(self, cell)
 
-    monkeypatch.setattr(bt, "tick_path", counting_tick_path)
+    monkeypatch.setattr(bt.BTModel, "leaf_at", counting_leaf_at)
     monkeypatch.setattr(Augmentation, "decode", counting_decode)
     cert = certify_convergence(b.model, members, b.delta)
     result = substitute(b.model, spec, base_delta=b.delta)
     assert decodes == []
     report = verify_substituted_convergence(cert, result)
     assert report and report.loop_exit_steps is not None
-    assert ticks == []
+    assert ticks == []  # neither verdict built a per-cell leaf table
+    assert b.model._leaf_at is None and result.new_model._leaf_at is None
     # the counters do see the per-cell paths
     bt.tick(result.new_model, 0)
     result.augmentation.decode(0)
