@@ -29,16 +29,16 @@ from .prepares import (
     reach,
     reach_masks,
 )
-from .statespace import Region, World
+from .statespace import BTConvergeError, Region, World
 
 Id = Hashable
 
 
-class LibraryError(ValueError):
+class LibraryError(BTConvergeError):
     pass
 
 
-class AssumptionError(ValueError):
+class AssumptionError(BTConvergeError):
     """A structural assumption the backchain closed forms need is violated."""
 
 

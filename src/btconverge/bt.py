@@ -24,10 +24,10 @@ from dataclasses import dataclass
 from typing import Iterable, Optional
 
 from .ordered_tree import OrderedTree, TreeOrders
-from .statespace import Region, SuccessorMap, World
+from .statespace import BTConvergeError, Region, SuccessorMap, World
 
 
-class ModelError(ValueError):
+class ModelError(BTConvergeError):
     """Raised when a behavior-tree model violates its invariants."""
 
 

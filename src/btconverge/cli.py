@@ -10,32 +10,9 @@ from __future__ import annotations
 
 import argparse
 import sys
-from typing import Callable, Optional
+from types import ModuleType
+from typing import TYPE_CHECKING, Callable, Optional
 
-from . import bundled as bundles
-from .backchain import (
-    AssumptionError,
-    LibraryError,
-    bc_influence_terms,
-    build_bcbt,
-    check_bc_convergence,
-    compute_links,
-    verify_bc_operating,
-)
-from .bt import ModelError
-from .dotexport import behavior_dot, condensed_dot, prepares_dot, tree_dot
-from .execution import ExecutionError, simulate
-from .prepares import (
-    AbstractionError,
-    Certificate,
-    FtsPreconditionError,
-    Refutation,
-    analysis_set,
-    behavior_graph,
-    build_prepares_graph,
-    certify_convergence,
-    condense,
-)
 from .specfile import (
     LoadedSpec,
     SpecError,
@@ -46,8 +23,10 @@ from .specfile import (
     parse_document,
     substitution_block,
 )
-from .statespace import WorldError, step_bound
-from .substitution import SubstitutionError, substitute, verify_preservation
+from .statespace import BTConvergeError, step_bound
+
+if TYPE_CHECKING:  # each subcommand imports the analysis modules it runs
+    from .prepares import Certificate
 
 EXIT_OK = 0
 EXIT_REFUTED = 1
@@ -58,21 +37,22 @@ def _model_document(bundle, substitution: Optional[dict] = None) -> dict:
     return build_document(bundle.model, list(bundle.abstraction), bundle.delta, substitution)
 
 
-def _surveying_robot_library_document() -> dict:
+def _surveying_robot_library_document(bundles: ModuleType) -> dict:
     doc = library_document(*bundles.surveying_robot_library())
     doc["delta"] = bundles.surveying_robot().delta
     return doc
 
 
-_BUNDLED: dict[str, Callable[[], dict]] = {
-    "eat_tree": lambda: _model_document(bundles.eat_tree()),
-    "surveying_robot": lambda: _model_document(bundles.surveying_robot()),
+# each entry builds its document from the bundled module, imported on first use
+_BUNDLED: dict[str, Callable[[ModuleType], dict]] = {
+    "eat_tree": lambda bundles: _model_document(bundles.eat_tree()),
+    "surveying_robot": lambda bundles: _model_document(bundles.surveying_robot()),
     "surveying_robot_library": _surveying_robot_library_document,
-    "mobile_manipulator": lambda: library_document(*bundles.mobile_manipulator()),
-    "patrol": lambda: _model_document(
+    "mobile_manipulator": lambda bundles: library_document(*bundles.mobile_manipulator()),
+    "patrol": lambda bundles: _model_document(
         bundles.patrol(), substitution_block(bundles.patrol_substitution(), "mb_patrol")
     ),
-    "gridworld": lambda: _model_document(bundles.gridworld()),
+    "gridworld": lambda bundles: _model_document(bundles.gridworld()),
 }
 
 
@@ -80,7 +60,9 @@ def _bundled_document(name: str) -> dict:
     build = _BUNDLED.get(name)
     if build is None:
         raise SpecError(f"unknown bundled spec {name!r}")
-    return build()
+    from . import bundled
+
+    return build(bundled)
 
 
 def bundled_names() -> list[str]:
@@ -185,6 +167,15 @@ def _emit_document(doc: dict, report_lines: list[str], out: Optional[str]) -> No
 
 
 def cmd_check(args: argparse.Namespace) -> int:
+    from .execution import simulate
+    from .prepares import (
+        FtsPreconditionError,
+        Refutation,
+        build_prepares_graph,
+        certify_convergence,
+        condense,
+    )
+
     spec = _load_spec(args.spec)
     if spec.model is None:
         raise SpecError("check needs a spec with a tree block")
@@ -270,6 +261,8 @@ def _print_report(report: dict, args: argparse.Namespace) -> None:
 
 
 def cmd_simulate(args: argparse.Namespace) -> int:
+    from .execution import simulate
+
     spec = _load_spec(args.spec)
     if spec.model is None:
         raise SpecError("simulate needs a spec with a tree block")
@@ -279,6 +272,8 @@ def cmd_simulate(args: argparse.Namespace) -> int:
 
 
 def cmd_export(args: argparse.Namespace) -> int:
+    from .dotexport import behavior_dot, condensed_dot, prepares_dot, tree_dot
+
     spec = _load_spec(args.spec)
     if spec.model is None:
         raise SpecError("export needs a spec with a tree block")
@@ -286,6 +281,8 @@ def cmd_export(args: argparse.Namespace) -> int:
     if args.which == "tree":
         _emit(tree_dot(model), args.out)
         return EXIT_OK
+    from .prepares import analysis_set, behavior_graph, build_prepares_graph, condense
+
     delta = _resolve_delta(spec, args.delta)
     graph = build_prepares_graph(model, _abstraction_vertices(spec), delta)
     condensed = condense(graph)
@@ -302,6 +299,15 @@ def cmd_export(args: argparse.Namespace) -> int:
 
 
 def cmd_backchain(args: argparse.Namespace) -> int:
+    from .backchain import (
+        bc_influence_terms,
+        build_bcbt,
+        check_bc_convergence,
+        compute_links,
+        verify_bc_operating,
+    )
+    from .prepares import Certificate
+
     spec = _load_spec(args.spec)
     if spec.library is None:
         raise SpecError("backchain needs a spec with a library block")
@@ -342,6 +348,8 @@ def cmd_backchain(args: argparse.Namespace) -> int:
 
 
 def cmd_substitute(args: argparse.Namespace) -> int:
+    from .substitution import substitute, verify_preservation
+
     spec = _load_spec(args.spec)
     if spec.model is None or spec.substitution is None:
         raise SpecError("substitute needs a spec with tree and substitution blocks")
@@ -408,15 +416,7 @@ def main(argv: Optional[list[str]] = None) -> int:
     try:
         return args.fn(args)
     except (
-        SpecError,
-        AbstractionError,
-        LibraryError,
-        AssumptionError,
-        SubstitutionError,
-        ModelError,
-        WorldError,
-        ExecutionError,
-        FtsPreconditionError,
+        BTConvergeError,  # the package's own errors: spec, world, tree, library, verdict
         OSError,  # an unreadable spec (missing, a directory, no permission) or --out path
     ) as exc:
         sys.stderr.write(f"error: {exc}\n")

@@ -8,10 +8,12 @@ members get a heavier pen.
 
 from __future__ import annotations
 
-from typing import Iterable, Optional
+from typing import TYPE_CHECKING, Iterable, Optional
 
 from .bt import BTModel, NodeKind
-from .prepares import BehaviorGraph, CondensedGraph, PreparesGraph
+
+if TYPE_CHECKING:  # annotations only: the tree renderer needs no slice graph
+    from .prepares import BehaviorGraph, CondensedGraph, PreparesGraph
 
 _FLAVOR_SHAPE = {"a": "ellipse", "b": "box", "c": "doubleoctagon"}
 _KIND_LABEL = {NodeKind.SEQUENCE: "\\u2192", NodeKind.FALLBACK: "?"}

@@ -26,14 +26,14 @@ from operator import itemgetter
 from typing import Callable, Optional, Sequence
 
 from .bt import BTModel, NodeKind, Status, tick
-from .statespace import Region
+from .statespace import BTConvergeError, Region
 
 HALT_STOP = "stop"
 HALT_NO_ACTION = "no-action"
 HALT_MAX_STEPS = "max-steps"
 
 
-class ExecutionError(ValueError):
+class ExecutionError(BTConvergeError):
     pass
 
 

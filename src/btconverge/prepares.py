@@ -17,18 +17,18 @@ from typing import Iterable, Mapping, Optional, Sequence
 
 from .bt import BTModel, Doa, NodeKind, action as action_spec, validate_abstraction
 from .execution import ExitResult, check_fts, empirical_exit_time
-from .statespace import Region, SuccessorMap
+from .statespace import BTConvergeError, Region, SuccessorMap
 
 FLAVOR_OUTSIDE = "a"  # operating region minus basin
 FLAVOR_BASIN = "b"  # basin minus goal
 FLAVOR_GOAL = "c"  # goal slice
 
 
-class AbstractionError(ValueError):
+class AbstractionError(BTConvergeError):
     pass
 
 
-class FtsPreconditionError(ValueError):
+class FtsPreconditionError(BTConvergeError):
     def __init__(self, failures: dict[str, object]) -> None:
         super().__init__(f"finite-time-success check failed for: {sorted(failures)}")
         self.failures = failures

@@ -16,17 +16,19 @@ from dataclasses import dataclass
 from itertools import chain
 from json.encoder import encode_basestring_ascii
 from operator import itemgetter
-from typing import Any, Callable, Optional
+from typing import TYPE_CHECKING, Any, Callable, Optional
 
-from .backchain import ActionConditionLibrary, ActionEntry, ConditionEntry, LibraryError
 from .bt import BTModel, Doa, LeafData, ModelError, NodeKind, NodeSpec, check_leaf
-from .statespace import Region, SuccessorMap, World, WorldError
-from .substitution import RrLeaf, SubstitutionSpec
+from .statespace import BTConvergeError, Region, SuccessorMap, World, WorldError
+
+if TYPE_CHECKING:  # the library and substitution readers import these when they run
+    from .backchain import ActionConditionLibrary
+    from .substitution import RrLeaf, SubstitutionSpec
 
 FORMAT = "btconverge/1"
 
 
-class SpecError(ValueError):
+class SpecError(BTConvergeError):
     pass
 
 
@@ -303,6 +305,8 @@ def _parse_tree(node: Any, leaves: dict[str, LeafData], path: str) -> NodeSpec:
 
 
 def _parse_library(block: dict, world: World) -> tuple[ActionConditionLibrary, Optional[str]]:
+    from .backchain import ActionConditionLibrary, ActionEntry, ConditionEntry, LibraryError
+
     actions = {}
     for i, entry in enumerate(_list(block.get("actions", []), "library.actions", of=dict)):
         path = f"library.actions[{i}]"
@@ -330,6 +334,8 @@ def _parse_library(block: dict, world: World) -> tuple[ActionConditionLibrary, O
 
 
 def _parse_substitution(block: dict, world: World, model: BTModel) -> SubstitutionSpec:
+    from .substitution import RrLeaf, SubstitutionError, SubstitutionSpec, _target_shape
+
     target = _fallback(block.get("target"), model)
     budget = _int(block.get("time_budget"), "substitution.time_budget", 0)
     hyst_cap = _int(block.get("hysteresis_cap", 0), "substitution.hysteresis_cap", 0)
@@ -339,7 +345,7 @@ def _parse_substitution(block: dict, world: World, model: BTModel) -> Substituti
         raise SpecError("substitution.dd_next must list one target per base or augmented cell")
     _region(dd_next, "substitution.dd_next", world)  # every target is a base cell
     rr = _obj(block.get("rr"), "substitution.rr")
-    return SubstitutionSpec(  # keyword order is the order the fields are checked in
+    spec = SubstitutionSpec(  # keyword order is the order the fields are checked in
         target=target,
         time_budget=budget,
         hysteresis_cap=hyst_cap,
@@ -355,6 +361,11 @@ def _parse_substitution(block: dict, world: World, model: BTModel) -> Substituti
         rok_success=_region(block.get("risk_ok", []), "substitution.risk_ok", world),
         hysteresis=_bool(block.get("hysteresis", False), "substitution.hysteresis"),
     )
+    try:  # once every field reads: the target must be a fallback of a condition and an action
+        _target_shape(model, target)
+    except SubstitutionError as exc:
+        raise SpecError(f"substitution.target: {exc}") from exc
+    return spec
 
 
 # ----------------------------------------------------------------------

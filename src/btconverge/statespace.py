@@ -14,7 +14,13 @@ from operator import contains, eq, itemgetter, or_
 from typing import Callable, Iterable, Iterator, Optional, Sequence
 
 
-class WorldError(ValueError):
+class BTConvergeError(ValueError):
+    """Base of the package's own errors: a malformed spec, world, tree or
+    library, or a verdict precondition that does not hold.  The CLI reports
+    these (exit 2); any other ValueError is an internal fault."""
+
+
+class WorldError(BTConvergeError):
     """Raised for malformed universes or mismatched region universes."""
 
 

@@ -34,7 +34,7 @@ from .prepares import (
     certify_convergence,
     condense,
 )
-from .statespace import Region, SuccessorMap, World
+from .statespace import BTConvergeError, Region, SuccessorMap, World
 
 DD_NAME = "dd_controller"
 RR_NAME = "rr_controller"
@@ -43,7 +43,7 @@ TOK_DD_NAME = "time_ok_dd"
 TOK_RR_NAME = "time_ok_rr"
 
 
-class SubstitutionError(ValueError):
+class SubstitutionError(BTConvergeError):
     pass
 
 

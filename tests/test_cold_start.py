@@ -1,0 +1,128 @@
+"""The CLI in a fresh interpreter: what `import btconverge.cli` loads, and
+that every subcommand imports what it runs.
+
+In-process tests cannot see a missing import: by the time they run, earlier
+tests have loaded every module of the package.  These tests start a new
+interpreter for each case.
+"""
+
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+import btconverge
+from btconverge.cli import _bundled_document, main
+from btconverge.specfile import dump_document
+
+PACKAGE_ROOT = str(Path(btconverge.__file__).resolve().parents[1])
+CLI_MODULES = [
+    "btconverge",
+    "btconverge.bt",
+    "btconverge.cli",
+    "btconverge.ordered_tree",
+    "btconverge.specfile",
+    "btconverge.statespace",
+]
+# runs one call in a fresh interpreter, output silenced, and prints the package modules loaded
+PROBE = """
+import contextlib, io, json, sys
+import btconverge.cli
+with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+    {call}
+print(json.dumps(sorted(m for m in sys.modules if m.startswith("btconverge"))))
+"""
+
+
+def fresh_python(*args: str) -> subprocess.CompletedProcess:
+    path = [PACKAGE_ROOT, *filter(None, os.environ.get("PYTHONPATH", "").split(os.pathsep))]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(path), PYTHONIOENCODING="utf-8")
+    return subprocess.run(
+        [sys.executable, *args], capture_output=True, text=True, encoding="utf-8", env=env, timeout=60
+    )
+
+
+def loaded_after(call: str, *argv: str) -> list[str]:
+    run = fresh_python("-c", PROBE.format(call=call), *argv)
+    assert run.returncode == 0, run.stderr
+    return json.loads(run.stdout)
+
+
+@pytest.fixture(scope="module")
+def specs(tmp_path_factory) -> dict:
+    """File specs: three bundled documents, and two that fail in the analysis
+    modules with FtsPreconditionError and SubstitutionError."""
+    root = tmp_path_factory.mktemp("specs")
+    docs = {name: _bundled_document(name) for name in ("surveying_robot", "surveying_robot_library", "patrol")}
+    slow = _bundled_document("surveying_robot_library")
+    for entry in slow["library"]["actions"]:
+        if entry.get("doa"):
+            entry["doa"]["horizon"] = 1  # too short for the controllers to reach their goals
+    docs["library_fts"] = slow
+    risky = _bundled_document("patrol")
+    risky["substitution"]["risk_ok"] = []  # S_RR no longer inside S_ROK
+    docs["patrol_risky"] = risky
+    paths = {}
+    for name, doc in docs.items():
+        paths[name] = str(root / f"{name}.json")
+        Path(paths[name]).write_text(dump_document(doc))
+    return paths
+
+
+def test_importing_the_cli_loads_only_the_spec_layer(specs):
+    assert loaded_after("pass") == CLI_MODULES
+    # a spec without library or substitution blocks needs no analysis module to load
+    assert loaded_after("btconverge.cli._load_spec(sys.argv[1])", specs["surveying_robot"]) == CLI_MODULES
+
+
+@pytest.mark.parametrize(
+    "argv, added",
+    [
+        (["check", "--spec", "surveying_robot"], ["execution", "prepares"]),
+        (["simulate", "--spec", "surveying_robot", "--x0", "0"], ["execution"]),
+        (["export", "--spec", "surveying_robot", "--which", "tree"], ["dotexport"]),
+        (["export", "--spec", "surveying_robot", "--which", "behavior"], ["dotexport", "execution", "prepares"]),
+        (["backchain", "--spec", "surveying_robot_library"], ["backchain", "execution", "prepares"]),
+        (["substitute", "--spec", "patrol"], ["execution", "prepares", "substitution"]),
+    ],
+    ids=["check", "simulate", "export-tree", "export-behavior", "backchain", "substitute"],
+)
+def test_each_subcommand_imports_what_it_runs(argv, added, specs):
+    argv = [specs.get(word, word) for word in argv]
+    want = sorted(CLI_MODULES + [f"btconverge.{name}" for name in added])
+    assert loaded_after("btconverge.cli.main(sys.argv[1:])", *argv) == want
+
+
+# (argv, exit code); a word naming a file spec in the fixture stands for its path
+SUBCOMMANDS = {
+    "check": (["check", "--spec", "bundled:surveying_robot"], 0),
+    "check-json-refuted": (["check", "--spec", "bundled:eat_tree", "--format", "json"], 1),
+    "check-file": (["check", "--spec", "surveying_robot"], 0),
+    "simulate": (["simulate", "--spec", "bundled:patrol", "--x0", "0", "--steps", "8"], 0),
+    "export-tree": (["export", "--spec", "bundled:surveying_robot", "--which", "tree"], 0),
+    "export-tree-file": (["export", "--spec", "surveying_robot", "--which", "tree"], 0),
+    "export-prepares": (["export", "--spec", "bundled:surveying_robot", "--which", "prepares"], 0),
+    "export-condensed": (["export", "--spec", "bundled:gridworld", "--which", "condensed"], 0),
+    "export-behavior": (["export", "--spec", "bundled:eat_tree", "--which", "behavior"], 0),
+    "backchain-certify": (["backchain", "--spec", "bundled:mobile_manipulator", "--certify"], 0),
+    "substitute": (["substitute", "--spec", "bundled:patrol"], 0),
+    "LibraryError": (["backchain", "--spec", "surveying_robot_library", "--root", "ghost"], 2),
+    "FtsPreconditionError": (["backchain", "--spec", "library_fts", "--certify"], 2),
+    "SubstitutionError": (["substitute", "--spec", "patrol_risky"], 2),
+}
+
+
+@pytest.mark.parametrize("case", list(SUBCOMMANDS))
+def test_fresh_interpreter_matches_in_process_main(case, specs, capsys):
+    argv, code = SUBCOMMANDS[case]
+    argv = [specs.get(word, word) for word in argv]
+    run = fresh_python("-m", "btconverge.cli", *argv)
+    got = main(argv)
+    captured = capsys.readouterr()
+    assert (run.returncode, run.stdout, run.stderr) == (got, captured.out, captured.err)
+    assert got == code
+    if code == 2:
+        assert run.stdout == "" and run.stderr.startswith("error: ")

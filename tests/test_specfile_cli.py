@@ -739,7 +739,7 @@ def test_backchain_certify_survey_library(capsys):
 
 
 def test_backchain_certify_builds_the_tree_once(monkeypatch, capsys):
-    from btconverge import backchain, cli
+    from btconverge import backchain
 
     calls = []
     real_build = backchain.build_bcbt
@@ -749,7 +749,6 @@ def test_backchain_certify_builds_the_tree_once(monkeypatch, capsys):
         return real_build(*args, **kwargs)
 
     monkeypatch.setattr(backchain, "build_bcbt", counting_build)
-    monkeypatch.setattr(cli, "build_bcbt", counting_build)
     code, out, _err = run_cli(
         "backchain",
         "--spec", "bundled:mobile_manipulator",
@@ -763,7 +762,7 @@ def test_backchain_certify_builds_the_tree_once(monkeypatch, capsys):
 
 
 def test_backchain_certify_computes_links_once(monkeypatch, capsys):
-    from btconverge import backchain, cli
+    from btconverge import backchain
 
     calls = []
     real_links = backchain.compute_links
@@ -773,7 +772,6 @@ def test_backchain_certify_computes_links_once(monkeypatch, capsys):
         return real_links(*args, **kwargs)
 
     monkeypatch.setattr(backchain, "compute_links", counting_links)
-    monkeypatch.setattr(cli, "compute_links", counting_links)
     code, out, _err = run_cli(
         "backchain",
         "--spec", "bundled:mobile_manipulator",
@@ -868,12 +866,12 @@ def test_step_to_a_non_adjacent_cell_exits_two(tmp_path, capsys):
 
 
 def test_internal_value_error_is_not_a_spec_error(monkeypatch):
-    import btconverge.cli as cli
+    from btconverge import execution
 
     def broken(*args, **kwargs):
         raise ValueError("internal bug")
 
-    monkeypatch.setattr(cli, "simulate", broken)
+    monkeypatch.setattr(execution, "simulate", broken)
     with pytest.raises(ValueError, match="internal bug"):
         main(["simulate", "--spec", "bundled:patrol", "--x0", "0"])
 
@@ -903,6 +901,41 @@ def test_substitute_patrol(tmp_path, capsys):
     assert "preserved: True" in out
     loaded = parse_document(json.loads(out_path.read_text()))
     assert loaded.model.world.cell_count == 120
+
+
+PATROL_FALLBACK = [{"leaf": "task_done"}, {"leaf": "mb_patrol"}]
+
+
+@pytest.mark.parametrize(
+    "tree, target, message",
+    [
+        (None, 0, "target vertex 0 is not a fallback node"),  # the root Sequence
+        (
+            {"seq": [{"fal": PATROL_FALLBACK + [{"leaf": "park"}]}]},
+            "mb_patrol",
+            "target fallback must have exactly two children",
+        ),
+        (
+            {"seq": [{"fal": PATROL_FALLBACK[::-1]}, {"leaf": "park"}]},
+            "mb_patrol",
+            "target children must be a condition then an action",
+        ),
+    ],
+    ids=["not-a-fallback", "three-children", "action-first"],
+)
+def test_substitution_target_shape_is_a_spec_error(tree, target, message, tmp_path, capsys):
+    doc = bundled_document("patrol")
+    assert doc["tree"] == {"seq": [{"fal": PATROL_FALLBACK}, {"leaf": "park"}]}
+    if tree is not None:
+        doc["tree"] = tree
+    doc["substitution"]["target"] = target
+    with pytest.raises(SpecError) as exc:
+        parse_document(doc)
+    assert str(exc.value) == f"substitution.target: {message}"
+    path = tmp_path / "spec.json"
+    path.write_text(json.dumps(doc))
+    code, out, err = run_cli("substitute", "--spec", str(path), capsys=capsys)
+    assert (code, out, err) == (2, "", f"error: substitution.target: {message}\n")
 
 
 def test_bundled_names_resolve(capsys):
