@@ -25,7 +25,7 @@ from dataclasses import dataclass
 from operator import itemgetter
 from typing import Callable, Optional, Sequence
 
-from .bt import BTModel, NodeKind, Status, tick
+from .bt import BTModel, LeafData, NodeKind, Status, tick
 from .statespace import BTConvergeError, Region
 
 HALT_STOP = "stop"
@@ -145,24 +145,28 @@ class FtsVerdict:
 
 
 def check_fts(model: BTModel, leaf: int) -> FtsVerdict:
-    """Verify the basin/goal/deadline contract of one action leaf.
-
-    The leaf's own dynamics are iterated from every basin cell: the basin
-    and the goal must each be closed under one step, and every basin cell
-    must reach the goal within the leaf's step deadline.  A goal cell hits
-    at step 0, so only basin - goal is walked.  An empty basin is vacuously
-    fine.
-    """
+    """Verify the basin/goal/deadline contract of one action leaf (see leaf_fts)."""
     data = model.leaves.get(leaf)
     if data is None or model.kinds[leaf] is not NodeKind.ACTION:
         raise ExecutionError(f"vertex {leaf} is not an action leaf")
     if data.doa is None:
         raise ExecutionError(f"leaf {data.name!r} has no attraction basin data")
+    return leaf_fts(data)
+
+
+def leaf_fts(data: LeafData) -> FtsVerdict:
+    """The finite-time-success verdict of one action leaf's data, over its regions' universe.
+
+    The leaf's own dynamics are iterated from every basin cell: the basin
+    and the goal must each be closed under one step, and every basin cell
+    must reach the goal within the leaf's step deadline.  A goal cell hits
+    at step 0, so only basin - goal is walked.  An empty basin is vacuously
+    fine.  The data must carry a controller and basin data.
+    """
     basin, goal, horizon = data.doa.basin, data.doa.goal, data.doa.horizon
     if basin.is_empty:
         return FtsVerdict(True)
-    universe = model.world.full_region()
-    running = universe - data.success - data.failure
+    running = Region.full(basin.n) - data.success - data.failure
     if not basin.issubset(running | data.success):
         bad = (basin - (running | data.success)).any_cell()
         return FtsVerdict(False, "basin-static", bad, None)

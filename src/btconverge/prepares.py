@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 from typing import Iterable, Mapping, Optional, Sequence
 
 from .bt import BTModel, Doa, NodeKind, action as action_spec, validate_abstraction
-from .execution import ExitResult, check_fts, empirical_exit_time
+from .execution import ExitResult, empirical_exit_time, leaf_fts
 from .statespace import BTConvergeError, Region, SuccessorMap
 
 FLAVOR_OUTSIDE = "a"  # operating region minus basin
@@ -338,22 +338,32 @@ def certify_convergence(
     seeds: Optional[Iterable[int]] = None,
     condensed: Optional[CondensedGraph] = None,
 ) -> Certificate | Refutation:
-    """Run the full pipeline: slices, condensation, exit times, step bound.
+    """Run the full pipeline: hypotheses, slices, condensation, exit times, step bound.
+
+    The members' hypotheses must hold (``check_hypotheses``).  A sink class
+    containing non-goal slices, or a class some cell never leaves, yields a
+    Refutation.  A caller that already condensed the slice graph of this
+    abstraction and delta passes it as ``condensed`` so it is not built
+    again.
+    """
+    members = sorted(set(abstraction))
+    check_hypotheses(model, members, delta)
+    return certify_checked(model, members, delta, seeds, condensed)
+
+
+def check_hypotheses(model: BTModel, members: Sequence[int], delta: Optional[float] = None) -> None:
+    """Check the theorem's per-member hypotheses, in the order of members.
 
     Each member's controller must move every cell of its operating region
     at most one step: within delta, or to the cell itself or a neighbour,
-    as the slice graph's edges assume; a longer step raises StepError.
-    Every abstraction member must then pass its finite-time-success check;
-    failures raise FtsPreconditionError.  A sink class containing non-goal
-    slices, or a class some cell never leaves, yields a Refutation.  A
-    caller that already condensed the slice graph of this abstraction and
-    delta passes it as ``condensed`` so it is not built again.
+    as the slice graph's edges assume; a longer step raises StepError at
+    once.  Every member must then pass its finite-time-success check; the
+    failures are raised together as FtsPreconditionError after the loop.
     """
-    members = sorted(set(abstraction))
     omega = model.analysis().omega
     ids = list(range(model.world.cell_count))  # shared by every member's cell list
     failures: dict[str, object] = {}
-    for i in members:  # StepError comes first: FTS failures are raised after the loop
+    for i in members:
         leaf = model.leaves.get(i)
         if leaf is not None and leaf.controller is not None and not omega[i].is_empty:
             cells = omega[i].pick(ids)
@@ -363,12 +373,21 @@ def certify_convergence(
                 continue
             failures[model.names[i] or str(i)] = "missing basin data"
             continue
-        verdict = check_fts(model, i)
+        verdict = leaf_fts(leaf)
         if not verdict:
             failures[leaf.name] = verdict
     if failures:
         raise FtsPreconditionError(failures)
 
+
+def certify_checked(
+    model: BTModel,
+    members: Sequence[int],
+    delta: Optional[float] = None,
+    seeds: Optional[Iterable[int]] = None,
+    condensed: Optional[CondensedGraph] = None,
+) -> Certificate | Refutation:
+    """certify_convergence for sorted members whose hypotheses are known to hold."""
     if condensed is None:
         condensed = condense(build_prepares_graph(model, members, delta))
     graph = condensed.graph

@@ -369,13 +369,10 @@ class World:
             return self.neighbors, True
         raise WorldError("world has neither coordinates nor adjacency")
 
-    def check_steps(
-        self, cells: list[int], targets: Sequence[int], delta: Optional[float], who: str
-    ) -> None:
-        """Raise StepError unless each cell's target is at most one step away.
+    def steps_hold(self, cells: list[int], targets: Sequence[int], delta: Optional[float]) -> bool:
+        """Whether every cell's target is at most one step away; cells is nonempty.
 
-        The targets and the membership tests are gathered in C; only a
-        failing check walks the cells, to name the first bad one.
+        The targets and the membership tests are gathered in C.
         """
         near, stays = self._steps(delta)
         if len(cells) == 1:
@@ -383,8 +380,19 @@ class World:
         gather = itemgetter(*cells)
         moved = gather(targets)
         ok = map(contains, gather(near), moved)
-        if all(map(or_, map(eq, cells, moved), ok) if stays else ok):
+        return all(map(or_, map(eq, cells, moved), ok) if stays else ok)
+
+    def check_steps(
+        self, cells: list[int], targets: Sequence[int], delta: Optional[float], who: str
+    ) -> None:
+        """Raise StepError unless each cell's target is at most one step away.
+
+        Only a failing check walks the cells, to name the first bad one.
+        """
+        if self.steps_hold(cells, targets, delta):
             return
+        near, stays = self._steps(delta)
+        moved = map(targets.__getitem__, cells)
         c, t = next((c, t) for c, t in zip(cells, moved) if not (stays and c == t or t in near[c]))
         why = "not a neighbour" if stays else f"{self.distance(c, t)} apart, past delta = {delta}"
         raise StepError(f"{who} moves cell {c} to {t}: {why}")

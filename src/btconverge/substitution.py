@@ -13,28 +13,46 @@ preserve: the subtree's propagated success region stays equal to the
 task-done region with an empty failure region, the transition graph changes
 only by the documented data-driven/risk-reduction loop, the loop is left
 within the time budget, and the whole model re-certifies.
+
+Re-certification proves each lifted member's hypotheses, the one-step check
+and the finite-time-success check, on the base universe.  A lifted member
+is an action leaf whose regions, controller and basin data are lifts of
+base leaf data: every leaf of the old model, the risk-reduction leaf with
+hysteresis off, and the data-driven leaf when its targets are given per
+base cell.  This is exact because lifting commutes with the projection to
+base cells.  A lifted map sends (c, t, h) to (T(c), s(t, h)), and the
+augmented cell (c, t, h) has the neighbours (q, s(t, h)) for every base
+step q of c, so a product step is legal iff its base step is; lifted
+regions are whole blocks, so basin and goal invariance, the static rules
+and every hit time equal their base counterparts.  The risk-reduction leaf
+with hysteresis on (its success and goal read the hysteresis counter) and
+a data-driven leaf with per-augmented-cell targets are checked on the
+product, as is any member whose base check fails, so every error is the
+one the product check names.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from itertools import chain, repeat
 from operator import add, mul
-from typing import Optional, Sequence
+from typing import Mapping, Optional, Sequence
 
 from .bt import BTModel, Doa, LeafData, NodeKind, NodeSpec, condition as condition_spec
-from .execution import empirical_exit_time
+from .execution import empirical_exit_time, leaf_fts
 from .prepares import (
     FLAVOR_BASIN,
     FLAVOR_GOAL,
     FLAVOR_OUTSIDE,
     Certificate,
+    CondensedGraph,
     Refutation,
     build_prepares_graph,
-    certify_convergence,
+    certify_checked,
+    check_hypotheses,
     condense,
 )
-from .statespace import BTConvergeError, Region, SuccessorMap, World
+from .statespace import BTConvergeError, Region, SuccessorMap, World, WorldError
 
 DD_NAME = "dd_controller"
 RR_NAME = "rr_controller"
@@ -101,6 +119,7 @@ class Augmentation:
         "time_cap",
         "hyst_cap",
         "rok_base",
+        "base_delta",
         "world",
         "block",
         "_next_offsets",
@@ -120,6 +139,7 @@ class Augmentation:
         self.time_cap = time_cap
         self.hyst_cap = hyst_cap
         self.rok_base = rok_base
+        self.base_delta = base_delta
         self.block = (time_cap + 1) * (hyst_cap + 1)
         if base.coords is not None:
             if base_delta is None:
@@ -170,6 +190,12 @@ class Augmentation:
         return self._blocks(base_region.mask, (1 << self.block) - 1)
 
     def project_region(self, region: Region) -> Region:
+        """The base cells some augmented cell of region lies over."""
+        if region.n != self.world.cell_count:
+            raise WorldError(
+                f"region over {region.n} cells is not over the augmented universe "
+                f"of {self.world.cell_count} cells"
+            )
         digits = format(region.mask, f"0{self.world.cell_count}b")[::-1]
         k = self.block
         return Region.from_cells(
@@ -233,6 +259,10 @@ class SubstitutionResult:
     target_old: int
     target_new: int
     td_base_success: Region
+    # the base leaf data each lifted new leaf lifts, by name: every old leaf,
+    # the risk-reduction leaf with hysteresis off, and the data-driven leaf
+    # with per-base-cell targets
+    lifts: Mapping[str, LeafData]
 
 
 def _target_shape(model: BTModel, target: int) -> tuple[int, int]:
@@ -274,8 +304,6 @@ def substitute(
     aug = Augmentation(
         model.world, spec.time_budget, spec.hysteresis_cap, spec.rok_success, base_delta
     )
-    n_aug = aug.world.cell_count
-    empty = Region.empty(n_aug)
     taken = set(model.leaf_by_name)
     for name in (DD_NAME, RR_NAME, ROK_NAME, TOK_DD_NAME, TOK_RR_NAME):
         if name in taken:
@@ -283,8 +311,30 @@ def substitute(
 
     time_ok = aug.time_ok_region()
     rok_region = aug.lift_region(spec.rok_success)
-    rr_success = aug.lift_region(spec.rr.success)
-    rr_goal = aug.lift_region(spec.rr.doa.goal) if spec.rr.doa is not None else empty
+    base_empty = Region.empty(model.world.cell_count)
+    no_doa = Doa(base_empty, base_empty, 1)  # an empty basin: the FTS check holds vacuously
+    dd_base = LeafData(
+        DD_NAME,
+        NodeKind.ACTION,
+        spec.dd_success if spec.dd_success is not None else base_empty,
+        spec.dd_failure if spec.dd_failure is not None else base_empty,
+        None,
+        no_doa,
+    )
+    # the targets may be given per augmented cell, so they are lifted on their own
+    dd_leaf = replace(aug.lift_leaf(dd_base), controller=aug.lift_map(spec.dd_targets))
+    rr_base = LeafData(
+        RR_NAME,
+        NodeKind.ACTION,
+        spec.rr.success,
+        spec.rr.failure,
+        spec.rr.controller,
+        spec.rr.doa if spec.rr.doa is not None else no_doa,
+    )
+    rr_leaf = aug.lift_leaf(rr_base)
+    lifts = {leaf.name: leaf for leaf in model.leaves.values()}
+    if len(spec.dd_targets) == model.world.cell_count:
+        lifts[DD_NAME] = replace(dd_base, controller=SuccessorMap(spec.dd_targets))
     if spec.hysteresis:
         # the counter guard applies to the risk condition and, with it, to
         # what counts as finished risk reduction; gating only the condition
@@ -292,31 +342,13 @@ def substitute(
         # counter-reset states and break the preservation identity
         ready = aug.hysteresis_ready_region()
         rok_region &= ready
-        rr_success &= ready
-        rr_goal &= ready
-    dd_success = aug.lift_region(spec.dd_success) if spec.dd_success is not None else empty
-    dd_failure = aug.lift_region(spec.dd_failure) if spec.dd_failure is not None else empty
-    dd_leaf = LeafData(
-        DD_NAME,
-        NodeKind.ACTION,
-        dd_success,
-        dd_failure,
-        aug.lift_map(spec.dd_targets),
-        Doa(empty, empty, 1),
-    )
-    rr_doa = (
-        Doa(aug.lift_region(spec.rr.doa.basin), rr_goal, spec.rr.doa.horizon)
-        if spec.rr.doa is not None
-        else Doa(empty, empty, 1)
-    )
-    rr_leaf = LeafData(
-        RR_NAME,
-        NodeKind.ACTION,
-        rr_success,
-        aug.lift_region(spec.rr.failure),
-        aug.lift_map(spec.rr.controller.targets),
-        rr_doa,
-    )
+        rr_leaf = replace(
+            rr_leaf,
+            success=rr_leaf.success & ready,
+            doa=replace(rr_leaf.doa, goal=rr_leaf.doa.goal & ready),
+        )
+    elif spec.rr.controller.n == model.world.cell_count:
+        lifts[RR_NAME] = rr_base
 
     def rebuild(v: int) -> NodeSpec:
         if v == spec.target:
@@ -359,6 +391,7 @@ def substitute(
         target_old=spec.target,
         target_new=target_new,
         td_base_success=td_leaf.success,
+        lifts=lifts,
     )
 
 
@@ -530,10 +563,42 @@ def verify_substituted_convergence(
                 f"budget of {result.spec.time_budget}"
             )
 
-    outcome = certify_convergence(new_model, abstraction, seeds=seeds, condensed=condense(new_graph))
+    outcome = _certify_substituted(result, abstraction, seeds, condense(new_graph))
     return SubstitutionReport(
         ok=not diffs and isinstance(outcome, Certificate),
         graph_diffs=tuple(diffs),
         loop_exit_steps=loop_exit,
         result=outcome,
     )
+
+
+def _certify_substituted(
+    result: SubstitutionResult,
+    members: Sequence[int],
+    seeds: Optional[Sequence[int]],
+    condensed: CondensedGraph,
+) -> Certificate | Refutation:
+    """certify_convergence(result.new_model, members, seeds=seeds, condensed=condensed),
+    with the hypotheses of each lifted member checked on the base universe.
+
+    The one-step check covers the base cells under the member's operating
+    region; the module docstring says why both checks are exact.  A member
+    that fails on the base is checked on the product, which raises what
+    certify_convergence raises.
+    """
+    model, aug = result.new_model, result.augmentation
+    omega = model.analysis().omega
+    ids = list(range(aug.base.cell_count))
+
+    def holds_on_base(v: int) -> bool:
+        base = result.lifts.get(model.names[v])
+        if base is None or base.controller is None or base.doa is None:
+            return False
+        if not omega[v].is_empty:
+            cells = aug.project_region(omega[v]).pick(ids)
+            if not aug.base.steps_hold(cells, base.controller.targets, aug.base_delta):
+                return False
+        return leaf_fts(base).ok
+
+    check_hypotheses(model, [v for v in members if not holds_on_base(v)])
+    return certify_checked(model, members, None, seeds, condensed)

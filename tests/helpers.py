@@ -7,6 +7,7 @@ evaluation, graph edges by direct rule checks over all vertex pairs.
 
 from __future__ import annotations
 
+import dataclasses
 import math
 import random
 from typing import Callable, Iterable, Iterator, Optional, Union
@@ -706,6 +707,92 @@ def random_substitution_instance(
         "td-mb-failure": fail_inject.any_cell(),
     }
     return model, spec, injections
+
+
+def random_reverification_instance(
+    rng: random.Random,
+    n_cells: int = 8,
+    metric: bool = False,
+    hysteresis: bool = False,
+    per_aug_dd: bool = False,
+) -> tuple[BTModel, "SubstitutionSpec", Optional[float], list[str]]:
+    """A random_substitution_instance that re-verification can certify or refute.
+
+    The tree takes patrol's shape, seq(fal(task_done, mb), park), so the
+    old abstraction (mb, park) partitions the universe.  The base world is
+    a line: unit-spaced coordinates with delta 1, or a path adjacency with
+    a few extra edges.  mb, park and the risk-reduction leaf get basins,
+    goals and tight step deadlines, and controllers that step toward their
+    goal and sometimes jump anywhere, so some instances fail a deadline, an
+    invariance or the one-step check.  Returns the model, the spec, the
+    base step bound (None for adjacency) and the old abstraction.
+    """
+    from btconverge.substitution import RrLeaf
+
+    old, spec, _inj = random_substitution_instance(rng, n_cells)
+    n = n_cells
+    if metric:
+        world, delta = World(n, coords=[(float(x),) for x in range(n)]), 1.0
+    else:
+        extra = [(rng.randrange(n), rng.randrange(n)) for _ in range(rng.randint(0, 2))]
+        world, delta = World(n, adjacency=[(c, c + 1) for c in range(n - 1)] + extra), None
+
+    def subset(region: Region, keep: float) -> Region:
+        return Region.from_cells(n, [c for c in region.cells() if rng.random() < keep])
+
+    rough = rng.random() < 0.6  # the rest keep every leaf honest, so most of them certify
+
+    def perturb(p: float) -> bool:
+        return rough and rng.random() < p
+
+    def jumped(targets: list[int]) -> list[int]:
+        """targets, and now and then one cell sent anywhere: a step the world may not allow."""
+        if perturb(0.4):
+            targets[rng.randrange(len(targets))] = rng.randrange(n)
+        return targets
+
+    def controller(goal: Region) -> SuccessorMap:
+        goals = list(goal.cells())
+
+        def step(c: int) -> int:
+            if not goals:
+                return c
+            g = min(goals, key=lambda g: abs(g - c))
+            return c + (g > c) - (g < c)
+
+        return SuccessorMap(jumped([step(c) for c in range(n)]))
+
+    def doa(success: Region, failure: Region) -> Doa:
+        basin = subset(failure.complement(), 0.7 if perturb(0.3) else 1.0)
+        goal = subset(basin & success, 0.5 if perturb(0.3) else 1.0)
+        return Doa(basin, goal, rng.randint(1, n) if perturb(0.5) else n)
+
+    td = old.leaves[old.vertex_of("task_done")]
+    mb = old.leaves[old.vertex_of("mb")]
+    mb_doa = doa(mb.success, mb.failure)
+    park_success = subset(td.success, 0.5)
+    park_doa = doa(park_success, Region.empty(n))
+    model = BTModel(
+        world,
+        seq(
+            fal(
+                condition("task_done", td.success),
+                action("mb", mb.success, mb.failure, controller(mb_doa.goal), mb_doa),
+            ),
+            action("park", park_success, controller=controller(park_doa.goal), doa=park_doa),
+        ),
+    )
+    rr_doa = doa(spec.rr.success, spec.rr.failure)
+    block = (spec.time_budget + 1) * (spec.hysteresis_cap + 1) if per_aug_dd else 1
+    dd_next = [min(max(c + rng.randint(-1, 1), 0), n - 1) for c in range(n) for _ in range(block)]
+    spec = dataclasses.replace(
+        spec,
+        target=1,
+        dd_targets=jumped(dd_next),
+        rr=RrLeaf(spec.rr.success, spec.rr.failure, controller(rr_doa.goal), rr_doa),
+        hysteresis=hysteresis,
+    )
+    return model, spec, delta, ["mb", "park"]
 
 
 def rebuild_old_with_mb(model: BTModel, success: Optional[Region] = None, failure: Optional[Region] = None) -> BTModel:

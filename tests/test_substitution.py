@@ -1,13 +1,20 @@
 """Guarded controller substitution: lifting, preservation, graph discipline."""
 
 import dataclasses
+from types import SimpleNamespace
 
 import pytest
 
 from btconverge.bt import BTModel, Doa, NodeKind, action, condition, fal, seq
-from btconverge.execution import simulate
-from btconverge.prepares import Certificate, PreparesGraph, certify_convergence
-from btconverge.statespace import Region, SuccessorMap, World
+from btconverge.execution import FtsVerdict, simulate
+from btconverge.prepares import (
+    Certificate,
+    FtsPreconditionError,
+    PreparesGraph,
+    build_prepares_graph,
+    certify_convergence,
+)
+from btconverge.statespace import BTConvergeError, Region, SuccessorMap, World, WorldError
 from btconverge import substitution
 from btconverge.substitution import (
     DD_NAME,
@@ -24,6 +31,7 @@ from btconverge import bundled
 from helpers import (
     oracle_neighboring,
     random_region,
+    random_reverification_instance,
     random_substitution_instance,
     rebuild_old_with_mb,
 )
@@ -481,13 +489,15 @@ def test_augmentation_stores_neighbour_lists_not_bitsets():
 
 
 def test_substitution_and_reverification_do_no_per_cell_work(monkeypatch):
-    from btconverge import bt
+    """No per-cell ticks or decodes, and no hypothesis check on the product for a lifted member."""
+    from btconverge import bt, prepares
 
     b = bundled.patrol()
     members = [b.model.vertex_of(n) for n in b.abstraction]
     spec = dataclasses.replace(bundled.patrol_substitution(), time_budget=30, hysteresis_cap=4)
-    ticks, decodes = [], []
+    ticks, decodes, steps, product_fts, base_fts = [], [], [], [], []
     real_leaf_at, real_decode = bt.BTModel.leaf_at, Augmentation.decode
+    real_steps_hold, real_leaf_fts = World.steps_hold, prepares.leaf_fts
 
     def counting_leaf_at(model, x):
         ticks.append(x)
@@ -497,16 +507,118 @@ def test_substitution_and_reverification_do_no_per_cell_work(monkeypatch):
         decodes.append(cell)
         return real_decode(self, cell)
 
+    def counting_steps_hold(self, cells, targets, delta):
+        steps.append(self.cell_count)
+        return real_steps_hold(self, cells, targets, delta)
+
+    def spy_fts(seen):
+        def counting_leaf_fts(data):
+            seen.append((data.name, data.success.n))
+            return real_leaf_fts(data)
+
+        return counting_leaf_fts
+
     monkeypatch.setattr(bt.BTModel, "leaf_at", counting_leaf_at)
     monkeypatch.setattr(Augmentation, "decode", counting_decode)
+    monkeypatch.setattr(World, "steps_hold", counting_steps_hold)
+    monkeypatch.setattr(prepares, "leaf_fts", spy_fts(product_fts))
+    monkeypatch.setattr(substitution, "leaf_fts", spy_fts(base_fts))
     cert = certify_convergence(b.model, members, b.delta)
     result = substitute(b.model, spec, base_delta=b.delta)
     assert decodes == []
+    n_base, n_aug = b.model.world.cell_count, result.new_model.world.cell_count
+    steps.clear()
+    product_fts.clear()
     report = verify_substituted_convergence(cert, result)
     assert report and report.loop_exit_steps is not None
     assert ticks == []  # neither verdict built a per-cell leaf table
     assert b.model._leaf_at is None and result.new_model._leaf_at is None
+    # every member lifts base data, so each is proven on the 10 base cells alone
+    assert steps == [n_base] * 4 and product_fts == []
+    assert sorted(base_fts) == sorted(
+        (name, n_base) for name in ("dd_controller", "mb_patrol", "park", "rr_controller")
+    )
     # the counters do see the per-cell paths
     bt.tick(result.new_model, 0)
     result.augmentation.decode(0)
     assert ticks == [0] and decodes == [0]
+
+    # with the hysteresis guard on, the risk-reduction leaf is no lift: it is
+    # checked on the product, and it misses its base deadline there
+    gated = substitute(b.model, dataclasses.replace(spec, hysteresis=True), base_delta=b.delta)
+    steps.clear()
+    product_fts.clear()
+    with pytest.raises(FtsPreconditionError) as caught:
+        verify_substituted_convergence(cert, gated)
+    assert str(caught.value) == "finite-time-success check failed for: ['rr_controller']"
+    assert caught.value.failures == {"rr_controller": FtsVerdict(False, "deadline", 0, 7)}
+    assert "rr_controller" not in gated.lifts
+    assert product_fts == [("rr_controller", n_aug)]
+    assert steps.count(n_aug) == 1 and steps.count(n_base) == 3
+
+
+def test_project_region_refuses_a_region_over_another_universe():
+    b = bundled.patrol()
+    aug = substitute(b.model, bundled.patrol_substitution(), base_delta=b.delta).augmentation
+    with pytest.raises(WorldError, match="region over 10 cells is not over the augmented universe of 120 cells"):
+        aug.project_region(Region.from_cells(10, [3, 7]))
+    assert aug.project_region(aug.lift_region(Region.from_cells(10, [3, 7]))) == Region.from_cells(
+        10, [3, 7]
+    )
+
+
+def _reverification_outcome(old_cert, result):
+    """Every field of the report, or the type, text and failures of what it raised."""
+    try:
+        report = verify_substituted_convergence(old_cert, result)
+    except BTConvergeError as exc:
+        return type(exc), str(exc), getattr(exc, "failures", None)
+    verdict = report.result
+    if isinstance(verdict, Certificate):
+        fields = (
+            [v.key() for v in verdict.graph.vertices],
+            sorted(verdict.graph.edges),
+            verdict.analysis_classes,
+            verdict.sink_classes,
+            verdict.per_class_exit,
+            verdict.bound,
+            verdict.transitions_bound,
+            verdict.refined_bound,
+        )
+    else:
+        fields = (verdict.kind, verdict.witness_class, verdict.witness_cell, verdict.detail)
+    return report.ok, report.graph_diffs, report.loop_exit_steps, type(verdict), fields
+
+
+def test_base_cost_hypotheses_match_the_product_path(rng, monkeypatch):
+    """Seeded corpus: proving lifted members on the base universe changes no report and no error.
+
+    The reference re-verifies with the public certify_convergence over the
+    product model in place of the base-cost hypothesis checks.
+    """
+    def product_path(result, members, seeds, condensed):
+        return certify_convergence(result.new_model, members, seeds=seeds, condensed=condensed)
+
+    seen = set()
+    for trial in range(160):
+        metric, hysteresis, per_aug_dd = trial % 2 == 1, trial // 2 % 2 == 1, trial // 4 % 2 == 1
+        model, spec, delta, names = random_reverification_instance(
+            rng, rng.randint(5, 9), metric, hysteresis, per_aug_dd
+        )
+        result = substitute(model, spec, base_delta=delta)
+        assert (DD_NAME in result.lifts) is not per_aug_dd
+        assert ("rr_controller" in result.lifts) is not hysteresis
+        # re-verification reads only the old certificate's graph
+        old = SimpleNamespace(
+            graph=build_prepares_graph(model, [model.vertex_of(x) for x in names], delta)
+        )
+        fast = _reverification_outcome(old, result)
+        with monkeypatch.context() as m:
+            m.setattr(substitution, "_certify_substituted", product_path)
+            slow = _reverification_outcome(old, result)
+        assert fast == slow, (trial, fast, slow)
+        kind = fast[0] if isinstance(fast[0], type) else fast[3]
+        seen.add(kind.__name__)
+        if kind is FtsPreconditionError:
+            seen.update(v.kind for v in fast[2].values())
+    assert {"Certificate", "StepError", "FtsPreconditionError", "deadline", "basin-invariance"} <= seen
