@@ -16,7 +16,11 @@ if TYPE_CHECKING:  # annotations only: the tree renderer needs no slice graph
     from .prepares import BehaviorGraph, CondensedGraph, PreparesGraph
 
 _FLAVOR_SHAPE = {"a": "ellipse", "b": "box", "c": "doubleoctagon"}
-_KIND_LABEL = {NodeKind.SEQUENCE: "\\u2192", NodeKind.FALLBACK: "?"}
+
+
+def _quoted(text: str) -> str:
+    """text as a DOT string: backslashes and double quotes escaped, so any leaf name is safe."""
+    return '"' + text.replace("\\", "\\\\").replace('"', '\\"') + '"'
 
 
 def _owner_label(model: Optional[BTModel], owner: int) -> str:
@@ -31,11 +35,11 @@ def tree_dot(model: BTModel) -> str:
         kind = model.kinds[v]
         if kind in (NodeKind.SEQUENCE, NodeKind.FALLBACK):
             label = "seq" if kind is NodeKind.SEQUENCE else "fal"
-            lines.append(f'  n{v} [label="{label}" shape=box];')
+            lines.append(f"  n{v} [label={_quoted(label)} shape=box];")
         else:
             shape = "ellipse" if kind is NodeKind.CONDITION else "box"
             style = ' style="rounded"' if kind is NodeKind.ACTION else ""
-            lines.append(f'  n{v} [label="{model.names[v]}" shape={shape}{style}];')
+            lines.append(f"  n{v} [label={_quoted(model.names[v])} shape={shape}{style}];")
     for v in range(model.n):
         for c in model.tree.children[v]:
             lines.append(f"  n{v} -> n{c};")
@@ -53,7 +57,7 @@ def prepares_dot(
     for i, v in enumerate(graph.vertices):
         label = f"v_{v.flavor}({_owner_label(model, v.owner)})"
         pen = " penwidth=2" if i in chosen else ""
-        lines.append(f'  n{i} [label="{label}" shape={_FLAVOR_SHAPE[v.flavor]}{pen}];')
+        lines.append(f"  n{i} [label={_quoted(label)} shape={_FLAVOR_SHAPE[v.flavor]}{pen}];")
     for u, w in sorted(graph.edges):
         lines.append(f"  n{u} -> n{w};")
     lines.append("}")
@@ -74,7 +78,7 @@ def condensed_dot(
         ]
         label = "{" + ", ".join(parts) + "}"
         pen = " penwidth=2" if ci in chosen else ""
-        lines.append(f'  c{ci} [label="{label}"{pen}];')
+        lines.append(f"  c{ci} [label={_quoted(label)}{pen}];")
     for ci, cj in sorted(condensed.edges):
         lines.append(f"  c{ci} -> c{cj};")
     lines.append("}")
@@ -84,7 +88,7 @@ def condensed_dot(
 def behavior_dot(bg: BehaviorGraph, model: Optional[BTModel] = None) -> str:
     lines = ["digraph behavior {", "  node [fontsize=10 shape=box];"]
     for owner in bg.nodes:
-        lines.append(f'  o{owner} [label="{_owner_label(model, owner)}"];')
+        lines.append(f"  o{owner} [label={_quoted(_owner_label(model, owner))}];")
     for i, j in sorted(bg.edges):
         lines.append(f"  o{i} -> o{j};")
     lines.append("}")

@@ -221,5 +221,7 @@ def hitting_time(model: BTModel, x0: int, goal: Region, max_steps: int) -> Optio
     """First step, if at most max_steps, at which the closed loop reaches goal from x0."""
     if not 0 <= x0 < model.world.cell_count:
         raise ExecutionError(f"start cell {x0} outside universe")
+    if goal.n != model.world.cell_count:
+        raise ExecutionError("region over a different universe")
     hit = _hit_times(model.closed_loop(), goal, [x0])[0]
     return hit if hit is not None and hit <= max_steps else None

@@ -141,14 +141,7 @@ class Augmentation:
         self.rok_base = rok_base
         self.base_delta = base_delta
         self.block = (time_cap + 1) * (hyst_cap + 1)
-        if base.coords is not None:
-            if base_delta is None:
-                raise SubstitutionError("metric base world needs its step bound")
-            base_neighbors = base._balls(base_delta)
-        elif base.neighbors is not None:
-            base_neighbors = [sorted({c, *near}) for c, near in enumerate(base.neighbors)]
-        else:
-            raise SubstitutionError("base world needs coordinates or adjacency")
+        steps, stays = base._steps(base_delta)
         # in-block offset of the counters' successor, per in-block offset,
         # outside and inside the risk-ok region
         times = [min(t + 1, time_cap) * (hyst_cap + 1) for t in range(time_cap + 1)]
@@ -167,7 +160,9 @@ class Augmentation:
             if flag in rok
         }
         near_aug: list[tuple[int, ...]] = []
-        for c, near in enumerate(base_neighbors):
+        for c, near in enumerate(steps):
+            if stays:  # adjacency lists leave out the cell, which a step may keep
+                near = sorted({c, *near})
             near_aug.extend(zip(*map(columns[rok[c]].__getitem__, near)))
         self.world = World(base.cell_count * self.block, neighbors=near_aug)
 
@@ -453,37 +448,36 @@ def verify_substituted_convergence(
 ) -> SubstitutionReport:
     """Re-derive the transition graph and certificate of the substituted model.
 
-    The new graph must equal the old one except for the documented loop
-    subgraph: the data-driven slice and the risk-reduction slice may feed
-    each other and exit only to the model-based slice or to the old
-    successors of the model-based slice; edges between untouched slices
-    must match the old graph exactly.  An edge breaking the loop pattern is
-    an error; the loop itself must be left within the time budget.
+    The new graph may differ from the old one only by the guarded loop of
+    the data-driven slice (dd, a) and the risk-reduction slice (rr, b), and
+    the loop must be left within the time budget.  Both graphs' edges are
+    read as pairs of (new owner, flavor) keys, old owners mapped by leaf
+    name, and must meet three set conditions; an edge breaking 1 or 2
+    raises, and a break of 3 is a reported graph diff:
+
+    1. an edge out of dd or rr ends in (dd, a), (rr, b), (mb, b) or an old
+       successor of an mb slice;
+    2. any other edge into dd or rr starts at an mb slice or at an old
+       predecessor of one;
+    3. the edges with no dd or rr end equal the old edges, except that an
+       old edge into mb may be missing when its source now has an edge
+       into the loop.
     """
-    new_model = result.new_model
-    old_model = result.old_model
-    mb_name = old_model.leaves[_target_shape(old_model, result.target_old)[1]].name
-    name_of_old = {v: old_model.names[v] for v in old_model.leaves}
-    new_vertex_of_name = new_model.leaf_by_name
-
-    old_graph = old_cert.graph
-    old_owners = {vtx.owner for vtx in old_graph.vertices}
-    owner_map = {o: new_vertex_of_name[name_of_old[o]] for o in old_owners}
-    abstraction = sorted(
-        set(owner_map.values()) | {new_model.vertex_of(DD_NAME), new_model.vertex_of(RR_NAME)}
-    )
+    new_model, old_model = result.new_model, result.old_model
+    mb_v = new_model.leaf_by_name[old_model.names[_target_shape(old_model, result.target_old)[1]]]
+    dd_v, rr_v = new_model.vertex_of(DD_NAME), new_model.vertex_of(RR_NAME)
+    loop_owners = {dd_v, rr_v}
+    # old owners map to new ones by leaf name; names are unique, so the map is injective
+    old_keys = [
+        (new_model.leaf_by_name[old_model.names[v.owner]], v.flavor)
+        for v in old_cert.graph.vertices
+    ]
+    abstraction = sorted({owner for owner, _flavor in old_keys} | loop_owners)
     new_graph = build_prepares_graph(new_model, abstraction)
-
-    dd_v = new_model.vertex_of(DD_NAME)
-    rr_v = new_model.vertex_of(RR_NAME)
-    mb_v = new_vertex_of_name[mb_name]
-    mb_old = old_model.vertex_of(mb_name)
-
-    def new_key(idx: int) -> tuple[int, str]:
-        return new_graph.vertices[idx].key()
-
-    def old_key_to_new(key: tuple[int, str]) -> tuple[int, str]:
-        return (owner_map[key[0]], key[1])
+    new_keys = [v.key() for v in new_graph.vertices]
+    old = {(old_keys[u], old_keys[w]) for u, w in old_cert.graph.edges}
+    # build_prepares_graph sorts vertices by key, so this is the graph's index order
+    new = sorted((new_keys[u], new_keys[w]) for u, w in new_graph.edges)
 
     diffs: list[str] = []
     # well-behavedness: the loop owners expose exactly the expected slices
@@ -495,57 +489,22 @@ def verify_substituted_convergence(
                 f"owner {new_model.names[owner]} has unexpected slices {sorted(extra)}"
             )
 
-    old_edges_keys = {
-        (old_graph.vertices[u].key(), old_graph.vertices[w].key()) for u, w in old_graph.edges
-    }
-    allowed_next = {
-        old_key_to_new(old_graph.vertices[w].key())
-        for u, vtx in enumerate(old_graph.vertices)
-        if vtx.owner == mb_old
-        for w in old_graph.succ[u]
-    }
-    sources_old = {
-        old_key_to_new(old_graph.vertices[u].key())
-        for u, w in old_graph.edges
-        if old_graph.vertices[w].owner == mb_old
-    }
-    loop_owners = {dd_v, rr_v}
-    loop_keys = {(dd_v, FLAVOR_OUTSIDE), (rr_v, FLAVOR_BASIN)}
-    allowed_exits = allowed_next | {(mb_v, FLAVOR_BASIN)}
+    exits = {(dd_v, FLAVOR_OUTSIDE), (rr_v, FLAVOR_BASIN), (mb_v, FLAVOR_BASIN)}
+    exits |= {w for u, w in old if u[0] == mb_v}
+    entries = {u for u, w in old if w[0] == mb_v}
+    for u, w in new:
+        if u[0] in loop_owners:
+            if w not in exits:
+                raise SubstitutionError(f"illegal edge out of the guarded loop: {u} -> {w}")
+        elif w[0] in loop_owners and u[0] != mb_v and u not in entries:
+            raise SubstitutionError(f"illegal edge into the guarded loop: {u} -> {w}")
 
-    for u, w in sorted(new_graph.edges):
-        uk, wk = new_key(u), new_key(w)
-        if uk[0] in loop_owners:
-            if wk in loop_keys or wk in allowed_exits:
-                continue
-            raise SubstitutionError(
-                f"illegal edge out of the guarded loop: {uk} -> {wk}"
-            )
-        if wk[0] in loop_owners:
-            if uk in sources_old or uk[0] == mb_v:
-                continue
-            raise SubstitutionError(
-                f"illegal edge into the guarded loop: {uk} -> {wk}"
-            )
-
-    # untouched part must match the old graph exactly (owner-mapped)
-    new_plain = {
-        (new_key(u), new_key(w))
-        for u, w in new_graph.edges
-        if new_key(u)[0] not in loop_owners and new_key(w)[0] not in loop_owners
-    }
-    old_plain_mapped = {
-        (old_key_to_new(a), old_key_to_new(b)) for a, b in old_edges_keys
-    }
-    for edge in sorted(new_plain - old_plain_mapped):
-        diffs.append(f"new edge absent from old graph: {edge}")
-    for edge in sorted(old_plain_mapped - new_plain):
-        if edge[1][0] == mb_v and edge[0] in new_graph.index:
-            # old flow into the model-based slice may now route via the loop
-            u = new_graph.index[edge[0]]
-            if any(new_graph.vertices[w].owner in loop_owners for w in new_graph.succ[u]):
-                continue
-        diffs.append(f"old edge missing from new graph: {edge}")
+    # condition 3: old flow into the model-based slice may now route via the loop
+    plain = {(u, w) for u, w in new if u[0] not in loop_owners and w[0] not in loop_owners}
+    into_loop = {u for u, w in new if w[0] in loop_owners}
+    diffs.extend(f"new edge absent from old graph: {edge}" for edge in sorted(plain - old))
+    missing = [(u, w) for u, w in sorted(old - plain) if w[0] != mb_v or u not in into_loop]
+    diffs.extend(f"old edge missing from new graph: {edge}" for edge in missing)
 
     loop_cells = Region.empty(new_model.world.cell_count)
     for vtx in new_graph.vertices:

@@ -871,3 +871,138 @@ def generator_exit_time(model: BTModel, region: Region) -> tuple[Optional[int], 
             return None, c
         worst = max(worst, steps)
     return worst, None
+
+
+# ----------------------------------------------------------------------
+# reference guarded-loop comparison
+
+
+def reference_verify_substituted_convergence(old_cert, result, seeds=None):
+    """verify_substituted_convergence as it compared the two graphs edge by edge.
+
+    The body is kept verbatim as the oracle for the set-condition statement
+    of the guarded-loop rule.  Its names are looked up when it runs, so a
+    test that monkeypatches substitution.build_prepares_graph feeds both.
+    """
+    from btconverge.execution import empirical_exit_time
+    from btconverge.prepares import FLAVOR_BASIN, FLAVOR_GOAL, FLAVOR_OUTSIDE, Certificate, condense
+    from btconverge.substitution import (
+        DD_NAME,
+        RR_NAME,
+        SubstitutionError,
+        SubstitutionReport,
+        _certify_substituted,
+        _target_shape,
+        build_prepares_graph,
+    )
+
+    new_model = result.new_model
+    old_model = result.old_model
+    mb_name = old_model.leaves[_target_shape(old_model, result.target_old)[1]].name
+    name_of_old = {v: old_model.names[v] for v in old_model.leaves}
+    new_vertex_of_name = new_model.leaf_by_name
+
+    old_graph = old_cert.graph
+    old_owners = {vtx.owner for vtx in old_graph.vertices}
+    owner_map = {o: new_vertex_of_name[name_of_old[o]] for o in old_owners}
+    abstraction = sorted(
+        set(owner_map.values()) | {new_model.vertex_of(DD_NAME), new_model.vertex_of(RR_NAME)}
+    )
+    new_graph = build_prepares_graph(new_model, abstraction)
+
+    dd_v = new_model.vertex_of(DD_NAME)
+    rr_v = new_model.vertex_of(RR_NAME)
+    mb_v = new_vertex_of_name[mb_name]
+    mb_old = old_model.vertex_of(mb_name)
+
+    def new_key(idx: int) -> tuple[int, str]:
+        return new_graph.vertices[idx].key()
+
+    def old_key_to_new(key: tuple[int, str]) -> tuple[int, str]:
+        return (owner_map[key[0]], key[1])
+
+    diffs: list[str] = []
+    # well-behavedness: the loop owners expose exactly the expected slices
+    for owner, flavors in ((dd_v, {FLAVOR_OUTSIDE}), (rr_v, {FLAVOR_BASIN}), (mb_v, {FLAVOR_BASIN, FLAVOR_GOAL})):
+        got = {v.flavor for v in new_graph.vertices if v.owner == owner}
+        extra = got - flavors
+        if extra:
+            diffs.append(
+                f"owner {new_model.names[owner]} has unexpected slices {sorted(extra)}"
+            )
+
+    old_edges_keys = {
+        (old_graph.vertices[u].key(), old_graph.vertices[w].key()) for u, w in old_graph.edges
+    }
+    allowed_next = {
+        old_key_to_new(old_graph.vertices[w].key())
+        for u, vtx in enumerate(old_graph.vertices)
+        if vtx.owner == mb_old
+        for w in old_graph.succ[u]
+    }
+    sources_old = {
+        old_key_to_new(old_graph.vertices[u].key())
+        for u, w in old_graph.edges
+        if old_graph.vertices[w].owner == mb_old
+    }
+    loop_owners = {dd_v, rr_v}
+    loop_keys = {(dd_v, FLAVOR_OUTSIDE), (rr_v, FLAVOR_BASIN)}
+    allowed_exits = allowed_next | {(mb_v, FLAVOR_BASIN)}
+
+    for u, w in sorted(new_graph.edges):
+        uk, wk = new_key(u), new_key(w)
+        if uk[0] in loop_owners:
+            if wk in loop_keys or wk in allowed_exits:
+                continue
+            raise SubstitutionError(
+                f"illegal edge out of the guarded loop: {uk} -> {wk}"
+            )
+        if wk[0] in loop_owners:
+            if uk in sources_old or uk[0] == mb_v:
+                continue
+            raise SubstitutionError(
+                f"illegal edge into the guarded loop: {uk} -> {wk}"
+            )
+
+    # untouched part must match the old graph exactly (owner-mapped)
+    new_plain = {
+        (new_key(u), new_key(w))
+        for u, w in new_graph.edges
+        if new_key(u)[0] not in loop_owners and new_key(w)[0] not in loop_owners
+    }
+    old_plain_mapped = {
+        (old_key_to_new(a), old_key_to_new(b)) for a, b in old_edges_keys
+    }
+    for edge in sorted(new_plain - old_plain_mapped):
+        diffs.append(f"new edge absent from old graph: {edge}")
+    for edge in sorted(old_plain_mapped - new_plain):
+        if edge[1][0] == mb_v and edge[0] in new_graph.index:
+            # old flow into the model-based slice may now route via the loop
+            u = new_graph.index[edge[0]]
+            if any(new_graph.vertices[w].owner in loop_owners for w in new_graph.succ[u]):
+                continue
+        diffs.append(f"old edge missing from new graph: {edge}")
+
+    loop_cells = Region.empty(new_model.world.cell_count)
+    for vtx in new_graph.vertices:
+        if vtx.owner in loop_owners:
+            loop_cells |= vtx.cells
+    loop_exit: Optional[int] = None
+    if not loop_cells.is_empty:
+        exit_result = empirical_exit_time(new_model, loop_cells)
+        loop_exit = exit_result.steps
+        if exit_result.steps is None:
+            diffs.append(f"guarded loop never exits from cell {exit_result.witness}")
+        elif exit_result.steps > result.spec.time_budget:
+            diffs.append(
+                f"guarded loop exit takes {exit_result.steps} steps, over the "
+                f"budget of {result.spec.time_budget}"
+            )
+
+    outcome = _certify_substituted(result, abstraction, seeds, condense(new_graph))
+    return SubstitutionReport(
+        ok=not diffs and isinstance(outcome, Certificate),
+        graph_diffs=tuple(diffs),
+        loop_exit_steps=loop_exit,
+        result=outcome,
+    )

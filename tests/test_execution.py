@@ -217,6 +217,11 @@ def test_hitting_time_basic():
 def test_hitting_time_rejects_a_start_outside_the_universe(x0):
     with pytest.raises(ExecutionError, match="outside universe"):
         hitting_time(chain_model(), x0, Region.from_cells(6, [5]), 10)
+    # a goal over another universe, smaller or larger, is refused like a bad start
+    grid = bundled.gridworld().model
+    for goal in (Region.from_cells(10, [5]), Region.from_cells(100, [35, 99])):
+        with pytest.raises(ExecutionError, match="region over a different universe"):
+            hitting_time(grid, 0, goal, 100)
 
 
 def test_survey_trace_cycles_through_all_four_stages():

@@ -686,6 +686,24 @@ def test_export_prepares_and_behavior(capsys):
         assert out.startswith(f"digraph {which}")
 
 
+def test_export_escapes_quotes_and_backslashes_in_names(tmp_path, capsys):
+    """A leaf name may hold any character; every renderer writes it as a valid DOT string."""
+    name = 'dock "home" \\'
+    text = json.dumps(bundled_document("gridworld")).replace('"dock"', json.dumps(name))
+    path = tmp_path / "quoted.json"
+    path.write_text(text)
+    quoted = re.compile(r'label="((?:[^"\\]|\\.)*)"(?=[ \]])')
+    for which in ("tree", "prepares", "condensed", "behavior"):
+        code, out, _ = run_cli("export", "--spec", str(path), "--which", which, capsys=capsys)
+        assert code == 0
+        assert 'dock \\"home\\" \\\\' in out, which
+        for line in out.splitlines():
+            if "label=" in line:
+                assert quoted.search(line), (which, line)
+        labels = [re.sub(r"\\(.)", r"\1", m) for m in quoted.findall(out)]
+        assert any(name in label for label in labels), which
+
+
 def test_simulate_trace_log(capsys):
     code, out, _ = run_cli(
         "simulate", "--spec", "bundled:patrol", "--x0", "0", "--steps", "3", capsys=capsys

@@ -1,6 +1,7 @@
 """Guarded controller substitution: lifting, preservation, graph discipline."""
 
 import dataclasses
+from collections import Counter
 from types import SimpleNamespace
 
 import pytest
@@ -12,6 +13,7 @@ from btconverge.prepares import (
     FtsPreconditionError,
     PreparesGraph,
     build_prepares_graph,
+    certify_checked,
     certify_convergence,
 )
 from btconverge.statespace import BTConvergeError, Region, SuccessorMap, World, WorldError
@@ -34,6 +36,7 @@ from helpers import (
     random_reverification_instance,
     random_substitution_instance,
     rebuild_old_with_mb,
+    reference_verify_substituted_convergence,
 )
 
 
@@ -374,6 +377,19 @@ def test_augmentation_lift_and_project_roundtrip():
     )
 
 
+def test_augmentation_reads_the_base_step_rule_of_the_world():
+    """The base steps come from World._steps, so its errors name what is missing."""
+    rok = Region.from_cells(4, [1])
+    metric = World(4, coords=[(float(x),) for x in range(4)])
+    with pytest.raises(WorldError, match="^metric neighboring needs a step bound delta$"):
+        Augmentation(metric, 2, 1, rok)
+    with pytest.raises(WorldError, match="^world has neither coordinates nor adjacency$"):
+        Augmentation(World(4), 2, 1, rok)
+    # a self-loop in the adjacency does not repeat the cell among its steps
+    looped = Augmentation(World(4, adjacency=[(1, 1), (1, 2)]), 0, 0, rok)
+    assert looped.world.neighbors == ((0,), (1, 2), (1, 2), (3,))
+
+
 def test_augmentation_products_match_decode_oracle(rng):
     seen_rok = set()
     for trial in range(40):
@@ -567,10 +583,10 @@ def test_project_region_refuses_a_region_over_another_universe():
     )
 
 
-def _reverification_outcome(old_cert, result):
+def _reverification_outcome(old_cert, result, verify=verify_substituted_convergence):
     """Every field of the report, or the type, text and failures of what it raised."""
     try:
-        report = verify_substituted_convergence(old_cert, result)
+        report = verify(old_cert, result)
     except BTConvergeError as exc:
         return type(exc), str(exc), getattr(exc, "failures", None)
     verdict = report.result
@@ -622,3 +638,131 @@ def test_base_cost_hypotheses_match_the_product_path(rng, monkeypatch):
         if kind is FtsPreconditionError:
             seen.update(v.kind for v in fast[2].values())
     assert {"Certificate", "StepError", "FtsPreconditionError", "deadline", "basin-invariance"} <= seen
+
+
+def _mutated_loop_graphs(rng, old, new, renamed, loop_owners, mb_v):
+    """Edge sets of the old and new graphs after one weighted mutation.
+
+    Most cases first drop every new edge with a loop end except those
+    inside the loop and those from mb into it, which leaves the loop rule
+    nothing to refuse.  Each mutation then aims at one outcome of the rule:
+    a plain edge added to or dropped from either graph, an old edge into mb
+    rerouted through the loop, or an edge out of or into a loop slice.
+    """
+    old_edges, new_edges = set(old.edges), set(new.edges)
+    in_loop = [v.owner in loop_owners for v in new.vertices]
+    loop = [i for i, inside in enumerate(in_loop) if inside]
+    plain = [i for i, inside in enumerate(in_loop) if not inside]
+    if rng.random() < 0.7:
+        new_edges = {
+            (u, w)
+            for u, w in new_edges
+            if in_loop[u] == in_loop[w] or in_loop[w] and new.vertices[u].owner == mb_v
+        }
+    # old vertex index -> new vertex index of the same (owner, flavor) slice, where there is one
+    to_new = {
+        i: new.index[(renamed(v.owner), v.flavor)]
+        for i, v in enumerate(old.vertices)
+        if (renamed(v.owner), v.flavor) in new.index
+    }
+    pairs = lambda us, ws: [(u, w) for u in us for w in ws if u != w]
+    kind = rng.choices(
+        ["none", "new-plain", "drop-new", "old-extra", "drop-old", "reroute", "out", "into"],
+        [4, 2, 2, 2, 2, 3, 1, 3],
+    )[0]
+    if kind == "new-plain" and pairs(plain, plain):
+        new_edges.add(rng.choice(pairs(plain, plain)))
+    elif kind == "drop-new" and new_edges:
+        new_edges.discard(rng.choice(sorted(new_edges)))
+    elif kind == "old-extra" and len(old.vertices) > 1:
+        old_edges.add(rng.choice(pairs(range(len(old.vertices)), range(len(old.vertices)))))
+    elif kind == "drop-old" and old_edges:
+        old_edges.discard(rng.choice(sorted(old_edges)))
+    elif kind == "reroute":
+        into_mb = [i for i, v in enumerate(old.vertices) if renamed(v.owner) == mb_v]
+        sources = [i for i in to_new if new.vertices[to_new[i]].owner != mb_v]
+        if loop and into_mb and sources:
+            x, m = rng.choice(sources), rng.choice(into_mb)
+            old_edges.add((x, m))
+            new_edges.discard((to_new[x], to_new.get(m)))
+            new_edges.add((to_new[x], rng.choice(loop)))
+    elif kind == "out" and loop:
+        new_edges.add(rng.choice(pairs(loop, range(len(new.vertices)))))
+    elif kind == "into" and loop:
+        new_edges.add(rng.choice(pairs(plain, loop)))
+    return old_edges, new_edges
+
+
+LOOP_RULE_OUTCOMES = (
+    "clean",
+    "new edge absent from old graph",
+    "old edge missing from new graph",
+    "rerouted old edge into mb",
+    "unexpected slices",
+    "illegal edge out of",
+    "illegal edge into",
+)
+
+
+def test_loop_rule_matches_the_edge_by_edge_comparison(rng, monkeypatch):
+    """Seeded corpus: the three set conditions give the edge-by-edge comparison's report or error.
+
+    Both graphs get weighted edge mutations, over metric and adjacency base
+    worlds with hysteresis on and off; every outcome of the rule must occur
+    at least five times.
+    """
+    real = substitution.build_prepares_graph
+
+    def certify_unchecked(result, members, seeds, condensed):
+        return certify_checked(result.new_model, members, None, seeds, condensed)
+
+    seen = Counter()
+    for trial in range(320):
+        metric, hysteresis = trial % 2 == 1, trial // 2 % 2 == 1
+        model, spec, delta, names = random_reverification_instance(
+            rng, rng.randint(5, 8), metric, hysteresis, rng.random() < 0.5
+        )
+        result = substitute(model, spec, base_delta=delta)
+        new_model = result.new_model
+        old = build_prepares_graph(model, [model.vertex_of(x) for x in names], delta)
+        renamed = lambda owner: new_model.vertex_of(model.names[owner])
+        loop_owners = {new_model.vertex_of(DD_NAME), new_model.vertex_of("rr_controller")}
+        mb_v = new_model.vertex_of("mb")
+        members = sorted({renamed(v.owner) for v in old.vertices} | loop_owners)
+        new = real(new_model, members)
+        old_edges, new_edges = _mutated_loop_graphs(rng, old, new, renamed, loop_owners, mb_v)
+        old_cert = SimpleNamespace(graph=PreparesGraph(old.vertices, old_edges))
+        mutated = PreparesGraph(new.vertices, new_edges)
+
+        def build(model, abstraction, delta=None):
+            assert (model, abstraction, delta) == (new_model, members, None)
+            return mutated
+
+        with monkeypatch.context() as m:
+            m.setattr(substitution, "build_prepares_graph", build)
+            if trial // 4 % 2:
+                # hypotheses taken as given, so the graph diffs reach a report
+                m.setattr(substitution, "_certify_substituted", certify_unchecked)
+            got = _reverification_outcome(old_cert, result)
+            want = _reverification_outcome(
+                old_cert, result, reference_verify_substituted_convergence
+            )
+        assert got == want, (trial, got, want)
+
+        if got[0] is SubstitutionError:
+            seen.update(o for o in LOOP_RULE_OUTCOMES if o in got[1])
+            continue
+        texts = [] if isinstance(got[0], type) else list(got[1]) or ["clean"]
+        # an old edge into mb that the new graph lacks, excused by its source's edge into the loop
+        key = [v.key() for v in new.vertices]
+        old_key = [(renamed(v.owner), v.flavor) for v in old.vertices]
+        new_pairs = {(key[u], key[w]) for u, w in new_edges}
+        into_loop = {a for a, b in new_pairs if b[0] in loop_owners}
+        if any(
+            old_key[w][0] == mb_v and old_key[u] in into_loop
+            and (old_key[u], old_key[w]) not in new_pairs
+            for u, w in old_edges
+        ):
+            texts.append("rerouted old edge into mb")
+        seen.update(o for o in LOOP_RULE_OUTCOMES if any(o in t for t in texts))
+    assert all(seen[o] >= 5 for o in LOOP_RULE_OUTCOMES), seen
