@@ -342,7 +342,6 @@ def check_bc_convergence(
     root: Id,
     delta: Optional[float] = None,
     seeds: Optional[Iterable[int]] = None,
-    require_hypothesis: bool = False,
     built: Optional[BcBt] = None,
     *,
     links: Optional[LinkStructure] = None,
@@ -354,8 +353,8 @@ def check_bc_convergence(
     touch) is conditioned on every basin staying inside the success regions
     of the conditions upstream of it.  A library whose actions undo
     upstream conditions, like a recharge cycle, fails that hypothesis; the
-    violation is reported (or raised with require_hypothesis), the pattern
-    claim is skipped, and the general certification still runs.  A caller
+    violation is reported with a witness cell per action, the pattern claim
+    is skipped, and the general certification still runs.  A caller
     that already ran ``build_bcbt(lib, root)`` passes the result as
     ``built`` so the tree is not built and analysed again, and one that
     already ran ``compute_links(lib)`` passes it as ``links``.
@@ -370,12 +369,7 @@ def check_bc_convergence(
         for j in links.acc[i]:
             guard &= lib.conditions[j].leaf.success
         if not entry.leaf.doa.basin.issubset(guard):
-            witness = (entry.leaf.doa.basin - guard).any_cell()
-            if require_hypothesis:
-                raise LibraryError(
-                    f"action {i!r}: basin leaves its upstream success regions at cell {witness}"
-                )
-            hypothesis_witnesses.append((i, witness))
+            hypothesis_witnesses.append((i, (entry.leaf.doa.basin - guard).any_cell()))
     if built is None:
         built = build_bcbt(lib, root)
     abstraction = [built.vertex_of[i] for i in lib.actions if i in built.vertex_of]

@@ -9,20 +9,11 @@ verdict, 2 for spec or usage errors.
 from __future__ import annotations
 
 import argparse
+import os
 import sys
-from types import ModuleType
 from typing import TYPE_CHECKING, Callable, Optional
 
-from .specfile import (
-    LoadedSpec,
-    SpecError,
-    build_document,
-    dump_document,
-    library_document,
-    load_path,
-    parse_document,
-    substitution_block,
-)
+from .specfile import LoadedSpec, SpecError, build_document, dump_document, load_path
 from .statespace import BTConvergeError, step_bound
 
 if TYPE_CHECKING:  # each subcommand imports the analysis modules it runs
@@ -33,45 +24,21 @@ EXIT_REFUTED = 1
 EXIT_ERROR = 2
 
 
-def _model_document(bundle, substitution: Optional[dict] = None) -> dict:
-    return build_document(bundle.model, list(bundle.abstraction), bundle.delta, substitution)
-
-
-def _surveying_robot_library_document(bundles: ModuleType) -> dict:
-    doc = library_document(*bundles.surveying_robot_library())
-    doc["delta"] = bundles.surveying_robot().delta
-    return doc
-
-
-# each entry builds its document from the bundled module, imported on first use
-_BUNDLED: dict[str, Callable[[ModuleType], dict]] = {
-    "eat_tree": lambda bundles: _model_document(bundles.eat_tree()),
-    "surveying_robot": lambda bundles: _model_document(bundles.surveying_robot()),
-    "surveying_robot_library": _surveying_robot_library_document,
-    "mobile_manipulator": lambda bundles: library_document(*bundles.mobile_manipulator()),
-    "patrol": lambda bundles: _model_document(
-        bundles.patrol(), substitution_block(bundles.patrol_substitution(), "mb_patrol")
-    ),
-    "gridworld": lambda bundles: _model_document(bundles.gridworld()),
-}
-
-
-def _bundled_document(name: str) -> dict:
-    build = _BUNDLED.get(name)
-    if build is None:
-        raise SpecError(f"unknown bundled spec {name!r}")
-    from . import bundled
-
-    return build(bundled)
+# the shipped example documents, one <name>.json each
+EXAMPLES = os.path.join(os.path.dirname(__file__), "examples")
 
 
 def bundled_names() -> list[str]:
-    return list(_BUNDLED)
+    entries = os.listdir(EXAMPLES)
+    return sorted(entry.removesuffix(".json") for entry in entries if entry.endswith(".json"))
 
 
 def _load_spec(ref: str) -> LoadedSpec:
     if ref.startswith("bundled:"):
-        return parse_document(_bundled_document(ref.split(":", 1)[1]))
+        name = ref.split(":", 1)[1]
+        if name not in bundled_names():  # also refuses any name that is a path
+            raise SpecError(f"unknown bundled spec {name!r}")
+        return load_path(os.path.join(EXAMPLES, f"{name}.json"))
     return load_path(ref)
 
 

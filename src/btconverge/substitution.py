@@ -143,20 +143,22 @@ class Augmentation:
         self.block = (time_cap + 1) * (hyst_cap + 1)
         steps, stays = base._steps(base_delta)
         # in-block offset of the counters' successor, per in-block offset,
-        # outside and inside the risk-ok region
+        # outside ("0") and inside ("1") the risk-ok region
         times = [min(t + 1, time_cap) * (hyst_cap + 1) for t in range(time_cap + 1)]
         hysts = range(hyst_cap + 1)
-        self._next_offsets = (
-            tuple(t2 for t2 in times for _h in hysts),
-            tuple(t2 + min(h + 1, hyst_cap) for t2 in times for h in hysts),
-        )
+        patterns = {
+            "0": tuple(t2 for t2 in times for _h in hysts),
+            "1": tuple(t2 + min(h + 1, hyst_cap) for t2 in times for h in hysts),
+        }
+        rok = rok_base.digits()
+        # per augmented cell: the in-block offset of its counters' successor
+        self._next_offsets = tuple(chain.from_iterable(map(patterns.__getitem__, rok)))
         # Column q of a source block: where each of its cells goes when the
         # base part moves to q.  Zipping the columns of a base cell's sorted
         # neighbours gives each of its augmented cells a sorted neighbour tuple.
-        rok = rok_base.digits()
         columns = {
             flag: [tuple(map((q * self.block).__add__, offsets)) for q in range(base.cell_count)]
-            for flag, offsets in zip("01", self._next_offsets)
+            for flag, offsets in patterns.items()
             if flag in rok
         }
         near_aug: list[tuple[int, ...]] = []
@@ -215,14 +217,11 @@ class Augmentation:
         per_aug = len(base_targets) == self.world.cell_count
         if not per_aug and len(base_targets) != self.base.cell_count:
             raise SubstitutionError("target array length matches neither universe")
-        # per augmented cell: its block's counter offsets plus the target block's start
-        offsets = chain.from_iterable(
-            map(dict(zip("01", self._next_offsets)).__getitem__, self.rok_base.digits())
-        )
+        # per augmented cell: the target block's start plus its counters' offset
         starts = map(mul, base_targets, repeat(k))
         if not per_aug:
             starts = chain.from_iterable(map(repeat, starts, repeat(k)))
-        return SuccessorMap(list(map(add, starts, offsets)))
+        return SuccessorMap(list(map(add, starts, self._next_offsets)))
 
     def lift_leaf(self, leaf: LeafData) -> LeafData:
         controller = None

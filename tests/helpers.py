@@ -8,7 +8,9 @@ evaluation, graph edges by direct rule checks over all vertex pairs.
 from __future__ import annotations
 
 import dataclasses
+import json
 import math
+import os
 import random
 from typing import Callable, Iterable, Iterator, Optional, Union
 
@@ -25,7 +27,66 @@ from btconverge.bt import (
     fal,
     seq,
 )
+from btconverge.cli import EXAMPLES, _load_spec
+from btconverge.specfile import LoadedSpec
 from btconverge.statespace import Region, SuccessorMap, World
+
+
+# ----------------------------------------------------------------------
+# the shipped examples
+
+
+def bundled_spec(name: str) -> LoadedSpec:
+    """The shipped example ``name``, parsed as ``--spec bundled:<name>`` parses it."""
+    return _load_spec(f"bundled:{name}")
+
+
+def bundled_document(name: str) -> dict:
+    """The shipped example ``name`` as a fresh, mutable JSON document."""
+    with open(os.path.join(EXAMPLES, f"{name}.json"), encoding="utf-8") as fh:
+        return json.load(fh)
+
+
+# The surveying robot's cell numbering: positions 0 (home) .. 2 (path),
+# battery 1..4, survey progress 0..4.  Cells where the survey is complete but
+# the battery is below the go-out threshold do not exist.
+
+SURVEY_POS = (0, 1, 2)
+SURVEY_BAT = (1, 2, 3, 4)
+SURVEY_SV = (0, 1, 2, 3, 4)
+SURVEY_MAX = 4
+SURVEY_THRESH = 3  # battery level needed to head out
+
+
+class SurveyWorld:
+    """Cell numbering helpers for the surveying robot universe."""
+
+    def __init__(self) -> None:
+        self.triples = [
+            (pos, bat, sv)
+            for pos in SURVEY_POS
+            for bat in SURVEY_BAT
+            for sv in SURVEY_SV
+            if not (sv == SURVEY_MAX and bat < SURVEY_THRESH)
+        ]
+        self.index = {t: i for i, t in enumerate(self.triples)}
+        self.n = len(self.triples)
+        self.world = World(self.n, coords=[(float(p), float(b), float(s)) for p, b, s in self.triples])
+
+    def cell(self, pos: int, bat: int, sv: int) -> int:
+        return self.index[(pos, bat, sv)]
+
+    def region(self, pred: Callable[[int, int, int], bool]) -> Region:
+        return Region.from_cells(
+            self.n, (i for i, (p, b, s) in enumerate(self.triples) if pred(p, b, s))
+        )
+
+    def controller(self, rule: Callable[[int, int, int], tuple[int, int, int]]) -> SuccessorMap:
+        targets = []
+        for i, triple in enumerate(self.triples):
+            out = rule(*triple)
+            targets.append(self.index.get(out, i))
+        return SuccessorMap(targets)
 
 
 # ----------------------------------------------------------------------

@@ -42,9 +42,11 @@ from btconverge.prepares import (
 )
 from btconverge.statespace import Region
 from btconverge.substitution import substitute, verify_preservation
-from btconverge import bundled
 
 from helpers import (
+    SURVEY_MAX,
+    SurveyWorld,
+    bundled_spec,
     chain_library,
     two_stage_fallback_model,
     two_stage_sequence_model,
@@ -74,7 +76,7 @@ def tree_corpus(model_seed):
 
 
 def test_c01_eat_tree_regression():
-    b = bundled.eat_tree()
+    b = bundled_spec("eat_tree")
     m = b.model
     assert m.world.cell_count >= 8
     analysis = m.analysis()
@@ -196,13 +198,14 @@ def _transition_soundness(model, abstraction, delta) -> int:
 
 def test_c06_transition_soundness(model_seed):
     total = 0
-    for b in (bundled.surveying_robot(), bundled.patrol(), bundled.gridworld(), bundled.eat_tree()):
+    for b in map(bundled_spec, ("surveying_robot", "patrol", "gridworld", "eat_tree")):
         members = [b.model.vertex_of(n) for n in b.abstraction]
         total += _transition_soundness(b.model, members, b.delta)
     for builder in (two_stage_sequence_model, two_stage_fallback_model):
         model, names = builder()
         total += _transition_soundness(model, [model.vertex_of(n) for n in names], 1.0)
-    sub = substitute(bundled.patrol().model, bundled.patrol_substitution(), base_delta=1.0)
+    patrol = bundled_spec("patrol")
+    sub = substitute(patrol.model, patrol.substitution, base_delta=1.0)
     new_members = sorted(sub.new_model.action_vertices())
     total += _transition_soundness(sub.new_model, new_members, None)
     rng = random.Random(model_seed + 6)
@@ -213,7 +216,7 @@ def test_c06_transition_soundness(model_seed):
 
 
 def test_c07_surveying_robot_theorem_bound():
-    b = bundled.surveying_robot()
+    b = bundled_spec("surveying_robot")
     m = b.model
     members = [m.vertex_of(n) for n in b.abstraction]
     graph = build_prepares_graph(m, members, b.delta)
@@ -244,7 +247,8 @@ def test_c07_surveying_robot_theorem_bound():
 
 
 def test_c08_backchain_regression():
-    lib, root = bundled.mobile_manipulator()
+    manip = bundled_spec("mobile_manipulator")
+    lib, root = manip.library, manip.library_root
     built = build_bcbt(lib, root)
     m = built.model
     links = compute_links(lib)
@@ -374,11 +378,11 @@ def test_c10_substitution_preservation(model_seed):
 @pytest.fixture(scope="module")
 def substituted_surveying():
     """The surveying robot with its follow-path stage wrapped and guarded."""
-    sw = bundled.SurveyWorld()
-    base = bundled.surveying_robot()
+    sw = SurveyWorld()
+    base = bundled_spec("surveying_robot")
     m = base.model
     n = m.world.cell_count
-    surveyed = sw.region(lambda p, bt, s: s == bundled.SURVEY_MAX)
+    surveyed = sw.region(lambda p, bt, s: s == SURVEY_MAX)
 
     def leaf_of(name):
         return m.leaves[m.vertex_of(name)]

@@ -24,9 +24,9 @@ from btconverge.backchain import (
 from btconverge.bt import LeafData, NodeKind
 from btconverge.prepares import BehaviorGraph, Certificate, behavior_graph
 from btconverge.statespace import Region, SuccessorMap, World, step_bound
-from btconverge import bundled
 
 from helpers import (
+    bundled_spec,
     chain_library,
     pair_list_pattern_violations,
     pairwise_links,
@@ -36,9 +36,14 @@ from helpers import (
 )
 
 
+def bundled_library(name: str) -> tuple:
+    spec = bundled_spec(name)
+    return spec.library, spec.library_root
+
+
 @pytest.fixture(scope="module")
 def manip():
-    lib, root = bundled.mobile_manipulator()
+    lib, root = bundled_library("mobile_manipulator")
     return lib, root, compute_links(lib)
 
 
@@ -396,8 +401,8 @@ def test_single_action_library_certifies():
 
 
 def test_surveying_library_certifies_despite_cycle():
-    lib, root = bundled.surveying_robot_library()
-    delta = bundled.surveying_robot().delta
+    lib, root = bundled_library("surveying_robot_library")
+    delta = bundled_spec("surveying_robot").delta
     report = check_bc_convergence(lib, root, delta=delta)
     # a recharge loop undoes an upstream condition: hypothesis fails, with
     # witnesses, but the general certification still goes through
@@ -410,8 +415,11 @@ def test_surveying_library_certifies_despite_cycle():
     assert len(big) == 1
     assert len(cert.analysis_classes) == 3
     assert cert.bound == 3 * max(cert.per_class_exit.values())
-    with pytest.raises(LibraryError, match="basin leaves"):
-        check_bc_convergence(lib, root, delta=delta, require_hypothesis=True)
+    # each witness: an action and a cell of its basin outside its upstream success regions
+    assert report.hypothesis_witnesses == (("follow_path", 36), ("goto_path", 0))
+    for action, cell in report.hypothesis_witnesses:
+        assert cell in lib.actions[action].leaf.doa.basin
+        assert any(cell not in lib.conditions[c].leaf.success for c in compute_links(lib).acc[action])
 
 
 def library_delta(lib) -> float:
@@ -423,7 +431,11 @@ def library_delta(lib) -> float:
 
 @pytest.mark.parametrize(
     "library",
-    [chain_library, bundled.surveying_robot_library, bundled.mobile_manipulator],
+    [
+        chain_library,
+        lambda: bundled_library("surveying_robot_library"),
+        lambda: bundled_library("mobile_manipulator"),
+    ],
 )
 def test_check_reuses_a_prebuilt_tree(library, monkeypatch):
     from btconverge import backchain
@@ -449,7 +461,7 @@ def test_check_reuses_a_prebuilt_tree(library, monkeypatch):
 
 
 def test_surveying_library_tree_has_documented_preorder_ids():
-    lib, root = bundled.surveying_robot_library()
+    lib, root = bundled_library("surveying_robot_library")
     built = build_bcbt(lib, root)
     m = built.model
     assert m.n == 20
@@ -478,8 +490,8 @@ def test_links_match_the_action_condition_scan(rng):
     libraries = [
         staged_chain_library(20),
         chain_library(),
-        bundled.mobile_manipulator(),
-        bundled.surveying_robot_library(),
+        bundled_library("mobile_manipulator"),
+        bundled_library("surveying_robot_library"),
     ] + [random_library(rng, max_actions=rng.choice([5, 12])) for _ in range(20)]
     for lib, _root in libraries:
         links, order, downstream = pairwise_links(lib)
@@ -526,8 +538,8 @@ def test_pattern_masks_match_the_pair_list(rng):
     "library",
     [
         chain_library,
-        bundled.surveying_robot_library,
-        bundled.mobile_manipulator,
+        lambda: bundled_library("surveying_robot_library"),
+        lambda: bundled_library("mobile_manipulator"),
         lambda: staged_chain_library(1),
         lambda: staged_chain_library(2),
         lambda: staged_chain_library(20),

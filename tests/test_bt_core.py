@@ -18,14 +18,13 @@ from btconverge.bt import (
     validate_abstraction,
 )
 from btconverge.statespace import Region, SuccessorMap, World
-from btconverge import bundled
 
-from helpers import dual_model, naive_status, naive_tick_path, random_tree_model
+from helpers import bundled_spec, dual_model, naive_status, naive_tick_path, random_tree_model
 
 
 @pytest.fixture(scope="module")
 def eat():
-    return bundled.eat_tree()
+    return bundled_spec("eat_tree")
 
 
 def leaf_regions(model, name):

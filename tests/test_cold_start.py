@@ -15,8 +15,10 @@ from pathlib import Path
 import pytest
 
 import btconverge
-from btconverge.cli import _bundled_document, main
+from btconverge.cli import main
 from btconverge.specfile import dump_document
+
+from helpers import bundled_document
 
 PACKAGE_ROOT = str(Path(btconverge.__file__).resolve().parents[1])
 CLI_MODULES = [
@@ -56,13 +58,13 @@ def specs(tmp_path_factory) -> dict:
     """File specs: three bundled documents, and two that fail in the analysis
     modules with FtsPreconditionError and SubstitutionError."""
     root = tmp_path_factory.mktemp("specs")
-    docs = {name: _bundled_document(name) for name in ("surveying_robot", "surveying_robot_library", "patrol")}
-    slow = _bundled_document("surveying_robot_library")
+    docs = {name: bundled_document(name) for name in ("surveying_robot", "surveying_robot_library", "patrol")}
+    slow = bundled_document("surveying_robot_library")
     for entry in slow["library"]["actions"]:
         if entry.get("doa"):
             entry["doa"]["horizon"] = 1  # too short for the controllers to reach their goals
     docs["library_fts"] = slow
-    risky = _bundled_document("patrol")
+    risky = bundled_document("patrol")
     risky["substitution"]["risk_ok"] = []  # S_RR no longer inside S_ROK
     docs["patrol_risky"] = risky
     paths = {}
@@ -76,6 +78,11 @@ def test_importing_the_cli_loads_only_the_spec_layer(specs):
     assert loaded_after("pass") == CLI_MODULES
     # a spec without library or substitution blocks needs no analysis module to load
     assert loaded_after("btconverge.cli._load_spec(sys.argv[1])", specs["surveying_robot"]) == CLI_MODULES
+
+
+def test_a_bundled_ref_loads_what_its_file_loads():
+    # a shipped example is read like any spec file, so it adds no module either
+    assert loaded_after('btconverge.cli._load_spec("bundled:surveying_robot")') == CLI_MODULES
 
 
 @pytest.mark.parametrize(

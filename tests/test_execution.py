@@ -18,8 +18,8 @@ from btconverge.execution import (
     simulate,
 )
 from btconverge.statespace import Region, SuccessorMap, World
-from btconverge import bundled
 from helpers import (
+    bundled_spec,
     generator_exit_time,
     generator_fts,
     generator_hit_times,
@@ -65,7 +65,7 @@ def test_simulate_halts_on_condition_resolution():
 
 
 def test_trace_consistency_invariant(rng):
-    model = bundled.surveying_robot().model
+    model = bundled_spec("surveying_robot").model
     for _ in range(20):
         x0 = rng.randrange(model.world.cell_count)
         trace = simulate(model, x0, 40)
@@ -75,7 +75,7 @@ def test_trace_consistency_invariant(rng):
 
 
 def test_simulate_is_deterministic():
-    model = bundled.surveying_robot().model
+    model = bundled_spec("surveying_robot").model
     t1 = simulate(model, 3, 25)
     t2 = simulate(model, 3, 25)
     assert t1 == t2
@@ -151,7 +151,7 @@ def test_check_fts_requires_basin_data():
 
 
 def test_check_fts_ok_confirmed_by_naive_resimulation():
-    model = bundled.surveying_robot().model
+    model = bundled_spec("surveying_robot").model
     for name in ("go_home", "charge", "goto_path", "follow_path", "idle"):
         leaf = model.vertex_of(name)
         data = model.leaves[leaf]
@@ -183,7 +183,7 @@ def test_empirical_exit_never_exits_reports_witness():
 
 
 def test_empirical_exit_on_survey_cycle_matches_brute_force():
-    sr = bundled.surveying_robot()
+    sr = bundled_spec("surveying_robot")
     model = sr.model
     from btconverge.prepares import build_prepares_graph, condense
 
@@ -218,7 +218,7 @@ def test_hitting_time_rejects_a_start_outside_the_universe(x0):
     with pytest.raises(ExecutionError, match="outside universe"):
         hitting_time(chain_model(), x0, Region.from_cells(6, [5]), 10)
     # a goal over another universe, smaller or larger, is refused like a bad start
-    grid = bundled.gridworld().model
+    grid = bundled_spec("gridworld").model
     for goal in (Region.from_cells(10, [5]), Region.from_cells(100, [35, 99])):
         with pytest.raises(ExecutionError, match="region over a different universe"):
             hitting_time(grid, 0, goal, 100)
@@ -226,7 +226,7 @@ def test_hitting_time_rejects_a_start_outside_the_universe(x0):
 
 def test_survey_trace_cycles_through_all_four_stages():
     """From the path with a filling survey, the loop revisits every stage."""
-    sr = bundled.surveying_robot()
+    sr = bundled_spec("surveying_robot")
     model = sr.model
     analysis = model.analysis()
     stages = {name: analysis.omega[model.vertex_of(name)] for name in sr.abstraction}
@@ -449,7 +449,7 @@ def test_kernel_walks_only_the_cells_that_can_fail(monkeypatch):
     model = chain_model(n, goal=goal, horizon=5)
     assert check_fts(model, model.vertex_of("walk"))
     assert calls == [(goal, [0, 1, 2, 3, 4])]
-    sr = bundled.surveying_robot().model
+    sr = bundled_spec("surveying_robot").model
     for leaf in sr.action_vertices():
         doa = sr.leaves[leaf].doa
         calls.clear()

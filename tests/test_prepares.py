@@ -27,9 +27,9 @@ from btconverge.prepares import (
 )
 from btconverge.statespace import Region, StepError, World
 from btconverge.substitution import substitute
-from btconverge import bundled
 
 from helpers import (
+    bundled_spec,
     two_stage_fallback_model,
     two_stage_sequence_model,
     oracle_prepares_edges,
@@ -240,9 +240,9 @@ def test_dilated_edges_match_pairwise_neighboring(rng):
         world = World(n, adjacency=pairs, symmetric=rng.random() < 0.5)
         model, members, _ = random_gridworld_model(rng, side, rng.randint(2, 5), world=world)
         cases.append((model, members, None))
-    b = bundled.patrol()
+    b = bundled_spec("patrol")
     for budget, cap in ((2, 0), (4, 1), (6, 2)):  # augmented substitution worlds
-        spec = dataclasses.replace(bundled.patrol_substitution(), time_budget=budget, hysteresis_cap=cap)
+        spec = dataclasses.replace(b.substitution, time_budget=budget, hysteresis_cap=cap)
         new = substitute(b.model, spec, base_delta=b.delta).new_model
         cases.append((new, list(new.action_vertices()), None))
     for model, members, delta in cases:
@@ -316,7 +316,7 @@ def test_slices_partition_each_operating_region(rng):
 
 
 def test_build_rejects_invalid_abstraction():
-    model = bundled.eat_tree().model
+    model = bundled_spec("eat_tree").model
     with pytest.raises(AbstractionError):
         build_prepares_graph(model, [model.tree.root, model.vertex_of("eat_apple")])
 
@@ -396,7 +396,7 @@ def test_completion_order_and_path_bound_match_brute_force(rng):
         assert _longest_path_bound(condensed, chosen, weights) == path_bound(
             condensed.succ, chosen, weights
         )
-    sr = bundled.surveying_robot()
+    sr = bundled_spec("surveying_robot")
     members = [sr.model.vertex_of(name) for name in sr.abstraction]
     lib, root = staged_chain_library(6)
     chain = build_bcbt(lib, root).model
@@ -436,7 +436,7 @@ def test_condensation_idempotent(rng):
 
 
 def test_surveying_certificate_matches_known_structure():
-    sr = bundled.surveying_robot()
+    sr = bundled_spec("surveying_robot")
     model = sr.model
     members = [model.vertex_of(n) for n in sr.abstraction]
     cert = certify_convergence(model, members, sr.delta)
@@ -462,7 +462,7 @@ def test_surveying_certificate_matches_known_structure():
 
 
 def test_single_goal_seed_gives_zero_bound():
-    sr = bundled.surveying_robot()
+    sr = bundled_spec("surveying_robot")
     model = sr.model
     members = [model.vertex_of(n) for n in sr.abstraction]
     graph = build_prepares_graph(model, members, sr.delta)
@@ -474,7 +474,7 @@ def test_single_goal_seed_gives_zero_bound():
 
 
 def test_certify_reuses_a_prebuilt_condensation():
-    sr = bundled.surveying_robot()
+    sr = bundled_spec("surveying_robot")
     model = sr.model
     members = [model.vertex_of(n) for n in sr.abstraction]
     condensed = condense(build_prepares_graph(model, members, sr.delta))
@@ -489,7 +489,7 @@ def test_certify_reuses_a_prebuilt_condensation():
 
 
 def test_certificate_bound_holds_exhaustively():
-    sr = bundled.surveying_robot()
+    sr = bundled_spec("surveying_robot")
     model = sr.model
     members = [model.vertex_of(n) for n in sr.abstraction]
     cert = certify_convergence(model, members, sr.delta)
@@ -500,7 +500,7 @@ def test_certificate_bound_holds_exhaustively():
 
 
 def test_refutation_on_fixed_point():
-    eat = bundled.eat_tree()
+    eat = bundled_spec("eat_tree")
     model = eat.model
     members = [model.vertex_of(n) for n in eat.abstraction]
     outcome = certify_convergence(model, members)
@@ -539,7 +539,7 @@ def test_fts_precondition_failure_raises():
 
 
 def test_transition_soundness_on_surveying_robot():
-    sr = bundled.surveying_robot()
+    sr = bundled_spec("surveying_robot")
     model = sr.model
     members = [model.vertex_of(n) for n in sr.abstraction]
     graph = build_prepares_graph(model, members, sr.delta)
@@ -552,7 +552,7 @@ def test_transition_soundness_on_surveying_robot():
 
 
 def test_wrapped_certificate_passes_fts():
-    sr = bundled.surveying_robot()
+    sr = bundled_spec("surveying_robot")
     model = sr.model
     members = [model.vertex_of(n) for n in sr.abstraction]
     cert = certify_convergence(model, members, sr.delta)
@@ -561,7 +561,7 @@ def test_wrapped_certificate_passes_fts():
 
 
 def test_acyclic_case_flags_cycle():
-    sr = bundled.surveying_robot()
+    sr = bundled_spec("surveying_robot")
     model = sr.model
     members = [model.vertex_of(n) for n in sr.abstraction]
     condensed = condense(build_prepares_graph(model, members, sr.delta))
@@ -580,7 +580,7 @@ def test_acyclic_case_on_chain():
 
 
 def test_certificate_refined_bound_not_larger():
-    sr = bundled.surveying_robot()
+    sr = bundled_spec("surveying_robot")
     model = sr.model
     members = [model.vertex_of(n) for n in sr.abstraction]
     cert = certify_convergence(model, members, sr.delta)

@@ -1,12 +1,13 @@
 """Document round-trips, validation diagnostics, CLI contract."""
 
 import json
+import os
 import re
 
 import pytest
 
 from btconverge.bt import BTModel
-from btconverge.cli import bundled_names, main
+from btconverge.cli import EXAMPLES, bundled_names, main
 from btconverge.specfile import (
     SpecError,
     build_document,
@@ -15,7 +16,8 @@ from btconverge.specfile import (
     parse_document,
     substitution_block,
 )
-from btconverge import bundled
+
+from helpers import bundled_document, bundled_spec
 
 
 def assert_models_equal(a: BTModel, b: BTModel) -> None:
@@ -40,7 +42,7 @@ def assert_models_equal(a: BTModel, b: BTModel) -> None:
 
 @pytest.mark.parametrize("name", ["eat_tree", "surveying_robot", "patrol", "gridworld"])
 def test_model_documents_round_trip(name):
-    b = getattr(bundled, name)()
+    b = bundled_spec(name)
     doc = build_document(b.model, list(b.abstraction), b.delta)
     reparsed = parse_document(json.loads(dump_document(doc)))
     assert_models_equal(b.model, reparsed.model)
@@ -48,8 +50,8 @@ def test_model_documents_round_trip(name):
 
 
 def test_patrol_document_with_substitution_round_trips():
-    b = bundled.patrol()
-    spec = bundled.patrol_substitution()
+    b = bundled_spec("patrol")
+    spec = b.substitution
     doc = build_document(
         b.model, list(b.abstraction), b.delta,
         substitution=substitution_block(spec, "mb_patrol"),
@@ -64,7 +66,8 @@ def test_patrol_document_with_substitution_round_trips():
 
 
 def test_library_document_round_trips():
-    lib, root = bundled.mobile_manipulator()
+    manip = bundled_spec("mobile_manipulator")
+    lib, root = manip.library, manip.library_root
     doc = library_document(lib, root)
     loaded = parse_document(json.loads(dump_document(doc)))
     assert loaded.library_root == root
@@ -79,8 +82,8 @@ def test_library_document_round_trips():
 def test_augmented_document_round_trips():
     from btconverge.substitution import substitute
 
-    b = bundled.patrol()
-    result = substitute(b.model, bundled.patrol_substitution(), base_delta=b.delta)
+    b = bundled_spec("patrol")
+    result = substitute(b.model, b.substitution, base_delta=b.delta)
     doc = build_document(result.new_model)
     loaded = parse_document(json.loads(dump_document(doc)))
     assert_models_equal(result.new_model, loaded.model)
@@ -150,17 +153,16 @@ def test_document_cell_lists_match_region_cells(rng):
 def program_documents():
     """The six bundled documents, a 20-stage backchain output and a patrol substitute output."""
     from btconverge.backchain import build_bcbt
-    from btconverge.cli import _bundled_document
     from btconverge.substitution import substitute
 
     from helpers import staged_chain_library
 
-    docs = {name: _bundled_document(name) for name in bundled_names()}
+    docs = {name: bundled_document(name) for name in bundled_names()}
     lib, root = staged_chain_library(20)
     abstraction = [lib.actions[a].leaf.name for a in lib.action_ids()]
     docs["chain20-backchain"] = build_document(build_bcbt(lib, root).model, abstraction, 1.0)
-    b = bundled.patrol()
-    result = substitute(b.model, bundled.patrol_substitution(), base_delta=b.delta)
+    b = bundled_spec("patrol")
+    result = substitute(b.model, b.substitution, base_delta=b.delta)
     docs["patrol-substitute"] = build_document(result.new_model)
     return docs
 
@@ -221,7 +223,7 @@ def test_dump_document_matches_json_dumps_on_program_documents():
     ],
 )
 def test_parse_errors_are_reported(mutate, message):
-    b = bundled.surveying_robot()
+    b = bundled_spec("surveying_robot")
     doc = json.loads(dump_document(build_document(b.model, list(b.abstraction), b.delta)))
     # leaves[0] must be an action for the 'next' mutation; reorder for stability
     doc["leaves"].sort(key=lambda e: e["kind"])
@@ -231,7 +233,7 @@ def test_parse_errors_are_reported(mutate, message):
 
 
 def gridworld_document() -> dict:
-    b = bundled.gridworld()
+    b = bundled_spec("gridworld")
     return json.loads(dump_document(build_document(b.model, list(b.abstraction), b.delta)))
 
 
@@ -275,10 +277,10 @@ def test_integer_coordinates_still_load():
 
 @pytest.mark.parametrize("value", ["false", "no", "true", 1.5, 0, 1, None, [], {}])
 def test_boolean_fields_take_only_json_booleans(value):
-    patrol, eat = bundled.patrol(), bundled.eat_tree()
+    patrol, eat = bundled_spec("patrol"), bundled_spec("eat_tree")
     sub_doc = build_document(
         patrol.model, list(patrol.abstraction), patrol.delta,
-        substitution=substitution_block(bundled.patrol_substitution(), "mb_patrol"),
+        substitution=substitution_block(patrol.substitution, "mb_patrol"),
     )
     adj_doc = build_document(eat.model, list(eat.abstraction), eat.delta)
     for doc, block, key, message in (
@@ -310,12 +312,6 @@ def test_directed_adjacency_round_trips():
     world = parse_document({"format": FORMAT, "universe": universe}).world
     assert world.neighbors == ((1,), (0, 2), (1,), (3,))
     assert _world_block(world) == {**universe, "adjacency": [[0, 1], [1, 0], [1, 2], [2, 1], [3, 3]]}
-
-
-def bundled_document(name: str) -> dict:
-    from btconverge.cli import _bundled_document
-
-    return json.loads(dump_document(_bundled_document(name)))
 
 
 def set_in(*keys_and_value):
@@ -523,11 +519,9 @@ def test_parse_fuzz_raises_only_spec_errors(rng):
     """Single-field mutations of every block of the bundled documents."""
     import copy
 
-    from btconverge.cli import _bundled_document
-
     tried = 0
     for name in bundled_names():
-        doc = json.loads(dump_document(_bundled_document(name)))
+        doc = bundled_document(name)
         blocks = list(doc)
         paths = [(key,) for key in blocks]
         for key in blocks:
@@ -581,7 +575,7 @@ def test_check_eat_tree_refutes_with_witness(capsys):
 
 def test_check_malformed_spec_exits_two(tmp_path, capsys):
     path = tmp_path / "broken.json"
-    b = bundled.patrol()
+    b = bundled_spec("patrol")
     doc = build_document(b.model, list(b.abstraction), b.delta)
     doc["abstraction"] = ["ghost"]
     path.write_text(dump_document(doc))
@@ -591,7 +585,7 @@ def test_check_malformed_spec_exits_two(tmp_path, capsys):
 
 
 def test_check_nan_coordinate_exits_two(tmp_path, capsys):
-    b = bundled.gridworld()
+    b = bundled_spec("gridworld")
     doc = json.loads(dump_document(build_document(b.model, list(b.abstraction), b.delta)))
     doc["universe"]["coords"][3][1] = float("nan")
     path = tmp_path / "nan.json"
@@ -740,8 +734,8 @@ def test_backchain_generates_reingestible_spec(tmp_path, capsys):
     # the generated document re-parses to the same structure it was built from
     from btconverge.backchain import build_bcbt
 
-    lib, root = bundled.mobile_manipulator()
-    assert_models_equal(build_bcbt(lib, root).model, loaded.model)
+    manip = bundled_spec("mobile_manipulator")
+    assert_models_equal(build_bcbt(manip.library, manip.library_root).model, loaded.model)
 
 
 def test_backchain_certify_survey_library(capsys):
@@ -828,9 +822,7 @@ def test_simulate_start_outside_universe_exits_two(capsys):
 
 
 def _library_document(horizon=None, drop_delta=False):
-    from btconverge.cli import _bundled_document
-
-    doc = _bundled_document("surveying_robot_library")
+    doc = bundled_document("surveying_robot_library")
     if drop_delta:
         del doc["delta"]
     for entry in doc["library"]["actions"]:
@@ -968,3 +960,39 @@ def test_unknown_bundled_name(capsys):
     code, _out, err = run_cli("check", "--spec", "bundled:nope", capsys=capsys)
     assert code == 2
     assert "unknown bundled" in err
+    # a name with a path separator reaches no file, not even a shipped one
+    for name in ("ghost", "../x", "../examples/patrol"):
+        code, out, err = run_cli("check", "--spec", f"bundled:{name}", capsys=capsys)
+        assert (code, out, err) == (2, "", f"error: unknown bundled spec {name!r}\n")
+
+
+def test_shipped_examples_are_canonical_documents():
+    assert bundled_names() == [
+        "eat_tree",
+        "gridworld",
+        "mobile_manipulator",
+        "patrol",
+        "surveying_robot",
+        "surveying_robot_library",
+    ]
+    for name in bundled_names():
+        with open(os.path.join(EXAMPLES, f"{name}.json"), encoding="utf-8") as fh:
+            text = fh.read()
+        assert text == dump_document(json.loads(text)), name
+
+
+@pytest.mark.parametrize("name", bundled_names())
+def test_shipped_example_rebuilds_from_its_parsed_spec(name):
+    """The writers reproduce each shipped document from what the parser read."""
+    spec = bundled_spec(name)
+    if spec.library is not None:
+        doc = library_document(spec.library, spec.library_root)
+        if spec.delta is not None:
+            doc["delta"] = spec.delta
+    else:
+        substitution = None
+        if spec.substitution is not None:
+            target = spec.document["substitution"]["target"]  # the document names it by a leaf
+            substitution = substitution_block(spec.substitution, target)
+        doc = build_document(spec.model, spec.abstraction, spec.delta, substitution)
+    assert doc == bundled_document(name)

@@ -28,9 +28,9 @@ from btconverge.substitution import (
     verify_preservation,
     verify_substituted_convergence,
 )
-from btconverge import bundled
 
 from helpers import (
+    bundled_spec,
     oracle_neighboring,
     random_region,
     random_reverification_instance,
@@ -42,11 +42,11 @@ from helpers import (
 
 @pytest.fixture(scope="module")
 def patrol_setup():
-    b = bundled.patrol()
+    b = bundled_spec("patrol")
     members = [b.model.vertex_of(n) for n in b.abstraction]
     cert = certify_convergence(b.model, members, b.delta)
     assert isinstance(cert, Certificate)
-    spec = bundled.patrol_substitution()
+    spec = b.substitution
     result = substitute(b.model, spec, base_delta=b.delta)
     return b, cert, spec, result
 
@@ -127,8 +127,8 @@ def test_old_flow_into_the_model_based_slice_may_route_via_the_loop(patrol_setup
 
 
 def test_zero_budget_keeps_old_behavior():
-    b = bundled.patrol()
-    spec = dataclasses.replace(bundled.patrol_substitution(), time_budget=0)
+    b = bundled_spec("patrol")
+    spec = dataclasses.replace(b.substitution, time_budget=0)
     result = substitute(b.model, spec, base_delta=b.delta)
     aug = result.augmentation
     assert verify_preservation(result)
@@ -141,8 +141,8 @@ def test_zero_budget_keeps_old_behavior():
 
 
 def test_post_budget_projection_matches_old_model():
-    b = bundled.patrol()
-    spec = bundled.patrol_substitution()
+    b = bundled_spec("patrol")
+    spec = b.substitution
     result = substitute(b.model, spec, base_delta=b.delta)
     aug = result.augmentation
     for base_cell in range(b.model.world.cell_count):
@@ -156,7 +156,7 @@ def test_post_budget_projection_matches_old_model():
 def test_dd_equal_to_mb_is_inert(patrol_setup):
     b, cert, _spec, _result = patrol_setup
     mb_ctrl = b.model.leaves[b.model.vertex_of("mb_patrol")].controller
-    spec = dataclasses.replace(bundled.patrol_substitution(), dd_targets=list(mb_ctrl.targets))
+    spec = dataclasses.replace(b.substitution, dd_targets=list(mb_ctrl.targets))
     result = substitute(b.model, spec, base_delta=b.delta)
     report = verify_substituted_convergence(cert, result)
     assert report and report.graph_diffs == ()
@@ -181,10 +181,10 @@ def test_time_counter_monotone_and_no_loop_after_budget(patrol_setup):
 
 
 def test_hysteresis_counter_tracks_consecutive_risk_ok(patrol_setup):
-    _b, _cert, spec, result = patrol_setup
+    b, _cert, spec, result = patrol_setup
     m = result.new_model
     aug = result.augmentation
-    for base_cell in range(bundled.PATROL_CELLS):
+    for base_cell in range(b.model.world.cell_count):
         start = aug.encode(base_cell, 0, 0)
         trace = simulate(m, start, 12)
         bases = [aug.decode(x)[0] for x in trace.states]
@@ -197,9 +197,9 @@ def test_hysteresis_counter_tracks_consecutive_risk_ok(patrol_setup):
 
 
 def test_hysteresis_guard_shifts_only_the_two_guarded_regions():
-    b = bundled.patrol()
-    plain = substitute(b.model, bundled.patrol_substitution(False), base_delta=b.delta)
-    gated = substitute(b.model, bundled.patrol_substitution(True), base_delta=b.delta)
+    b = bundled_spec("patrol")
+    plain = substitute(b.model, b.substitution, base_delta=b.delta)
+    gated = substitute(b.model, dataclasses.replace(b.substitution, hysteresis=True), base_delta=b.delta)
     ap, ag = plain.new_model.analysis(), gated.new_model.analysis()
     for name in plain.new_model.leaf_by_name:
         vp = plain.new_model.vertex_of(name)
@@ -301,8 +301,8 @@ def test_task_done_everywhere_preserves_trivially():
 
 
 def test_target_shape_validation():
-    b = bundled.patrol()
-    spec = dataclasses.replace(bundled.patrol_substitution(), target=0)
+    b = bundled_spec("patrol")
+    spec = dataclasses.replace(b.substitution, target=0)
     with pytest.raises(SubstitutionError, match="fallback"):
         substitute(b.model, spec, base_delta=b.delta)
 
@@ -492,8 +492,8 @@ def test_augmentation_stores_neighbour_lists_not_bitsets():
     """The (100, 10) patrol product: memory grows with cells x neighbours, not cells squared."""
     import tracemalloc
 
-    b = bundled.patrol()
-    spec = bundled.patrol_substitution()
+    b = bundled_spec("patrol")
+    spec = b.substitution
     tracemalloc.start()
     try:
         aug = Augmentation(b.model.world, 100, 10, spec.rok_success, b.delta)
@@ -508,9 +508,9 @@ def test_substitution_and_reverification_do_no_per_cell_work(monkeypatch):
     """No per-cell ticks or decodes, and no hypothesis check on the product for a lifted member."""
     from btconverge import bt, prepares
 
-    b = bundled.patrol()
+    b = bundled_spec("patrol")
     members = [b.model.vertex_of(n) for n in b.abstraction]
-    spec = dataclasses.replace(bundled.patrol_substitution(), time_budget=30, hysteresis_cap=4)
+    spec = dataclasses.replace(b.substitution, time_budget=30, hysteresis_cap=4)
     ticks, decodes, steps, product_fts, base_fts = [], [], [], [], []
     real_leaf_at, real_decode = bt.BTModel.leaf_at, Augmentation.decode
     real_steps_hold, real_leaf_fts = World.steps_hold, prepares.leaf_fts
@@ -574,8 +574,8 @@ def test_substitution_and_reverification_do_no_per_cell_work(monkeypatch):
 
 
 def test_project_region_refuses_a_region_over_another_universe():
-    b = bundled.patrol()
-    aug = substitute(b.model, bundled.patrol_substitution(), base_delta=b.delta).augmentation
+    b = bundled_spec("patrol")
+    aug = substitute(b.model, b.substitution, base_delta=b.delta).augmentation
     with pytest.raises(WorldError, match="region over 10 cells is not over the augmented universe of 120 cells"):
         aug.project_region(Region.from_cells(10, [3, 7]))
     assert aug.project_region(aug.lift_region(Region.from_cells(10, [3, 7]))) == Region.from_cells(
