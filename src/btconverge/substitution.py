@@ -29,6 +29,11 @@ with hysteresis on (its success and goal read the hysteresis counter) and
 a data-driven leaf with per-augmented-cell targets are checked on the
 product, as is any member whose base check fails, so every error is the
 one the product check names.
+
+The product world keeps that step rule, not a neighbour tuple per augmented
+cell, so a slice is dilated block by block.  When the guarded loop is a
+class of the certified condensation on its own, its exit time is read off
+the certificate instead of walked again.
 """
 
 from __future__ import annotations
@@ -96,6 +101,79 @@ class SubstitutionSpec:
     dd_failure: Optional[Region] = None
 
 
+class _ProductWorld(World):
+    """The augmented universe's one-step adjacency, kept as its per-block rule.
+
+    The augmented cell at offset o of base cell c's block steps to offset
+    ``successors[rok[c]][o]`` of the block of every base step q of c; the
+    base steps include c itself.  ``dilate`` applies that rule block by
+    block, so its cost grows with base steps, not augmented cells.  The
+    per-cell neighbour tuples are built only when ``neighbors`` is read: by
+    the spec writer and by a one-step check on the product.
+    """
+
+    __slots__ = ("_base_steps", "_rok", "_successors", "_block")
+
+    def __init__(
+        self,
+        base_steps: Sequence[tuple[int, ...]],
+        rok: str,
+        successors: Mapping[str, tuple[int, ...]],
+        block: int,
+    ) -> None:
+        super().__init__(len(base_steps) * block)
+        self._base_steps = base_steps
+        self._rok = rok
+        self._successors = successors
+        self._block = block
+
+    @property
+    def neighbors(self) -> tuple[tuple[int, ...], ...]:
+        if self._neighbors is None:
+            # Column q of a source block: where each of its cells goes when the
+            # base part moves to q.  Zipping the columns of a base cell's sorted
+            # steps gives each of its augmented cells a sorted neighbour tuple.
+            starts = range(0, self.cell_count, self._block)
+            columns = {
+                flag: [tuple(map(q.__add__, offsets)) for q in starts]
+                for flag, offsets in self._successors.items()
+                if flag in self._rok
+            }
+            near_aug: list[tuple[int, ...]] = []
+            for c, near in enumerate(self._base_steps):
+                near_aug.extend(zip(*map(columns[self._rok[c]].__getitem__, near)))
+            self._neighbors = tuple(near_aug)
+        return self._neighbors
+
+    def dilate(self, region: Region, delta: Optional[float] = None) -> Region:
+        """The cells at most one step from region, region included; delta is unused.
+
+        Each base cell's block of region is an in-block pattern.  Its image
+        under the counter successor, memoised per (pattern, risk-ok flag),
+        is ORed into the block of each of the cell's base steps, and the
+        blocks become the mask in one base-2 parse.
+        """
+        if region.n != self.cell_count:
+            raise WorldError("regions belong to a different universe")
+        n, k = self.cell_count, self._block
+        digits = format(region.mask, f"0{n}b")  # the last base cell's block first
+        blocks = [0] * len(self._base_steps)
+        images: dict[tuple[str, str], int] = {}
+        for c, near in enumerate(self._base_steps):
+            pattern = digits[n - (c + 1) * k : n - c * k]
+            if "1" not in pattern:
+                continue
+            key = (pattern, self._rok[c])
+            image = images.get(key)
+            if image is None:
+                moved = Region(k, int(pattern, 2)).pick(self._successors[key[1]])
+                image = images[key] = Region.from_cells(k, moved).mask
+            for q in near:
+                blocks[q] |= image
+        mask = int("".join(format(b, f"0{k}b") for b in reversed(blocks)), 2)
+        return Region(n, mask | region.mask)
+
+
 class Augmentation:
     """Product of a base universe with time and hysteresis counters.
 
@@ -109,9 +187,11 @@ class Augmentation:
     The layout is base-cell-major: base cell c owns the block of
     ``block = (time_cap + 1) * (hyst_cap + 1)`` augmented cells starting at
     ``c * block``, and (t, h) sits at offset ``t * (hyst_cap + 1) + h``
-    inside it.  Lifted regions, counter regions, maps and neighbour lists
-    are therefore built per block from in-block patterns and offsets;
-    ``encode`` / ``decode`` convert single cells.
+    inside it.  Lifted regions, counter regions and maps are therefore
+    built per block from in-block patterns and offsets, and the product
+    world keeps the base steps and the two in-block counter successors
+    instead of a neighbour tuple per augmented cell; ``encode`` /
+    ``decode`` convert single cells.
     """
 
     __slots__ = (
@@ -153,20 +233,9 @@ class Augmentation:
         rok = rok_base.digits()
         # per augmented cell: the in-block offset of its counters' successor
         self._next_offsets = tuple(chain.from_iterable(map(patterns.__getitem__, rok)))
-        # Column q of a source block: where each of its cells goes when the
-        # base part moves to q.  Zipping the columns of a base cell's sorted
-        # neighbours gives each of its augmented cells a sorted neighbour tuple.
-        columns = {
-            flag: [tuple(map((q * self.block).__add__, offsets)) for q in range(base.cell_count)]
-            for flag, offsets in patterns.items()
-            if flag in rok
-        }
-        near_aug: list[tuple[int, ...]] = []
-        for c, near in enumerate(steps):
-            if stays:  # adjacency lists leave out the cell, which a step may keep
-                near = sorted({c, *near})
-            near_aug.extend(zip(*map(columns[rok[c]].__getitem__, near)))
-        self.world = World(base.cell_count * self.block, neighbors=near_aug)
+        if stays:  # adjacency lists leave out the cell, which a step may keep
+            steps = [tuple(sorted({c, *near})) for c, near in enumerate(steps)]
+        self.world = _ProductWorld(steps, rok, patterns, self.block)
 
     # ------------------------------------------------------------------
     def encode(self, c: int, t: int, h: int) -> int:
@@ -461,6 +530,9 @@ def verify_substituted_convergence(
     3. the edges with no dd or rr end equal the old edges, except that an
        old edge into mb may be missing when its source now has an edge
        into the loop.
+
+    The loop's exit time is read off the certificate when the loop is
+    exactly one of its non-sink classes, and walked otherwise.
     """
     new_model, old_model = result.new_model, result.old_model
     mb_v = new_model.leaf_by_name[old_model.names[_target_shape(old_model, result.target_old)[1]]]
@@ -505,23 +577,30 @@ def verify_substituted_convergence(
     missing = [(u, w) for u, w in sorted(old - plain) if w[0] != mb_v or u not in into_loop]
     diffs.extend(f"old edge missing from new graph: {edge}" for edge in missing)
 
-    loop_cells = Region.empty(new_model.world.cell_count)
-    for vtx in new_graph.vertices:
-        if vtx.owner in loop_owners:
-            loop_cells |= vtx.cells
+    condensed = condense(new_graph)
+    outcome = _certify_substituted(result, abstraction, seeds, condensed)
+    loop = tuple(i for i, vtx in enumerate(new_graph.vertices) if vtx.owner in loop_owners)
     loop_exit: Optional[int] = None
-    if not loop_cells.is_empty:
-        exit_result = empirical_exit_time(new_model, loop_cells)
-        loop_exit = exit_result.steps
-        if exit_result.steps is None:
-            diffs.append(f"guarded loop never exits from cell {exit_result.witness}")
-        elif exit_result.steps > result.spec.time_budget:
+    if loop:
+        ci = condensed.class_of[loop[0]]
+        per_class = outcome.per_class_exit if isinstance(outcome, Certificate) else {}
+        if condensed.classes[ci] == loop and ci in per_class:
+            # certification walked the loop's class, which is exactly the loop, from every cell
+            loop_exit, witness = per_class[ci], None
+        else:
+            loop_cells = Region.empty(new_model.world.cell_count)
+            for i in loop:
+                loop_cells |= new_graph.vertices[i].cells
+            exit_result = empirical_exit_time(new_model, loop_cells)
+            loop_exit, witness = exit_result.steps, exit_result.witness
+        if loop_exit is None:
+            diffs.append(f"guarded loop never exits from cell {witness}")
+        elif loop_exit > result.spec.time_budget:
             diffs.append(
-                f"guarded loop exit takes {exit_result.steps} steps, over the "
+                f"guarded loop exit takes {loop_exit} steps, over the "
                 f"budget of {result.spec.time_budget}"
             )
 
-    outcome = _certify_substituted(result, abstraction, seeds, condense(new_graph))
     return SubstitutionReport(
         ok=not diffs and isinstance(outcome, Certificate),
         graph_diffs=tuple(diffs),

@@ -935,6 +935,45 @@ def generator_exit_time(model: BTModel, region: Region) -> tuple[Optional[int], 
 
 
 # ----------------------------------------------------------------------
+# eager augmented neighbour tuples
+
+
+def eager_augmented_neighbors(
+    base: World, time_cap: int, hyst_cap: int, rok_base: Region, base_delta: Optional[float] = None
+) -> tuple[tuple[int, ...], ...]:
+    """The product world's neighbour tuples as Augmentation built them per augmented cell.
+
+    The body is kept verbatim as the oracle for the product world's lazy
+    ``neighbors`` and block-wise ``dilate``.
+    """
+    block = (time_cap + 1) * (hyst_cap + 1)
+    steps, stays = base._steps(base_delta)
+    # in-block offset of the counters' successor, per in-block offset,
+    # outside ("0") and inside ("1") the risk-ok region
+    times = [min(t + 1, time_cap) * (hyst_cap + 1) for t in range(time_cap + 1)]
+    hysts = range(hyst_cap + 1)
+    patterns = {
+        "0": tuple(t2 for t2 in times for _h in hysts),
+        "1": tuple(t2 + min(h + 1, hyst_cap) for t2 in times for h in hysts),
+    }
+    rok = rok_base.digits()
+    # Column q of a source block: where each of its cells goes when the
+    # base part moves to q.  Zipping the columns of a base cell's sorted
+    # neighbours gives each of its augmented cells a sorted neighbour tuple.
+    columns = {
+        flag: [tuple(map((q * block).__add__, offsets)) for q in range(base.cell_count)]
+        for flag, offsets in patterns.items()
+        if flag in rok
+    }
+    near_aug: list[tuple[int, ...]] = []
+    for c, near in enumerate(steps):
+        if stays:  # adjacency lists leave out the cell, which a step may keep
+            near = sorted({c, *near})
+        near_aug.extend(zip(*map(columns[rok[c]].__getitem__, near)))
+    return World(base.cell_count * block, neighbors=near_aug).neighbors
+
+
+# ----------------------------------------------------------------------
 # reference guarded-loop comparison
 
 

@@ -31,6 +31,7 @@ from btconverge.substitution import (
 
 from helpers import (
     bundled_spec,
+    eager_augmented_neighbors,
     oracle_neighboring,
     random_region,
     random_reverification_instance,
@@ -488,6 +489,54 @@ def test_augmented_neighbour_lists_and_dilation_match_oracles(rng):
     assert len(seen) == 9
 
 
+def test_blockwise_dilation_matches_the_eager_neighbour_tuples(rng):
+    """Seeded corpus: the product world's lazy tuples and block-wise dilation equal the eager ones.
+
+    Metric, symmetric-adjacency and directed-adjacency bases, counter caps
+    including 0, and empty, full and mixed risk-ok regions; the dilated
+    regions are empty, full, block-uniform, counter-patterned and arbitrary.
+    Dilation must not build the tuples.
+    """
+    seen = set()
+    for trial in range(90):
+        n_base = rng.randint(1, 7)
+        T, H = rng.choice([0, 1, 2, 5]), rng.choice([0, 1, 2, 4])
+        kind = trial % 3
+        if kind == 0:
+            base = World(n_base, coords=[(rng.uniform(0, 4),) for _ in range(n_base)])
+            delta = rng.uniform(0, 2)
+        else:
+            pairs = [(rng.randrange(n_base), rng.randrange(n_base)) for _ in range(n_base + 2)]
+            base, delta = World(n_base, adjacency=pairs, symmetric=kind == 1), None
+        rok_case = trial // 3 % 3
+        rok = [Region.empty(n_base), Region.full(n_base), random_region(rng, n_base)][rok_case]
+        seen.add((kind, rok_case, T == 0, H == 0))
+        aug = Augmentation(base, T, H, rok, delta)
+        n_aug = aug.world.cell_count
+        oracle = eager_augmented_neighbors(base, T, H, rok, delta)
+        eager = World(n_aug, neighbors=oracle)
+        lifted = aug.lift_region(random_region(rng, n_base))
+        ready, time_ok = aug.hysteresis_ready_region(), aug.time_ok_region()
+        regions = [
+            Region.empty(n_aug),
+            Region.full(n_aug),
+            lifted,
+            ready,
+            time_ok,
+            lifted & ready,
+            lifted - time_ok,
+            (ready | time_ok).complement(),
+            random_region(rng, n_aug),
+            random_region(rng, n_aug) & lifted,
+        ]
+        for region in regions:
+            assert aug.world.dilate(region) == eager.dilate(region), (trial, region)
+        assert aug.world._neighbors is None
+        assert aug.world.neighbors == oracle
+    assert {(k, r) for k, r, _t, _h in seen} == {(k, r) for k in range(3) for r in range(3)}
+    assert {(t, h) for _k, _r, t, h in seen} == {(a, b) for a in (True, False) for b in (True, False)}
+
+
 def test_augmentation_stores_neighbour_lists_not_bitsets():
     """The (100, 10) patrol product: memory grows with cells x neighbours, not cells squared."""
     import tracemalloc
@@ -505,15 +554,17 @@ def test_augmentation_stores_neighbour_lists_not_bitsets():
 
 
 def test_substitution_and_reverification_do_no_per_cell_work(monkeypatch):
-    """No per-cell ticks or decodes, and no hypothesis check on the product for a lifted member."""
+    """No per-cell ticks, decodes or neighbour tuples, no hypothesis check on the
+    product for a lifted member, and one closed-loop walk per non-sink class."""
     from btconverge import bt, prepares
 
     b = bundled_spec("patrol")
     members = [b.model.vertex_of(n) for n in b.abstraction]
     spec = dataclasses.replace(b.substitution, time_budget=30, hysteresis_cap=4)
-    ticks, decodes, steps, product_fts, base_fts = [], [], [], [], []
+    ticks, decodes, steps, product_fts, base_fts, walks = [], [], [], [], [], []
     real_leaf_at, real_decode = bt.BTModel.leaf_at, Augmentation.decode
     real_steps_hold, real_leaf_fts = World.steps_hold, prepares.leaf_fts
+    real_exit_time = prepares.empirical_exit_time
 
     def counting_leaf_at(model, x):
         ticks.append(x)
@@ -534,21 +585,37 @@ def test_substitution_and_reverification_do_no_per_cell_work(monkeypatch):
 
         return counting_leaf_fts
 
+    def spy_exit_time(where):
+        def counting_exit_time(model, region):
+            walks.append((where, region.n))
+            return real_exit_time(model, region)
+
+        return counting_exit_time
+
     monkeypatch.setattr(bt.BTModel, "leaf_at", counting_leaf_at)
     monkeypatch.setattr(Augmentation, "decode", counting_decode)
     monkeypatch.setattr(World, "steps_hold", counting_steps_hold)
     monkeypatch.setattr(prepares, "leaf_fts", spy_fts(product_fts))
     monkeypatch.setattr(substitution, "leaf_fts", spy_fts(base_fts))
+    monkeypatch.setattr(prepares, "empirical_exit_time", spy_exit_time("certify"))
+    monkeypatch.setattr(substitution, "empirical_exit_time", spy_exit_time("loop"))
     cert = certify_convergence(b.model, members, b.delta)
     result = substitute(b.model, spec, base_delta=b.delta)
     assert decodes == []
     n_base, n_aug = b.model.world.cell_count, result.new_model.world.cell_count
     steps.clear()
     product_fts.clear()
+    walks.clear()
     report = verify_substituted_convergence(cert, result)
     assert report and report.loop_exit_steps is not None
     assert ticks == []  # neither verdict built a per-cell leaf table
     assert b.model._leaf_at is None and result.new_model._leaf_at is None
+    # the slice graph dilates block by block, so no neighbour tuple is built
+    assert result.new_model.world._neighbors is None
+    # the loop's exit is read off its class's certified exit time, not walked again
+    non_sink = [ci for ci in report.result.analysis_classes if ci not in report.result.sink_classes]
+    assert walks == [("certify", n_aug)] * len(non_sink)
+    assert report.loop_exit_steps in report.result.per_class_exit.values()
     # every member lifts base data, so each is proven on the 10 base cells alone
     assert steps == [n_base] * 4 and product_fts == []
     assert sorted(base_fts) == sorted(
@@ -562,6 +629,7 @@ def test_substitution_and_reverification_do_no_per_cell_work(monkeypatch):
     # with the hysteresis guard on, the risk-reduction leaf is no lift: it is
     # checked on the product, and it misses its base deadline there
     gated = substitute(b.model, dataclasses.replace(spec, hysteresis=True), base_delta=b.delta)
+    assert gated.new_model.world._neighbors is None
     steps.clear()
     product_fts.clear()
     with pytest.raises(FtsPreconditionError) as caught:
@@ -571,6 +639,8 @@ def test_substitution_and_reverification_do_no_per_cell_work(monkeypatch):
     assert "rr_controller" not in gated.lifts
     assert product_fts == [("rr_controller", n_aug)]
     assert steps.count(n_aug) == 1 and steps.count(n_base) == 3
+    # the product step check reads the per-cell neighbour tuples, built on demand
+    assert gated.new_model.world._neighbors is not None
 
 
 def test_project_region_refuses_a_region_over_another_universe():
@@ -638,6 +708,66 @@ def test_base_cost_hypotheses_match_the_product_path(rng, monkeypatch):
         if kind is FtsPreconditionError:
             seen.update(v.kind for v in fast[2].values())
     assert {"Certificate", "StepError", "FtsPreconditionError", "deadline", "basin-invariance"} <= seen
+
+
+def test_loop_exit_read_off_the_certificate_matches_the_walk(rng, monkeypatch):
+    """Seeded corpus: reading the loop's exit off its certified class changes no report or error.
+
+    The reference walks the loop after its graph checks, as before.  The
+    corpus spans hysteresis on and off, both dd_next shapes and seed
+    choices, with the hypotheses taken as given in half of it.  On these
+    line worlds the loop rarely forms a class of its own, so half of the
+    slice graphs lose their edges into the loop and gain every edge inside
+    it; both the read-off and the walk must occur at least five times.
+    """
+    real_build, real_exit_time = substitution.build_prepares_graph, substitution.empirical_exit_time
+
+    def certify_unchecked(result, members, seeds, condensed):
+        return certify_checked(result.new_model, members, None, seeds, condensed)
+
+    def isolated_loop(model, members, delta=None):
+        graph = real_build(model, members, delta)
+        owners = {model.vertex_of(DD_NAME), model.vertex_of("rr_controller")}
+        inside = [v.owner in owners for v in graph.vertices]
+        loop = [i for i, x in enumerate(inside) if x]
+        kept = {(u, w) for u, w in graph.edges if inside[u] or not inside[w]}
+        return PreparesGraph(graph.vertices, kept | {(u, w) for u in loop for w in loop if u != w})
+
+    paths = Counter()
+    for trial in range(200):
+        metric, hysteresis, per_aug_dd = trial % 2 == 1, trial // 2 % 2 == 1, trial // 4 % 2 == 1
+        model, spec, delta, names = random_reverification_instance(
+            rng, rng.randint(5, 9), metric, hysteresis, per_aug_dd
+        )
+        result = substitute(model, spec, base_delta=delta)
+        old = SimpleNamespace(
+            graph=build_prepares_graph(model, [model.vertex_of(x) for x in names], delta)
+        )
+        seeds = rng.choice([None, None, [0], [1]])
+        walked = []
+
+        def counting_exit_time(model, region):
+            walked.append(region)
+            return real_exit_time(model, region)
+
+        with monkeypatch.context() as m:
+            if trial // 8 % 2:
+                m.setattr(substitution, "_certify_substituted", certify_unchecked)
+            if trial // 16 % 2:
+                m.setattr(substitution, "build_prepares_graph", isolated_loop)
+            m.setattr(substitution, "empirical_exit_time", counting_exit_time)
+            got = _reverification_outcome(
+                old, result, lambda o, r: verify_substituted_convergence(o, r, seeds)
+            )
+            want = _reverification_outcome(
+                old, result, lambda o, r: reference_verify_substituted_convergence(o, r, seeds)
+            )
+        assert got == want, (trial, got, want)
+        if walked:
+            paths["walk"] += 1
+        elif not isinstance(got[0], type) and got[2] is not None:
+            paths["read-off"] += 1
+    assert paths["walk"] >= 5 and paths["read-off"] >= 5, paths
 
 
 def _mutated_loop_graphs(rng, old, new, renamed, loop_owners, mb_v):
