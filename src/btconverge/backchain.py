@@ -429,28 +429,3 @@ def _pattern_violations(
     found.sort()
     return [(built.id_of[nodes[u]], built.id_of[nodes[w]]) for u, w in found]
 
-
-def lint_library(lib: ActionConditionLibrary) -> list[str]:
-    """Advisory notes: redundant preconditions, missed achievers.
-
-    Nothing here is enforced; minimality of precondition lists and
-    maximality of achiever lists have no operational definition, so the
-    lint only flags the easy cases.
-    """
-    notes: list[str] = []
-    universe = lib.world.full_region()
-    for aid, entry in lib.actions.items():
-        for j in entry.preconditions:
-            rest = universe
-            for k in entry.preconditions:
-                if k != j:
-                    rest &= lib.conditions[k].leaf.success
-            if rest.issubset(lib.conditions[j].leaf.success):
-                notes.append(f"precondition {j!r} of action {aid!r} is implied by the others")
-    for cid, centry in lib.conditions.items():
-        for aid, aentry in lib.actions.items():
-            if aid in centry.achievers:
-                continue
-            if aentry.leaf.success.issubset(centry.leaf.success) and not aentry.leaf.success.is_empty:
-                notes.append(f"action {aid!r} also establishes condition {cid!r}")
-    return notes

@@ -205,7 +205,7 @@ class SuccessorMap:
 class World:
     """A finite cell universe with optional metric coordinates or adjacency.
 
-    Exactly one of ``coords`` / ``adjacency`` / ``neighbors`` can be supplied.
+    At most one of ``coords`` / ``adjacency`` can be supplied.
     With coords, neighboring is metric: two nonempty regions are neighboring
     when their minimal pairwise euclidean distance is at most the step bound
     delta.  With adjacency, two regions are neighboring when they overlap or
@@ -214,8 +214,7 @@ class World:
 
     Both kinds keep one neighbour structure: per-cell ascending tuples of
     cell ids, built on first use (the metric ones once per delta), so memory
-    grows with cells x neighbours.  ``neighbors`` takes such tuples as they
-    are, already sorted and inside the universe.
+    grows with cells x neighbours.
     """
 
     __slots__ = ("cell_count", "coords", "_pairs", "_neighbors", "_ball_cache")
@@ -225,14 +224,12 @@ class World:
         cell_count: int,
         coords: Optional[Sequence[Sequence[float]]] = None,
         adjacency: Optional[Iterable[tuple[int, int]]] = None,
-        neighbors: Optional[Sequence[Sequence[int]]] = None,
         symmetric: bool = True,
     ) -> None:
         if cell_count <= 0:
             raise WorldError("cell_count must be positive")
-        given = sum(x is not None for x in (coords, adjacency, neighbors))
-        if given > 1:
-            raise WorldError("give at most one of coords / adjacency / neighbors")
+        if coords is not None and adjacency is not None:
+            raise WorldError("give at most one of coords / adjacency")
         self.cell_count = cell_count
         self.coords: Optional[tuple[tuple[float, ...], ...]] = None
         self._pairs: Optional[tuple[list[tuple[int, int]], bool]] = None
@@ -257,10 +254,6 @@ class World:
                 if not (0 <= p < cell_count and 0 <= q < cell_count):
                     raise WorldError(f"adjacency pair ({p}, {q}) outside universe")
             self._pairs = (pairs, symmetric)
-        elif neighbors is not None:
-            if len(neighbors) != cell_count:
-                raise WorldError("need one neighbour list per cell")
-            self._neighbors = tuple(map(tuple, neighbors))
         self._ball_cache: dict[float, tuple[tuple[int, ...], ...]] = {}
 
     # ------------------------------------------------------------------

@@ -30,10 +30,10 @@ a data-driven leaf with per-augmented-cell targets are checked on the
 product, as is any member whose base check fails, so every error is the
 one the product check names.
 
-The product world keeps that step rule, not a neighbour tuple per augmented
-cell, so a slice is dilated block by block.  When the guarded loop is a
-class of the certified condensation on its own, its exit time is read off
-the certificate instead of walked again.
+The augmentation is itself the product world.  It keeps that step rule,
+not a neighbour tuple per augmented cell, so a slice is dilated block by
+block.  When the guarded loop is a class of the certified condensation on
+its own, its exit time is read off the certificate instead of walked again.
 """
 
 from __future__ import annotations
@@ -101,31 +101,77 @@ class SubstitutionSpec:
     dd_failure: Optional[Region] = None
 
 
-class _ProductWorld(World):
-    """The augmented universe's one-step adjacency, kept as its per-block rule.
+class Augmentation(World):
+    """Product of a base universe with time and hysteresis counters, as a world.
 
-    The augmented cell at offset o of base cell c's block steps to offset
-    ``successors[rok[c]][o]`` of the block of every base step q of c; the
-    base steps include c itself.  ``dilate`` applies that rule block by
-    block, so its cost grows with base steps, not augmented cells.  The
-    per-cell neighbour tuples are built only when ``neighbors`` is read: by
+    The time counter advances by one each step and saturates at the budget;
+    the hysteresis counter follows the consecutive-risk-ok rule: it
+    increments (capped) when the pre-step base cell sits in the risk-ok
+    region and resets to zero otherwise.  One-step adjacency is directed:
+    counter components move exactly as forced, base components move to a
+    neighboring-or-same base cell.
+
+    The layout is base-cell-major: base cell c owns the block of
+    ``block = (time_cap + 1) * (hyst_cap + 1)`` augmented cells starting at
+    ``c * block``, and (t, h) sits at offset ``t * (hyst_cap + 1) + h``
+    inside it.  Lifted regions, counter regions and maps are therefore
+    built per block from in-block patterns and offsets; ``encode`` /
+    ``decode`` convert single cells.
+
+    The cell at offset o of base cell c's block steps to offset
+    ``successors[rok[c]][o]`` of the block of every base step q of c (c
+    included).  The world keeps that rule, not a neighbour tuple per cell:
+    ``dilate`` applies it block by block, at a cost that grows with base
+    steps, and the tuples are built only when ``neighbors`` is read, by
     the spec writer and by a one-step check on the product.
     """
 
-    __slots__ = ("_base_steps", "_rok", "_successors", "_block")
+    __slots__ = (
+        "base",
+        "time_cap",
+        "hyst_cap",
+        "rok_base",
+        "base_delta",
+        "block",
+        "_base_steps",
+        "_rok",
+        "_successors",
+        "_next_offsets",
+    )
 
     def __init__(
         self,
-        base_steps: Sequence[tuple[int, ...]],
-        rok: str,
-        successors: Mapping[str, tuple[int, ...]],
-        block: int,
+        base: World,
+        time_cap: int,
+        hyst_cap: int,
+        rok_base: Region,
+        base_delta: Optional[float] = None,
     ) -> None:
-        super().__init__(len(base_steps) * block)
-        self._base_steps = base_steps
-        self._rok = rok
-        self._successors = successors
-        self._block = block
+        if time_cap < 0 or hyst_cap < 0:
+            raise SubstitutionError("counter caps must be non-negative")
+        block = (time_cap + 1) * (hyst_cap + 1)
+        super().__init__(base.cell_count * block)
+        self.base = base
+        self.time_cap = time_cap
+        self.hyst_cap = hyst_cap
+        self.rok_base = rok_base
+        self.base_delta = base_delta
+        self.block = block
+        steps, stays = base._steps(base_delta)
+        # in-block offset of the counters' successor, per in-block offset,
+        # outside ("0") and inside ("1") the risk-ok region
+        times = [min(t + 1, time_cap) * (hyst_cap + 1) for t in range(time_cap + 1)]
+        hysts = range(hyst_cap + 1)
+        self._successors = patterns = {
+            "0": tuple(t2 for t2 in times for _h in hysts),
+            "1": tuple(t2 + min(h + 1, hyst_cap) for t2 in times for h in hysts),
+        }
+        self._rok = rok = rok_base.digits()
+        # per augmented cell: the in-block offset of its counters' successor
+        self._next_offsets = tuple(chain.from_iterable(map(patterns.__getitem__, rok)))
+        if stays:  # adjacency lists leave out the cell, which a step may keep
+            steps = [tuple(sorted({c, *near})) for c, near in enumerate(steps)]
+        self._base_steps = steps
 
     @property
     def neighbors(self) -> tuple[tuple[int, ...], ...]:
@@ -133,7 +179,7 @@ class _ProductWorld(World):
             # Column q of a source block: where each of its cells goes when the
             # base part moves to q.  Zipping the columns of a base cell's sorted
             # steps gives each of its augmented cells a sorted neighbour tuple.
-            starts = range(0, self.cell_count, self._block)
+            starts = range(0, self.cell_count, self.block)
             columns = {
                 flag: [tuple(map(q.__add__, offsets)) for q in starts]
                 for flag, offsets in self._successors.items()
@@ -155,7 +201,7 @@ class _ProductWorld(World):
         """
         if region.n != self.cell_count:
             raise WorldError("regions belong to a different universe")
-        n, k = self.cell_count, self._block
+        n, k = self.cell_count, self.block
         digits = format(region.mask, f"0{n}b")  # the last base cell's block first
         blocks = [0] * len(self._base_steps)
         images: dict[tuple[str, str], int] = {}
@@ -172,70 +218,6 @@ class _ProductWorld(World):
                 blocks[q] |= image
         mask = int("".join(format(b, f"0{k}b") for b in reversed(blocks)), 2)
         return Region(n, mask | region.mask)
-
-
-class Augmentation:
-    """Product of a base universe with time and hysteresis counters.
-
-    The time counter advances by one each step and saturates at the budget;
-    the hysteresis counter follows the consecutive-risk-ok rule: it
-    increments (capped) when the pre-step base cell sits in the risk-ok
-    region and resets to zero otherwise.  One-step adjacency is directed:
-    counter components move exactly as forced, base components move to a
-    neighboring-or-same base cell.
-
-    The layout is base-cell-major: base cell c owns the block of
-    ``block = (time_cap + 1) * (hyst_cap + 1)`` augmented cells starting at
-    ``c * block``, and (t, h) sits at offset ``t * (hyst_cap + 1) + h``
-    inside it.  Lifted regions, counter regions and maps are therefore
-    built per block from in-block patterns and offsets, and the product
-    world keeps the base steps and the two in-block counter successors
-    instead of a neighbour tuple per augmented cell; ``encode`` /
-    ``decode`` convert single cells.
-    """
-
-    __slots__ = (
-        "base",
-        "time_cap",
-        "hyst_cap",
-        "rok_base",
-        "base_delta",
-        "world",
-        "block",
-        "_next_offsets",
-    )
-
-    def __init__(
-        self,
-        base: World,
-        time_cap: int,
-        hyst_cap: int,
-        rok_base: Region,
-        base_delta: Optional[float] = None,
-    ) -> None:
-        if time_cap < 0 or hyst_cap < 0:
-            raise SubstitutionError("counter caps must be non-negative")
-        self.base = base
-        self.time_cap = time_cap
-        self.hyst_cap = hyst_cap
-        self.rok_base = rok_base
-        self.base_delta = base_delta
-        self.block = (time_cap + 1) * (hyst_cap + 1)
-        steps, stays = base._steps(base_delta)
-        # in-block offset of the counters' successor, per in-block offset,
-        # outside ("0") and inside ("1") the risk-ok region
-        times = [min(t + 1, time_cap) * (hyst_cap + 1) for t in range(time_cap + 1)]
-        hysts = range(hyst_cap + 1)
-        patterns = {
-            "0": tuple(t2 for t2 in times for _h in hysts),
-            "1": tuple(t2 + min(h + 1, hyst_cap) for t2 in times for h in hysts),
-        }
-        rok = rok_base.digits()
-        # per augmented cell: the in-block offset of its counters' successor
-        self._next_offsets = tuple(chain.from_iterable(map(patterns.__getitem__, rok)))
-        if stays:  # adjacency lists leave out the cell, which a step may keep
-            steps = [tuple(sorted({c, *near})) for c, near in enumerate(steps)]
-        self.world = _ProductWorld(steps, rok, patterns, self.block)
 
     # ------------------------------------------------------------------
     def encode(self, c: int, t: int, h: int) -> int:
@@ -257,12 +239,12 @@ class Augmentation:
 
     def project_region(self, region: Region) -> Region:
         """The base cells some augmented cell of region lies over."""
-        if region.n != self.world.cell_count:
+        if region.n != self.cell_count:
             raise WorldError(
                 f"region over {region.n} cells is not over the augmented universe "
-                f"of {self.world.cell_count} cells"
+                f"of {self.cell_count} cells"
             )
-        digits = format(region.mask, f"0{self.world.cell_count}b")[::-1]
+        digits = format(region.mask, f"0{self.cell_count}b")[::-1]
         k = self.block
         return Region.from_cells(
             self.base.cell_count,
@@ -283,7 +265,7 @@ class Augmentation:
     def lift_map(self, base_targets: Sequence[int]) -> SuccessorMap:
         """Lift base-cell targets (indexed by base or augmented cell)."""
         k = self.block
-        per_aug = len(base_targets) == self.world.cell_count
+        per_aug = len(base_targets) == self.cell_count
         if not per_aug and len(base_targets) != self.base.cell_count:
             raise SubstitutionError("target array length matches neither universe")
         # per augmented cell: the target block's start plus its counters' offset
@@ -351,6 +333,13 @@ def substitute(
     With enforce on, the four displayed requirements are checked on the base
     regions first and a violation is reported by name; enforce off exists so
     tests can watch the preservation check catch a bad spec.
+
+    With the hysteresis guard on, the risk-reduction leaf's goal also needs
+    the hysteresis counter at its cap, and its deadline grows by that cap.
+    The base goal lies in S_RR, inside S_ROK, and is closed under the base
+    controller, so once the base walk reaches it the counter rises by one
+    each step and reaches the cap within hysteresis_cap more steps.  The
+    leaf is no lift, so its product check confirms the figure.
     """
     td, mb = _target_shape(model, spec.target)
     td_leaf = model.leaves[td]
@@ -405,10 +394,11 @@ def substitute(
         # counter-reset states and break the preservation identity
         ready = aug.hysteresis_ready_region()
         rok_region &= ready
+        doa = rr_leaf.doa
         rr_leaf = replace(
             rr_leaf,
             success=rr_leaf.success & ready,
-            doa=replace(rr_leaf.doa, goal=rr_leaf.doa.goal & ready),
+            doa=Doa(doa.basin, doa.goal & ready, doa.horizon + spec.hysteresis_cap),
         )
     elif spec.rr.controller.n == model.world.cell_count:
         lifts[RR_NAME] = rr_base
@@ -442,7 +432,7 @@ def substitute(
             return NodeSpec(kind, tuple(rebuild(c) for c in model.tree.children[v]))
         return NodeSpec(kind, leaf=aug.lift_leaf(model.leaves[v]))
 
-    new_model = BTModel(aug.world, rebuild(model.tree.root))
+    new_model = BTModel(aug, rebuild(model.tree.root))
     # locate the rebuilt target: parent of the new MB leaf
     mb_new = new_model.vertex_of(mb_leaf.name)
     target_new = new_model.tree.parent[mb_new]
@@ -517,13 +507,14 @@ def verify_substituted_convergence(
     """Re-derive the transition graph and certificate of the substituted model.
 
     The new graph may differ from the old one only by the guarded loop of
-    the data-driven slice (dd, a) and the risk-reduction slice (rr, b), and
-    the loop must be left within the time budget.  Both graphs' edges are
-    read as pairs of (new owner, flavor) keys, old owners mapped by leaf
-    name, and must meet three set conditions; an edge breaking 1 or 2
-    raises, and a break of 3 is a reported graph diff:
+    the data-driven slice (dd, a) and the risk-reduction slice (rr, b),
+    plus (rr, a) with the hysteresis guard on, and the loop must be left
+    within the time budget.  Both graphs' edges are read as pairs of (new
+    owner, flavor) keys, old owners mapped by leaf name, and must meet three
+    set conditions; an edge breaking 1 or 2 raises, and a break of 3 is a
+    reported graph diff:
 
-    1. an edge out of dd or rr ends in (dd, a), (rr, b), (mb, b) or an old
+    1. an edge out of dd or rr ends in a loop slice, (mb, b) or an old
        successor of an mb slice;
     2. any other edge into dd or rr starts at an mb slice or at an old
        predecessor of one;
@@ -550,9 +541,12 @@ def verify_substituted_convergence(
     # build_prepares_graph sorts vertices by key, so this is the graph's index order
     new = sorted((new_keys[u], new_keys[w]) for u, w in new_graph.edges)
 
+    # with the hysteresis guard on, rr also runs on risk-ok cells below the counter cap,
+    # which may lie outside its basin
+    rr_flavors = {FLAVOR_BASIN, FLAVOR_OUTSIDE} if result.spec.hysteresis else {FLAVOR_BASIN}
     diffs: list[str] = []
     # well-behavedness: the loop owners expose exactly the expected slices
-    for owner, flavors in ((dd_v, {FLAVOR_OUTSIDE}), (rr_v, {FLAVOR_BASIN}), (mb_v, {FLAVOR_BASIN, FLAVOR_GOAL})):
+    for owner, flavors in ((dd_v, {FLAVOR_OUTSIDE}), (rr_v, rr_flavors), (mb_v, {FLAVOR_BASIN, FLAVOR_GOAL})):
         got = {v.flavor for v in new_graph.vertices if v.owner == owner}
         extra = got - flavors
         if extra:
@@ -560,7 +554,7 @@ def verify_substituted_convergence(
                 f"owner {new_model.names[owner]} has unexpected slices {sorted(extra)}"
             )
 
-    exits = {(dd_v, FLAVOR_OUTSIDE), (rr_v, FLAVOR_BASIN), (mb_v, FLAVOR_BASIN)}
+    exits = {(dd_v, FLAVOR_OUTSIDE), (mb_v, FLAVOR_BASIN)} | {(rr_v, f) for f in rr_flavors}
     exits |= {w for u, w in old if u[0] == mb_v}
     entries = {u for u, w in old if w[0] == mb_v}
     for u, w in new:

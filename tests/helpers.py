@@ -970,7 +970,7 @@ def eager_augmented_neighbors(
         if stays:  # adjacency lists leave out the cell, which a step may keep
             near = sorted({c, *near})
         near_aug.extend(zip(*map(columns[rok[c]].__getitem__, near)))
-    return World(base.cell_count * block, neighbors=near_aug).neighbors
+    return tuple(near_aug)
 
 
 # ----------------------------------------------------------------------
@@ -981,8 +981,9 @@ def reference_verify_substituted_convergence(old_cert, result, seeds=None):
     """verify_substituted_convergence as it compared the two graphs edge by edge.
 
     The body is kept verbatim as the oracle for the set-condition statement
-    of the guarded-loop rule.  Its names are looked up when it runs, so a
-    test that monkeypatches substitution.build_prepares_graph feeds both.
+    of the guarded-loop rule, apart from the hysteresis-on allowance, which
+    is its own branch.  Its names are looked up when it runs, so a test
+    that monkeypatches substitution.build_prepares_graph feeds both.
     """
     from btconverge.execution import empirical_exit_time
     from btconverge.prepares import FLAVOR_BASIN, FLAVOR_GOAL, FLAVOR_OUTSIDE, Certificate, condense
@@ -1021,9 +1022,16 @@ def reference_verify_substituted_convergence(old_cert, result, seeds=None):
     def old_key_to_new(key: tuple[int, str]) -> tuple[int, str]:
         return (owner_map[key[0]], key[1])
 
+    rr_flavors = {FLAVOR_BASIN}
+    loop_keys = {(dd_v, FLAVOR_OUTSIDE), (rr_v, FLAVOR_BASIN)}
+    if result.spec.hysteresis:
+        # the counter guard: rr also runs on risk-ok cells below the cap, outside its basin too
+        rr_flavors = {FLAVOR_BASIN, FLAVOR_OUTSIDE}
+        loop_keys.add((rr_v, FLAVOR_OUTSIDE))
+
     diffs: list[str] = []
     # well-behavedness: the loop owners expose exactly the expected slices
-    for owner, flavors in ((dd_v, {FLAVOR_OUTSIDE}), (rr_v, {FLAVOR_BASIN}), (mb_v, {FLAVOR_BASIN, FLAVOR_GOAL})):
+    for owner, flavors in ((dd_v, {FLAVOR_OUTSIDE}), (rr_v, rr_flavors), (mb_v, {FLAVOR_BASIN, FLAVOR_GOAL})):
         got = {v.flavor for v in new_graph.vertices if v.owner == owner}
         extra = got - flavors
         if extra:
@@ -1046,7 +1054,6 @@ def reference_verify_substituted_convergence(old_cert, result, seeds=None):
         if old_graph.vertices[w].owner == mb_old
     }
     loop_owners = {dd_v, rr_v}
-    loop_keys = {(dd_v, FLAVOR_OUTSIDE), (rr_v, FLAVOR_BASIN)}
     allowed_exits = allowed_next | {(mb_v, FLAVOR_BASIN)}
 
     for u, w in sorted(new_graph.edges):

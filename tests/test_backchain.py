@@ -17,7 +17,6 @@ from btconverge.backchain import (
     build_bcbt,
     check_bc_convergence,
     compute_links,
-    lint_library,
     validate_bc_assumptions,
     verify_bc_operating,
 )
@@ -471,12 +470,6 @@ def test_surveying_library_tree_has_documented_preorder_ids():
     assert built.vertex_of["goto_path"] == 17
     assert built.vertex_of["follow_path"] == 18
     assert built.vertex_of["idle"] == 19
-
-
-def test_lint_library_notes_are_advisory(manip):
-    lib, _root, _links = manip
-    notes = lint_library(lib)
-    assert isinstance(notes, list)
 
 
 def test_links_of_library_without_links():

@@ -1,11 +1,13 @@
 """The CLI in a fresh interpreter: what `import btconverge.cli` loads, and
-that every subcommand imports what it runs.
+that every subcommand imports what it runs.  Also what the runtime may
+import at all: the standard library and the package.
 
 In-process tests cannot see a missing import: by the time they run, earlier
 tests have loaded every module of the package.  These tests start a new
 interpreter for each case.
 """
 
+import ast
 import json
 import os
 import subprocess
@@ -133,3 +135,22 @@ def test_fresh_interpreter_matches_in_process_main(case, specs, capsys):
     assert got == code
     if code == 2:
         assert run.stdout == "" and run.stderr.startswith("error: ")
+
+
+def test_the_runtime_imports_only_the_standard_library():
+    """Every import in the package, function-level ones too, names a stdlib module or the package."""
+    outside = []
+    for path in sorted(Path(btconverge.__file__).resolve().parent.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                names = [node.module]
+            else:
+                continue  # a relative import stays inside the package
+            tops = {name.partition(".")[0] for name in names}
+            outside += [
+                f"{path.name}:{node.lineno}: {top}"
+                for top in sorted(tops - sys.stdlib_module_names - {"btconverge"})
+            ]
+    assert outside == []

@@ -913,6 +913,21 @@ def test_substitute_patrol(tmp_path, capsys):
     assert loaded.model.world.cell_count == 120
 
 
+def test_hysteresis_on_substitution_output_certifies(tmp_path, capsys):
+    """The written (30, 4) product with the hysteresis guard on re-certifies from the file."""
+    doc = bundled_document("patrol")
+    doc["substitution"].update(time_budget=30, hysteresis_cap=4, hysteresis=True)
+    spec_path, out_path = tmp_path / "spec.json", tmp_path / "substituted.json"
+    spec_path.write_text(json.dumps(doc))
+    code, out, _err = run_cli(
+        "substitute", "--spec", str(spec_path), "--out", str(out_path), capsys=capsys
+    )
+    assert code == 0 and "augmented universe: 1550 cells" in out
+    code, out, err = run_cli("check", "--spec", str(out_path), capsys=capsys)
+    assert (code, err) == (0, "")
+    assert "status: certified" in out and "bound formula: 5 * T = 55 (T = 11)" in out
+
+
 PATROL_FALLBACK = [{"leaf": "task_done"}, {"leaf": "mb_patrol"}]
 
 

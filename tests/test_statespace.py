@@ -141,7 +141,7 @@ def test_neighboring_adjacency_mode():
 
 
 def test_adjacency_rows_can_be_directed():
-    w = World(2, neighbors=[(1,), ()])  # 0 -> 1 only
+    w = World(2, adjacency=[(0, 1)], symmetric=False)  # 0 -> 1 only
     assert w.neighbors == ((1,), ())
     a = Region.from_cells(2, [0])
     b = Region.from_cells(2, [1])
@@ -330,14 +330,12 @@ def test_adjacency_neighbour_lists_match_pair_definition(rng):
 
 
 def test_worlds_built_from_neighbour_lists():
-    w = World(3, neighbors=[[1, 2], (), [0]])
+    w = World(3, adjacency=[(0, 2), (2, 0), (0, 1)], symmetric=False)
     assert w.neighbors == ((1, 2), (), (0,))
     assert w.dilate(Region(3, 0b010)) == Region(3, 0b010)
     assert w.dilate(Region(3, 0b100)) == Region(3, 0b101)
-    with pytest.raises(WorldError, match="one neighbour list per cell"):
-        World(3, neighbors=[(1,), ()])
     with pytest.raises(WorldError, match="at most one"):
-        World(2, adjacency=[(0, 1)], neighbors=[(1,), ()])
+        World(2, coords=[(0.0,), (1.0,)], adjacency=[(0, 1)])
 
 
 def test_adjacency_pairs_are_read_on_first_use():

@@ -7,7 +7,7 @@ from types import SimpleNamespace
 import pytest
 
 from btconverge.bt import BTModel, Doa, NodeKind, action, condition, fal, seq
-from btconverge.execution import FtsVerdict, simulate
+from btconverge.execution import simulate
 from btconverge.prepares import (
     Certificate,
     FtsPreconditionError,
@@ -20,6 +20,7 @@ from btconverge.statespace import BTConvergeError, Region, SuccessorMap, World, 
 from btconverge import substitution
 from btconverge.substitution import (
     DD_NAME,
+    RR_NAME,
     Augmentation,
     RrLeaf,
     SubstitutionError,
@@ -32,6 +33,7 @@ from btconverge.substitution import (
 from helpers import (
     bundled_spec,
     eager_augmented_neighbors,
+    naive_tick_path,
     oracle_neighboring,
     random_region,
     random_reverification_instance,
@@ -75,6 +77,7 @@ def test_counter_dynamics_forced(patrol_setup):
     b, _cert, spec, result = patrol_setup
     aug = result.augmentation
     m = result.new_model
+    assert m.world is aug  # the augmentation is the product world
     for leaf in m.leaves.values():
         if leaf.controller is None:
             continue
@@ -99,6 +102,41 @@ def test_substituted_convergence_report(patrol_setup):
     assert report.loop_exit_steps is not None
     assert report.loop_exit_steps <= spec.time_budget
     assert isinstance(report.result, Certificate)
+
+
+def test_hysteresis_on_substitution_certifies(patrol_setup):
+    """With the hysteresis guard on, bundled patrol re-certifies at three budgets.
+
+    The risk-reduction deadline is its base horizon plus the cap.  A naive
+    stepper over every product cell (a cascade tick, then the reached
+    leaf's controller) gives the exact worst time to the goal cells, which
+    the certified bounds cover.
+    """
+    b, cert, _spec, _result = patrol_setup
+    # (T, H): loop exit, bound, refined bound, exact worst
+    table = {(5, 1): (5, 40, 15, 9), (30, 4): (11, 55, 24, 12), (100, 10): (17, 85, 36, 18)}
+    for (T, H), want in table.items():
+        spec = dataclasses.replace(b.substitution, time_budget=T, hysteresis_cap=H, hysteresis=True)
+        result = substitute(b.model, spec, base_delta=b.delta)
+        m = result.new_model
+        assert m.leaves[m.vertex_of(RR_NAME)].doa.horizon == spec.rr.doa.horizon + H
+        report = verify_substituted_convergence(cert, result)
+        assert report and report.graph_diffs == ()
+        goals = report.result.goal_cells().digits()
+        nxt = {}
+        worst = 0
+        for x in range(m.world.cell_count):
+            k = 0
+            while goals[x] == "0":
+                if x not in nxt:
+                    leaf = m.leaves[naive_tick_path(m, x)[-1]]
+                    assert leaf.kind is NodeKind.ACTION, (T, H, x)
+                    nxt[x] = leaf.controller.next(x)
+                x, k = nxt[x], k + 1
+                assert k <= report.result.refined_bound, (T, H, x)
+            worst = max(worst, k)
+        got = report.loop_exit_steps, report.result.bound, report.result.refined_bound, worst
+        assert got == want, (T, H, got)
 
 
 def test_old_flow_into_the_model_based_slice_may_route_via_the_loop(patrol_setup, monkeypatch):
@@ -374,7 +412,7 @@ def test_augmentation_lift_and_project_roundtrip():
     assert aug.project_region(lifted) == r
     assert len(lifted) == len(r) * 3 * 2
     assert aug.time_ok_region() == Region.where(
-        aug.world.cell_count, lambda cell: aug.decode(cell)[1] < 2
+        aug.cell_count, lambda cell: aug.decode(cell)[1] < 2
     )
 
 
@@ -388,7 +426,7 @@ def test_augmentation_reads_the_base_step_rule_of_the_world():
         Augmentation(World(4), 2, 1, rok)
     # a self-loop in the adjacency does not repeat the cell among its steps
     looped = Augmentation(World(4, adjacency=[(1, 1), (1, 2)]), 0, 0, rok)
-    assert looped.world.neighbors == ((0,), (1, 2), (1, 2), (3,))
+    assert looped.neighbors == ((0,), (1, 2), (1, 2), (3,))
 
 
 def test_augmentation_products_match_decode_oracle(rng):
@@ -411,7 +449,7 @@ def test_augmentation_products_match_decode_oracle(rng):
         seen_rok.add(trial % 3)
         aug = Augmentation(base, T, H, rok, delta)
         n_aug = n_base * (T + 1) * (H + 1)
-        assert aug.world.cell_count == n_aug
+        assert aug.cell_count == n_aug
 
         def decoded(cell):
             c, rest = divmod(cell, (T + 1) * (H + 1))
@@ -445,7 +483,7 @@ def test_augmentation_products_match_decode_oracle(rng):
         for cell in range(n_aug):
             c = aug.decode(cell)[0]
             rows.append(tuple(sorted({oracle_step(cell, q) for q in near[c]})))
-        assert aug.world.neighbors == tuple(rows)
+        assert aug.neighbors == tuple(rows)
     assert seen_rok == {0, 1, 2}
 
 
@@ -472,7 +510,7 @@ def test_augmented_neighbour_lists_and_dilation_match_oracles(rng):
         rok = [Region.empty(n_base), Region.full(n_base), random_region(rng, n_base)][rok_case]
         seen.add((kind, rok_case))
         aug = Augmentation(base, T, H, rok, delta)
-        n_aug = aug.world.cell_count
+        n_aug = aug.cell_count
 
         def step(cell, q):
             c, t, h = aug.decode(cell)
@@ -481,11 +519,11 @@ def test_augmented_neighbour_lists_and_dilation_match_oracles(rng):
         want = tuple(
             tuple(sorted(step(cell, q) for q in near[aug.decode(cell)[0]])) for cell in range(n_aug)
         )
-        assert aug.world.neighbors == want
+        assert aug.neighbors == want
         for _ in range(4):
             a = random_region(rng, n_aug, allow_empty=False)
-            one = lambda q: oracle_neighboring(aug.world, a, Region.from_cells(n_aug, [q]), None)
-            assert list(aug.world.dilate(a).cells()) == [q for q in range(n_aug) if one(q)]
+            one = lambda q: oracle_neighboring(aug, a, Region.from_cells(n_aug, [q]), None)
+            assert list(aug.dilate(a).cells()) == [q for q in range(n_aug) if one(q)]
     assert len(seen) == 9
 
 
@@ -512,9 +550,10 @@ def test_blockwise_dilation_matches_the_eager_neighbour_tuples(rng):
         rok = [Region.empty(n_base), Region.full(n_base), random_region(rng, n_base)][rok_case]
         seen.add((kind, rok_case, T == 0, H == 0))
         aug = Augmentation(base, T, H, rok, delta)
-        n_aug = aug.world.cell_count
+        n_aug = aug.cell_count
         oracle = eager_augmented_neighbors(base, T, H, rok, delta)
-        eager = World(n_aug, neighbors=oracle)
+        pairs = [(c, q) for c, near in enumerate(oracle) for q in near]
+        eager = World(n_aug, adjacency=pairs, symmetric=False)
         lifted = aug.lift_region(random_region(rng, n_base))
         ready, time_ok = aug.hysteresis_ready_region(), aug.time_ok_region()
         regions = [
@@ -530,9 +569,9 @@ def test_blockwise_dilation_matches_the_eager_neighbour_tuples(rng):
             random_region(rng, n_aug) & lifted,
         ]
         for region in regions:
-            assert aug.world.dilate(region) == eager.dilate(region), (trial, region)
-        assert aug.world._neighbors is None
-        assert aug.world.neighbors == oracle
+            assert aug.dilate(region) == eager.dilate(region), (trial, region)
+        assert aug._neighbors is None
+        assert aug.neighbors == oracle
     assert {(k, r) for k, r, _t, _h in seen} == {(k, r) for k in range(3) for r in range(3)}
     assert {(t, h) for _k, _r, t, h in seen} == {(a, b) for a in (True, False) for b in (True, False)}
 
@@ -549,7 +588,7 @@ def test_augmentation_stores_neighbour_lists_not_bitsets():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert aug.world.cell_count == 11_110
+    assert aug.cell_count == 11_110
     assert peak < 4 * 2**20  # one bitset row per augmented cell took 9.8 MiB
 
 
@@ -627,15 +666,13 @@ def test_substitution_and_reverification_do_no_per_cell_work(monkeypatch):
     assert ticks == [0] and decodes == [0]
 
     # with the hysteresis guard on, the risk-reduction leaf is no lift: it is
-    # checked on the product, and it misses its base deadline there
+    # checked on the product, where it meets its deadline of horizon + cap
     gated = substitute(b.model, dataclasses.replace(spec, hysteresis=True), base_delta=b.delta)
     assert gated.new_model.world._neighbors is None
     steps.clear()
     product_fts.clear()
-    with pytest.raises(FtsPreconditionError) as caught:
-        verify_substituted_convergence(cert, gated)
-    assert str(caught.value) == "finite-time-success check failed for: ['rr_controller']"
-    assert caught.value.failures == {"rr_controller": FtsVerdict(False, "deadline", 0, 7)}
+    gated_report = verify_substituted_convergence(cert, gated)
+    assert gated_report and gated_report.graph_diffs == ()
     assert "rr_controller" not in gated.lifts
     assert product_fts == [("rr_controller", n_aug)]
     assert steps.count(n_aug) == 1 and steps.count(n_base) == 3
