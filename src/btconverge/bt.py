@@ -10,7 +10,11 @@ optional attraction basin).  The analysis computes, per vertex:
   the root's output;
 * membership in the success/failure pathway sets;
 * the operating region, the sufficient condition under which the root's
-  output equals the vertex's output.
+  output equals the vertex's output;
+* the tick region, the cells where the tick reaches the vertex, which the
+  closed loop and the per-cell leaf table are read from.
+
+All but the first come from one top-down pass.
 
 Everything is exact set computation on bitset regions, so the analysis can
 be cross-checked exhaustively against per-cell evaluation of the tick
@@ -23,7 +27,7 @@ import enum
 from dataclasses import dataclass
 from typing import Iterable, Optional
 
-from .ordered_tree import OrderedTree, TreeOrders
+from .ordered_tree import OrderedTree
 from .statespace import BTConvergeError, Region, SuccessorMap, World
 
 
@@ -194,9 +198,6 @@ class BTModel:
     def n(self) -> int:
         return self.tree.n
 
-    def orders(self) -> TreeOrders:
-        return self.tree.orders()
-
     def leaf_vertices(self) -> tuple[int, ...]:
         return tuple(sorted(self.leaves))
 
@@ -222,7 +223,7 @@ class BTModel:
         """
         if self._loop is None:
             targets: list[Optional[int]] = [None] * self.world.cell_count
-            reached = tick_regions(self)
+            reached = self.analysis().reached
             for v in self.action_vertices():
                 step = self.leaves[v].controller.targets
                 for x in reached[v].cells():
@@ -236,7 +237,7 @@ class BTModel:
             raise ModelError(f"cell {x} outside universe of {self.world.cell_count} cells")
         if self._leaf_at is None:
             table = [0] * self.world.cell_count
-            reached = tick_regions(self)
+            reached = self.analysis().reached
             for v in self.leaves:
                 for c in reached[v].cells():
                     table[c] = v
@@ -249,7 +250,7 @@ class BTModel:
 
 @dataclass(frozen=True)
 class NodeAnalysis:
-    """Per-vertex regions and pathway memberships of one model."""
+    """Per-vertex regions, pathway memberships and tick regions of one model (see analyze)."""
 
     running: tuple[Region, ...]
     success: tuple[Region, ...]
@@ -258,6 +259,7 @@ class NodeAnalysis:
     omega: tuple[Region, ...]
     success_pathway: frozenset[int]
     failure_pathway: frozenset[int]
+    reached: tuple[Region, ...]
 
 
 def propagate_metadata(model: BTModel) -> tuple[tuple[Region, ...], tuple[Region, ...], tuple[Region, ...]]:
@@ -291,107 +293,74 @@ def propagate_metadata(model: BTModel) -> tuple[tuple[Region, ...], tuple[Region
     return tuple(running), tuple(success), tuple(failure)  # type: ignore[arg-type]
 
 
-def influence_regions(model: BTModel, success: tuple[Region, ...], failure: tuple[Region, ...]) -> tuple[Region, ...]:
-    """Necessary-condition region per vertex, in one top-down pass.
-
-    By definition the influence region of a vertex intersects, over every
-    strict left uncle whose parent is a Sequence, that uncle's success
-    region, and over every strict left uncle whose parent is a Fallback,
-    its failure region; no left uncle leaves the full universe.  The left
-    uncles of a child are its earlier siblings plus the left uncles of its
-    parent, so the root's region is the universe and a child's region is
-    its parent's narrowed by the success (Sequence parent) or failure
-    (Fallback parent) regions of its earlier siblings.
-    """
-    out: list[Region] = [model.world.full_region()] * model.n
-    for v in range(model.n):  # preorder ids: a parent comes before its children
-        gate = success if model.kinds[v] is NodeKind.SEQUENCE else failure
-        region = out[v]
-        for c in model.tree.children[v]:
-            out[c] = region
-            region = region & gate[c]
-    return tuple(out)
-
-
-def pathways(model: BTModel) -> tuple[frozenset[int], frozenset[int]]:
-    """Vertices whose success (failure) propagates to the root unhindered.
-
-    By definition a vertex is on the success pathway when no right uncle of
-    it has a Sequence parent, and on the failure pathway when no right
-    uncle has a Fallback parent.  The right uncles of a child are its later
-    siblings plus the right uncles of its parent, so, top down: the root is
-    on both pathways, and a child is on the success pathway when its parent
-    is and either it is the last child or the parent is not a Sequence.
-    The failure pathway is the mirror rule for Fallback.
-    """
-    root = model.tree.root
-    s_path = {root}
-    f_path = {root}
-    for v in range(model.n):  # preorder ids: a parent comes before its children
-        kids = model.tree.children[v]
-        kind = model.kinds[v]
-        if v in s_path:
-            s_path.update(kids[-1:] if kind is NodeKind.SEQUENCE else kids)
-        if v in f_path:
-            f_path.update(kids[-1:] if kind is NodeKind.FALLBACK else kids)
-    return frozenset(s_path), frozenset(f_path)
-
-
-def operating_regions(
-    model: BTModel,
-    running: tuple[Region, ...],
-    success: tuple[Region, ...],
-    failure: tuple[Region, ...],
-    influence: tuple[Region, ...],
-    s_path: frozenset[int],
-    f_path: frozenset[int],
-) -> tuple[Region, ...]:
-    """Sufficient-condition region per vertex (case split over pathway sets)."""
-    out: list[Region] = []
-    for i in range(model.n):
-        if i in s_path and i in f_path:
-            region = influence[i]
-        elif i in s_path:
-            region = influence[i] & (running[i] | success[i])
-        elif i in f_path:
-            region = influence[i] & (running[i] | failure[i])
-        else:
-            region = influence[i] & running[i]
-        out.append(region)
-    return tuple(out)
-
-
 def analyze(model: BTModel) -> NodeAnalysis:
-    running, success, failure = propagate_metadata(model)
-    influence = influence_regions(model, success, failure)
-    s_path, f_path = pathways(model)
-    omega = operating_regions(model, running, success, failure, influence, s_path, f_path)
-    return NodeAnalysis(running, success, failure, influence, omega, s_path, f_path)
+    """Every vertex's regions, pathway memberships and tick region.
 
+    After the bottom-up pass (``propagate_metadata``), one top-down pass
+    sets each child's values from its parent's and from its earlier
+    siblings' gates: a Sequence passes a cell on to the next child where a
+    child succeeds, a Fallback where it fails.
 
-def tick_regions(model: BTModel) -> list[Region]:
-    """Per vertex, the cells where the tick reaches it, in one top-down pass.
+    * Influence region, the necessary condition for a vertex to determine
+      the root's output: by definition, the intersection over its strict
+      left uncles of their gates (success regions under a Sequence parent,
+      failure regions under a Fallback).  A child's left uncles are its
+      earlier siblings plus its parent's left uncles, so the root's region
+      is the universe and a child's is its parent's narrowed by the gates
+      of its earlier siblings.
+    * Pathways: a vertex is on the success (failure) pathway when no right
+      uncle of it has a Sequence (Fallback) parent.  A child's right uncles
+      are its later siblings plus its parent's right uncles, so the root is
+      on both, and a child is on the success pathway when its parent is and
+      either it is the last child or the parent is not a Sequence; the
+      failure pathway is the mirror rule for Fallback.
+    * Tick region (``reached``), the cells where the tick reaches the
+      vertex: a parent hands a cell to its first child whose gate fails
+      there, or to its last child, so a child is reached on the parent's
+      tick region narrowed by its earlier siblings' gates, minus its own
+      gate unless it is the last child.  The leaves' tick regions partition
+      the universe.
 
-    A Sequence hands a cell to its first child that has not succeeded
-    there, so child i is reached on the parent's region intersected with
-    the success regions of children 0..i-1, minus its own success region
-    unless it is the last child.  A Fallback is the mirror with failure
-    regions.  The leaves' regions partition the universe.
+    The operating region, the sufficient condition under which the root's
+    output equals the vertex's, is the influence region intersected with
+    the statuses that reach the root unchanged: running always, success on
+    the success pathway and failure on the failure pathway.
     """
-    analysis = model.analysis()
-    reached = [model.world.full_region()] * model.n
+    running, success, failure = propagate_metadata(model)
+    universe = model.world.full_region()
+    influence = [universe] * model.n
+    reached = [universe] * model.n
+    omega: list[Region] = []
+    s_path = {model.tree.root}
+    f_path = {model.tree.root}
     for v in range(model.n):  # preorder ids: a parent comes before its children
+        statuses = running[v]  # the statuses that reach the root unchanged
+        if v in s_path:
+            statuses |= success[v]
+        if v in f_path:
+            statuses |= failure[v]
+        omega.append(influence[v] & statuses)
         kids = model.tree.children[v]
         if not kids:
             continue
-        gate = analysis.success if model.kinds[v] is NodeKind.SEQUENCE else analysis.failure
-        region = reached[v]
+        is_seq = model.kinds[v] is NodeKind.SEQUENCE
+        gate = success if is_seq else failure
+        if v in s_path:
+            s_path.update(kids[-1:] if is_seq else kids)
+        if v in f_path:
+            f_path.update(kids if is_seq else kids[-1:])
+        infl, tick_region = influence[v], reached[v]
         *earlier, last = kids
         for c in earlier:
-            reached[c] = region - gate[c]
-            region = region & gate[c]
-        reached[last] = region
-    return reached
+            influence[c] = infl
+            reached[c] = tick_region - gate[c]
+            infl &= gate[c]
+            tick_region &= gate[c]
+        influence[last], reached[last] = infl, tick_region
+    return NodeAnalysis(
+        running, success, failure, tuple(influence), tuple(omega),
+        frozenset(s_path), frozenset(f_path), tuple(reached),
+    )
 
 
 def tick_path(model: BTModel, x: int) -> list[int]:

@@ -159,7 +159,10 @@ def cmd_check(args: argparse.Namespace) -> int:
         report = {
             "status": "refuted",
             "kind": "fts-precondition",
-            "violations": {name: str(v) for name, v in exc.failures.items()},
+            "violations": {
+                name: {"kind": v.kind, "witness_cell": v.witness, "step": v.step}
+                for name, v in exc.failures.items()
+            },
         }
         _print_report(report, args)
         return EXIT_REFUTED
@@ -222,8 +225,10 @@ def _print_report(report: dict, args: argparse.Namespace) -> None:
         lines.append(f"exit time {entry['exit_time']:>4}  {{{', '.join(entry['class'])}}}")
     for sink in report.get("sinks", []):
         lines.append(f"goal sink: {{{', '.join(sink)}}}")
-    for name, verdict in report.get("violations", {}).items():
-        lines.append(f"violation at {name}: {verdict}")
+    for name, v in report.get("violations", {}).items():
+        at = "" if v["witness_cell"] is None else f" at cell {v['witness_cell']}"
+        step = "" if v["step"] is None else f" (step {v['step']})"
+        lines.append(f"violation at {name}: {v['kind']}{at}{step}")
     _emit("\n".join(lines) + "\n", args.out)
 
 

@@ -15,8 +15,8 @@ over the cells a walk has to step.  ``hitting_time`` is the same kernel
 with one start.  Closed-loop walks read the model's per-cell successor
 list (``BTModel.closed_loop``, built once per model), so no cell is ticked
 per query.  ``simulate`` ticks, because it reports statuses; a tick reads
-the model's per-cell leaf table (``BTModel.leaf_at``), which the same
-top-down pass (``bt.tick_regions``) fills on the first tick.
+the model's per-cell leaf table (``BTModel.leaf_at``), which is filled
+from the leaves' tick regions (``NodeAnalysis.reached``) on the first tick.
 """
 
 from __future__ import annotations
@@ -131,8 +131,9 @@ class FtsVerdict:
     """Outcome of a finite-time-success check.
 
     kind is one of basin-static, goal-static, basin-invariance,
-    goal-invariance, deadline; witness is the offending cell and step the
-    first step count involved (None when not applicable).
+    goal-invariance, deadline, or missing-basin-data for a member with no
+    basin data; witness is the offending cell and step the first step count
+    involved (None when not applicable).
     """
 
     ok: bool

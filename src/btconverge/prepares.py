@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 from typing import Iterable, Mapping, Optional, Sequence
 
 from .bt import BTModel, Doa, NodeKind, action as action_spec, validate_abstraction
-from .execution import ExitResult, empirical_exit_time, leaf_fts
+from .execution import ExitResult, FtsVerdict, empirical_exit_time, leaf_fts
 from .statespace import BTConvergeError, Region, SuccessorMap
 
 FLAVOR_OUTSIDE = "a"  # operating region minus basin
@@ -29,7 +29,7 @@ class AbstractionError(BTConvergeError):
 
 
 class FtsPreconditionError(BTConvergeError):
-    def __init__(self, failures: dict[str, object]) -> None:
+    def __init__(self, failures: dict[str, FtsVerdict]) -> None:
         super().__init__(f"finite-time-success check failed for: {sorted(failures)}")
         self.failures = failures
 
@@ -362,7 +362,7 @@ def check_hypotheses(model: BTModel, members: Sequence[int], delta: Optional[flo
     """
     omega = model.analysis().omega
     ids = list(range(model.world.cell_count))  # shared by every member's cell list
-    failures: dict[str, object] = {}
+    failures: dict[str, FtsVerdict] = {}
     for i in members:
         leaf = model.leaves.get(i)
         if leaf is not None and leaf.controller is not None and not omega[i].is_empty:
@@ -371,7 +371,7 @@ def check_hypotheses(model: BTModel, members: Sequence[int], delta: Optional[flo
         if leaf is None or model.kinds[i] is not NodeKind.ACTION or leaf.doa is None:
             if omega[i].is_empty:
                 continue
-            failures[model.names[i] or str(i)] = "missing basin data"
+            failures[model.names[i] or str(i)] = FtsVerdict(False, "missing-basin-data")
             continue
         verdict = leaf_fts(leaf)
         if not verdict:

@@ -162,6 +162,26 @@ def test_tick_path_matches_naive_descent(rng):
             assert tick_path(model, x) == naive_tick_path(model, x)
 
 
+def test_tick_regions_match_naive_descent(rng):
+    """Every vertex's tick region is the set of cells whose naive tick path passes through it."""
+    models = [random_tree_model(rng, rng.choice([6, 12, 24])) for _ in range(30)]
+    models += [deep_tree_model(rng, levels, n_cells=64) for levels in (1, 2, 7, 40)]
+    for model in models:
+        cells = model.world.cell_count
+        through = [[] for _ in range(model.n)]
+        for x in range(cells):
+            for v in naive_tick_path(model, x):
+                through[v].append(x)
+        reached = model.analysis().reached
+        assert reached == tuple(Region.from_cells(cells, xs) for xs in through)
+        leaves = model.leaf_vertices()
+        assert sum(len(reached[v]) for v in leaves) == cells
+        union = Region.empty(cells)
+        for v in leaves:
+            union |= reached[v]
+        assert union == model.world.full_region()
+
+
 @pytest.mark.parametrize("offset", [-1, 0, 5])
 def test_tick_outside_universe_raises(eat, offset):
     m = eat.model
@@ -209,7 +229,7 @@ def deep_tree_model(rng, levels, n_cells=256):
 def assert_matches_uncle_enumeration(model):
     """Influence and pathways against the uncle orders, pair by pair."""
     analysis = model.analysis()
-    orders = model.orders()
+    orders = model.tree.orders()
     lu = set(orders.left_uncle.pairs())
     ru = set(orders.right_uncle.pairs())
     parent_kind = [None if p is None else model.kinds[p] for p in model.tree.parent]

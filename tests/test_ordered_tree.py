@@ -201,7 +201,7 @@ def test_validation_accepts_a_deep_tree():
 def test_strict_orders_are_complementary(rng):
     for _ in range(30):
         model = random_tree_model(rng, 4, max_depth=4, max_leaves=8)
-        orders = model.orders()
+        orders = model.tree.orders()
         strict_parent = orders.parent_order.strict()
         strict_sib_closed = orders.sibling_order.strict()
         for pair in strict_parent.pairs():
@@ -217,7 +217,7 @@ def test_parent_map_is_direct_parent(example_tree):
 def test_derived_orders_match_path_chasing_oracle(rng):
     for _ in range(40):
         model = random_tree_model(rng, 4, max_depth=4, max_leaves=10)
-        orders = model.orders()
+        orders = model.tree.orders()
         expected = oracle_orders(model)
         assert set(orders.parent_order.pairs()) == expected["parent"]
         assert set(orders.sibling_order.pairs()) == expected["sibling"]

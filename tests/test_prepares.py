@@ -8,7 +8,7 @@ import pytest
 from btconverge.backchain import build_bcbt
 
 from btconverge.bt import NodeKind
-from btconverge.execution import _hit_times, check_fts, hitting_time, simulate
+from btconverge.execution import FtsVerdict, _hit_times, check_fts, hitting_time, simulate
 from btconverge.prepares import (
     AbstractionError,
     Certificate,
@@ -25,10 +25,12 @@ from btconverge.prepares import (
     condense,
     _longest_path_bound,
 )
+from btconverge.specfile import parse_document
 from btconverge.statespace import Region, StepError, World
 from btconverge.substitution import substitute
 
 from helpers import (
+    bundled_document,
     bundled_spec,
     two_stage_fallback_model,
     two_stage_sequence_model,
@@ -536,6 +538,18 @@ def test_fts_precondition_failure_raises():
     )
     with pytest.raises(FtsPreconditionError):
         certify_convergence(broken, [broken.vertex_of(n) for n in names], 1.0)
+
+
+def test_member_without_basin_data_is_an_fts_verdict():
+    doc = bundled_document("gridworld")
+    for entry in doc["leaves"]:
+        if entry["name"] == "go_up":
+            del entry["doa"]
+    spec = parse_document(doc)
+    members = [spec.model.vertex_of(n) for n in spec.abstraction]
+    with pytest.raises(FtsPreconditionError) as exc:
+        certify_convergence(spec.model, members, spec.delta)
+    assert exc.value.failures == {"go_up": FtsVerdict(False, "missing-basin-data")}
 
 
 def test_transition_soundness_on_surveying_robot():

@@ -857,6 +857,34 @@ def test_package_errors_exit_two(argv, text, message, tmp_path, capsys):
     assert err.startswith("error: ") and message in err
 
 
+def test_fts_precondition_report_names_kind_cell_and_step(tmp_path, capsys):
+    """Each violation is a {kind, witness_cell, step} object in JSON and one line of text."""
+    doc = bundled_document("gridworld")
+    for entry in doc["leaves"]:
+        if "doa" in entry:
+            entry["doa"]["horizon"] = 1
+    path = tmp_path / "short.json"
+    path.write_text(json.dumps(doc))
+    code, out, _err = run_cli("check", "--spec", str(path), "--format", "json", capsys=capsys)
+    assert code == 1
+    assert json.loads(out) == {
+        "status": "refuted",
+        "kind": "fts-precondition",
+        "violations": {
+            "go_right": {"kind": "deadline", "witness_cell": 1, "step": 2},
+            "go_up": {"kind": "deadline", "witness_cell": 3, "step": 3},
+            "dock": {"kind": "deadline", "witness_cell": 21, "step": 4},
+        },
+    }
+    code, out, _err = run_cli("check", "--spec", str(path), capsys=capsys)
+    assert code == 1
+    assert out.splitlines()[2:] == [
+        "violation at go_right: deadline at cell 1 (step 2)",
+        "violation at go_up: deadline at cell 3 (step 3)",
+        "violation at dock: deadline at cell 21 (step 4)",
+    ]
+
+
 @pytest.mark.parametrize("delta", ["0", "0.5"])
 def test_understated_delta_exits_two(delta, capsys):
     code, out, err = run_cli("check", "--spec", "bundled:gridworld", "--delta", delta, capsys=capsys)
