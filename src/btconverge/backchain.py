@@ -16,7 +16,8 @@ cross-checked against it in the tests.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import chain
+from functools import cached_property
+from itertools import chain, compress
 from typing import Hashable, Iterable, Optional
 
 from .bt import BTModel, LeafData, NodeKind, NodeSpec, fal, seq
@@ -26,10 +27,9 @@ from .prepares import (
     Refutation,
     behavior_graph,
     certify_convergence,
-    reach,
     reach_masks,
 )
-from .statespace import BTConvergeError, Region, World
+from .statespace import BTConvergeError, Region, World, bit_selector
 
 Id = Hashable
 
@@ -128,50 +128,86 @@ class ActionConditionLibrary:
 
 @dataclass(frozen=True)
 class LinkStructure:
-    """Triplets (achiever, condition, consumer) plus the derived closures."""
+    """Triplets (achiever, condition, consumer) plus the derived closures.
+
+    ``post[i]`` holds the conditions achieved at or below action i in the
+    link order, and ``acc[i]`` the conditions some consumer below i needs
+    before the one linked to it; both are printed.  ``order`` (the pairs
+    (i, j) where i link-reaches j, i itself included) and ``downstream`` (per
+    action, the links whose achiever it reaches) are built on first read:
+    only tests and an error message read them.
+    """
 
     links: frozenset[tuple[Id, Id, Id]]
-    order: frozenset[tuple[Id, Id]]
-    downstream: dict[Id, frozenset[tuple[Id, Id, Id]]]
     post: dict[Id, frozenset[Id]]
     acc: dict[Id, frozenset[Id]]
+    rank: dict[Id, int]  # condition -> its place in condition_ids()
+    succ: list[list[int]]  # achiever -> consumers, over the indices of post's actions
+
+    @property
+    def order(self) -> frozenset[tuple[Id, Id]]:
+        return self._closures[0]
+
+    @property
+    def downstream(self) -> dict[Id, frozenset[tuple[Id, Id, Id]]]:
+        return self._closures[1]
+
+    @cached_property
+    def _closures(self) -> tuple[frozenset, dict]:
+        actions = list(self.post)
+        below = reach_masks(self.succ, [1 << k for k in range(len(actions))])
+        by_achiever: dict[Id, list[tuple[Id, Id, Id]]] = {i: [] for i in actions}
+        for link in self.links:
+            by_achiever[link[0]].append(link)
+        order: set[tuple[Id, Id]] = set()
+        downstream: dict[Id, frozenset] = {}
+        for i, mask in zip(actions, below):
+            reached = list(compress(actions, bit_selector(mask)))
+            order.update((i, j) for j in reached)
+            downstream[i] = frozenset(t for j in reached for t in by_achiever[j])
+        return frozenset(order), downstream
 
     def order_is_antisymmetric(self) -> bool:
         return not any(a != c and (c, a) in self.order for a, c in self.order)
 
 
 def compute_links(lib: ActionConditionLibrary) -> LinkStructure:
-    consumers: dict[Id, list[Id]] = {}
+    """The links and, per action, post and acc: two ``reach_masks`` passes over
+    achiever->consumer successors carrying condition bitmasks (bit k is
+    ``condition_ids()[k]``), decoded in C."""
+    actions = list(lib.actions)
+    index = {a: k for k, a in enumerate(actions)}
+    conditions = lib.condition_ids()
+    rank = {c: k for k, c in enumerate(conditions)}
+    consumer_of: dict[Id, Id] = {}  # the library gives a condition at most one consumer
+    pending: dict[Id, int] = {}  # condition -> the consumer's preconditions listed before it
     for consumer, aentry in lib.actions.items():
+        before = 0
         for cid in aentry.preconditions:
-            consumers.setdefault(cid, []).append(consumer)
-    links = {
-        (a, cid, consumer)
+            consumer_of[cid] = consumer
+            pending[cid] = before
+            before |= 1 << rank[cid]
+    links = frozenset(
+        (a, cid, consumer_of[cid])
         for cid, centry in lib.conditions.items()
+        if cid in consumer_of
         for a in centry.achievers
-        for consumer in consumers.get(cid, ())
-    }
-    succ: dict[Id, list[Id]] = {i: [] for i in lib.actions}
-    by_achiever: dict[Id, list[tuple[Id, Id, Id]]] = {i: [] for i in lib.actions}
-    for link in links:
-        succ[link[0]].append(link[2])
-        by_achiever[link[0]].append(link)
-    order: set[tuple[Id, Id]] = set()
-    downstream: dict[Id, frozenset] = {}
-    post: dict[Id, frozenset] = {}
-    acc: dict[Id, frozenset] = {}
-    for i in lib.actions:
-        below = reach(succ, [i])
-        order.update((i, j) for j in below)
-        mine = frozenset(t for j in below for t in by_achiever[j])
-        downstream[i] = mine
-        post[i] = frozenset(b for _a, b, _c in mine)
-        acc_set = set()
-        for _a, b, c in mine:
-            pre = lib.actions[c].preconditions
-            acc_set.update(pre[: pre.index(b)])
-        acc[i] = frozenset(acc_set)
-    return LinkStructure(frozenset(links), frozenset(order), downstream, post, acc)
+    )
+    succ: list[list[int]] = [[] for _ in actions]
+    own_post = [0] * len(actions)
+    own_acc = [0] * len(actions)
+    for a, b, c in links:
+        k = index[a]
+        succ[k].append(index[c])
+        own_post[k] |= 1 << rank[b]
+        own_acc[k] |= pending[b]
+
+    def decode(masks: list[int]) -> dict[Id, frozenset[Id]]:
+        return {i: frozenset(compress(conditions, bit_selector(m))) for i, m in zip(actions, masks)}
+
+    post = decode(reach_masks(succ, own_post))
+    acc = decode(reach_masks(succ, own_acc))
+    return LinkStructure(links, post, acc, rank, succ)
 
 
 def validate_bc_assumptions(lib: ActionConditionLibrary, root: Id, links: Optional[LinkStructure] = None) -> LinkStructure:
@@ -184,7 +220,7 @@ def validate_bc_assumptions(lib: ActionConditionLibrary, root: Id, links: Option
         links = compute_links(lib)
     if root not in lib.actions:
         raise LibraryError(f"unknown root action {root!r}")
-    if links.downstream.get(root):
+    if root in {a for a, _b, _c in links.links}:  # some link lies below the root
         raise AssumptionError(
             f"top-level action {root!r} still has links to satisfy: "
             f"{sorted(links.downstream[root])}"
@@ -262,10 +298,11 @@ class InfluenceTerms:
 
 
 def bc_influence_terms(lib: ActionConditionLibrary, links: LinkStructure, i: Id) -> InfluenceTerms:
+    rank = links.rank.__getitem__  # condition_ids() order, without an _id_key call per entry
     return InfluenceTerms(
-        acc=tuple(sorted(links.acc[i], key=_id_key)),
+        acc=tuple(sorted(links.acc[i], key=rank)),
         pre=tuple(lib.actions[i].preconditions),
-        post=tuple(sorted(links.post[i], key=_id_key)),
+        post=tuple(sorted(links.post[i], key=rank)),
     )
 
 
@@ -301,19 +338,20 @@ def verify_bc_operating(lib: ActionConditionLibrary, built: BcBt, links: Optiona
     if links is None:
         links = compute_links(lib)
     analysis = built.model.analysis()
+    linked = {a for a, _b, _c in links.links}  # the actions with a link below them
     violations: list[str] = []
     for i in lib.actions:
         v = built.vertex_of[i]
         if not (analysis.omega[v] & analysis.failure[v]).is_empty:
             violations.append(f"action {i!r} operates inside its failure region")
-        if links.downstream[i] and not (analysis.omega[v] & analysis.success[v]).is_empty:
+        if i in linked and not (analysis.omega[v] & analysis.success[v]).is_empty:
             violations.append(f"linked action {i!r} operates inside its success region")
     for j in lib.conditions:
         v = built.vertex_of[j]
         if not analysis.omega[v].is_empty:
             violations.append(f"condition {j!r} has a nonempty operating region")
     leaf_vertices = set(built.id_of)
-    expected_s = {built.vertex_of[i] for i in lib.actions if not links.downstream[i]}
+    expected_s = {built.vertex_of[i] for i in lib.actions if i not in linked}
     expected_f = {built.vertex_of[i] for i in lib.actions}
     expected_f |= {built.vertex_of[j] for j in lib.conditions if not lib.conditions[j].achievers}
     got_s = analysis.success_pathway & leaf_vertices

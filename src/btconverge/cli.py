@@ -139,7 +139,8 @@ def cmd_check(args: argparse.Namespace) -> int:
         FtsPreconditionError,
         Refutation,
         build_prepares_graph,
-        certify_convergence,
+        certify_checked,
+        check_hypotheses,
         condense,
     )
 
@@ -148,13 +149,9 @@ def cmd_check(args: argparse.Namespace) -> int:
         raise SpecError("check needs a spec with a tree block")
     model = spec.model
     delta = _resolve_delta(spec, args.delta)
-    members = _abstraction_vertices(spec)
-    condensed = condense(build_prepares_graph(model, members, delta))
-    seeds = _parse_seed_classes(args.seed_classes, model, condensed)
-    try:
-        outcome = certify_convergence(
-            model, members, delta=delta, seeds=seeds, condensed=condensed
-        )
+    members = sorted(set(_abstraction_vertices(spec)))
+    try:  # certify_convergence's order: hypotheses first, so a member without basin data is reported
+        check_hypotheses(model, members, delta)
     except FtsPreconditionError as exc:
         report = {
             "status": "refuted",
@@ -166,6 +163,9 @@ def cmd_check(args: argparse.Namespace) -> int:
         }
         _print_report(report, args)
         return EXIT_REFUTED
+    condensed = condense(build_prepares_graph(model, members, delta))
+    seeds = _parse_seed_classes(args.seed_classes, model, condensed)
+    outcome = certify_checked(model, members, delta, seeds, condensed)
     if isinstance(outcome, Refutation):
         report = {
             "status": "refuted",

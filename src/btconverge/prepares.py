@@ -13,6 +13,7 @@ reaching the goals.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from itertools import compress, count
 from typing import Iterable, Mapping, Optional, Sequence
 
 from .bt import BTModel, Doa, NodeKind, action as action_spec, validate_abstraction
@@ -146,19 +147,15 @@ def build_prepares_graph(
         if u.flavor == FLAVOR_GOAL:
             continue
         basin = basins[u.owner].mask
-        reach: Optional[int] = None  # u's dilation, built at its first candidate
-        for wi, w in enumerate(vertices):
-            if ui == wi:
-                continue
+        reach = world.dilate(u.cells, delta).mask
+        for wi in compress(count(), map(reach.__and__, masks)):  # the slices u's step meets
+            w = vertices[wi]  # u itself falls under the same-owner rules
             if u.flavor == FLAVOR_OUTSIDE:
                 if w.flavor == FLAVOR_OUTSIDE and w.owner == u.owner:
                     continue
             elif (w.flavor != FLAVOR_GOAL and w.owner == u.owner) or not basin & masks[wi]:
                 continue  # basin slice: other owners' slices, any goal, inside the basin
-            if reach is None:
-                reach = world.dilate(u.cells, delta).mask
-            if reach & masks[wi]:
-                edges.add((ui, wi))
+            edges.add((ui, wi))
     return PreparesGraph(vertices, edges)
 
 

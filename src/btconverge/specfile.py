@@ -13,13 +13,13 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass
-from itertools import chain
+from itertools import chain, compress
 from json.encoder import encode_basestring_ascii
 from operator import itemgetter
 from typing import TYPE_CHECKING, Any, Callable, Optional
 
 from .bt import BTModel, Doa, LeafData, ModelError, NodeKind, NodeSpec, check_leaf
-from .statespace import BTConvergeError, Region, SuccessorMap, World, WorldError
+from .statespace import BTConvergeError, Region, SuccessorMap, World, WorldError, bit_selector
 
 if TYPE_CHECKING:  # the library and substitution readers import these when they run
     from .backchain import ActionConditionLibrary
@@ -120,7 +120,10 @@ _NUMBER = frozenset({int, float})
 def _list(value: Any, path: str, of: Optional[type] = None) -> list:
     """A JSON array; with ``of``, every entry of exactly that type (a JSON
     ``true`` is no integer), checked in C and walked only to name the first
-    bad entry."""
+    bad entry.  An ``_Ints`` array from ``build_document`` holds only ints
+    and is not scanned."""
+    if type(value) is _Ints and of in (int, None):
+        return value
     if type(value) is not list:
         raise SpecError(f"{path} must be a list")
     if of is not None and not {of}.issuperset(map(type, value)):
@@ -169,7 +172,7 @@ def _region(value: Any, path: str, world: World) -> Region:
 
 def _targets(value: Any, path: str, cells: Optional[int] = None) -> SuccessorMap:
     """A successor map: one target cell per cell (``cells`` of them, when given)."""
-    if cells is not None and (type(value) is not list or len(value) != cells):
+    if cells is not None and (type(value) not in (list, _Ints) or len(value) != cells):
         raise SpecError(f"{path} must list one target per cell")
     try:
         return SuccessorMap(_list(value, path, of=int))
@@ -385,16 +388,29 @@ def _world_block(world: World) -> dict:
     return block
 
 
+class _Ints(list):
+    """An array of plain ints that this module built: a region's cells or a
+    successor map's targets.  The writer and ``_list(of=int)`` trust it and
+    skip their per-entry type scan; every other list is scanned."""
+
+    __slots__ = ()
+
+
+def _cells(region: Region, ids: list[int]) -> _Ints:
+    """region's cells, picked in C from ids = ``list(range(cells))``, which one
+    document's regions share, so no new int object is made per cell."""
+    return _Ints(compress(ids, bit_selector(region.mask)))
+
+
 def _leaf_entry(leaf: LeafData | RrLeaf, ids: list[int], **fields: Any) -> dict:
-    """fields plus the leaf's regions and dynamics; ids is ``list(range(cells))``,
-    shared by one document's regions."""
-    entry = {**fields, "success": leaf.success.pick(ids), "failure": leaf.failure.pick(ids)}
+    """fields plus the leaf's regions and dynamics; ids as in ``_cells``."""
+    entry = {**fields, "success": _cells(leaf.success, ids), "failure": _cells(leaf.failure, ids)}
     if leaf.controller is not None:
-        entry["next"] = list(leaf.controller.targets)
+        entry["next"] = _Ints(leaf.controller.targets)
     if leaf.doa is not None:
         entry["doa"] = {
-            "basin": leaf.doa.basin.pick(ids),
-            "goal": leaf.doa.goal.pick(ids),
+            "basin": _cells(leaf.doa.basin, ids),
+            "goal": _cells(leaf.doa.goal, ids),
             "horizon": leaf.doa.horizon,
         }
     return entry
@@ -439,14 +455,14 @@ def substitution_block(spec: SubstitutionSpec, target_name: Optional[str] = None
         "time_budget": spec.time_budget,
         "hysteresis_cap": spec.hysteresis_cap,
         "hysteresis": spec.hysteresis,
-        "risk_ok": spec.rok_success.pick(ids),
+        "risk_ok": _cells(spec.rok_success, ids),
         "dd_next": list(spec.dd_targets),
         "rr": _leaf_entry(spec.rr, ids),
     }
     if spec.dd_success is not None:
-        block["dd_success"] = spec.dd_success.pick(ids)
+        block["dd_success"] = _cells(spec.dd_success, ids)
     if spec.dd_failure is not None:
-        block["dd_failure"] = spec.dd_failure.pick(ids)
+        block["dd_failure"] = _cells(spec.dd_failure, ids)
     return block
 
 
@@ -476,7 +492,8 @@ def dump_document(doc: dict) -> str:
     With an indent the stdlib encoder runs in pure Python, one call per
     value.  This writer does the same walk but writes a list of plain ints
     (cell arrays, successor targets: most of a document) with one gather
-    from a per-call table of decimal texts and one join.
+    from a per-call table of decimal texts and one join; an ``_Ints`` array
+    skips the type scan that tells such a list apart.
     Keys must be strings, as they are in every document.
     """
     out: list[str] = []
@@ -518,7 +535,7 @@ def _write(value: Any, newline: str, out: list[str], decimals: _Decimals) -> Non
     elif isinstance(value, (list, tuple)):
         if not value:
             out.append("[]")
-        elif _INT.issuperset(map(type, value)):  # plain ints only: bools print as true/false
+        elif type(value) is _Ints or _INT.issuperset(map(type, value)):  # bools print as true/false
             if len(value) == 1:  # itemgetter of one key returns the text, not a tuple
                 body = decimals[value[0]]
             else:

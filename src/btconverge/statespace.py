@@ -131,7 +131,7 @@ class Region:
         With ``items = list(range(n))`` shared by many regions this is the
         cell list without a Python step or a new int object per cell.
         """
-        return list(compress(items, bin(self.mask)[:1:-1].encode().translate(_DIGIT_VALUES)))
+        return list(compress(items, bit_selector(self.mask)))
 
     def digits(self) -> str:
         """One "0"/"1" character per cell, cell 0 first: O(1) membership in loops.
@@ -158,6 +158,13 @@ class Region:
 
 _DIGIT_VALUES = bytes.maketrans(b"01", b"\0\1")
 _MARK_DIGITS = bytes.maketrans(b"\0\1", b"01")
+
+
+def bit_selector(mask: int) -> bytes:
+    """One byte per binary digit of a non-negative mask, lowest first: 1 where
+    the bit is set, else 0.  ``compress(items, bit_selector(mask))`` picks the
+    items at mask's set bits in C."""
+    return bin(mask)[:1:-1].encode().translate(_DIGIT_VALUES)
 
 
 def _set_digits(bits: str) -> Iterator[int]:

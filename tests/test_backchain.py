@@ -486,12 +486,50 @@ def test_links_match_the_action_condition_scan(rng):
         bundled_library("mobile_manipulator"),
         bundled_library("surveying_robot_library"),
     ] + [random_library(rng, max_actions=rng.choice([5, 12])) for _ in range(20)]
-    for lib, _root in libraries:
+    libraries = [lib for lib, _root in libraries] + [random_link_library(rng) for _ in range(200)]
+    seen = Counter()
+    for lib in libraries:
         links, order, downstream = pairwise_links(lib)
         got = compute_links(lib)
         assert got.links == links
+        # post and acc from the pairwise downstream links: what each action's links achieve,
+        # and what their consumers need before the linked condition
+        assert got.post == {i: frozenset(b for _a, b, _c in mine) for i, mine in downstream.items()}
+        assert got.acc == {
+            i: frozenset(
+                p
+                for _a, b, c in mine
+                for p in lib.actions[c].preconditions[: lib.actions[c].preconditions.index(b)]
+            )
+            for i, mine in downstream.items()
+        }
         assert got.order == order
         assert got.downstream == downstream
+        if any(a != c and (c, a) in order for a, c in order) or any(a == c for a, _b, c in links):
+            seen["link cycle"] += 1
+        if any(got.acc.values()):
+            seen["pending conditions"] += 1
+    assert min(seen["link cycle"], seen["pending conditions"]) >= 20, seen
+
+
+def test_backchain_certify_builds_no_link_order(tmp_path, monkeypatch, capsys):
+    """The CLI reads post, acc and the links; order and downstream stay unbuilt."""
+    from btconverge.cli import main
+    from btconverge.specfile import dump_document, library_document
+
+    def refuse(self):
+        raise AssertionError("order or downstream was built")
+
+    lib, root = staged_chain_library(40)
+    path = tmp_path / "chain40.json"
+    path.write_text(dump_document({**library_document(lib, root), "delta": 1.0}))
+    monkeypatch.setattr(backchain.LinkStructure, "_closures", property(refuse))
+    code = main(["backchain", "--spec", str(path), "--certify", "--out", str(tmp_path / "tree.json")])
+    facts, verdict = capsys.readouterr().out.splitlines()[-2:]
+    assert code == 0 and facts == "operating-region facts hold: True"
+    assert verdict.startswith("certified: bound ") and verdict.endswith(", pattern holds: True")
+    with pytest.raises(AssertionError, match="order or downstream"):
+        compute_links(lib).order
 
 
 # ----------------------------------------------------------------------

@@ -27,7 +27,7 @@ from btconverge.prepares import (
 )
 from btconverge.specfile import parse_document
 from btconverge.statespace import Region, StepError, World
-from btconverge.substitution import substitute
+from btconverge.substitution import DD_NAME, RR_NAME, substitute
 
 from helpers import (
     bundled_document,
@@ -38,6 +38,7 @@ from helpers import (
     path_bound,
     random_funnel_model,
     random_gridworld_model,
+    random_reverification_instance,
     staged_chain_library,
 )
 
@@ -247,6 +248,13 @@ def test_dilated_edges_match_pairwise_neighboring(rng):
         spec = dataclasses.replace(b.substitution, time_budget=budget, hysteresis_cap=cap)
         new = substitute(b.model, spec, base_delta=b.delta).new_model
         cases.append((new, list(new.action_vertices()), None))
+    for trial in range(48):  # re-verification products over metric and adjacency base worlds
+        metric, hysteresis, per_aug_dd = trial % 2 == 1, trial // 2 % 2 == 1, trial // 4 % 2 == 1
+        model, spec, delta, names = random_reverification_instance(
+            rng, rng.randint(5, 8), metric, hysteresis, per_aug_dd
+        )
+        new = substitute(model, spec, base_delta=delta).new_model
+        cases.append((new, sorted(new.vertex_of(x) for x in [*names, DD_NAME, RR_NAME]), None))
     for model, members, delta in cases:
         graph = build_prepares_graph(model, members, delta)
         assert graph.cell_vertex is not None

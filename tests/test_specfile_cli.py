@@ -8,6 +8,8 @@ import pytest
 
 from btconverge.bt import BTModel
 from btconverge.cli import EXAMPLES, bundled_names, main
+from btconverge.execution import FtsVerdict
+from btconverge.prepares import FtsPreconditionError, certify_convergence
 from btconverge.specfile import (
     SpecError,
     build_document,
@@ -118,7 +120,7 @@ def test_dump_document_matches_json_dumps_on_random_trees(rng):
     for _ in range(300):
         doc = {"root": random_json(rng)}
         assert dump_document(doc) == json.dumps(doc, indent=2, sort_keys=True) + "\n"
-    for value in ([], {}, [[]], [{}], {"a": {}}, [True, 1], [1, True], (1, 2), [0.0, -0.0]):
+    for value in ([], {}, [[]], [{}], {"a": {}}, [True, 1], [1, True], (1, 2), [0.0, -0.0], [True, 1.0, -1]):
         doc = {"v": value}
         assert dump_document(doc) == json.dumps(doc, indent=2, sort_keys=True) + "\n"
     # int lists share one table of decimal texts per call: repeats within and
@@ -151,16 +153,11 @@ def test_document_cell_lists_match_region_cells(rng):
 
 
 def program_documents():
-    """The six bundled documents, a 20-stage backchain output and a patrol substitute output."""
-    from btconverge.backchain import build_bcbt
+    """The six bundled documents as read, the built documents and a patrol substitute output."""
     from btconverge.substitution import substitute
 
-    from helpers import staged_chain_library
-
     docs = {name: bundled_document(name) for name in bundled_names()}
-    lib, root = staged_chain_library(20)
-    abstraction = [lib.actions[a].leaf.name for a in lib.action_ids()]
-    docs["chain20-backchain"] = build_document(build_bcbt(lib, root).model, abstraction, 1.0)
+    docs.update(built_documents())
     b = bundled_spec("patrol")
     result = substitute(b.model, b.substitution, base_delta=b.delta)
     docs["patrol-substitute"] = build_document(result.new_model)
@@ -169,9 +166,47 @@ def program_documents():
 
 def test_dump_document_matches_json_dumps_on_program_documents():
     docs = program_documents()
-    assert len(docs) == 8
+    assert len(docs) == 15
     for name, doc in docs.items():
         assert dump_document(doc) == json.dumps(doc, indent=2, sort_keys=True) + "\n", name
+
+
+def built_documents():
+    """Documents the writers build themselves, whose cell and target arrays skip the type scan."""
+    from btconverge.backchain import build_bcbt
+
+    from helpers import staged_chain_library
+
+    docs = {}
+    for name in bundled_names():
+        spec = bundled_spec(name)
+        if spec.model is not None:
+            block = None
+            if spec.substitution is not None:
+                block = substitution_block(spec.substitution, spec.document["substitution"]["target"])
+            docs[f"{name}-built"] = build_document(spec.model, spec.abstraction, spec.delta, block)
+        if spec.library is not None:
+            docs[f"{name}-library"] = library_document(spec.library, spec.library_root)
+    lib, root = staged_chain_library(20)
+    abstraction = [lib.actions[a].leaf.name for a in lib.action_ids()]
+    docs["chain20-backchain"] = build_document(build_bcbt(lib, root).model, abstraction, 1.0)
+    docs["chain20-library"] = library_document(lib, root)
+    return docs
+
+
+def test_built_documents_parse_without_a_json_round_trip():
+    for name, doc in built_documents().items():
+        direct = parse_document(doc)
+        reread = parse_document(json.loads(dump_document(doc)))
+        if direct.model is not None:
+            assert_models_equal(direct.model, reread.model)
+        if direct.library is not None:
+            assert direct.library.action_ids() == reread.library.action_ids()
+            for aid, entry in direct.library.actions.items():
+                assert entry.leaf.success == reread.library.actions[aid].leaf.success
+                assert entry.leaf.controller == reread.library.actions[aid].leaf.controller
+        if direct.substitution is not None:
+            assert direct.substitution == reread.substitution, name
 
 
 @pytest.mark.parametrize(
@@ -883,6 +918,31 @@ def test_fts_precondition_report_names_kind_cell_and_step(tmp_path, capsys):
         "violation at go_up: deadline at cell 3 (step 3)",
         "violation at dock: deadline at cell 21 (step 4)",
     ]
+
+
+def test_check_reports_a_member_without_basin_data(tmp_path, capsys):
+    """check runs the hypotheses before the slice graph, as certify_convergence does,
+    so a member with no doa is an fts-precondition violation, not an error naming a vertex."""
+    doc = bundled_document("gridworld")
+    (entry,) = (entry for entry in doc["leaves"] if entry["name"] == "go_up")
+    del entry["doa"]
+    path = tmp_path / "no_doa.json"
+    path.write_text(json.dumps(doc))
+    code, out, err = run_cli("check", "--spec", str(path), "--format", "json", capsys=capsys)
+    assert (code, err) == (1, "")
+    assert json.loads(out) == {
+        "status": "refuted",
+        "kind": "fts-precondition",
+        "violations": {"go_up": {"kind": "missing-basin-data", "witness_cell": None, "step": None}},
+    }
+    code, out, err = run_cli("check", "--spec", str(path), capsys=capsys)
+    assert (code, err) == (1, "")
+    assert out == "status: refuted\nkind: fts-precondition\nviolation at go_up: missing-basin-data\n"
+    spec = parse_document(doc)
+    members = [spec.model.vertex_of(name) for name in spec.abstraction]
+    with pytest.raises(FtsPreconditionError) as caught:
+        certify_convergence(spec.model, members, delta=spec.delta)
+    assert caught.value.failures == {"go_up": FtsVerdict(False, "missing-basin-data")}
 
 
 @pytest.mark.parametrize("delta", ["0", "0.5"])
