@@ -16,7 +16,6 @@ cross-checked against it in the tests.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
 from itertools import chain, compress
 from typing import Hashable, Iterable, Optional
 
@@ -132,43 +131,13 @@ class LinkStructure:
 
     ``post[i]`` holds the conditions achieved at or below action i in the
     link order, and ``acc[i]`` the conditions some consumer below i needs
-    before the one linked to it; both are printed.  ``order`` (the pairs
-    (i, j) where i link-reaches j, i itself included) and ``downstream`` (per
-    action, the links whose achiever it reaches) are built on first read:
-    only tests and an error message read them.
+    before the one linked to it; both are printed.
     """
 
     links: frozenset[tuple[Id, Id, Id]]
     post: dict[Id, frozenset[Id]]
     acc: dict[Id, frozenset[Id]]
     rank: dict[Id, int]  # condition -> its place in condition_ids()
-    succ: list[list[int]]  # achiever -> consumers, over the indices of post's actions
-
-    @property
-    def order(self) -> frozenset[tuple[Id, Id]]:
-        return self._closures[0]
-
-    @property
-    def downstream(self) -> dict[Id, frozenset[tuple[Id, Id, Id]]]:
-        return self._closures[1]
-
-    @cached_property
-    def _closures(self) -> tuple[frozenset, dict]:
-        actions = list(self.post)
-        below = reach_masks(self.succ, [1 << k for k in range(len(actions))])
-        by_achiever: dict[Id, list[tuple[Id, Id, Id]]] = {i: [] for i in actions}
-        for link in self.links:
-            by_achiever[link[0]].append(link)
-        order: set[tuple[Id, Id]] = set()
-        downstream: dict[Id, frozenset] = {}
-        for i, mask in zip(actions, below):
-            reached = list(compress(actions, bit_selector(mask)))
-            order.update((i, j) for j in reached)
-            downstream[i] = frozenset(t for j in reached for t in by_achiever[j])
-        return frozenset(order), downstream
-
-    def order_is_antisymmetric(self) -> bool:
-        return not any(a != c and (c, a) in self.order for a, c in self.order)
 
 
 def compute_links(lib: ActionConditionLibrary) -> LinkStructure:
@@ -207,7 +176,7 @@ def compute_links(lib: ActionConditionLibrary) -> LinkStructure:
 
     post = decode(reach_masks(succ, own_post))
     acc = decode(reach_masks(succ, own_acc))
-    return LinkStructure(links, post, acc, rank, succ)
+    return LinkStructure(links, post, acc, rank)
 
 
 def validate_bc_assumptions(lib: ActionConditionLibrary, root: Id, links: Optional[LinkStructure] = None) -> LinkStructure:
@@ -220,11 +189,9 @@ def validate_bc_assumptions(lib: ActionConditionLibrary, root: Id, links: Option
         links = compute_links(lib)
     if root not in lib.actions:
         raise LibraryError(f"unknown root action {root!r}")
-    if root in {a for a, _b, _c in links.links}:  # some link lies below the root
-        raise AssumptionError(
-            f"top-level action {root!r} still has links to satisfy: "
-            f"{sorted(links.downstream[root])}"
-        )
+    own = sorted(t for t in links.links if t[0] == root)  # a link below the root starts at it
+    if own:
+        raise AssumptionError(f"top-level action {root!r} still has links to satisfy: {own}")
     for cid, entry in lib.conditions.items():
         if len(entry.achievers) > 1:
             raise AssumptionError(f"condition {cid!r} has several achievers {entry.achievers}")

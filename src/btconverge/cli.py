@@ -42,17 +42,16 @@ def _load_spec(ref: str) -> LoadedSpec:
     return load_path(ref)
 
 
-def _resolve_delta(spec: LoadedSpec, override: Optional[float]) -> Optional[float]:
+def _resolve_delta(spec: LoadedSpec, override: Optional[float], model) -> Optional[float]:
+    """The step bound: --delta, else the spec's delta, else in a metric world
+    the largest step of model's controllers (the spec's tree, or the tree
+    generated from its library)."""
     if override is not None:
         return override
     if spec.delta is not None:
         return float(spec.delta)
-    if spec.world.coords is not None and spec.model is not None:
-        maps = [
-            leaf.controller
-            for leaf in spec.model.leaves.values()
-            if leaf.controller is not None
-        ]
+    if spec.world.coords is not None:
+        maps = [leaf.controller for leaf in model.leaves.values() if leaf.controller is not None]
         return step_bound(spec.world, maps)
     return None
 
@@ -148,7 +147,7 @@ def cmd_check(args: argparse.Namespace) -> int:
     if spec.model is None:
         raise SpecError("check needs a spec with a tree block")
     model = spec.model
-    delta = _resolve_delta(spec, args.delta)
+    delta = _resolve_delta(spec, args.delta, model)
     members = sorted(set(_abstraction_vertices(spec)))
     try:  # certify_convergence's order: hypotheses first, so a member without basin data is reported
         check_hypotheses(model, members, delta)
@@ -226,10 +225,13 @@ def _print_report(report: dict, args: argparse.Namespace) -> None:
     for sink in report.get("sinks", []):
         lines.append(f"goal sink: {{{', '.join(sink)}}}")
     for name, v in report.get("violations", {}).items():
-        at = "" if v["witness_cell"] is None else f" at cell {v['witness_cell']}"
-        step = "" if v["step"] is None else f" (step {v['step']})"
-        lines.append(f"violation at {name}: {v['kind']}{at}{step}")
+        lines.append(_violation_line(name, v["kind"], v["witness_cell"], v["step"]))
     _emit("\n".join(lines) + "\n", args.out)
+
+
+def _violation_line(name: str, kind: str, cell: Optional[int], step: Optional[int]) -> str:
+    at = "" if cell is None else f" at cell {cell}"
+    return f"violation at {name}: {kind}{at}" + ("" if step is None else f" (step {step})")
 
 
 def cmd_simulate(args: argparse.Namespace) -> int:
@@ -255,7 +257,7 @@ def cmd_export(args: argparse.Namespace) -> int:
         return EXIT_OK
     from .prepares import analysis_set, behavior_graph, build_prepares_graph, condense
 
-    delta = _resolve_delta(spec, args.delta)
+    delta = _resolve_delta(spec, args.delta, model)
     graph = build_prepares_graph(model, _abstraction_vertices(spec), delta)
     condensed = condense(graph)
     seeds = _parse_seed_classes(args.seed_classes, model, condensed)
@@ -278,7 +280,7 @@ def cmd_backchain(args: argparse.Namespace) -> int:
         compute_links,
         verify_bc_operating,
     )
-    from .prepares import Certificate
+    from .prepares import Certificate, FtsPreconditionError
 
     spec = _load_spec(args.spec)
     if spec.library is None:
@@ -300,23 +302,31 @@ def cmd_backchain(args: argparse.Namespace) -> int:
     report_lines.append(f"operating-region facts hold: {bool(operating)}")
     for issue in operating.violations:
         report_lines.append(f"  violation: {issue}")
+    ok = bool(operating)  # with --certify, also the verdict, mapped to exit codes as check maps it
     if args.certify:
-        report = check_bc_convergence(lib, root, delta=spec.delta, built=built, links=links)
-        if report.pattern_ok is None:
-            pattern = "n/a (basin hypothesis fails; general certification used)"
+        delta = _resolve_delta(spec, None, built.model)
+        try:
+            report = check_bc_convergence(lib, root, delta=delta, built=built, links=links)
+        except FtsPreconditionError as exc:
+            ok = False
+            report_lines.append(f"refuted: {exc}")
+            for name, v in exc.failures.items():
+                report_lines.append(_violation_line(name, v.kind, v.witness, v.step))
         else:
-            pattern = str(report.pattern_ok)
-        if isinstance(report.result, Certificate):
-            report_lines.append(
-                f"certified: bound {report.result.bound}, pattern holds: {pattern}"
-            )
-        else:
-            report_lines.append(f"refuted: {report.result.detail}")
+            ok = ok and bool(report)
+            if report.pattern_ok is None:
+                pattern = "n/a (basin hypothesis fails; general certification used)"
+            else:
+                pattern = str(report.pattern_ok)
+            if isinstance(report.result, Certificate):
+                report_lines.append(
+                    f"certified: bound {report.result.bound}, pattern holds: {pattern}"
+                )
+            else:
+                report_lines.append(f"refuted: {report.result.detail}")
     abstraction = [lib.actions[a].leaf.name for a in lib.action_ids()]
     _emit_document(build_document(built.model, abstraction, spec.delta), report_lines, args.out)
-    if not operating:
-        return EXIT_REFUTED
-    return EXIT_OK
+    return EXIT_OK if ok else EXIT_REFUTED
 
 
 def cmd_substitute(args: argparse.Namespace) -> int:
@@ -325,7 +335,7 @@ def cmd_substitute(args: argparse.Namespace) -> int:
     spec = _load_spec(args.spec)
     if spec.model is None or spec.substitution is None:
         raise SpecError("substitute needs a spec with tree and substitution blocks")
-    delta = _resolve_delta(spec, args.delta)
+    delta = _resolve_delta(spec, args.delta, spec.model)
     result = substitute(spec.model, spec.substitution, base_delta=delta)
     verdict = verify_preservation(result)
     report_lines = [

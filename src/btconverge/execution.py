@@ -130,10 +130,11 @@ def simulate(
 class FtsVerdict:
     """Outcome of a finite-time-success check.
 
-    kind is one of basin-static, goal-static, basin-invariance,
-    goal-invariance, deadline, or missing-basin-data for a member with no
-    basin data; witness is the offending cell and step the first step count
-    involved (None when not applicable).
+    kind is one of basin-invariance, goal-invariance, deadline, or
+    missing-basin-data for a member with no basin data; witness is the
+    offending cell and step the first step count involved (None when not
+    applicable).  The static rules (basin outside the failure region, goal
+    inside basin and success) are ``bt.check_leaf``'s.
     """
 
     ok: bool
@@ -162,18 +163,12 @@ def leaf_fts(data: LeafData) -> FtsVerdict:
     and the goal must each be closed under one step, and every basin cell
     must reach the goal within the leaf's step deadline.  A goal cell hits
     at step 0, so only basin - goal is walked.  An empty basin is vacuously
-    fine.  The data must carry a controller and basin data.
+    fine.  The data must carry a controller and basin data, and pass
+    ``bt.check_leaf``.
     """
     basin, goal, horizon = data.doa.basin, data.doa.goal, data.doa.horizon
     if basin.is_empty:
         return FtsVerdict(True)
-    running = Region.full(basin.n) - data.success - data.failure
-    if not basin.issubset(running | data.success):
-        bad = (basin - (running | data.success)).any_cell()
-        return FtsVerdict(False, "basin-static", bad, None)
-    if not goal.issubset(basin & data.success):
-        bad = (goal - (basin & data.success)).any_cell()
-        return FtsVerdict(False, "goal-static", bad, None)
     nxt = data.controller.targets
     for kind, closed in (("basin-invariance", basin), ("goal-invariance", goal)):
         cells = list(closed.cells())

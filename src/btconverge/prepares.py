@@ -63,29 +63,21 @@ class PreparesGraph:
         self._cell_vertex: object = _UNBUILT
 
     @property
-    def cell_vertex(self) -> Optional[tuple[int, ...]]:
-        """Per cell, the vertex whose slice holds it (-1 for none); None if slices overlap.
+    def cell_vertex(self) -> tuple[int, ...]:
+        """Per cell, the vertex whose slice holds it (-1 for none).
 
-        Built on first read: the verdict path never reads it.
+        The slices are disjoint: ``build_prepares_graph`` slices only an
+        abstraction whose operating regions partition the universe.  Built
+        on first read: the verdict path never reads it.
         """
         if self._cell_vertex is _UNBUILT:
             n_cells = self.vertices[0].cells.n if self.vertices else 0
             lookup = [-1] * n_cells
-            disjoint = True
             for i, v in enumerate(self.vertices):
                 for c in v.cells.cells():
-                    if lookup[c] != -1:
-                        disjoint = False
                     lookup[c] = i
-            self._cell_vertex = tuple(lookup) if disjoint else None
+            self._cell_vertex = tuple(lookup)
         return self._cell_vertex
-
-    def vertex_of_cell(self, cell: int) -> Optional[int]:
-        lookup = self.cell_vertex
-        if lookup is None:
-            raise AbstractionError("vertex regions overlap; no per-cell lookup")
-        i = lookup[cell]
-        return None if i == -1 else i
 
     def vertex(self, owner: int, flavor: str) -> int:
         try:
@@ -199,8 +191,8 @@ class CondensedGraph:
         return cells
 
     def class_of_cell(self, cell: int) -> Optional[int]:
-        v = self.graph.vertex_of_cell(cell)
-        return None if v is None else self.class_of[v]
+        v = self.graph.cell_vertex[cell]
+        return None if v == -1 else self.class_of[v]
 
     def class_keys(self, ci: int) -> tuple[tuple[int, str], ...]:
         return tuple(self.graph.vertices[v].key() for v in self.classes[ci])
@@ -333,19 +325,16 @@ def certify_convergence(
     abstraction: Iterable[int],
     delta: Optional[float] = None,
     seeds: Optional[Iterable[int]] = None,
-    condensed: Optional[CondensedGraph] = None,
 ) -> Certificate | Refutation:
     """Run the full pipeline: hypotheses, slices, condensation, exit times, step bound.
 
     The members' hypotheses must hold (``check_hypotheses``).  A sink class
     containing non-goal slices, or a class some cell never leaves, yields a
-    Refutation.  A caller that already condensed the slice graph of this
-    abstraction and delta passes it as ``condensed`` so it is not built
-    again.
+    Refutation.
     """
     members = sorted(set(abstraction))
     check_hypotheses(model, members, delta)
-    return certify_checked(model, members, delta, seeds, condensed)
+    return certify_checked(model, members, delta, seeds)
 
 
 def check_hypotheses(model: BTModel, members: Sequence[int], delta: Optional[float] = None) -> None:
@@ -384,7 +373,11 @@ def certify_checked(
     seeds: Optional[Iterable[int]] = None,
     condensed: Optional[CondensedGraph] = None,
 ) -> Certificate | Refutation:
-    """certify_convergence for sorted members whose hypotheses are known to hold."""
+    """certify_convergence for sorted members whose hypotheses are known to hold.
+
+    A caller that already condensed the slice graph of these members and
+    delta passes it as ``condensed`` so it is not built again.
+    """
     if condensed is None:
         condensed = condense(build_prepares_graph(model, members, delta))
     graph = condensed.graph

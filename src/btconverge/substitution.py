@@ -609,7 +609,7 @@ def _certify_substituted(
     seeds: Optional[Sequence[int]],
     condensed: CondensedGraph,
 ) -> Certificate | Refutation:
-    """certify_convergence(result.new_model, members, seeds=seeds, condensed=condensed),
+    """certify_convergence(result.new_model, members, seeds=seeds) on condensed,
     with the hypotheses of each lifted member checked on the base universe.
 
     The one-step check covers the base cells under the member's operating

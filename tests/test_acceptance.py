@@ -53,6 +53,7 @@ from helpers import (
     naive_status,
     naive_tick_path,
     oracle_prepares_edges,
+    pairwise_links,
     random_gridworld_model,
     random_library,
     random_substitution_instance,
@@ -261,13 +262,14 @@ def test_c08_backchain_regression():
             ("place_object", "object_at_goal", "idle"),
         }
     )
-    assert links.downstream["goto_goal"] == frozenset(
-        {
-            ("goto_goal", "near_goal", "place_object"),
-            ("place_object", "object_at_goal", "idle"),
-        }
-    )
-    strict = {(a, c) for a, c in links.order if a != c}
+    _links, order, downstream = pairwise_links(lib)
+    assert downstream["goto_goal"] == {
+        ("goto_goal", "near_goal", "place_object"),
+        ("place_object", "object_at_goal", "idle"),
+    }
+    # post[i] is what the links downstream of i achieve
+    assert links.post["goto_goal"] == frozenset({"near_goal", "object_at_goal"})
+    strict = {(a, c) for a, c in order if a != c}
     assert strict == {
         ("goto_safe_area", "idle"),
         ("goto_object", "grasp_object"),

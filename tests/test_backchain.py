@@ -60,8 +60,9 @@ def test_manipulator_links(manip):
 
 
 def test_manipulator_link_order(manip):
-    _lib, _root, links = manip
-    strict = {(a, c) for a, c in links.order if a != c}
+    lib, _root, _links = manip
+    _pairs, order, _downstream = pairwise_links(lib)
+    strict = {(a, c) for a, c in order if a != c}
     assert strict == {
         ("goto_safe_area", "idle"),
         ("goto_object", "grasp_object"),
@@ -73,17 +74,17 @@ def test_manipulator_link_order(manip):
         ("goto_goal", "idle"),
         ("place_object", "idle"),
     }
-    assert links.order_is_antisymmetric()
+    assert not any((c, a) in strict for a, c in strict)
 
 
 def test_manipulator_downstream_links_of_goto_goal(manip):
-    _lib, _root, links = manip
-    assert links.downstream["goto_goal"] == frozenset(
-        {
-            ("goto_goal", "near_goal", "place_object"),
-            ("place_object", "object_at_goal", "idle"),
-        }
-    )
+    lib, _root, links = manip
+    _pairs, _order, downstream = pairwise_links(lib)
+    assert downstream["goto_goal"] == {
+        ("goto_goal", "near_goal", "place_object"),
+        ("place_object", "object_at_goal", "idle"),
+    }
+    assert links.post["goto_goal"] == frozenset({"near_goal", "object_at_goal"})
 
 
 def test_manipulator_influence_table(manip):
@@ -120,10 +121,21 @@ def test_manipulator_influence_table(manip):
 
 
 def test_root_action_has_empty_related_sets(manip):
-    _lib, _root, links = manip
-    assert links.downstream["idle"] == frozenset()
+    lib, _root, links = manip
+    assert pairwise_links(lib)[2]["idle"] == set()
+    assert not any(a == "idle" for a, _b, _c in links.links)
     assert links.post["idle"] == frozenset()
     assert links.acc["idle"] == frozenset()
+
+
+def test_a_root_with_links_names_only_its_own_links():
+    """The links that start at the root are the ones that break the assumption."""
+    lib, _root = staged_chain_library(3)
+    with pytest.raises(AssumptionError) as exc:
+        validate_bc_assumptions(lib, "a000")
+    assert str(exc.value) == (
+        "top-level action 'a000' still has links to satisfy: [('a000', 'c000', 'a001')]"
+    )
 
 
 def test_manipulator_tree_shape(manip):
@@ -254,8 +266,9 @@ def test_cyclic_library_rejected():
     lib = ActionConditionLibrary(world, actions, conditions)
     with pytest.raises(LibraryError, match="cycle"):
         build_bcbt(lib, "a1")
-    links = compute_links(lib)
-    assert not links.order_is_antisymmetric()
+    links, order, _downstream = pairwise_links(lib)
+    assert compute_links(lib).links == links
+    assert {("a1", "a2"), ("a2", "a1")} <= order
 
 
 def test_library_invariant_validation():
@@ -503,33 +516,11 @@ def test_links_match_the_action_condition_scan(rng):
             )
             for i, mine in downstream.items()
         }
-        assert got.order == order
-        assert got.downstream == downstream
         if any(a != c and (c, a) in order for a, c in order) or any(a == c for a, _b, c in links):
             seen["link cycle"] += 1
         if any(got.acc.values()):
             seen["pending conditions"] += 1
     assert min(seen["link cycle"], seen["pending conditions"]) >= 20, seen
-
-
-def test_backchain_certify_builds_no_link_order(tmp_path, monkeypatch, capsys):
-    """The CLI reads post, acc and the links; order and downstream stay unbuilt."""
-    from btconverge.cli import main
-    from btconverge.specfile import dump_document, library_document
-
-    def refuse(self):
-        raise AssertionError("order or downstream was built")
-
-    lib, root = staged_chain_library(40)
-    path = tmp_path / "chain40.json"
-    path.write_text(dump_document({**library_document(lib, root), "delta": 1.0}))
-    monkeypatch.setattr(backchain.LinkStructure, "_closures", property(refuse))
-    code = main(["backchain", "--spec", str(path), "--certify", "--out", str(tmp_path / "tree.json")])
-    facts, verdict = capsys.readouterr().out.splitlines()[-2:]
-    assert code == 0 and facts == "operating-region facts hold: True"
-    assert verdict.startswith("certified: bound ") and verdict.endswith(", pattern holds: True")
-    with pytest.raises(AssertionError, match="order or downstream"):
-        compute_links(lib).order
 
 
 # ----------------------------------------------------------------------
@@ -556,9 +547,8 @@ def test_pattern_masks_match_the_pair_list(rng):
         want = pair_list_pattern_violations(lib, links, built.id_of, bg)
         assert backchain._pattern_violations(lib, links, built, bg) == want
         seen["violations" if want else "clean"] += 1
-        if any(a != c and (c, a) in links.order for a, c in links.order) or any(
-            a == c for a, _b, c in links.links
-        ):
+        _pairs, order, _downstream = pairwise_links(lib)
+        if any(a != c and (c, a) in order for a, c in order) or any(a == c for a, _b, c in links.links):
             seen["link cycle"] += 1
         if any(links.acc.values()):
             seen["pending conditions"] += 1

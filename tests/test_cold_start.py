@@ -119,7 +119,7 @@ SUBCOMMANDS = {
     "backchain-certify": (["backchain", "--spec", "bundled:mobile_manipulator", "--certify"], 0),
     "substitute": (["substitute", "--spec", "bundled:patrol"], 0),
     "LibraryError": (["backchain", "--spec", "surveying_robot_library", "--root", "ghost"], 2),
-    "FtsPreconditionError": (["backchain", "--spec", "library_fts", "--certify"], 2),
+    "FtsPreconditionError": (["backchain", "--spec", "library_fts", "--certify"], 1),
     "SubstitutionError": (["substitute", "--spec", "patrol_risky"], 2),
 }
 

@@ -20,6 +20,7 @@ from btconverge.prepares import (
     behavior_graph,
     build_prepares_graph,
     certificate_as_fts_leaf,
+    certify_checked,
     certify_convergence,
     check_acyclic_case,
     condense,
@@ -257,7 +258,9 @@ def test_dilated_edges_match_pairwise_neighboring(rng):
         cases.append((new, sorted(new.vertex_of(x) for x in [*names, DD_NAME, RR_NAME]), None))
     for model, members, delta in cases:
         graph = build_prepares_graph(model, members, delta)
-        assert graph.cell_vertex is not None
+        # the slices are disjoint, so the per-cell lookup names the one slice of each cell
+        assert sum(len(v.cells) for v in graph.vertices) == model.world.cell_count
+        assert all(graph.cell_vertex[c] == i for i, v in enumerate(graph.vertices) for c in v.cells.cells())
         assert edge_keys(graph) == oracle_prepares_edges(model, members, delta)
 
 
@@ -483,13 +486,13 @@ def test_single_goal_seed_gives_zero_bound():
     assert cert.bound == 0
 
 
-def test_certify_reuses_a_prebuilt_condensation():
+def test_certify_checked_reuses_a_prebuilt_condensation():
     sr = bundled_spec("surveying_robot")
     model = sr.model
-    members = [model.vertex_of(n) for n in sr.abstraction]
+    members = sorted(model.vertex_of(n) for n in sr.abstraction)
     condensed = condense(build_prepares_graph(model, members, sr.delta))
     fresh = certify_convergence(model, members, sr.delta)
-    reused = certify_convergence(model, members, sr.delta, condensed=condensed)
+    reused = certify_checked(model, members, sr.delta, None, condensed)
     assert reused.condensed is condensed and reused.graph is condensed.graph
     assert (reused.bound, reused.refined_bound, reused.per_class_exit) == (
         fresh.bound,

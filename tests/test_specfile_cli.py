@@ -1,5 +1,6 @@
 """Document round-trips, validation diagnostics, CLI contract."""
 
+import dataclasses
 import json
 import os
 import re
@@ -19,7 +20,7 @@ from btconverge.specfile import (
     substitution_block,
 )
 
-from helpers import bundled_document, bundled_spec
+from helpers import bundled_document, bundled_spec, staged_chain_library
 
 
 def assert_models_equal(a: BTModel, b: BTModel) -> None:
@@ -856,10 +857,10 @@ def test_simulate_start_outside_universe_exits_two(capsys):
     assert "start cell 10 outside universe" in err
 
 
-def _library_document(horizon=None, drop_delta=False):
+def _library_document(horizon=None, delta=None):
     doc = bundled_document("surveying_robot_library")
-    if drop_delta:
-        del doc["delta"]
+    if delta is not None:
+        doc["delta"] = delta
     for entry in doc["library"]["actions"]:
         if horizon is not None and entry.get("doa"):
             entry["doa"]["horizon"] = horizon
@@ -873,14 +874,12 @@ def _library_document(horizon=None, drop_delta=False):
          "unknown leaf 'nope'"),
         (["simulate", "--spec", "bundled:patrol", "--x0", "99999"], None,
          "start cell 99999 outside universe"),
-        (["backchain", "--certify"], _library_document(drop_delta=True),
-         "metric neighboring needs a step bound delta"),
-        (["backchain", "--certify"], _library_document(horizon=1),
-         "finite-time-success check failed for: ['charge'"),
+        (["backchain", "--certify"], _library_document(delta=0.5),
+         "leaf 'go_home' moves cell 18 to 0: 1.0 apart, past delta = 0.5"),
         (["check"], b"{\"format\": \"btconverge/1\xff\"}", "not valid JSON"),
         (["check"], '{"format": ' + "9" * 5000 + "}", "not valid JSON"),
     ],
-    ids=["model", "execution", "world", "fts-precondition", "utf-8", "digit-limit"],
+    ids=["model", "execution", "world", "utf-8", "digit-limit"],
 )
 def test_package_errors_exit_two(argv, text, message, tmp_path, capsys):
     if text is not None:
@@ -1099,3 +1098,170 @@ def test_shipped_example_rebuilds_from_its_parsed_spec(name):
             substitution = substitution_block(spec.substitution, target)
         doc = build_document(spec.model, spec.abstraction, spec.delta, substitution)
     assert doc == bundled_document(name)
+
+
+# ----------------------------------------------------------------------
+# one exit code per verdict, for check and backchain --certify
+
+
+def _small_library(cells, adjacency, actions, conditions=()):
+    universe = {"cells": cells, "adjacency": adjacency}
+    library = {"root": "r", "actions": list(actions), "conditions": list(conditions)}
+    return {"format": "btconverge/1", "universe": universe, "library": library}
+
+
+def _no_exit_library():
+    """Cells 0 - 1 - 2.  The root r needs c (cell 1 or 2) and drives cell 1 to its
+    goal 2; c's achiever a has an empty basin and leaves cell 0 where it is."""
+    return _small_library(
+        3,
+        [[0, 1], [1, 2]],
+        [
+            {"name": "r", "success": [2], "next": [0, 2, 2], "preconditions": ["c"],
+             "doa": {"basin": [1, 2], "goal": [2], "horizon": 1}},
+            {"name": "a", "success": [], "next": [0, 1, 2], "preconditions": [],
+             "doa": {"basin": [], "goal": [], "horizon": 1}},
+        ],
+        [{"name": "c", "success": [1, 2], "achievers": ["a"]}],
+    )
+
+
+def _sink_library():
+    """One action with an empty basin: its one slice lies outside the basin,
+    reaches no other slice and is no goal."""
+    return _small_library(
+        2,
+        [[0, 1]],
+        [{"name": "r", "success": [], "next": [0, 1], "preconditions": [],
+          "doa": {"basin": [], "goal": [], "horizon": 1}}],
+    )
+
+
+def _surveying_library(horizon=None, delta=None):
+    return json.loads(_library_document(horizon, delta))
+
+
+# outcome: (library document, exit code, a line of check's output, a line of backchain's)
+OUTCOMES = {
+    "certified": (
+        # a metric library with no delta: both commands derive it from the controllers
+        lambda: library_document(*staged_chain_library(4)),
+        0,
+        "status: certified",
+        "certified: bound 25, pattern holds: True",
+    ),
+    "no-exit": (_no_exit_library, 1, "kind: no-exit", "refuted: cell 0 never leaves class ((4, 'a'),)"),
+    "non-goal-sink": (
+        _sink_library, 1, "kind: non-goal-sink", "refuted: sink class ((1, 'a'),) contains non-goal slices"
+    ),
+    "fts-precondition": (
+        lambda: _surveying_library(horizon=1),
+        1,
+        "kind: fts-precondition",
+        "violation at go_home: deadline at cell 36 (step 2)",
+    ),
+    "StepError": (
+        lambda: _surveying_library(delta=0.5),
+        2,
+        "error: leaf 'go_home' moves cell 18 to 0: 1.0 apart, past delta = 0.5",
+        "error: leaf 'go_home' moves cell 18 to 0: 1.0 apart, past delta = 0.5",
+    ),
+    "spec error": (
+        lambda: _surveying_library(horizon=0),
+        2,
+        "error: library.actions[0].doa.horizon must be a positive integer",
+        "error: library.actions[0].doa.horizon must be a positive integer",
+    ),
+}
+
+
+@pytest.mark.parametrize("outcome", list(OUTCOMES))
+def test_one_exit_code_per_outcome(outcome, tmp_path, capsys):
+    """backchain --certify on a library and check on the tree it generates give
+    the outcome's one exit code; a spec error is the same document for both."""
+    from btconverge.backchain import build_bcbt
+
+    make, code, check_line, backchain_line = OUTCOMES[outcome]
+    doc = make()
+    library = tmp_path / "library.json"
+    library.write_text(dump_document(doc))
+    got, out, err = run_cli(
+        "backchain", "--spec", str(library), "--certify", "--out", str(tmp_path / "tree.json"),
+        capsys=capsys,
+    )
+    assert (got, backchain_line in (out + err).splitlines()) == (code, True), out + err
+    tree = library
+    if outcome != "spec error":  # the document backchain writes, built here if it raised
+        spec = parse_document(doc)
+        lib = spec.library
+        model = build_bcbt(lib, spec.library_root).model
+        names = [lib.actions[a].leaf.name for a in lib.action_ids()]
+        tree = tmp_path / "built.json"
+        tree.write_text(dump_document(build_document(model, names, spec.delta)))
+    got, out, err = run_cli("check", "--spec", str(tree), capsys=capsys)
+    assert (got, check_line in (out + err).splitlines()) == (code, True), out + err
+
+
+def test_backchain_certify_prints_the_violations_check_prints(tmp_path, capsys):
+    path = tmp_path / "slow.json"
+    path.write_text(_library_document(horizon=1))
+    code, out, _err = run_cli(
+        "backchain", "--spec", str(path), "--certify", "--out", str(tmp_path / "tree.json"),
+        capsys=capsys,
+    )
+    assert code == 1
+    lines = out.splitlines()
+    start = lines.index(
+        "refuted: finite-time-success check failed for: "
+        "['charge', 'follow_path', 'go_home', 'goto_path', 'idle']"
+    )
+    code, out, _err = run_cli("check", "--spec", str(tmp_path / "tree.json"), capsys=capsys)
+    assert code == 1
+    assert lines[start + 1 :] == out.splitlines()[2:] != []
+
+
+@pytest.mark.parametrize("pattern, code", [(False, 1), (None, 0), (True, 0)])
+def test_a_failed_pattern_claim_fails_backchain_certify(pattern, code, monkeypatch, tmp_path, capsys):
+    """A certificate whose pattern claim fails exits 1; a skipped claim (n/a) exits 0."""
+    from btconverge import backchain
+
+    real = backchain.check_bc_convergence
+
+    def with_pattern(*args, **kwargs):
+        return dataclasses.replace(real(*args, **kwargs), pattern_ok=pattern)
+
+    monkeypatch.setattr(backchain, "check_bc_convergence", with_pattern)
+    got, out, _err = run_cli(
+        "backchain", "--spec", "bundled:mobile_manipulator", "--certify", "--out", str(tmp_path / "t"),
+        capsys=capsys,
+    )
+    assert got == code
+    assert out.splitlines()[-1].startswith("certified: bound 10, pattern holds: ")
+
+
+@pytest.mark.parametrize("where", ["tree leaf", "library action"])
+@pytest.mark.parametrize(
+    "rule, message",
+    [("basin", "basin must avoid the failure region"), ("goal", "goal must lie in basin and success region")],
+)
+def test_leaf_statics_are_spec_errors(where, rule, message, tmp_path, capsys):
+    """A basin meeting the failure region, or a goal outside basin and success,
+    is refused while the document is read, for every subcommand."""
+    if where == "tree leaf":
+        doc = bundled_document("gridworld")
+        index = next(k for k, entry in enumerate(doc["leaves"]) if "doa" in entry)
+        entry, path, argv = doc["leaves"][index], f"leaves[{index}]", ["check"]
+    else:
+        doc = bundled_document("surveying_robot_library")
+        index = next(k for k, entry in enumerate(doc["library"]["actions"]) if "doa" in entry)
+        entry, path, argv = doc["library"]["actions"][index], f"library.actions[{index}]", ["backchain", "--certify"]
+    if rule == "basin":
+        entry["failure"] = entry["doa"]["basin"][:1]
+        entry["success"] = [c for c in entry["success"] if c not in entry["failure"]]
+    else:
+        entry["doa"]["goal"] = [c for c in range(doc["universe"]["cells"]) if c not in entry["doa"]["basin"]][:1]
+    spec = tmp_path / "spec.json"
+    spec.write_text(dump_document(doc))
+    code, out, err = run_cli(argv[0], "--spec", str(spec), *argv[1:], capsys=capsys)
+    assert (code, out) == (2, "")
+    assert err == f"error: {path}: leaf {entry['name']!r}: {message}\n"

@@ -720,7 +720,7 @@ def test_base_cost_hypotheses_match_the_product_path(rng, monkeypatch):
     product model in place of the base-cost hypothesis checks.
     """
     def product_path(result, members, seeds, condensed):
-        return certify_convergence(result.new_model, members, seeds=seeds, condensed=condensed)
+        return certify_convergence(result.new_model, members, seeds=seeds)
 
     seen = set()
     for trial in range(160):
