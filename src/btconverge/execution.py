@@ -5,14 +5,16 @@ resolved action's successor map, and repeats.  When the tick resolves a
 Condition leaf there is no controller to apply; the simulator halts and
 reports it rather than freezing silently.
 
-Exit times and action deadlines come from one hit-time kernel over a
-finite deterministic step map.  A walk ends in the goal, at a cell with no
-step, or by closing a cycle, so its answer is exact and needs no step cap.
-The kernel's memo is one list per call, seeded in C from the goal's digits;
+Exit times, action deadlines and hit times come from one exit-walk kernel
+over a finite deterministic step map and a per-cell label: a walk ends
+where the label changes, at a cell with no step, or by closing a cycle, so
+its answer is exact and needs no step cap.  An exit time walks under the
+region's digits; a hit time is the exit walk under the goal's digits from a
+start outside the goal.  The kernel's memo is one unseeded list per call;
 its answers, the successors of a check's cells and their membership in a
-region are read with ``operator.itemgetter`` gathers, so Python only loops
-over the cells a walk has to step.  ``hitting_time`` is the same kernel
-with one start.  Closed-loop walks read the model's per-cell successor
+region are read with C gathers (``statespace._gather``), so Python only
+loops over the cells a walk has to step.  ``hitting_time`` is the same
+kernel with one start.  Closed-loop walks read the model's per-cell successor
 list (``BTModel.closed_loop``, built once per model), so no cell is ticked
 per query.  ``simulate`` ticks, because it reports statuses; a tick reads
 the model's per-cell leaf table (``BTModel.leaf_at``), which is filled
@@ -22,11 +24,10 @@ from the leaves' tick regions (``NodeAnalysis.reached``) on the first tick.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from operator import itemgetter
 from typing import Callable, Optional, Sequence
 
 from .bt import BTModel, LeafData, NodeKind, Status, tick
-from .statespace import BTConvergeError, Region
+from .statespace import BTConvergeError, Region, _gather
 
 HALT_STOP = "stop"
 HALT_NO_ACTION = "no-action"
@@ -58,41 +59,33 @@ class Trace:
         return "\n".join(lines)
 
 
-def _hit_times(
-    targets: Sequence[Optional[int]], goal: Region, starts: Sequence[int]
+def _exit_times(
+    targets: Sequence[Optional[int]], label: Sequence, starts: Sequence[int]
 ) -> tuple[Optional[int], ...]:
-    """Per start, the first k >= 0 with targets^k(start) in goal, aligned with starts.
+    """Per start, the first k >= 1 at which the walk reaches a cell whose label
+    differs from the start's, aligned with starts.
 
     k is None when the walk reaches a cell whose target is None or closes a
-    cycle outside goal.  The memo is one list per call, seeded in C from
-    the goal's digits (0 in goal, -1 not yet walked), so every cell is
-    stepped at most once per call and the answers are one gather.
+    cycle inside the start's label.  Each cell has one label, so one memo
+    (-1 not yet walked) serves the starts of every label: every cell is
+    stepped at most once per call, and the answers are one gather.
     """
-    memo: list[Optional[int]] = list(map(_MEMO_SEED, goal.digits()))
+    memo: list[Optional[int]] = [-1] * len(label)
     for x in starts:
         if memo[x] != -1:
             continue
+        mine = label[x]
         path: list[int] = []
-        while x is not None and memo[x] == -1:
+        while x is not None and memo[x] == -1 and label[x] == mine:
             memo[x] = None  # provisional: a walk that returns here closed a cycle
             path.append(x)
             x = targets[x]
-        hit = None if x is None else memo[x]
+        hit = None if x is None else 0 if label[x] != mine else memo[x]
         if hit is not None:  # on a None hit the path keeps its provisional None
             for y in reversed(path):
                 hit += 1
                 memo[y] = hit
     return _gather(memo, starts)
-
-
-_MEMO_SEED = {"1": 0, "0": -1}.__getitem__
-
-
-def _gather(seq: Sequence, keys: Sequence[int]) -> tuple:
-    """seq[k] for each k in keys, as a tuple, gathered in C."""
-    if len(keys) > 1:
-        return itemgetter(*keys)(seq)
-    return tuple(seq[k] for k in keys)  # itemgetter returns no tuple for 0 or 1 keys
 
 
 def simulate(
@@ -177,7 +170,7 @@ def leaf_fts(data: LeafData) -> FtsVerdict:
             return FtsVerdict(False, kind, cells[ok.index("0")], 1)
     # goal cells hit at 0 and the horizon is positive, so only basin - goal can fail
     starts = list((basin - goal).cells())
-    hits = _hit_times(nxt, goal, starts)
+    hits = _exit_times(nxt, goal.digits(), starts)
     if None in hits or max(hits, default=0) > horizon:
         for c, hit in zip(starts, hits):
             if hit is None or hit > horizon:
@@ -207,7 +200,7 @@ def empirical_exit_time(model: BTModel, region: Region) -> ExitResult:
     if region.n != model.world.cell_count:
         raise ExecutionError("region over a different universe")
     cells = list(region.cells())
-    hits = _hit_times(model.closed_loop(), region.complement(), cells)
+    hits = _exit_times(model.closed_loop(), region.digits(), cells)
     if None in hits:
         return ExitResult(None, cells[hits.index(None)])
     return ExitResult(max(hits, default=0))
@@ -219,5 +212,5 @@ def hitting_time(model: BTModel, x0: int, goal: Region, max_steps: int) -> Optio
         raise ExecutionError(f"start cell {x0} outside universe")
     if goal.n != model.world.cell_count:
         raise ExecutionError("region over a different universe")
-    hit = _hit_times(model.closed_loop(), goal, [x0])[0]
+    hit = 0 if x0 in goal else _exit_times(model.closed_loop(), goal.digits(), [x0])[0]
     return hit if hit is not None and hit <= max_steps else None

@@ -209,8 +209,14 @@ def condense(graph: PreparesGraph) -> CondensedGraph:
 
 
 def analysis_set(condensed: CondensedGraph, seeds: Iterable[int]) -> frozenset[int]:
-    """Forward-reachability closure of the seed classes: no edge leaves it."""
+    """Forward-reachability closure of the seed classes: no edge leaves it.
+
+    The seeds must be a nonempty set of existing classes: the closure of no
+    class is empty, and a certificate over it would prove nothing.
+    """
     seeds = set(seeds)
+    if not seeds:
+        raise AbstractionError("no seed class given")
     for ci in seeds:
         if not 0 <= ci < len(condensed.classes):
             raise AbstractionError(f"seed class {ci} does not exist")

@@ -15,11 +15,10 @@ import math
 from dataclasses import dataclass
 from itertools import chain, compress
 from json.encoder import encode_basestring_ascii
-from operator import itemgetter
 from typing import TYPE_CHECKING, Any, Callable, Optional
 
 from .bt import BTModel, Doa, LeafData, ModelError, NodeKind, NodeSpec, check_leaf
-from .statespace import BTConvergeError, Region, SuccessorMap, World, WorldError, bit_selector
+from .statespace import BTConvergeError, Region, SuccessorMap, World, WorldError, _gather, bit_selector
 
 if TYPE_CHECKING:  # the library and substitution readers import these when they run
     from .backchain import ActionConditionLibrary
@@ -506,7 +505,7 @@ class _Decimals(dict):
     """int -> its decimal text, each entry made on first use; one table per document.
 
     A document repeats the same few thousand cell ids hundreds of times, so
-    a list of ints becomes its texts in one ``itemgetter`` gather instead of
+    a list of ints becomes its texts in one C gather (``_gather``) instead of
     one ``int.__repr__`` call per entry.
     """
 
@@ -536,10 +535,7 @@ def _write(value: Any, newline: str, out: list[str], decimals: _Decimals) -> Non
         if not value:
             out.append("[]")
         elif type(value) is _Ints or _INT.issuperset(map(type, value)):  # bools print as true/false
-            if len(value) == 1:  # itemgetter of one key returns the text, not a tuple
-                body = decimals[value[0]]
-            else:
-                body = ("," + inner).join(itemgetter(*value)(decimals))
+            body = ("," + inner).join(_gather(decimals, value))
             out.append("[" + inner + body + newline + "]")
         else:
             sep = "[" + inner

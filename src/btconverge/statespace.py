@@ -43,23 +43,14 @@ class Region:
     def from_cells(cls, n: int, cells: Iterable[int]) -> "Region":
         """The region of the given cells (repeats allowed).
 
-        A few cells are shifted into the mask one by one; more mark a byte
-        per cell and become the mask in one base-2 parse, as ``dilate``
-        does, instead of one whole-mask OR per cell.
+        A byte is marked per cell and the marks are parsed once (``_marked``),
+        as ``World.dilate`` does.
         """
         cells = list(cells)
         if cells and not (0 <= min(cells) and max(cells) < n):
             bad = next(c for c in cells if not 0 <= c < n)
             raise WorldError(f"cell {bad} outside universe of {n} cells")
-        if len(cells) * 64 < n:
-            mask = 0
-            for c in cells:
-                mask |= 1 << c
-            return cls(n, mask)
-        marks = bytearray(n)
-        for c in cells:
-            marks[c] = 1
-        return cls(n, int(marks.translate(_MARK_DIGITS)[::-1], 2))
+        return cls(n, _marked(n, cells))
 
     @classmethod
     def full(cls, n: int) -> "Region":
@@ -114,16 +105,9 @@ class Region:
         raise TypeError("Region truthiness is ambiguous; use .is_empty")
 
     def cells(self) -> Iterator[int]:
-        """The cells in ascending order, from one scan of the mask's binary digits.
-
-        When at least a quarter of the digits are set, they are picked in C
-        (``itertools.compress``); sparser masks jump between set digits with
-        ``str.find``, which skips runs of zeros in C.
-        """
-        bits = bin(self.mask)[:1:-1]  # least significant digit first, "0b" dropped
-        if self.mask.bit_count() * 4 >= len(bits):
-            return compress(count(), bits.encode().translate(_DIGIT_VALUES))
-        return _set_digits(bits)
+        """The cells in ascending order, picked in C (``itertools.compress``)
+        from one scan of the mask's binary digits, with no Python step per cell."""
+        return compress(count(), bit_selector(self.mask))
 
     def pick(self, items: Sequence) -> list:
         """The entries of items at this region's cells, in cell order, picked in C.
@@ -167,11 +151,21 @@ def bit_selector(mask: int) -> bytes:
     return bin(mask)[:1:-1].encode().translate(_DIGIT_VALUES)
 
 
-def _set_digits(bits: str) -> Iterator[int]:
-    c = bits.find("1")
-    while c >= 0:
-        yield c
-        c = bits.find("1", c + 1)
+def _marked(n: int, cells: Iterable[int]) -> int:
+    """The mask of the given in-range cells: a byte is marked per cell, and
+    the marks become the mask in one base-2 parse instead of one whole-mask
+    OR per cell."""
+    marks = bytearray(n)
+    for c in cells:
+        marks[c] = 1
+    return int(marks.translate(_MARK_DIGITS)[::-1], 2)
+
+
+def _gather(seq: Sequence, keys: Sequence[int]) -> tuple:
+    """seq[k] for each k in keys, as a tuple, gathered in C."""
+    if len(keys) > 1:
+        return itemgetter(*keys)(seq)
+    return tuple(seq[k] for k in keys)  # itemgetter returns no tuple for 0 or 1 keys
 
 
 class SuccessorMap:
@@ -346,17 +340,14 @@ class World:
     def dilate(self, region: Region, delta: Optional[float] = None) -> Region:
         """The cells at most one step from region, region included.
 
-        The neighbour tuples of region's cells mark a byte per cell, and the
-        marks become a mask with one base-2 parse, so a slice is dilated once
+        The neighbour tuples of region's cells become a mask through
+        ``_marked``, as ``Region.from_cells`` does, so a slice is dilated once
         and then tested against any number of targets with one mask AND each.
         """
         if region.n != self.cell_count:
             raise WorldError("regions belong to a different universe")
         near, stays = self._steps(delta)
-        marks = bytearray(self.cell_count)
-        for q in chain.from_iterable(map(near.__getitem__, region.cells())):
-            marks[q] = 1
-        mask = int(marks.translate(_MARK_DIGITS)[::-1], 2)
+        mask = _marked(self.cell_count, chain.from_iterable(map(near.__getitem__, region.cells())))
         return Region(self.cell_count, mask | region.mask if stays else mask)
 
     def _steps(self, delta: Optional[float]) -> tuple[tuple[tuple[int, ...], ...], bool]:
@@ -375,11 +366,8 @@ class World:
         The targets and the membership tests are gathered in C.
         """
         near, stays = self._steps(delta)
-        if len(cells) == 1:
-            cells = cells * 2  # itemgetter of one key returns the item, not a 1-tuple
-        gather = itemgetter(*cells)
-        moved = gather(targets)
-        ok = map(contains, gather(near), moved)
+        moved = _gather(targets, cells)
+        ok = map(contains, _gather(near, cells), moved)
         return all(map(or_, map(eq, cells, moved), ok) if stays else ok)
 
     def check_steps(

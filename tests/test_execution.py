@@ -11,7 +11,7 @@ from btconverge.execution import (
     HALT_NO_ACTION,
     HALT_STOP,
     ExecutionError,
-    _hit_times,
+    _exit_times,
     check_fts,
     empirical_exit_time,
     hitting_time,
@@ -414,51 +414,80 @@ def random_step_map(rng, n):
     return targets
 
 
-def test_hit_time_kernel_matches_generator_and_naive_stepper(rng):
+def naive_exit(targets, label, x):
+    """(how, k): the first k >= 1 at which the walk from x reaches another
+    label ("change"), or k None at a None target ("none") or on a cycle
+    inside x's label ("cycle"), stepping one cell at a time."""
+    mine, seen = label[x], {x}
+    for k in range(1, len(label) + 1):
+        x = targets[x]
+        if x is None:
+            return "none", None
+        if label[x] != mine:
+            return "change", k
+        if x in seen:
+            return "cycle", None
+        seen.add(x)
+    raise AssertionError("a walk inside one label revisits a cell within n steps")
+
+
+def test_exit_walk_kernel_matches_naive_stepper_and_generator(rng):
     seen = set()
     for _ in range(400):
         n = rng.randint(1, 12)
         targets = random_step_map(rng, n)
-        goal = random_region(rng, n)
-        in_goal = goal.digits()
-        # any order, repeats and goal cells allowed; 0, 1, 2 and more starts
+        values = rng.randint(1, 4)
+        label = [rng.randrange(values) for _ in range(n)]
+        if rng.random() < 0.5:
+            label = "".join(map(str, label))  # region digits are a string label
+        # any order, repeats and labels; 0, 1, 2 and more starts
         starts = [rng.randrange(n) for _ in range(rng.choice([0, 1, 2, rng.randint(3, 2 * n + 3)]))]
-        hits = _hit_times(targets, goal, starts)
-        assert type(hits) is tuple
-        assert hits == tuple(naive_hit(targets.__getitem__, x, goal, n) for x in starts)
-        assert hits == tuple(hit for _, hit in generator_hit_times(targets.__getitem__, goal, starts))
+        exits = _exit_times(targets, label, starts)
+        assert type(exits) is tuple
+        want = [naive_exit(targets, label, x) for x in starts]
+        assert exits == tuple(k for _, k in want)
         seen.add(min(len(starts), 3))
-        seen.update("none" if h is None else "goal" if h == 0 else "walk" for h in hits)
-        if any(in_goal[c] == "1" and (t is None or in_goal[t] == "0") for c, t in enumerate(targets)):
-            seen.add("goal steps out")
-    assert {0, 1, 2, 3, "none", "goal", "walk", "goal steps out"} <= seen
+        seen.update(how for how, _ in want)
+        # a hit time is the exit walk under the goal's digits from a start outside the goal
+        goal = random_region(rng, n)
+        outside = [x for x in starts if x not in goal]
+        hits = _exit_times(targets, goal.digits(), outside)
+        assert hits == tuple(hit for _, hit in generator_hit_times(targets.__getitem__, goal, outside))
+    assert {0, 1, 2, 3, "change", "cycle", "none"} <= seen
 
 
 def test_kernel_walks_only_the_cells_that_can_fail(monkeypatch):
-    """check_fts walks basin - goal; empirical_exit_time the region."""
+    """check_fts walks basin - goal under the goal's digits; empirical_exit_time
+    the region under its own; hitting_time walks nothing from a goal cell."""
     calls = []
 
-    def spy(targets, goal, starts):
-        calls.append((goal, list(starts)))
-        return real(targets, goal, starts)
+    def spy(targets, label, starts):
+        calls.append((label, list(starts)))
+        return real(targets, label, starts)
 
-    real = execution._hit_times
-    monkeypatch.setattr(execution, "_hit_times", spy)
+    real = execution._exit_times
+    monkeypatch.setattr(execution, "_exit_times", spy)
     n = 8
     goal = Region.from_cells(n, [5, 6, 7])
     model = chain_model(n, goal=goal, horizon=5)
     assert check_fts(model, model.vertex_of("walk"))
-    assert calls == [(goal, [0, 1, 2, 3, 4])]
+    assert calls == [(goal.digits(), [0, 1, 2, 3, 4])]
     sr = bundled_spec("surveying_robot").model
     for leaf in sr.action_vertices():
         doa = sr.leaves[leaf].doa
         calls.clear()
         assert check_fts(sr, leaf)
-        assert calls == ([(doa.goal, list((doa.basin - doa.goal).cells()))] if doa and not doa.basin.is_empty else [])
+        walked = doa and not doa.basin.is_empty
+        assert calls == ([(doa.goal.digits(), list((doa.basin - doa.goal).cells()))] if walked else [])
     region = Region.from_cells(n, [1, 3, 4])
     calls.clear()
     assert empirical_exit_time(model, region).steps == 2
-    assert calls == [(region.complement(), [1, 3, 4])]
+    assert calls == [(region.digits(), [1, 3, 4])]
+    calls.clear()
+    assert hitting_time(model, 6, goal, 0) == 0
+    assert calls == []
+    assert hitting_time(model, 2, goal, 5) == 3
+    assert calls == [(goal.digits(), [2])]
 
 
 def test_closed_loop_map_matches_per_cell_tick(rng):

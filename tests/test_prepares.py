@@ -8,7 +8,7 @@ import pytest
 from btconverge.backchain import build_bcbt
 
 from btconverge.bt import NodeKind
-from btconverge.execution import FtsVerdict, _hit_times, check_fts, hitting_time, simulate
+from btconverge.execution import FtsVerdict, check_fts, hitting_time, simulate
 from btconverge.prepares import (
     AbstractionError,
     Certificate,
@@ -172,6 +172,18 @@ def test_funnel_analysis_set_of_sink_is_single(funnel_graph):
     condensed = condense(funnel_graph)
     sink = sorted(condensed.sinks)[0]
     assert analysis_set(condensed, [sink]) == {sink}
+
+
+def test_an_empty_seed_set_is_refused(funnel_graph):
+    """The closure of no class is empty, so a certificate over it would prove nothing."""
+    condensed = condense(funnel_graph)
+    with pytest.raises(AbstractionError, match="no seed class given"):
+        analysis_set(condensed, [])
+    eat = bundled_spec("eat_tree")
+    members = [eat.model.vertex_of(n) for n in eat.abstraction]
+    assert isinstance(certify_convergence(eat.model, members, eat.delta), Refutation)
+    with pytest.raises(AbstractionError, match="no seed class given"):
+        certify_convergence(eat.model, members, eat.delta, seeds=[])
 
 
 def test_funnel_behavior_graph(funnel_graph):
@@ -634,16 +646,17 @@ def test_verdicts_hold_in_the_closed_loop_under_an_honest_delta(rng):
             steps = [(c, model.leaves[v].controller.targets[c]) for v in members for c in omega[v].cells()]
             delta = max(world.distance(c, t) for c, t in steps)
         outcome = certify_convergence(model, members, delta=delta)
-        loop = model.closed_loop()
         if isinstance(outcome, Certificate):
-            hits = _hit_times(loop, outcome.goal_cells(), list(outcome.start_cells().cells()))
-            assert None not in hits and max(hits) <= outcome.refined_bound
+            goal = outcome.goal_cells()
+            for c in outcome.start_cells().cells():
+                assert hitting_time(model, c, goal, outcome.refined_bound) is not None
         else:
             goal = Region.empty(world.cell_count)
             for v in outcome.condensed.graph.vertices:
                 if v.flavor == "c":
                     goal |= v.cells
-            assert _hit_times(loop, goal, [outcome.witness_cell]) == (None,)
+            # a walk that reaches goal does so within cell_count steps
+            assert hitting_time(model, outcome.witness_cell, goal, world.cell_count) is None
         seen.add((type(outcome).__name__, metric))
         if delta:
             with pytest.raises(StepError, match="apart, past delta"):

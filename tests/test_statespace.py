@@ -346,7 +346,7 @@ def test_adjacency_pairs_are_read_on_first_use():
         World(3, adjacency=[(0, 3)])
 
 
-def test_from_cells_matches_shifts_on_both_paths(rng):
+def test_from_cells_matches_shifts(rng):
     for n in (1, 63, 64, 65, 1000, 5000):
         for size in (0, 1, n // 64, n // 64 + 1, n // 2, 2 * n):
             cells = [rng.randrange(n) for _ in range(size)]
