@@ -90,7 +90,7 @@ def _abstraction_vertices(spec: LoadedSpec) -> list[int]:
 
 
 def _parse_seed_classes(tokens: Optional[str], model, condensed) -> Optional[list[int]]:
-    if not tokens:
+    if tokens is None:
         return None
     seeds = []
     for token in tokens.split(","):

@@ -9,8 +9,8 @@ a step bound) or declared through an explicit adjacency relation.
 from __future__ import annotations
 
 import math
-from itertools import chain, compress, count
-from operator import contains, eq, itemgetter, or_
+from itertools import chain, compress, count, filterfalse, repeat
+from operator import add, contains, eq, itemgetter, le, or_, sub
 from typing import Callable, Iterable, Iterator, Optional, Sequence
 
 
@@ -213,12 +213,13 @@ class World:
     some cross pair is related.  Adjacency may be directed; symmetric inputs
     stay symmetric.
 
-    Both kinds keep one neighbour structure: per-cell ascending tuples of
-    cell ids, built on first use (the metric ones once per delta), so memory
-    grows with cells x neighbours.
+    An adjacency world keeps per-cell ascending neighbour tuples, built from
+    the pairs on first use.  A metric world keeps no per-cell neighbours: it
+    keeps one bucket index per delta (``_index``), and dilation and the
+    one-step checks read distances through it.  Memory grows with cells.
     """
 
-    __slots__ = ("cell_count", "coords", "_pairs", "_neighbors", "_ball_cache")
+    __slots__ = ("cell_count", "coords", "_pairs", "_neighbors", "_indexes")
 
     def __init__(
         self,
@@ -255,7 +256,7 @@ class World:
                 if not (0 <= p < cell_count and 0 <= q < cell_count):
                     raise WorldError(f"adjacency pair ({p}, {q}) outside universe")
             self._pairs = (pairs, symmetric)
-        self._ball_cache: dict[float, tuple[tuple[int, ...], ...]] = {}
+        self._indexes: dict[float, tuple[list[int], dict[int, list[int]], list[int]]] = {}
 
     # ------------------------------------------------------------------
     @property
@@ -284,47 +285,59 @@ class World:
     def full_region(self) -> Region:
         return Region.full(self.cell_count)
 
+    def _index(self, delta: float) -> tuple[list[int], dict[int, list[int]], list[int]]:
+        """The bucket index for a non-negative delta, built on first use.
+
+        Cells are bucketed on a grid of width just above delta, so two cells
+        within delta lie in the same or adjacent buckets.  The index is each
+        cell's mixed-radix bucket key, the key -> cells map (cells ascending)
+        and the key offsets of a bucket and its adjacent buckets.
+        """
+        index = self._indexes.get(delta)
+        if index is not None:
+            return index
+        pts, floor = self.coords, math.floor
+        axes = list(zip(*pts))
+        lows = list(map(min, axes))
+        spreads = list(map(sub, map(max, axes), lows))
+        # The relative margin keeps cells within delta at most one bucket
+        # apart after rounding; the spread floor caps the buckets per axis
+        # at 2**30 so the quotient's rounding stays inside that margin.
+        width = max(delta * (1 + 2**-20), max(spreads, default=0.0) * 2**-30) or 1.0
+        if width == math.inf:
+            # delta = +inf, or a spread past the float range (where the
+            # quotient could be inf / inf): one bucket holds every cell.
+            axes = []
+        # Mixed-radix keys.  A span of buckets + 3 per axis keeps every key
+        # plus a -1/0/+1 step per axis distinct.
+        keys = [0] * len(pts)
+        offsets = [0]
+        scale = 1
+        for axis, lo, spread in zip(axes, lows, spreads):
+            keys = [k + floor((x - lo) / width) * scale for k, x in zip(keys, axis)]
+            offsets = [o + d * scale for o in offsets for d in (-1, 0, 1)]
+            scale *= floor(spread / width) + 4
+        buckets: dict[int, list[int]] = {}
+        for c, key in enumerate(keys):
+            buckets.setdefault(key, []).append(c)
+        index = self._indexes[delta] = (keys, buckets, offsets)
+        return index
+
     def _balls(self, delta: float) -> tuple[tuple[int, ...], ...]:
         """Per-cell ascending tuple of the cells within delta, the cell itself included.
 
-        A cell list: cells are bucketed on a grid of width just above delta,
-        so two cells within delta lie in the same or adjacent buckets, and
-        only those pairs reach the exact test ``math.dist(p, q) <= delta``.
-        The number of distance tests grows with cells x neighbours, not
-        cells squared.  A negative or NaN delta relates no two cells.
+        Built from the bucket index: only pairs in the same or adjacent
+        buckets reach the exact test ``math.dist(p, q) <= delta``, so the
+        number of distance tests grows with cells x neighbours, not cells
+        squared.  A negative or NaN delta relates no two cells.  Only the
+        product world of a substitution reads these tuples.
         """
-        cached = self._ball_cache.get(delta)
-        if cached is not None:
-            return cached
         pts = self.coords
-        ids = list(range(self.cell_count))  # one int object per cell, shared by every tuple
-        near = [[c] for c in ids]
+        near = [[c] for c in range(self.cell_count)]
         if delta >= 0:
-            dist, floor = math.dist, math.floor
-            axes = list(zip(*pts))
-            lows = [min(axis) for axis in axes]
-            spreads = [max(axis) - lo for axis, lo in zip(axes, lows)]
-            # The relative margin keeps cells within delta at most one bucket
-            # apart after rounding; the spread floor caps the buckets per axis
-            # at 2**30 so the quotient's rounding stays inside that margin.
-            width = max(delta * (1 + 2**-20), max(spreads, default=0.0) * 2**-30) or 1.0
-            if width == math.inf:
-                # delta = +inf, or a spread past the float range (where the
-                # quotient could be inf / inf): one bucket holds every cell.
-                axes = []
-            # Mixed-radix bucket keys.  A span of buckets + 3 per axis keeps
-            # every key plus a -1/0/+1 step per axis distinct.
-            keys = [0] * len(pts)
-            offsets = [0]
-            scale = 1
-            for axis, lo, spread in zip(axes, lows, spreads):
-                keys = [k + floor((x - lo) / width) * scale for k, x in zip(keys, axis)]
-                offsets = [o + d * scale for o in offsets for d in (-1, 0, 1)]
-                scale *= floor(spread / width) + 4
+            dist = math.dist
+            _keys, buckets, offsets = self._index(delta)
             forward = [o for o in offsets if o > 0]
-            buckets: dict[int, list[int]] = {}
-            for c, key in zip(ids, keys):
-                buckets.setdefault(key, []).append(c)
             for key, members in buckets.items():
                 others = [q for o in forward for q in buckets.get(key + o, ())]
                 for i, p in enumerate(members):
@@ -333,42 +346,80 @@ class World:
                         if dist(here, pts[q]) <= delta:
                             mine.append(q)
                             near[q].append(p)
-        result = tuple(map(tuple, map(sorted, near)))
-        self._ball_cache[delta] = result
-        return result
+        return tuple(map(tuple, map(sorted, near)))
+
+    def _reach(self, region: Region, delta: float) -> list[int]:
+        """The cells outside region within delta of one of its cells.
+
+        The region's bucket keys and their shifts, and the cells outside
+        region in those buckets, are gathered in C; only those boundary
+        candidates get the exact test, against the region's cells in their
+        adjacent buckets.  The Python steps grow with the boundary, not with
+        region x neighbours.
+        """
+        if not delta >= 0:
+            return []
+        keys, buckets, offsets = self._index(delta)
+        pts, dist, get = self.coords, math.dist, buckets.get
+        inside = bit_selector(region.mask).ljust(self.cell_count, b"\0").__getitem__
+        own = set(region.pick(keys))
+        around: set[int] = set()
+        for o in offsets:
+            around.update(map(add, own, repeat(o)))
+        hits = []
+        for q in filterfalse(inside, chain.from_iterable(map(get, around, repeat(())))):
+            beside = chain.from_iterable(map(get, map(add, offsets, repeat(keys[q])), repeat(())))
+            near = map(pts.__getitem__, filter(inside, beside))
+            if any(map(le, map(dist, repeat(pts[q]), near), repeat(delta))):
+                hits.append(q)
+        return hits
 
     def dilate(self, region: Region, delta: Optional[float] = None) -> Region:
         """The cells at most one step from region, region included.
 
-        The neighbour tuples of region's cells become a mask through
-        ``_marked``, as ``Region.from_cells`` does, so a slice is dilated once
-        and then tested against any number of targets with one mask AND each.
+        Metric: region plus the outside cells within delta of it
+        (``_reach``).  Adjacency: the neighbour tuples of region's cells
+        become a mask through ``_marked``, as ``Region.from_cells`` does.
+        Either way a slice is dilated once and then tested against any
+        number of targets with one mask AND each.
         """
         if region.n != self.cell_count:
             raise WorldError("regions belong to a different universe")
-        near, stays = self._steps(delta)
-        mask = _marked(self.cell_count, chain.from_iterable(map(near.__getitem__, region.cells())))
-        return Region(self.cell_count, mask | region.mask if stays else mask)
+        if self._metric(delta):
+            cells = self._reach(region, delta)
+        else:
+            cells = chain.from_iterable(map(self.neighbors.__getitem__, region.cells()))
+        return Region(self.cell_count, _marked(self.cell_count, cells) | region.mask)
 
-    def _steps(self, delta: Optional[float]) -> tuple[tuple[tuple[int, ...], ...], bool]:
-        """Per cell, the cells one step reaches, and whether the cell itself is left out of them."""
+    def _metric(self, delta: Optional[float]) -> bool:
+        """Whether closeness is metric; raises when the world cannot answer for delta."""
         if self.coords is not None:
             if delta is None:
                 raise WorldError("metric neighboring needs a step bound delta")
+            return True
+        if self.neighbors is None:
+            raise WorldError("world has neither coordinates nor adjacency")
+        return False
+
+    def _steps(self, delta: Optional[float]) -> tuple[tuple[tuple[int, ...], ...], bool]:
+        """Per cell, the cells one step reaches, and whether the cell itself is left out of them."""
+        if self._metric(delta):
             return self._balls(delta), False
-        if self.neighbors is not None:
-            return self.neighbors, True
-        raise WorldError("world has neither coordinates nor adjacency")
+        return self.neighbors, True
 
     def steps_hold(self, cells: list[int], targets: Sequence[int], delta: Optional[float]) -> bool:
-        """Whether every cell's target is at most one step away; cells is nonempty.
+        """Whether every cell's target is the cell itself or one step away; cells is nonempty.
 
-        The targets and the membership tests are gathered in C.
+        One step is within delta (metric) or a neighbour (adjacency).  The
+        targets and the distance or membership tests are gathered in C.
         """
-        near, stays = self._steps(delta)
         moved = _gather(targets, cells)
-        ok = map(contains, _gather(near, cells), moved)
-        return all(map(or_, map(eq, cells, moved), ok) if stays else ok)
+        if self._metric(delta):
+            pts = self.coords
+            ok = map(le, map(math.dist, _gather(pts, cells), _gather(pts, moved)), repeat(delta))
+        else:
+            ok = map(contains, _gather(self.neighbors, cells), moved)
+        return all(map(or_, map(eq, cells, moved), ok))
 
     def check_steps(
         self, cells: list[int], targets: Sequence[int], delta: Optional[float], who: str
@@ -379,10 +430,12 @@ class World:
         """
         if self.steps_hold(cells, targets, delta):
             return
-        near, stays = self._steps(delta)
-        moved = map(targets.__getitem__, cells)
-        c, t = next((c, t) for c, t in zip(cells, moved) if not (stays and c == t or t in near[c]))
-        why = "not a neighbour" if stays else f"{self.distance(c, t)} apart, past delta = {delta}"
+        c = next(c for c in cells if not self.steps_hold([c], targets, delta))
+        t = targets[c]
+        if self.coords is None:
+            why = "not a neighbour"
+        else:
+            why = f"{self.distance(c, t)} apart, past delta = {delta}"
         raise StepError(f"{who} moves cell {c} to {t}: {why}")
 
     def neighboring(self, a: Region, b: Region, delta: Optional[float] = None) -> bool:
@@ -398,15 +451,17 @@ class World:
 
 
 def step_bound(world: World, maps: Iterable[SuccessorMap]) -> float:
-    """Largest euclidean displacement any map makes from any cell."""
+    """Largest euclidean displacement any map makes from any cell, at least 0.0.
+
+    Each map's displacements are one ``math.dist`` per cell over the
+    gathered target coordinates, taken in C.
+    """
     if world.coords is None:
         raise WorldError("step bound needs coordinates; supply adjacency instead")
+    pts = world.coords
     delta = 0.0
     for m in maps:
         if m.n != world.cell_count:
             raise WorldError("successor map over a different universe")
-        for c in range(world.cell_count):
-            d = world.distance(c, m.next(c))
-            if d > delta:
-                delta = d
+        delta = max(delta, max(map(math.dist, pts, _gather(pts, m.targets))))
     return delta

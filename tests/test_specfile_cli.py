@@ -683,10 +683,11 @@ def test_check_seed_classes(capsys):
     assert report["classes_in_analysis_set"] == 2
 
 
-@pytest.mark.parametrize("tokens", [",", " "])
+@pytest.mark.parametrize("tokens", [",", " ", ""])
 @pytest.mark.parametrize("command", [["check"], ["export", "--which", "condensed"]])
 def test_seed_classes_naming_no_class_exit_two(command, tokens, capsys):
-    """Only commas or spaces name no class: an error, not a bound-0 certificate of a refuted model."""
+    """An empty list, or only commas or spaces, names no class: an error, not
+    a bound-0 certificate of a refuted model, nor the default of every class."""
     argv = [command[0], "--spec", "bundled:eat_tree", *command[1:], "--seed-classes", tokens]
     code, out, err = run_cli(*argv, capsys=capsys)
     assert (code, out, err) == (2, "", "error: no seed class given\n")

@@ -1,11 +1,13 @@
 """Region algebra, step bound, and neighboring predicate tests."""
 
+import json
 import math
 
 import pytest
 from hypothesis import given, strategies as st
 
-from btconverge.statespace import Region, SuccessorMap, World, WorldError, step_bound
+from btconverge import cli
+from btconverge.statespace import Region, StepError, SuccessorMap, World, WorldError, step_bound
 
 from helpers import oracle_neighboring
 
@@ -73,6 +75,17 @@ def test_step_bound_identity_is_zero():
     assert step_bound(w, [SuccessorMap.identity(5)]) == 0.0
 
 
+def naive_step_bound(world: World, maps: list[SuccessorMap]) -> float:
+    """Reference: one distance call per cell, the largest kept."""
+    delta = 0.0
+    for m in maps:
+        for c in range(world.cell_count):
+            d = world.distance(c, m.next(c))
+            if d > delta:
+                delta = d
+    return delta
+
+
 def test_step_bound_matches_exhaustive_max(rng):
     side = 4
     n = side * side
@@ -84,6 +97,16 @@ def test_step_bound_matches_exhaustive_max(rng):
         w.distance(c, m.next(c)) for m in maps for c in range(n)
     )
     assert step_bound(w, maps) == pytest.approx(expected)
+    for _ in range(60):
+        w = random_metric_world(rng)
+        n = w.cell_count
+        maps = [SuccessorMap.identity(n)] * rng.randrange(2)
+        maps += [SuccessorMap([rng.randrange(n) for _ in range(n)]) for _ in range(rng.randrange(3))]
+        rng.shuffle(maps)
+        got = step_bound(w, iter(maps))
+        assert got == naive_step_bound(w, maps) and type(got) is float, (w.coords, maps)
+    with pytest.raises(WorldError, match="different universe"):
+        step_bound(w, [SuccessorMap.identity(n), SuccessorMap.identity(n + 1)])
 
 
 def test_step_bound_requires_coords():
@@ -247,6 +270,91 @@ def test_balls_when_the_coordinate_spread_overflows():
     assert w._balls(1.0) == ((0,), (1,), (2,))
     assert w._balls(1e308) == ((0, 1), (0, 1, 2), (1, 2))
     assert w._balls(math.inf) == ((0, 1, 2),) * 3
+
+
+def grid_slices(rng, side: int) -> tuple[World, list[Region]]:
+    """A side x side grid with its cells relabelled, and contiguous regions
+    of it: boxes and unions of two half planes, as a slice of a funnel grid is."""
+    n = side * side
+    perm = list(range(n))
+    rng.shuffle(perm)  # cell perm[i] sits at grid position i
+    coords = [None] * n
+    for i, c in enumerate(perm):
+        coords[c] = (float(i % side), float(i // side))
+    w = World(n, coords=coords)
+    regions = []
+    for _ in range(6):
+        x0, x1 = sorted(rng.randrange(side + 1) for _ in range(2))
+        y0, y1 = sorted(rng.randrange(side + 1) for _ in range(2))
+        box = lambda x, y: x0 <= x < x1 and y0 <= y < y1
+        half = lambda x, y: x < x1 or y >= y1
+        for inside in (box, half):
+            regions.append(Region.where(n, lambda c: inside(*coords[c])))
+    return w, regions
+
+
+def test_metric_dilation_and_steps_match_the_definition(rng):
+    """Metric dilate, steps_hold and check_steps against all pairs within
+    delta, the cell itself always allowed, for every kind of delta."""
+    cases = [(World(3, coords=[(-1e308,), (0.0,), (1e308,)]), None)]
+    cases += [(random_metric_world(rng), None) for _ in range(50)]
+    cases += [grid_slices(rng, rng.randrange(1, 13)) for _ in range(10)]
+    for w, slices in cases:
+        n, pts = w.cell_count, w.coords
+        dists = sorted({math.dist(p, q) for p in pts for q in pts})
+        deltas = [0.0, 1e-9, 1.0, math.inf, -1.0, -math.inf, math.nan]
+        deltas += [rng.uniform(0, 1.5) * dists[-1], *rng.sample(dists, min(3, len(dists)))]
+        regions = slices or [Region(n, rng.getrandbits(n)) for _ in range(6)]
+        regions += [Region.empty(n), Region.full(n), Region.from_cells(n, [rng.randrange(n)])]
+        for delta in deltas:
+            within = lambda p, q: math.dist(pts[p], pts[q]) <= delta
+            for a in regions:
+                want = [q for q in range(n) if q in a or any(within(p, q) for p in a.cells())]
+                assert list(w.dilate(a, delta).cells()) == want, (pts, delta, a)
+            for _ in range(4):
+                targets = [rng.randrange(n) if rng.random() < 0.2 else c for c in range(n)]
+                if rng.random() < 0.5:  # targets within delta, so the check often holds
+                    targets = [rng.choice([q for q in range(n) if within(c, q)] or [c]) for c in range(n)]
+                cells = rng.sample(range(n), rng.randrange(1, n + 1))
+                bad = [c for c in cells if not (targets[c] == c or within(c, targets[c]))]
+                assert w.steps_hold(cells, targets, delta) == (not bad)
+                if not bad:
+                    w.check_steps(cells, targets, delta, "leaf 'x'")
+                    continue
+                c, t = bad[0], targets[bad[0]]
+                why = f"{math.dist(pts[c], pts[t])} apart, past delta = {delta}"
+                with pytest.raises(StepError) as err:
+                    w.check_steps(cells, targets, delta, "leaf 'x'")
+                assert str(err.value) == f"leaf 'x' moves cell {c} to {t}: {why}"
+
+
+def test_metric_dilation_tests_only_the_boundary(monkeypatch):
+    side = 100
+    n = side * side
+    w = World(n, coords=[(float(c % side), float(c // side)) for c in range(n)])
+    half = Region.where(n, lambda c: c % side < side // 2)
+    calls = 0
+    real_dist = math.dist
+
+    def counting_dist(p, q):
+        nonlocal calls
+        calls += 1
+        return real_dist(p, q)
+
+    monkeypatch.setattr(math, "dist", counting_dist)
+    grown = w.dilate(half, 1.0)
+    assert calls <= 10 * side  # a test per cell and neighbour makes over 4 * n
+    assert grown == Region.where(n, lambda c: c % side <= side // 2)
+
+
+def test_metric_check_builds_no_balls(monkeypatch, capsys):
+    def no_balls(self, delta):
+        raise AssertionError("a per-cell ball was built")
+
+    monkeypatch.setattr(World, "_balls", no_balls)
+    for name in ("gridworld", "surveying_robot"):
+        assert cli.main(["check", "--spec", f"bundled:{name}", "--format", "json"]) == 0
+        assert json.loads(capsys.readouterr().out)["status"] == "certified"
 
 
 def test_world_rejects_non_finite_coordinates():
