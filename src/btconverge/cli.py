@@ -2,16 +2,20 @@
 
 Spec files are JSON documents (see specfile).  The --spec argument accepts a
 path or ``bundled:<name>`` for one of the shipped examples.  Exit codes are
-a stable contract: 0 for a certificate / success, 1 for a refuted or failed
-verdict, 2 for spec or usage errors.
+a stable contract: ``main(argv)`` returns 0 for a certificate / success, 1
+for a refuted or failed verdict and 2 for a spec error; an argparse usage
+error raises ``SystemExit(2)``, in process too.  ``main`` builds its parser
+on the first call, not at import, and reuses it for every later call in the
+process: parsing leaves no state on it.
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
 import os
 import sys
-from typing import TYPE_CHECKING, Callable, Optional
+from typing import TYPE_CHECKING, Callable, Iterator, Optional
 
 from .specfile import LoadedSpec, SpecError, build_document, dump_document, load_path
 from .statespace import BTConvergeError, step_bound
@@ -89,21 +93,27 @@ def _abstraction_vertices(spec: LoadedSpec) -> list[int]:
     return [v for v in model.action_vertices()]
 
 
-def _parse_seed_classes(tokens: Optional[str], model, condensed) -> Optional[list[int]]:
-    if tokens is None:
-        return None
-    seeds = []
-    for token in tokens.split(","):
-        token = token.strip()
-        if not token:
-            continue
+def _seed_leaves(tokens: str, model) -> Iterator[tuple[str, int]]:
+    """--seed-classes' flavor:leaf tokens as (flavor, leaf vertex) pairs, each
+    checked as it is read."""
+    named = [token.strip() for token in tokens.split(",") if token.strip()]
+    if not named:
+        raise SpecError("no seed class given")
+    for token in named:
         try:
             flavor, name = token.split(":", 1)
         except ValueError:
             raise SpecError(f"seed class {token!r} is not flavor:leaf") from None
-        vertex = condensed.graph.vertex(model.vertex_of(name), flavor)
-        seeds.append(condensed.class_of[vertex])
-    return seeds
+        yield flavor, model.vertex_of(name)
+
+
+def _parse_seed_classes(tokens: Optional[str], model, condensed) -> Optional[list[int]]:
+    if tokens is None:
+        return None
+    return [
+        condensed.class_of[condensed.graph.vertex(owner, flavor)]
+        for flavor, owner in _seed_leaves(tokens, model)
+    ]
 
 
 def _class_label(model, condensed, ci: int) -> list[str]:
@@ -253,6 +263,8 @@ def cmd_export(args: argparse.Namespace) -> int:
         raise SpecError("export needs a spec with a tree block")
     model = spec.model
     if args.which == "tree":
+        if args.seed_classes is not None:  # unused, but refused where the other exports refuse it
+            list(_seed_leaves(args.seed_classes, model))
         _emit(tree_dot(model), args.out)
         return EXIT_OK
     from .prepares import analysis_set, behavior_graph, build_prepares_graph, condense
@@ -392,9 +404,15 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """main's parser, built on main's first call and reused: a build takes
+    about 1 ms, up to half of a call on a small spec."""
+    return build_parser()
+
+
 def main(argv: Optional[list[str]] = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = _parser().parse_args(argv)
     try:
         return args.fn(args)
     except (

@@ -41,9 +41,9 @@ print(json.dumps(sorted(m for m in sys.modules if m.startswith("btconverge"))))
 """
 
 
-def fresh_python(*args: str) -> subprocess.CompletedProcess:
+def fresh_python(*args: str, **environ: str) -> subprocess.CompletedProcess:
     path = [PACKAGE_ROOT, *filter(None, os.environ.get("PYTHONPATH", "").split(os.pathsep))]
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(path), PYTHONIOENCODING="utf-8")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(path), PYTHONIOENCODING="utf-8", **environ)
     return subprocess.run(
         [sys.executable, *args], capture_output=True, text=True, encoding="utf-8", env=env, timeout=60
     )
@@ -80,6 +80,56 @@ def test_importing_the_cli_loads_only_the_spec_layer(specs):
     assert loaded_after("pass") == CLI_MODULES
     # a spec without library or substitution blocks needs no analysis module to load
     assert loaded_after("btconverge.cli._load_spec(sys.argv[1])", specs["surveying_robot"]) == CLI_MODULES
+
+
+def test_importing_the_cli_builds_no_parser():
+    """main builds its parser on the first call, so the import pays nothing for it."""
+    probe = (
+        "import argparse\n"
+        "built = []\n"
+        "init = argparse.ArgumentParser.__init__\n"
+        "argparse.ArgumentParser.__init__ = lambda self, *a, **k: built.append(self) or init(self, *a, **k)\n"
+        "import btconverge.cli\n"
+        "print(len(built))\n"
+        "btconverge.cli.build_parser()\n"
+        "print(len(built) > 0)\n"
+    )
+    run = fresh_python("-c", probe)
+    assert (run.returncode, run.stdout) == (0, "0\nTrue\n"), run.stderr
+
+
+HELP = """\
+usage: btconverge [-h] {check,simulate,export,backchain,substitute} ...
+
+Convergence analysis for behavior-tree control policies
+
+positional arguments:
+  {check,simulate,export,backchain,substitute}
+    check               certify convergence or refute it
+    simulate            run the closed loop from a start cell
+    export              emit DOT graphs
+    backchain           generate a tree from a library
+    substitute          install the guarded controller subtree
+
+options:
+  -h, --help            show this help message and exit
+"""
+CHECK_WITHOUT_SPEC = """\
+usage: btconverge check [-h] --spec SPEC [--out OUT] [--format {text,json}]
+                        [--seed-classes SEED_CLASSES] [--delta DELTA]
+btconverge check: error: the following arguments are required: --spec
+"""
+
+
+@pytest.mark.parametrize(
+    "argv, code, out, err",
+    [(["--help"], 0, HELP, ""), (["check"], 2, "", CHECK_WITHOUT_SPEC)],
+    ids=["help", "check-without-spec"],
+)
+def test_console_help_and_usage_error_texts(argv, code, out, err):
+    """The texts of one call per process, the console script's case, at 80 columns."""
+    run = fresh_python("-m", "btconverge.cli", *argv, COLUMNS="80")
+    assert (run.returncode, run.stdout, run.stderr) == (code, out, err)
 
 
 def test_a_bundled_ref_loads_what_its_file_loads():

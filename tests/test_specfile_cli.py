@@ -1,5 +1,6 @@
 """Document round-trips, validation diagnostics, CLI contract."""
 
+import argparse
 import dataclasses
 import json
 import os
@@ -8,7 +9,7 @@ import re
 import pytest
 
 from btconverge.bt import BTModel
-from btconverge.cli import EXAMPLES, bundled_names, main
+from btconverge.cli import EXAMPLES, build_parser, bundled_names, main
 from btconverge.execution import FtsVerdict
 from btconverge.prepares import FtsPreconditionError, certify_convergence
 from btconverge.specfile import (
@@ -683,14 +684,40 @@ def test_check_seed_classes(capsys):
     assert report["classes_in_analysis_set"] == 2
 
 
+SEED_COMMANDS = [["check"], ["export", "--which", "condensed"], ["export", "--which", "tree"]]
+
+
 @pytest.mark.parametrize("tokens", [",", " ", ""])
-@pytest.mark.parametrize("command", [["check"], ["export", "--which", "condensed"]])
+@pytest.mark.parametrize("command", SEED_COMMANDS)
 def test_seed_classes_naming_no_class_exit_two(command, tokens, capsys):
     """An empty list, or only commas or spaces, names no class: an error, not
-    a bound-0 certificate of a refuted model, nor the default of every class."""
+    a bound-0 certificate of a refuted model, nor the default of every class.
+    The tree export, which reads no seed, refuses it too."""
     argv = [command[0], "--spec", "bundled:eat_tree", *command[1:], "--seed-classes", tokens]
     code, out, err = run_cli(*argv, capsys=capsys)
     assert (code, out, err) == (2, "", "error: no seed class given\n")
+
+
+@pytest.mark.parametrize(
+    "tokens, message",
+    [
+        ("bogus", "seed class 'bogus' is not flavor:leaf"),
+        ("b:eat_apple,bogus", "seed class 'bogus' is not flavor:leaf"),
+        ("b:ghost", "unknown leaf 'ghost'"),
+    ],
+)
+@pytest.mark.parametrize("command", SEED_COMMANDS)
+def test_malformed_seed_token_exits_two(command, tokens, message, capsys):
+    argv = [command[0], "--spec", "bundled:eat_tree", *command[1:], "--seed-classes", tokens]
+    code, out, err = run_cli(*argv, capsys=capsys)
+    assert (code, out, err) == (2, "", f"error: {message}\n")
+
+
+def test_tree_export_takes_well_formed_seed_classes(capsys):
+    argv = ["export", "--spec", "bundled:eat_tree", "--which", "tree"]
+    plain = run_cli(*argv, capsys=capsys)
+    assert run_cli(*argv, "--seed-classes", "b:eat_apple", capsys=capsys) == plain
+    assert plain[0] == 0
 
 
 def test_export_is_deterministic(capsys):
@@ -997,6 +1024,92 @@ def test_format_is_a_check_option_only(argv, capsys):
         main([*argv, "--spec", "bundled:patrol", "--format", "json"])
     assert exc.value.code == 2
     assert "unrecognized arguments: --format json" in capsys.readouterr().err
+
+
+OUT = "<out>"  # stands for an --out path
+# (a call, one optional flag for it): the call runs with the flag given and then omitted
+ONE_FLAG_CALLS = [
+    (["check", "--spec", "bundled:surveying_robot"], ["--delta", "2"]),
+    (["check", "--spec", "bundled:surveying_robot"], ["--seed-classes", "b:idle"]),
+    (["check", "--spec", "bundled:eat_tree"], ["--format", "json"]),
+    (["check", "--spec", "bundled:gridworld", "--format", "json"], ["--out", OUT]),
+    (["simulate", "--spec", "bundled:patrol", "--x0", "0"], ["--steps", "5"]),
+    (["export", "--spec", "bundled:gridworld", "--which", "condensed"], ["--seed-classes", "b:go_up"]),
+    (["export", "--spec", "bundled:gridworld", "--which", "prepares"], ["--delta", "inf"]),
+    (["backchain", "--spec", "bundled:surveying_robot_library"], ["--root", "idle"]),
+    (["backchain", "--spec", "bundled:mobile_manipulator"], ["--certify"]),
+    (["substitute", "--spec", "bundled:patrol"], ["--delta", "1"]),
+    (["substitute", "--spec", "bundled:patrol"], ["--out", OUT]),
+]
+USAGE_ERRORS = [
+    ["check"],
+    ["check", "--spec", "bundled:patrol", "--format", "xml"],
+    ["simulate", "--spec", "bundled:patrol", "--x0", "-1"],
+    ["export", "--spec", "bundled:patrol", "--which", "tree", "--steps", "3"],
+    ["substitute", "--spec", "bundled:patrol", "--delta", "nan"],
+]
+
+
+def test_one_parser_serves_every_call_in_a_process(rng, monkeypatch, tmp_path, capsys):
+    """main reuses one parser.  In a seeded shuffle where each optional flag
+    is given and then omitted, with a usage error in between, every call
+    parses to a fresh parser's namespace and gives what it gives as the
+    process's first call; once the parser is built, no call builds another."""
+    from btconverge import cli
+
+    out = str(tmp_path / "out")
+    pairs = [(call + flag, call) for call, flag in ONE_FLAG_CALLS]
+    rng.shuffle(pairs)
+    calls = []
+    for given, omitted in pairs:
+        calls += [given, rng.choice(USAGE_ERRORS), omitted]
+    calls = [[out if word == OUT else word for word in argv] for argv in calls]
+
+    def outcome(argv):
+        try:
+            code = main(argv)
+        except SystemExit as exc:
+            code = exc.code
+        captured = capsys.readouterr()
+        written = None
+        if os.path.exists(out):
+            with open(out, encoding="utf-8") as fh:
+                written = fh.read()
+            os.remove(out)
+        return code, captured.out, captured.err, written
+
+    first = {}
+    for argv in calls:
+        cli._parser.cache_clear()
+        first[tuple(argv)] = outcome(argv)
+    assert {code for code, *_ in first.values()} == {0, 1, 2}
+
+    parse = argparse.ArgumentParser.parse_args
+    parsed = []
+
+    def recording(self, args=None, namespace=None):
+        parsed.append(parse(self, args, namespace))
+        return parsed[-1]
+
+    monkeypatch.setattr(argparse.ArgumentParser, "parse_args", recording)
+    for argv in calls:
+        parsed.clear()
+        assert outcome(argv) == first[tuple(argv)], argv
+        assert parsed == ([] if argv in USAGE_ERRORS else [parse(build_parser(), argv)]), argv
+
+    built = []
+    init = argparse.ArgumentParser.__init__
+
+    def counting(self, *args, **kwargs):
+        built.append(self)
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting)
+    for argv in rng.sample(calls, len(calls)):
+        assert outcome(argv) == first[tuple(argv)], argv
+    assert built == []
+    build_parser()
+    assert built != []  # the count sees every parser built
 
 
 def test_substitute_patrol(tmp_path, capsys):
