@@ -300,27 +300,33 @@ def verify_bc_operating(lib: ActionConditionLibrary, built: BcBt, links: Optiona
 
     Executing actions never make the whole tree fail; linked actions never
     make it succeed; conditions never operate.  The leaf-level pathway sets
-    must equal their closed forms.
+    must equal their closed forms.  Only the actions and conditions the
+    generated tree holds are read: a root other than the library's may
+    leave some out.
     """
     if links is None:
         links = compute_links(lib)
     analysis = built.model.analysis()
-    linked = {a for a, _b, _c in links.links}  # the actions with a link below them
+    vertex_of = built.vertex_of
+    actions = [i for i in lib.actions if i in vertex_of]
+    conditions = [j for j in lib.conditions if j in vertex_of]
+    # the actions with a link below them in this tree: those whose link's consumer it holds
+    linked = {a for a, _b, c in links.links if c in vertex_of}
     violations: list[str] = []
-    for i in lib.actions:
-        v = built.vertex_of[i]
+    for i in actions:
+        v = vertex_of[i]
         if not (analysis.omega[v] & analysis.failure[v]).is_empty:
             violations.append(f"action {i!r} operates inside its failure region")
         if i in linked and not (analysis.omega[v] & analysis.success[v]).is_empty:
             violations.append(f"linked action {i!r} operates inside its success region")
-    for j in lib.conditions:
-        v = built.vertex_of[j]
+    for j in conditions:
+        v = vertex_of[j]
         if not analysis.omega[v].is_empty:
             violations.append(f"condition {j!r} has a nonempty operating region")
     leaf_vertices = set(built.id_of)
-    expected_s = {built.vertex_of[i] for i in lib.actions if i not in linked}
-    expected_f = {built.vertex_of[i] for i in lib.actions}
-    expected_f |= {built.vertex_of[j] for j in lib.conditions if not lib.conditions[j].achievers}
+    expected_s = {vertex_of[i] for i in actions if i not in linked}
+    expected_f = {vertex_of[i] for i in actions}
+    expected_f |= {vertex_of[j] for j in conditions if not lib.conditions[j].achievers}
     got_s = analysis.success_pathway & leaf_vertices
     got_f = analysis.failure_pathway & leaf_vertices
     if got_s != expected_s:

@@ -45,13 +45,10 @@ class PrepVertex:
         return (self.owner, self.flavor)
 
 
-_UNBUILT = object()  # a lazy attribute not computed yet
-
-
 class PreparesGraph:
     """Slice vertices plus directed possible-transition edges."""
 
-    __slots__ = ("vertices", "edges", "succ", "index", "_cell_vertex")
+    __slots__ = ("vertices", "edges", "succ", "index")
 
     def __init__(self, vertices: Sequence[PrepVertex], edges: Iterable[tuple[int, int]]) -> None:
         self.vertices = tuple(vertices)
@@ -60,24 +57,6 @@ class PreparesGraph:
         self.index = {v.key(): i for i, v in enumerate(self.vertices)}
         if len(self.index) != len(self.vertices):
             raise AbstractionError("duplicate (owner, flavor) vertex")
-        self._cell_vertex: object = _UNBUILT
-
-    @property
-    def cell_vertex(self) -> tuple[int, ...]:
-        """Per cell, the vertex whose slice holds it (-1 for none).
-
-        The slices are disjoint: ``build_prepares_graph`` slices only an
-        abstraction whose operating regions partition the universe.  Built
-        on first read: the verdict path never reads it.
-        """
-        if self._cell_vertex is _UNBUILT:
-            n_cells = self.vertices[0].cells.n if self.vertices else 0
-            lookup = [-1] * n_cells
-            for i, v in enumerate(self.vertices):
-                for c in v.cells.cells():
-                    lookup[c] = i
-            self._cell_vertex = tuple(lookup)
-        return self._cell_vertex
 
     def vertex(self, owner: int, flavor: str) -> int:
         try:
@@ -191,8 +170,9 @@ class CondensedGraph:
         return cells
 
     def class_of_cell(self, cell: int) -> Optional[int]:
-        v = self.graph.cell_vertex[cell]
-        return None if v == -1 else self.class_of[v]
+        """The class whose slices hold cell; None for a cell in no slice."""
+        owners = (self.class_of[i] for i, v in enumerate(self.graph.vertices) if cell in v.cells)
+        return next(owners, None)
 
     def class_keys(self, ci: int) -> tuple[tuple[int, str], ...]:
         return tuple(self.graph.vertices[v].key() for v in self.classes[ci])

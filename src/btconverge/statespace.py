@@ -43,14 +43,22 @@ class Region:
     def from_cells(cls, n: int, cells: Iterable[int]) -> "Region":
         """The region of the given cells (repeats allowed).
 
-        A byte is marked per cell and the marks are parsed once (``_marked``),
-        as ``World.dilate`` does.
+        A byte is marked per cell in a buffer that reaches only the highest
+        cell given, and the marks become the mask in one base-2 parse, not
+        one whole-mask OR per cell.  So the cost follows the cells, not n:
+        a handful of cells of a huge universe costs a handful of bytes.
         """
         cells = list(cells)
-        if cells and not (0 <= min(cells) and max(cells) < n):
+        if not cells:
+            return cls(n, 0)
+        top = max(cells)
+        if not (0 <= min(cells) and top < n):
             bad = next(c for c in cells if not 0 <= c < n)
             raise WorldError(f"cell {bad} outside universe of {n} cells")
-        return cls(n, _marked(n, cells))
+        marks = bytearray(top + 1)
+        for c in cells:
+            marks[c] = 1
+        return cls(n, int(marks.translate(_MARK_DIGITS)[::-1], 2))
 
     @classmethod
     def full(cls, n: int) -> "Region":
@@ -149,16 +157,6 @@ def bit_selector(mask: int) -> bytes:
     the bit is set, else 0.  ``compress(items, bit_selector(mask))`` picks the
     items at mask's set bits in C."""
     return bin(mask)[:1:-1].encode().translate(_DIGIT_VALUES)
-
-
-def _marked(n: int, cells: Iterable[int]) -> int:
-    """The mask of the given in-range cells: a byte is marked per cell, and
-    the marks become the mask in one base-2 parse instead of one whole-mask
-    OR per cell."""
-    marks = bytearray(n)
-    for c in cells:
-        marks[c] = 1
-    return int(marks.translate(_MARK_DIGITS)[::-1], 2)
 
 
 def _gather(seq: Sequence, keys: Sequence[int]) -> tuple:
@@ -378,10 +376,10 @@ class World:
         """The cells at most one step from region, region included.
 
         Metric: region plus the outside cells within delta of it
-        (``_reach``).  Adjacency: the neighbour tuples of region's cells
-        become a mask through ``_marked``, as ``Region.from_cells`` does.
-        Either way a slice is dilated once and then tested against any
-        number of targets with one mask AND each.
+        (``_reach``).  Adjacency: region plus the neighbours of its cells.
+        Either way the cells become a mask through ``Region.from_cells``,
+        and a slice is dilated once and then tested against any number of
+        targets with one mask AND each.
         """
         if region.n != self.cell_count:
             raise WorldError("regions belong to a different universe")
@@ -389,7 +387,7 @@ class World:
             cells = self._reach(region, delta)
         else:
             cells = chain.from_iterable(map(self.neighbors.__getitem__, region.cells()))
-        return Region(self.cell_count, _marked(self.cell_count, cells) | region.mask)
+        return Region.from_cells(self.cell_count, cells) | region
 
     def _metric(self, delta: Optional[float]) -> bool:
         """Whether closeness is metric; raises when the world cannot answer for delta."""

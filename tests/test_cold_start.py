@@ -204,3 +204,31 @@ def test_the_runtime_imports_only_the_standard_library():
                 for top in sorted(tops - sys.stdlib_module_names - {"btconverge"})
             ]
     assert outside == []
+
+
+# runs main in a fresh interpreter whose address space is capped, so an
+# allocation that follows the declared universe fails fast instead of
+# taking gigabytes of the machine
+CAPPED = """
+import resource, sys
+resource.setrlimit(resource.RLIMIT_AS, ({limit}, {limit}))
+import btconverge.cli
+sys.exit(btconverge.cli.main(sys.argv[1:]))
+"""
+
+
+def test_a_huge_declared_universe_costs_what_the_document_lists(tmp_path):
+    """eat_tree declaring 10**9 cells lists one target per real cell, so the
+    reader refuses it at once, naming the field, within a 1 GB address space."""
+    import time
+
+    doc = bundled_document("eat_tree")
+    doc["universe"]["cells"] = 10**9
+    path = tmp_path / "huge.json"
+    path.write_text(dump_document(doc))
+    started = time.perf_counter()
+    run = fresh_python("-c", CAPPED.format(limit=2**30), "check", "--spec", str(path))
+    took = time.perf_counter() - started
+    assert (run.returncode, run.stdout) == (2, ""), run.stderr
+    assert run.stderr == "error: leaves[0].next must list one target per cell\n"
+    assert took < 10

@@ -270,9 +270,12 @@ def test_dilated_edges_match_pairwise_neighboring(rng):
         cases.append((new, sorted(new.vertex_of(x) for x in [*names, DD_NAME, RR_NAME]), None))
     for model, members, delta in cases:
         graph = build_prepares_graph(model, members, delta)
-        # the slices are disjoint, so the per-cell lookup names the one slice of each cell
+        # the slices cover the universe, and their sizes add up to it, so they are disjoint
         assert sum(len(v.cells) for v in graph.vertices) == model.world.cell_count
-        assert all(graph.cell_vertex[c] == i for i, v in enumerate(graph.vertices) for c in v.cells.cells())
+        union = Region.empty(model.world.cell_count)
+        for v in graph.vertices:
+            union |= v.cells
+        assert union == model.world.full_region()
         assert edge_keys(graph) == oracle_prepares_edges(model, members, delta)
 
 

@@ -1388,3 +1388,81 @@ def test_leaf_statics_are_spec_errors(where, rule, message, tmp_path, capsys):
     code, out, err = run_cli(argv[0], "--spec", str(spec), *argv[1:], capsys=capsys)
     assert (code, out) == (2, "")
     assert err == f"error: {path}: leaf {entry['name']!r}: {message}\n"
+
+
+LIBRARY_ROOTS = [
+    (name, entry["name"])
+    for name in ("surveying_robot_library", "mobile_manipulator")
+    for entry in bundled_document(name)["library"]["actions"]
+]
+
+
+@pytest.mark.parametrize("certify", [False, True], ids=["plain", "certify"])
+@pytest.mark.parametrize("library, root", LIBRARY_ROOTS)
+def test_every_library_action_can_be_the_backchain_root(library, root, certify, tmp_path, capsys):
+    """A root whose tree leaves some library actions out is checked on the
+    actions the tree holds, and the tree it writes re-reads."""
+    out = str(tmp_path / "tree.json")
+    argv = ["backchain", "--spec", f"bundled:{library}", "--root", root, "--out", out]
+    code, stdout, err = run_cli(*argv, *["--certify"] * certify, capsys=capsys)
+    assert code in (0, 1, 2)
+    if code == 2:
+        assert (stdout, err.count("\n")) == ("", 1) and err.startswith("error: "), err
+        return
+    assert "operating-region facts hold: True" in stdout
+    assert run_cli("check", "--spec", out, capsys=capsys)[0] in (0, 1)
+
+
+def fuzz_commands(doc: dict) -> list[list[str]]:
+    """Every subcommand, with each --root of the document's library."""
+    roots = [[]] + [["--root", entry["name"]] for entry in doc.get("library", {}).get("actions", [])]
+    return [
+        ["check"],
+        ["check", "--format", "json"],
+        ["simulate", "--x0", "0", "--steps", "5"],
+        *(["export", "--which", which] for which in ("tree", "prepares", "condensed", "behavior")),
+        *(["backchain", *root, *certify] for root in roots for certify in ([], ["--certify"])),
+        ["substitute"],
+    ]
+
+
+def test_cli_fuzz_exits_with_a_verdict_or_an_error(rng, tmp_path, capsys):
+    """Seeded single-field mutations of the bundled documents, run through
+    every subcommand: each call exits 0, 1 or 2, an exit 2 prints one
+    `error:` line, and nothing escapes main.
+
+    A budget or cap of 10**9 is well formed, and asks `substitute` for a
+    product of about 10**11 cells, which it starts to build: the cost of a
+    valid request, not of a malformed field, so those two runs are left out.
+    """
+    import copy
+
+    spec = str(tmp_path / "spec.json")
+    calls = 0
+    for name in bundled_names():
+        doc = bundled_document(name)
+        paths = [(key,) for key in doc]
+        for key in doc:
+            paths += field_paths(rng, doc[key], (key,))
+        commands = fuzz_commands(doc)
+        for path, bad in rng.sample([(p, v) for p in paths for v in BAD_VALUES], 40):
+            mutated = copy.deepcopy(doc)
+            parent = mutated
+            for key in path[:-1]:
+                parent = parent[key]
+            parent[path[-1]] = copy.deepcopy(bad)
+            with open(spec, "w", encoding="utf-8") as fh:
+                json.dump(mutated, fh)
+            huge_product = path[-1] in ("time_budget", "hysteresis_cap") and bad == 10**9
+            for command in commands:
+                if huge_product and command == ["substitute"]:
+                    continue
+                calls += 1
+                try:
+                    code, out, err = run_cli(command[0], "--spec", spec, *command[1:], capsys=capsys)
+                except Exception as exc:
+                    pytest.fail(f"{name} {path} = {bad!r}, {command}: {type(exc).__name__}: {exc}")
+                assert code in (0, 1, 2), (name, path, bad, command)
+                if code == 2:
+                    assert out == "" and err.startswith("error: ") and err.count("\n") == 1, (name, path, bad, command, err)
+    assert calls > 2000

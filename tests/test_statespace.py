@@ -455,9 +455,10 @@ def test_adjacency_pairs_are_read_on_first_use():
 
 
 def test_from_cells_matches_shifts(rng):
-    for n in (1, 63, 64, 65, 1000, 5000):
-        for size in (0, 1, n // 64, n // 64 + 1, n // 2, 2 * n):
-            cells = [rng.randrange(n) for _ in range(size)]
+    for n in (1, 63, 64, 65, 1000, 5000, 10**12):
+        low = min(n, 5000)  # the mask of a huge universe's low cells is small
+        for size in (0, 1, low // 64, low // 64 + 1, low // 2, 2 * low):
+            cells = [rng.randrange(low) for _ in range(size)]
             want = 0
             for c in cells:
                 want |= 1 << c
@@ -468,6 +469,8 @@ def test_from_cells_matches_shifts(rng):
             Region.from_cells(5, [0, 1, 2, 3, 4, bad, 0])
         with pytest.raises(WorldError, match=f"cell {bad} outside"):
             Region.from_cells(5, [bad])
+    with pytest.raises(WorldError, match=f"cell {10**12} outside universe of {10**12} cells"):
+        Region.from_cells(10**12, [0, 10**12])
 
 
 def test_successor_map_names_the_first_target_outside():
