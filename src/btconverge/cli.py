@@ -421,6 +421,9 @@ def main(argv: Optional[list[str]] = None) -> int:
     ) as exc:
         sys.stderr.write(f"error: {exc}\n")
         return EXIT_ERROR
+    except MemoryError:  # a well-formed spec may ask for a product larger than memory
+        sys.stderr.write("error: out of memory\n")
+        return EXIT_ERROR
 
 
 if __name__ == "__main__":

@@ -14,7 +14,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from itertools import compress, count
-from typing import Iterable, Mapping, Optional, Sequence
+from typing import Callable, Iterable, Mapping, Optional, Sequence
 
 from .bt import BTModel, Doa, NodeKind, action as action_spec, validate_abstraction
 from .execution import ExitResult, FtsVerdict, empirical_exit_time, leaf_fts
@@ -358,11 +358,15 @@ def certify_checked(
     delta: Optional[float] = None,
     seeds: Optional[Iterable[int]] = None,
     condensed: Optional[CondensedGraph] = None,
+    exit_time: Optional[Callable[[Region], ExitResult]] = None,
 ) -> Certificate | Refutation:
     """certify_convergence for sorted members whose hypotheses are known to hold.
 
     A caller that already condensed the slice graph of these members and
-    delta passes it as ``condensed`` so it is not built again.
+    delta passes it as ``condensed`` so it is not built again.  A caller
+    that knows a faster exact exit time for a class's cells passes it as
+    ``exit_time``; by default each non-sink class is walked
+    (``empirical_exit_time``).
     """
     if condensed is None:
         condensed = condense(build_prepares_graph(model, members, delta))
@@ -387,7 +391,8 @@ def certify_checked(
     for ci in ordered:
         if ci in condensed.sinks:
             continue
-        result: ExitResult = empirical_exit_time(model, condensed.class_cells(ci))
+        cells = condensed.class_cells(ci)
+        result = empirical_exit_time(model, cells) if exit_time is None else exit_time(cells)
         if result.steps is None:
             return Refutation(
                 "no-exit",

@@ -30,6 +30,29 @@ a data-driven leaf with per-augmented-cell targets are checked on the
 product, as is any member whose base check fails, so every error is the
 one the product check names.
 
+Most classes' exit times are read off a base walk too.  Call a product
+region R with base projection B counter-blind when (1) R = B x P for one
+in-block pattern P, (2) P = {(t, h) : t in S} reads the time counter only,
+and (3) every cell of R is reached by an action leaf v that lifts base
+data, with reached[v] & R = B_v x P.  The leaves' tick regions partition
+the universe, so the B_v partition B, and (3) with P read off one block of
+R implies (1).  The closed loop sends (c, t, h) in R to
+(T_v(c), min(t + 1, T), h'), where v is the leaf whose B_v holds c, so no
+target in R is None, and by (1) and (2) that cell lies in R iff T_v(c) is
+in B and min(t + 1, T) is in S, whatever h' is.  So the walk from
+(c, t, h) stays in R exactly while the base walk c -> T_v(c) stays in B
+and the counter walk t -> min(t + 1, T) stays in S.  The two run
+independently, and the walk leaves R at min(e(c), tau(t)), where e(c) is
+the base walk's exit time from B and tau(t) the first j >= 1 with
+min(t + j, T) outside S, None counting as infinity.  (c, t) ranges over
+all of B x S, so the largest exit time is min(max e, max tau).  When both
+maxima are None, the walks that never leave start at the cells with e(c)
+and tau(t) both None; the smallest, c * block + t * (H + 1) for the
+smallest such c and t (h = 0), is the walk's own witness.  A run [a, b] of
+S with b < T has its largest tau at a, b - a + 1, and the run that ends at
+T never leaves.  Any other region, and every region of a non-product
+model, is walked.
+
 The augmentation is itself the product world.  It keeps that step rule,
 not a neighbour tuple per augmented cell, so a slice is dilated block by
 block.  When the guarded loop is a class of the certified condensation on
@@ -44,7 +67,7 @@ from operator import add, mul
 from typing import Mapping, Optional, Sequence
 
 from .bt import BTModel, Doa, LeafData, NodeKind, NodeSpec, condition as condition_spec
-from .execution import empirical_exit_time, leaf_fts
+from .execution import ExitResult, _exit_times, empirical_exit_time, leaf_fts
 from .prepares import (
     FLAVOR_BASIN,
     FLAVOR_GOAL,
@@ -523,7 +546,8 @@ def verify_substituted_convergence(
        into the loop.
 
     The loop's exit time is read off the certificate when the loop is
-    exactly one of its non-sink classes, and walked otherwise.
+    exactly one of its non-sink classes.  Otherwise it is read off a base
+    walk when the loop is counter-blind, and walked on the product if not.
     """
     new_model, old_model = result.new_model, result.old_model
     mb_v = new_model.leaf_by_name[old_model.names[_target_shape(old_model, result.target_old)[1]]]
@@ -579,13 +603,13 @@ def verify_substituted_convergence(
         ci = condensed.class_of[loop[0]]
         per_class = outcome.per_class_exit if isinstance(outcome, Certificate) else {}
         if condensed.classes[ci] == loop and ci in per_class:
-            # certification walked the loop's class, which is exactly the loop, from every cell
+            # certification timed the loop's class, which is exactly the loop, from every cell
             loop_exit, witness = per_class[ci], None
         else:
             loop_cells = Region.empty(new_model.world.cell_count)
             for i in loop:
                 loop_cells |= new_graph.vertices[i].cells
-            exit_result = empirical_exit_time(new_model, loop_cells)
+            exit_result = _class_exit(result, loop_cells)
             loop_exit, witness = exit_result.steps, exit_result.witness
         if loop_exit is None:
             diffs.append(f"guarded loop never exits from cell {witness}")
@@ -615,7 +639,8 @@ def _certify_substituted(
     The one-step check covers the base cells under the member's operating
     region; the module docstring says why both checks are exact.  A member
     that fails on the base is checked on the product, which raises what
-    certify_convergence raises.
+    certify_convergence raises.  A counter-blind class's exit time is read
+    off a base walk, and any other class is walked on the product.
     """
     model, aug = result.new_model, result.augmentation
     omega = model.analysis().omega
@@ -632,4 +657,55 @@ def _certify_substituted(
         return leaf_fts(base).ok
 
     check_hypotheses(model, [v for v in members if not holds_on_base(v)])
-    return certify_checked(model, members, None, seeds, condensed)
+    return certify_checked(
+        model, members, None, seeds, condensed, exit_time=lambda cells: _class_exit(result, cells)
+    )
+
+
+def _class_exit(result: SubstitutionResult, region: Region) -> ExitResult:
+    """The closed loop's exit time from region: read off a base walk when region
+    is counter-blind, walked on the product otherwise."""
+    blind = _counter_blind_exit(result, region)
+    return empirical_exit_time(result.new_model, region) if blind is None else blind
+
+
+def _counter_blind_exit(result: SubstitutionResult, region: Region) -> Optional[ExitResult]:
+    """empirical_exit_time(result.new_model, region) for a nonempty counter-blind
+    region, from one walk over its base cells; None when region is not
+    counter-blind.
+
+    The conditions and the proof are in the module docstring.
+    """
+    model, aug = result.new_model, result.augmentation
+    k, stride = aug.block, aug.hyst_cap + 1
+    base = aug.project_region(region)
+    # P, read off region's first block; condition 3 below implies condition 1
+    pattern = region.mask >> base.any_cell() * k & (1 << k) - 1
+    # 2: each counter value t is in the pattern with every h or with none
+    digits = format(pattern, f"0{k}b")[::-1]  # offset t * stride + h first to last
+    times = digits[::stride]  # "1" at each t of S
+    if digits != "".join(d * stride for d in times):
+        return None
+    # 3: each leaf reached on region lifts a base action leaf, on base cells x pattern
+    reached = model.analysis().reached
+    targets: list[Optional[int]] = [None] * aug.base.cell_count
+    for v, leaf in model.leaves.items():
+        here = reached[v] & region
+        if here.is_empty:
+            continue
+        lift = result.lifts.get(leaf.name)
+        if lift is None or lift.controller is None:  # no lift, or a condition resolves here
+            return None
+        cells = aug.project_region(here)
+        if aug._blocks(cells.mask, pattern) != here:
+            return None
+        for c in cells.cells():
+            targets[c] = lift.controller.targets[c]
+    starts = list(base.cells())
+    exits = _exit_times(targets, base.digits(), starts)
+    finite = times.rstrip("1")  # the run of S that ends at T, if any, never leaves
+    base_max = None if None in exits else max(exits)
+    time_max = max(map(len, finite.split("0"))) if len(finite) == len(times) else None
+    if base_max is None and time_max is None:
+        return ExitResult(None, starts[exits.index(None)] * k + len(finite) * stride)
+    return ExitResult(min(x for x in (base_max, time_max) if x is not None))

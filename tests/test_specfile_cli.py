@@ -1343,6 +1343,20 @@ def test_backchain_certify_prints_the_violations_check_prints(tmp_path, capsys):
     assert lines[start + 1 :] == out.splitlines()[2:] != []
 
 
+def test_running_out_of_memory_is_an_error_not_a_verdict(monkeypatch, capsys):
+    """A MemoryError exits 2 with one error line, never 1, the refuted code: a
+    substitution's budget or cap of 10**9 asks for about 10**11 product cells."""
+    from btconverge import substitution
+
+    def too_large(*args, **kwargs):
+        raise MemoryError
+
+    monkeypatch.setattr(substitution, "substitute", too_large)
+    assert run_cli("substitute", "--spec", "bundled:patrol", capsys=capsys) == (
+        2, "", "error: out of memory\n"
+    )
+
+
 @pytest.mark.parametrize("pattern, code", [(False, 1), (None, 0), (True, 0)])
 def test_a_failed_pattern_claim_fails_backchain_certify(pattern, code, monkeypatch, tmp_path, capsys):
     """A certificate whose pattern claim fails exits 1; a skipped claim (n/a) exits 0."""

@@ -7,7 +7,7 @@ from types import SimpleNamespace
 import pytest
 
 from btconverge.bt import BTModel, Doa, NodeKind, action, condition, fal, seq
-from btconverge.execution import simulate
+from btconverge.execution import empirical_exit_time, simulate
 from btconverge.prepares import (
     Certificate,
     FtsPreconditionError,
@@ -15,6 +15,7 @@ from btconverge.prepares import (
     build_prepares_graph,
     certify_checked,
     certify_convergence,
+    condense,
 )
 from btconverge.statespace import BTConvergeError, Region, SuccessorMap, World, WorldError
 from btconverge import substitution
@@ -594,7 +595,11 @@ def test_augmentation_stores_neighbour_lists_not_bitsets():
 
 def test_substitution_and_reverification_do_no_per_cell_work(monkeypatch):
     """No per-cell ticks, decodes or neighbour tuples, no hypothesis check on the
-    product for a lifted member, and one closed-loop walk per non-sink class."""
+    product for a lifted member, and no closed-loop walk of a counter-blind class.
+
+    With the hysteresis guard off every non-sink class is counter-blind, so
+    the product's closed loop is never built; with it on, the classes that
+    read the hysteresis counter are walked."""
     from btconverge import bt, prepares
 
     b = bundled_spec("patrol")
@@ -636,8 +641,8 @@ def test_substitution_and_reverification_do_no_per_cell_work(monkeypatch):
     monkeypatch.setattr(World, "steps_hold", counting_steps_hold)
     monkeypatch.setattr(prepares, "leaf_fts", spy_fts(product_fts))
     monkeypatch.setattr(substitution, "leaf_fts", spy_fts(base_fts))
-    monkeypatch.setattr(prepares, "empirical_exit_time", spy_exit_time("certify"))
-    monkeypatch.setattr(substitution, "empirical_exit_time", spy_exit_time("loop"))
+    monkeypatch.setattr(prepares, "empirical_exit_time", spy_exit_time("prepares"))
+    monkeypatch.setattr(substitution, "empirical_exit_time", spy_exit_time("substitution"))
     cert = certify_convergence(b.model, members, b.delta)
     result = substitute(b.model, spec, base_delta=b.delta)
     assert decodes == []
@@ -651,9 +656,8 @@ def test_substitution_and_reverification_do_no_per_cell_work(monkeypatch):
     assert b.model._leaf_at is None and result.new_model._leaf_at is None
     # the slice graph dilates block by block, so no neighbour tuple is built
     assert result.new_model.world._neighbors is None
-    # the loop's exit is read off its class's certified exit time, not walked again
-    non_sink = [ci for ci in report.result.analysis_classes if ci not in report.result.sink_classes]
-    assert walks == [("certify", n_aug)] * len(non_sink)
+    # every class's exit time is read off a base walk, and the loop's off its class's
+    assert walks == [] and result.new_model._loop is None
     assert report.loop_exit_steps in report.result.per_class_exit.values()
     # every member lifts base data, so each is proven on the 10 base cells alone
     assert steps == [n_base] * 4 and product_fts == []
@@ -671,13 +675,90 @@ def test_substitution_and_reverification_do_no_per_cell_work(monkeypatch):
     assert gated.new_model.world._neighbors is None
     steps.clear()
     product_fts.clear()
+    walks.clear()
     gated_report = verify_substituted_convergence(cert, gated)
     assert gated_report and gated_report.graph_diffs == ()
     assert "rr_controller" not in gated.lifts
     assert product_fts == [("rr_controller", n_aug)]
+    # the guard splits the loop over two classes by the hysteresis counter: those two
+    # and then the whole loop are walked on the product, the other two classes are not
+    gated_cert = gated_report.result
+    loop = {gated.new_model.vertex_of(DD_NAME), gated.new_model.vertex_of(RR_NAME)}
+    owners = [{gated_cert.graph.vertices[i].owner for i in c} for c in gated_cert.condensed.classes]
+    in_loop = [ci for ci in gated_cert.per_class_exit if owners[ci] & loop]
+    assert len(in_loop) == 2 and len(gated_cert.per_class_exit) == 4
+    assert walks == [("substitution", n_aug)] * 3 and gated.new_model._loop is not None
     assert steps.count(n_aug) == 1 and steps.count(n_base) == 3
     # the product step check reads the per-cell neighbour tuples, built on demand
     assert gated.new_model.world._neighbors is not None
+
+
+def test_counter_blind_exit_times_match_the_product_walk(rng):
+    """Seeded corpus: wherever the counter-blind rule answers, it gives the walk's
+    exit time and witness.
+
+    The regions are every class of the product's slice graph (the old
+    abstraction plus the loop's two leaves) on random_reverification_instance
+    products, metric and adjacency, hysteresis on and off, dd targets per
+    base or per augmented cell, and on patrol at several (T, H), T = 0
+    included.  A random_substitution_instance product has no abstraction
+    (its task-done condition operates and has no basin data), so there the
+    regions are each leaf's tick region, the loop's and a random union of
+    them.  The rule must answer with an exit time and with no exit many
+    times, and decline some regions.
+    """
+    seen = Counter()
+
+    def compare(result, regions):
+        for region in regions:
+            got = substitution._counter_blind_exit(result, region)
+            if got is None:
+                seen["declined"] += 1
+                continue
+            want = empirical_exit_time(result.new_model, region)
+            assert (got.steps, got.witness) == (want.steps, want.witness), (region, got, want)
+            seen["exit" if got else "no-exit"] += 1
+
+    def classes(result, names):
+        model = result.new_model
+        members = sorted({model.vertex_of(x) for x in (*names, DD_NAME, RR_NAME)})
+        condensed = condense(build_prepares_graph(model, members))
+        return [condensed.class_cells(ci) for ci in range(len(condensed.classes))]
+
+    for trial in range(48):
+        metric, hysteresis, per_aug_dd = trial % 2 == 1, trial // 2 % 2 == 1, trial // 4 % 2 == 1
+        model, spec, delta, names = random_reverification_instance(
+            rng, rng.randint(5, 9), metric, hysteresis, per_aug_dd
+        )
+        result = substitute(model, spec, base_delta=delta)
+        compare(result, classes(result, names))
+    for trial in range(24):
+        model, spec, _inj = random_substitution_instance(rng, rng.randint(4, 10))
+        spec = dataclasses.replace(
+            spec,
+            time_budget=rng.randint(0, 6),
+            hysteresis_cap=rng.randint(0, 3),
+            hysteresis=trial % 2 == 1,
+        )
+        result = substitute(model, spec)
+        new = result.new_model
+        reached = new.analysis().reached
+        ticks = [reached[v] for v in sorted(new.leaves)]
+        loop = reached[new.vertex_of(DD_NAME)] | reached[new.vertex_of(RR_NAME)]
+        union = Region.empty(new.world.cell_count)
+        for tick_region in ticks:
+            if rng.random() < 0.5:
+                union |= tick_region
+        compare(result, [r for r in (*ticks, loop, union) if not r.is_empty])
+    b = bundled_spec("patrol")
+    for budget, cap in ((0, 0), (0, 3), (1, 0), (5, 1), (30, 4), (100, 10)):
+        for hysteresis in (False, True):
+            spec = dataclasses.replace(
+                b.substitution, time_budget=budget, hysteresis_cap=cap, hysteresis=hysteresis
+            )
+            result = substitute(b.model, spec, base_delta=b.delta)
+            compare(result, classes(result, b.abstraction))
+    assert seen["exit"] >= 50 and seen["no-exit"] >= 20 and seen["declined"] >= 20, seen
 
 
 def test_project_region_refuses_a_region_over_another_universe():
@@ -755,9 +836,11 @@ def test_loop_exit_read_off_the_certificate_matches_the_walk(rng, monkeypatch):
     choices, with the hypotheses taken as given in half of it.  On these
     line worlds the loop rarely forms a class of its own, so half of the
     slice graphs lose their edges into the loop and gain every edge inside
-    it; both the read-off and the walk must occur at least five times.
+    it; both the read-off and the fallback (the loop's exit time computed
+    outside certification) must occur at least five times.
     """
-    real_build, real_exit_time = substitution.build_prepares_graph, substitution.empirical_exit_time
+    real_build, real_class_exit = substitution.build_prepares_graph, substitution._class_exit
+    real_certify = substitution.certify_checked
 
     def certify_unchecked(result, members, seeds, condensed):
         return certify_checked(result.new_model, members, None, seeds, condensed)
@@ -781,18 +864,27 @@ def test_loop_exit_read_off_the_certificate_matches_the_walk(rng, monkeypatch):
             graph=build_prepares_graph(model, [model.vertex_of(x) for x in names], delta)
         )
         seeds = rng.choice([None, None, [0], [1]])
-        walked = []
+        certifying, fallback = [], []
 
-        def counting_exit_time(model, region):
-            walked.append(region)
-            return real_exit_time(model, region)
+        def flagged_certify(*args, **kwargs):
+            certifying.append(True)
+            try:
+                return real_certify(*args, **kwargs)
+            finally:
+                certifying.pop()
+
+        def counting_class_exit(result, region):
+            if not certifying:
+                fallback.append(region)
+            return real_class_exit(result, region)
 
         with monkeypatch.context() as m:
             if trial // 8 % 2:
                 m.setattr(substitution, "_certify_substituted", certify_unchecked)
             if trial // 16 % 2:
                 m.setattr(substitution, "build_prepares_graph", isolated_loop)
-            m.setattr(substitution, "empirical_exit_time", counting_exit_time)
+            m.setattr(substitution, "certify_checked", flagged_certify)
+            m.setattr(substitution, "_class_exit", counting_class_exit)
             got = _reverification_outcome(
                 old, result, lambda o, r: verify_substituted_convergence(o, r, seeds)
             )
@@ -800,11 +892,11 @@ def test_loop_exit_read_off_the_certificate_matches_the_walk(rng, monkeypatch):
                 old, result, lambda o, r: reference_verify_substituted_convergence(o, r, seeds)
             )
         assert got == want, (trial, got, want)
-        if walked:
-            paths["walk"] += 1
+        if fallback:
+            paths["fallback"] += 1
         elif not isinstance(got[0], type) and got[2] is not None:
             paths["read-off"] += 1
-    assert paths["walk"] >= 5 and paths["read-off"] >= 5, paths
+    assert paths["fallback"] >= 5 and paths["read-off"] >= 5, paths
 
 
 def _mutated_loop_graphs(rng, old, new, renamed, loop_owners, mb_v):
