@@ -166,19 +166,38 @@ def _gather(seq: Sequence, keys: Sequence[int]) -> tuple:
     return tuple(seq[k] for k in keys)  # itemgetter returns no tuple for 0 or 1 keys
 
 
+def check_targets(targets: Sequence[int], n: int) -> None:
+    """Raise WorldError naming the first of targets outside range(n)."""
+    if targets and not (0 <= min(targets) and max(targets) < n):
+        c, t = next((c, t) for c, t in enumerate(targets) if not 0 <= t < n)
+        raise WorldError(f"successor of cell {c} is {t}, outside universe")
+
+
 class SuccessorMap:
     """Total one-step dynamics for one action leaf: cell -> cell."""
 
-    __slots__ = ("n", "targets")
+    __slots__ = ("n", "targets", "_fill")
 
     def __init__(self, targets: Sequence[int]) -> None:
         targets = tuple(targets)
-        n = len(targets)
-        if targets and not (0 <= min(targets) and max(targets) < n):
-            c, t = next((c, t) for c, t in enumerate(targets) if not 0 <= t < n)
-            raise WorldError(f"successor of cell {c} is {t}, outside universe")
-        self.n = n
+        check_targets(targets, len(targets))
+        self.n = len(targets)
         self.targets = targets
+
+    @classmethod
+    def lazy(cls, n: int, fill: Callable[[], Iterable[int]]) -> "SuccessorMap":
+        """A map over n cells whose targets fill() yields, unchecked, on first read."""
+        m = cls.__new__(cls)
+        m.n, m._fill = n, fill
+        return m
+
+    def __getattr__(self, name: str) -> tuple[int, ...]:
+        # reached only for an unset slot; a lazy map's targets are the one answer
+        if name != "targets":
+            raise AttributeError(f"{type(self).__name__!r} object has no attribute {name!r}")
+        self.targets = targets = tuple(self._fill())
+        del self._fill
+        return targets
 
     @classmethod
     def from_function(cls, n: int, fn: Callable[[int], int]) -> "SuccessorMap":

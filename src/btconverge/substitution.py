@@ -64,7 +64,7 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 from itertools import chain, repeat
 from operator import add, mul
-from typing import Mapping, Optional, Sequence
+from typing import Iterator, Mapping, Optional, Sequence
 
 from .bt import BTModel, Doa, LeafData, NodeKind, NodeSpec, condition as condition_spec
 from .execution import ExitResult, _exit_times, empirical_exit_time, leaf_fts
@@ -80,7 +80,7 @@ from .prepares import (
     check_hypotheses,
     condense,
 )
-from .statespace import BTConvergeError, Region, SuccessorMap, World, WorldError
+from .statespace import BTConvergeError, Region, SuccessorMap, World, WorldError, check_targets
 
 DD_NAME = "dd_controller"
 RR_NAME = "rr_controller"
@@ -159,7 +159,6 @@ class Augmentation(World):
         "_base_steps",
         "_rok",
         "_successors",
-        "_next_offsets",
     )
 
     def __init__(
@@ -182,16 +181,14 @@ class Augmentation(World):
         self.block = block
         steps, stays = base._steps(base_delta)
         # in-block offset of the counters' successor, per in-block offset,
-        # outside ("0") and inside ("1") the risk-ok region
-        times = [min(t + 1, time_cap) * (hyst_cap + 1) for t in range(time_cap + 1)]
-        hysts = range(hyst_cap + 1)
-        self._successors = patterns = {
-            "0": tuple(t2 for t2 in times for _h in hysts),
-            "1": tuple(t2 + min(h + 1, hyst_cap) for t2 in times for h in hysts),
-        }
-        self._rok = rok = rok_base.digits()
-        # per augmented cell: the in-block offset of its counters' successor
-        self._next_offsets = tuple(chain.from_iterable(map(patterns.__getitem__, rok)))
+        # outside ("0") and inside ("1") the risk-ok region: t -> min(t + 1, T)
+        # and h -> 0 or min(h + 1, H)
+        stride = hyst_cap + 1
+        times = chain(range(stride, time_cap * stride + 1, stride), (time_cap * stride,))
+        reset = tuple(chain.from_iterable(map(repeat, times, repeat(stride))))
+        hysts = chain.from_iterable(repeat((*range(1, stride), hyst_cap), time_cap + 1))
+        self._successors = {"0": reset, "1": tuple(map(add, reset, hysts))}
+        self._rok = rok_base.digits()
         if stays:  # adjacency lists leave out the cell, which a step may keep
             steps = [tuple(sorted({c, *near})) for c, near in enumerate(steps)]
         self._base_steps = steps
@@ -286,16 +283,24 @@ class Augmentation(World):
         return self._blocks(self.base.full_region().mask, pattern)
 
     def lift_map(self, base_targets: Sequence[int]) -> SuccessorMap:
-        """Lift base-cell targets (indexed by base or augmented cell)."""
+        """Lift base-cell targets (indexed by base or augmented cell), checked
+        against the base universe here; the lifted targets are built on first read."""
         k = self.block
         per_aug = len(base_targets) == self.cell_count
         if not per_aug and len(base_targets) != self.base.cell_count:
             raise SubstitutionError("target array length matches neither universe")
-        # per augmented cell: the target block's start plus its counters' offset
-        starts = map(mul, base_targets, repeat(k))
-        if not per_aug:
-            starts = chain.from_iterable(map(repeat, starts, repeat(k)))
-        return SuccessorMap(list(map(add, starts, self._next_offsets)))
+        base_targets = tuple(base_targets)
+        check_targets(base_targets, self.base.cell_count)
+
+        def fill() -> Iterator[int]:
+            # per augmented cell: the target block's start plus its counters' offset
+            starts = map(mul, base_targets, repeat(k))
+            if not per_aug:
+                starts = chain.from_iterable(map(repeat, starts, repeat(k)))
+            offsets = chain.from_iterable(map(self._successors.__getitem__, self._rok))
+            return map(add, starts, offsets)
+
+        return SuccessorMap.lazy(self.cell_count, fill)
 
     def lift_leaf(self, leaf: LeafData) -> LeafData:
         controller = None

@@ -347,6 +347,27 @@ def test_target_shape_validation():
         substitute(b.model, spec, base_delta=b.delta)
 
 
+def test_out_of_range_base_targets_are_refused_at_lift_time():
+    """lift_map and substitute name the first base target outside the base universe,
+    for targets given per base cell and per augmented cell, before any lifted map
+    is read."""
+    b = bundled_spec("patrol")
+    aug = Augmentation(b.model.world, 3, 2, b.substitution.rok_success, b.delta)
+    n = b.model.world.cell_count
+    for length in (n, aug.cell_count):
+        for at, bad in ((0, -1), (length - 1, n), (length // 2, n + 7)):
+            targets = [length % n] * length
+            targets[at] = bad
+            message = f"successor of cell {at} is {bad}, outside universe"
+            with pytest.raises(WorldError, match=message):
+                aug.lift_map(targets)
+            spec = dataclasses.replace(
+                b.substitution, time_budget=3, hysteresis_cap=2, dd_targets=targets
+            )
+            with pytest.raises(WorldError, match=message):
+                substitute(b.model, spec, base_delta=b.delta)
+
+
 def test_illegal_neighbor_edge_is_an_error():
     """A prep stage bordering the guarded region breaks the loop discipline."""
     n = 10
@@ -473,13 +494,16 @@ def test_augmentation_products_match_decode_oracle(rng):
             n_aug, lambda cell: aug.decode(cell)[2] >= H
         )
         per_base = [rng.randrange(n_base) for _ in range(n_base)]
-        assert aug.lift_map(per_base).targets == tuple(
-            oracle_step(cell, per_base[aug.decode(cell)[0]]) for cell in range(n_aug)
-        )
         per_aug = [rng.randrange(n_base) for _ in range(n_aug)]
-        assert aug.lift_map(per_aug).targets == tuple(
-            oracle_step(cell, per_aug[cell]) for cell in range(n_aug)
-        )
+        for targets, base_of in ((per_base, lambda cell: aug.decode(cell)[0]), (per_aug, int)):
+            want = tuple(oracle_step(cell, targets[base_of(cell)]) for cell in range(n_aug))
+            # a lifted map builds its targets on first read, whichever reader comes first
+            by_image, by_next, by_eq = (aug.lift_map(targets) for _ in range(3))
+            r = random_region(rng, n_aug)
+            assert by_image.image(r) == SuccessorMap(want).image(r)
+            assert list(map(by_next.next, range(n_aug))) == list(want)
+            assert by_eq == SuccessorMap(want)
+            assert by_image.targets == by_next.targets == by_eq.targets == want
         rows = []
         for cell in range(n_aug):
             c = aug.decode(cell)[0]
@@ -593,13 +617,24 @@ def test_augmentation_stores_neighbour_lists_not_bitsets():
     assert peak < 4 * 2**20  # one bitset row per augmented cell took 9.8 MiB
 
 
+def _built(controller):
+    """Whether the map's targets are built, read past SuccessorMap's lazy fill."""
+    try:
+        SuccessorMap.targets.__get__(controller)
+    except AttributeError:
+        return False
+    return True
+
+
 def test_substitution_and_reverification_do_no_per_cell_work(monkeypatch):
-    """No per-cell ticks, decodes or neighbour tuples, no hypothesis check on the
-    product for a lifted member, and no closed-loop walk of a counter-blind class.
+    """No per-cell ticks, decodes, neighbour tuples or lifted targets, no hypothesis
+    check on the product for a lifted member, and no closed-loop walk of a
+    counter-blind class.
 
     With the hysteresis guard off every non-sink class is counter-blind, so
-    the product's closed loop is never built; with it on, the classes that
-    read the hysteresis counter are walked."""
+    the product's closed loop is never built and no lifted map is read; with
+    it on, the classes that read the hysteresis counter are walked, and the
+    risk-reduction leaf's product step check reads its lifted map."""
     from btconverge import bt, prepares
 
     b = bundled_spec("patrol")
@@ -650,8 +685,12 @@ def test_substitution_and_reverification_do_no_per_cell_work(monkeypatch):
     steps.clear()
     product_fts.clear()
     walks.clear()
+    assert verify_preservation(result)
     report = verify_substituted_convergence(cert, result)
     assert report and report.loop_exit_steps is not None
+    leaves = result.new_model.leaves.values()
+    controllers = [v.controller for v in leaves if v.controller is not None]
+    assert len(controllers) == 4 and not any(map(_built, controllers))
     assert ticks == []  # neither verdict built a per-cell leaf table
     assert b.model._leaf_at is None and result.new_model._leaf_at is None
     # the slice graph dilates block by block, so no neighbour tuple is built
@@ -680,6 +719,13 @@ def test_substitution_and_reverification_do_no_per_cell_work(monkeypatch):
     assert gated_report and gated_report.graph_diffs == ()
     assert "rr_controller" not in gated.lifts
     assert product_fts == [("rr_controller", n_aug)]
+    aug, T, H = gated.augmentation, spec.time_budget, spec.hysteresis_cap
+    rr_map = gated.new_model.leaves[gated.new_model.vertex_of(RR_NAME)].controller
+    assert _built(rr_map)
+    for cell in range(n_aug):
+        c, t, h = aug.decode(cell)
+        h2 = min(h + 1, H) if c in spec.rok_success else 0
+        assert rr_map.next(cell) == aug.encode(spec.rr.controller.next(c), min(t + 1, T), h2)
     # the guard splits the loop over two classes by the hysteresis counter: those two
     # and then the whole loop are walked on the product, the other two classes are not
     gated_cert = gated_report.result
