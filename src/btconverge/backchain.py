@@ -179,14 +179,12 @@ def compute_links(lib: ActionConditionLibrary) -> LinkStructure:
     return LinkStructure(links, post, acc, rank)
 
 
-def validate_bc_assumptions(lib: ActionConditionLibrary, root: Id, links: Optional[LinkStructure] = None) -> LinkStructure:
+def validate_bc_assumptions(lib: ActionConditionLibrary, root: Id, links: LinkStructure) -> None:
     """Enforce the structural assumptions the closed-form analysis needs.
 
     The top-level action must not sit below any link, every condition has
     at most one achiever, and a condition nobody achieves must never fail.
     """
-    if links is None:
-        links = compute_links(lib)
     if root not in lib.actions:
         raise LibraryError(f"unknown root action {root!r}")
     own = sorted(t for t in links.links if t[0] == root)  # a link below the root starts at it
@@ -197,7 +195,6 @@ def validate_bc_assumptions(lib: ActionConditionLibrary, root: Id, links: Option
             raise AssumptionError(f"condition {cid!r} has several achievers {entry.achievers}")
         if not entry.achievers and not entry.leaf.failure.is_empty:
             raise AssumptionError(f"achiever-less condition {cid!r} can fail")
-    return links
 
 
 @dataclass(frozen=True)
@@ -295,7 +292,7 @@ class OperatingVerdict:
         return self.ok
 
 
-def verify_bc_operating(lib: ActionConditionLibrary, built: BcBt, links: Optional[LinkStructure] = None) -> OperatingVerdict:
+def verify_bc_operating(lib: ActionConditionLibrary, built: BcBt, links: LinkStructure) -> OperatingVerdict:
     """Check the closed-form operating-region facts against the generic pipeline.
 
     Executing actions never make the whole tree fail; linked actions never
@@ -304,8 +301,6 @@ def verify_bc_operating(lib: ActionConditionLibrary, built: BcBt, links: Optiona
     generated tree holds are read: a root other than the library's may
     leave some out.
     """
-    if links is None:
-        links = compute_links(lib)
     analysis = built.model.analysis()
     vertex_of = built.vertex_of
     actions = [i for i in lib.actions if i in vertex_of]
@@ -370,7 +365,9 @@ def check_bc_convergence(
     ``built`` so the tree is not built and analysed again, and one that
     already ran ``compute_links(lib)`` passes it as ``links``.
     """
-    links = validate_bc_assumptions(lib, root, links)
+    if links is None:
+        links = compute_links(lib)
+    validate_bc_assumptions(lib, root, links)
     hypothesis_witnesses: list[tuple[Id, int]] = []
     for i in sorted(lib.actions, key=_id_key):
         entry = lib.actions[i]

@@ -15,7 +15,7 @@ import argparse
 import functools
 import os
 import sys
-from typing import TYPE_CHECKING, Callable, Iterator, Optional
+from typing import TYPE_CHECKING, Callable, Optional
 
 from .specfile import LoadedSpec, SpecError, build_document, dump_document, load_path
 from .statespace import BTConvergeError, step_bound
@@ -93,27 +93,30 @@ def _abstraction_vertices(spec: LoadedSpec) -> list[int]:
     return [v for v in model.action_vertices()]
 
 
-def _seed_leaves(tokens: str, model) -> Iterator[tuple[str, int]]:
+def _seed_leaves(tokens: Optional[str], model) -> Optional[list[tuple[str, int]]]:
     """--seed-classes' flavor:leaf tokens as (flavor, leaf vertex) pairs, each
-    checked as it is read."""
+    checked as it is read; None without the flag."""
+    if tokens is None:
+        return None
     named = [token.strip() for token in tokens.split(",") if token.strip()]
     if not named:
         raise SpecError("no seed class given")
+    leaves = []
     for token in named:
         try:
             flavor, name = token.split(":", 1)
         except ValueError:
             raise SpecError(f"seed class {token!r} is not flavor:leaf") from None
-        yield flavor, model.vertex_of(name)
+        leaves.append((flavor, model.vertex_of(name)))
+    return leaves
 
 
-def _parse_seed_classes(tokens: Optional[str], model, condensed) -> Optional[list[int]]:
-    if tokens is None:
+def _seed_classes(leaves: Optional[list[tuple[str, int]]], condensed) -> Optional[list[int]]:
+    """The classes of the seed leaves' slices; a flavor the leaf has no slice of
+    is an error."""
+    if leaves is None:
         return None
-    return [
-        condensed.class_of[condensed.graph.vertex(owner, flavor)]
-        for flavor, owner in _seed_leaves(tokens, model)
-    ]
+    return [condensed.class_of[condensed.graph.vertex(owner, flavor)] for flavor, owner in leaves]
 
 
 def _class_label(model, condensed, ci: int) -> list[str]:
@@ -159,6 +162,7 @@ def cmd_check(args: argparse.Namespace) -> int:
     model = spec.model
     delta = _resolve_delta(spec, args.delta, model)
     members = sorted(set(_abstraction_vertices(spec)))
+    leaves = _seed_leaves(args.seed_classes, model)  # a usage error, whatever the hypotheses
     try:  # certify_convergence's order: hypotheses first, so a member without basin data is reported
         check_hypotheses(model, members, delta)
     except FtsPreconditionError as exc:
@@ -173,8 +177,7 @@ def cmd_check(args: argparse.Namespace) -> int:
         _print_report(report, args)
         return EXIT_REFUTED
     condensed = condense(build_prepares_graph(model, members, delta))
-    seeds = _parse_seed_classes(args.seed_classes, model, condensed)
-    outcome = certify_checked(model, members, delta, seeds, condensed)
+    outcome = certify_checked(model, condensed, _seed_classes(leaves, condensed))
     if isinstance(outcome, Refutation):
         report = {
             "status": "refuted",
@@ -263,8 +266,7 @@ def cmd_export(args: argparse.Namespace) -> int:
         raise SpecError("export needs a spec with a tree block")
     model = spec.model
     if args.which == "tree":
-        if args.seed_classes is not None:  # unused, but refused where the other exports refuse it
-            list(_seed_leaves(args.seed_classes, model))
+        _seed_leaves(args.seed_classes, model)  # unused, but refused where the other exports refuse it
         _emit(tree_dot(model), args.out)
         return EXIT_OK
     from .prepares import analysis_set, behavior_graph, build_prepares_graph, condense
@@ -272,7 +274,7 @@ def cmd_export(args: argparse.Namespace) -> int:
     delta = _resolve_delta(spec, args.delta, model)
     graph = build_prepares_graph(model, _abstraction_vertices(spec), delta)
     condensed = condense(graph)
-    seeds = _parse_seed_classes(args.seed_classes, model, condensed)
+    seeds = _seed_classes(_seed_leaves(args.seed_classes, model), condensed)
     chosen = analysis_set(condensed, seeds if seeds is not None else range(len(condensed.classes)))
     chosen_vertices = [v for ci in chosen for v in condensed.classes[ci]]
     if args.which == "prepares":

@@ -320,7 +320,7 @@ def certify_convergence(
     """
     members = sorted(set(abstraction))
     check_hypotheses(model, members, delta)
-    return certify_checked(model, members, delta, seeds)
+    return certify_checked(model, condense(build_prepares_graph(model, members, delta)), seeds)
 
 
 def check_hypotheses(model: BTModel, members: Sequence[int], delta: Optional[float] = None) -> None:
@@ -354,22 +354,17 @@ def check_hypotheses(model: BTModel, members: Sequence[int], delta: Optional[flo
 
 def certify_checked(
     model: BTModel,
-    members: Sequence[int],
-    delta: Optional[float] = None,
+    condensed: CondensedGraph,
     seeds: Optional[Iterable[int]] = None,
-    condensed: Optional[CondensedGraph] = None,
     exit_time: Optional[Callable[[Region], ExitResult]] = None,
 ) -> Certificate | Refutation:
-    """certify_convergence for sorted members whose hypotheses are known to hold.
+    """certify_convergence on condensed, the condensed slice graph of members
+    whose hypotheses are known to hold.
 
-    A caller that already condensed the slice graph of these members and
-    delta passes it as ``condensed`` so it is not built again.  A caller
-    that knows a faster exact exit time for a class's cells passes it as
-    ``exit_time``; by default each non-sink class is walked
+    A caller that knows a faster exact exit time for a class's cells passes
+    it as ``exit_time``; by default each non-sink class is walked
     (``empirical_exit_time``).
     """
-    if condensed is None:
-        condensed = condense(build_prepares_graph(model, members, delta))
     graph = condensed.graph
     if seeds is None:
         chosen = analysis_set(condensed, range(len(condensed.classes)))

@@ -18,7 +18,7 @@ from json.encoder import encode_basestring_ascii
 from typing import TYPE_CHECKING, Any, Callable, Optional
 
 from .bt import BTModel, Doa, LeafData, ModelError, NodeKind, NodeSpec, check_leaf
-from .statespace import BTConvergeError, Region, SuccessorMap, World, WorldError, _gather, bit_selector
+from .statespace import BTConvergeError, Region, SuccessorMap, World, WorldError, _gather, bit_selector, check_targets
 
 if TYPE_CHECKING:  # the library and substitution readers import these when they run
     from .backchain import ActionConditionLibrary
@@ -33,7 +33,6 @@ class SpecError(BTConvergeError):
 
 @dataclass
 class LoadedSpec:
-    document: dict
     world: World
     model: Optional[BTModel]
     abstraction: Optional[list[str]]
@@ -96,7 +95,7 @@ def parse_document(doc: dict) -> LoadedSpec:
             raise SpecError("substitution: block without a tree")
         substitution = _parse_substitution(_obj(doc["substitution"], "substitution"), world, model)
 
-    return LoadedSpec(doc, world, model, abstraction, delta, library, library_root, substitution)
+    return LoadedSpec(world, model, abstraction, delta, library, library_root, substitution)
 
 
 # ----------------------------------------------------------------------
@@ -119,11 +118,8 @@ _NUMBER = frozenset({int, float})
 def _list(value: Any, path: str, of: Optional[type] = None) -> list:
     """A JSON array; with ``of``, every entry of exactly that type (a JSON
     ``true`` is no integer), checked in C and walked only to name the first
-    bad entry.  An ``_Ints`` array from ``build_document`` holds only ints
-    and is not scanned."""
-    if type(value) is _Ints and of in (int, None):
-        return value
-    if type(value) is not list:
+    bad entry."""
+    if not isinstance(value, list):
         raise SpecError(f"{path} must be a list")
     if of is not None and not {of}.issuperset(map(type, value)):
         i, bad = next((i, item) for i, item in enumerate(value) if type(item) is not of)
@@ -169,9 +165,9 @@ def _region(value: Any, path: str, world: World) -> Region:
         raise SpecError(f"{path}: {exc}") from exc
 
 
-def _targets(value: Any, path: str, cells: Optional[int] = None) -> SuccessorMap:
-    """A successor map: one target cell per cell (``cells`` of them, when given)."""
-    if cells is not None and (type(value) not in (list, _Ints) or len(value) != cells):
+def _targets(value: Any, path: str, cells: int) -> SuccessorMap:
+    """A successor map: one target cell per cell, ``cells`` of them."""
+    if not isinstance(value, list) or len(value) != cells:
         raise SpecError(f"{path} must list one target per cell")
     try:
         return SuccessorMap(_list(value, path, of=int))
@@ -345,7 +341,10 @@ def _parse_substitution(block: dict, world: World, model: BTModel) -> Substituti
     cells = world.cell_count
     if len(dd_next) not in (cells, cells * (budget + 1) * (hyst_cap + 1)):
         raise SpecError("substitution.dd_next must list one target per base or augmented cell")
-    _region(dd_next, "substitution.dd_next", world)  # every target is a base cell
+    try:  # every target is a base cell
+        check_targets(dd_next, cells)
+    except WorldError as exc:
+        raise SpecError(f"substitution.dd_next: {exc}") from exc
     rr = _obj(block.get("rr"), "substitution.rr")
     spec = SubstitutionSpec(  # keyword order is the order the fields are checked in
         target=target,
@@ -389,8 +388,8 @@ def _world_block(world: World) -> dict:
 
 class _Ints(list):
     """An array of plain ints that this module built: a region's cells or a
-    successor map's targets.  The writer and ``_list(of=int)`` trust it and
-    skip their per-entry type scan; every other list is scanned."""
+    successor map's targets.  The writer trusts it and skips its per-entry
+    type scan; the reader scans it like every other list."""
 
     __slots__ = ()
 

@@ -662,9 +662,7 @@ def _certify_substituted(
         return leaf_fts(base).ok
 
     check_hypotheses(model, [v for v in members if not holds_on_base(v)])
-    return certify_checked(
-        model, members, None, seeds, condensed, exit_time=lambda cells: _class_exit(result, cells)
-    )
+    return certify_checked(model, condensed, seeds, exit_time=lambda cells: _class_exit(result, cells))
 
 
 def _class_exit(result: SubstitutionResult, region: Region) -> ExitResult:

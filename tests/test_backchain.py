@@ -132,7 +132,7 @@ def test_a_root_with_links_names_only_its_own_links():
     """The links that start at the root are the ones that break the assumption."""
     lib, _root = staged_chain_library(3)
     with pytest.raises(AssumptionError) as exc:
-        validate_bc_assumptions(lib, "a000")
+        validate_bc_assumptions(lib, "a000", compute_links(lib))
     assert str(exc.value) == (
         "top-level action 'a000' still has links to satisfy: [('a000', 'c000', 'a001')]"
     )
@@ -210,7 +210,7 @@ def test_empty_condition_table_ends_recursion_immediately():
     }
     with pytest.raises(AssumptionError, match="can fail"):
         lib = ActionConditionLibrary(world, actions, conditions)
-        validate_bc_assumptions(lib, "idle")
+        validate_bc_assumptions(lib, "idle", compute_links(lib))
     # conditions that cannot fail satisfy the assumptions and collapse to leaves
     conditions = {
         name: ConditionEntry(LeafData(name, NodeKind.CONDITION, full, Region.empty(n)), ())
@@ -359,7 +359,7 @@ def test_verify_bc_operating_on_random_libraries(rng):
     for _ in range(15):
         lib, root = random_library(rng)
         built = build_bcbt(lib, root)
-        verdict = verify_bc_operating(lib, built)
+        verdict = verify_bc_operating(lib, built, compute_links(lib))
         assert verdict, verdict.violations
 
 

@@ -507,7 +507,7 @@ def test_certify_checked_reuses_a_prebuilt_condensation():
     members = sorted(model.vertex_of(n) for n in sr.abstraction)
     condensed = condense(build_prepares_graph(model, members, sr.delta))
     fresh = certify_convergence(model, members, sr.delta)
-    reused = certify_checked(model, members, sr.delta, None, condensed)
+    reused = certify_checked(model, condensed)
     assert reused.condensed is condensed and reused.graph is condensed.graph
     assert (reused.bound, reused.refined_bound, reused.per_class_exit) == (
         fresh.bound,

@@ -174,7 +174,7 @@ def test_dump_document_matches_json_dumps_on_program_documents():
 
 
 def built_documents():
-    """Documents the writers build themselves, whose cell and target arrays skip the type scan."""
+    """Documents the writers build themselves, whose cell and target arrays are the writer's own."""
     from btconverge.backchain import build_bcbt
 
     from helpers import staged_chain_library
@@ -185,7 +185,7 @@ def built_documents():
         if spec.model is not None:
             block = None
             if spec.substitution is not None:
-                block = substitution_block(spec.substitution, spec.document["substitution"]["target"])
+                block = substitution_block(spec.substitution, bundled_document(name)["substitution"]["target"])
             docs[f"{name}-built"] = build_document(spec.model, spec.abstraction, spec.delta, block)
         if spec.library is not None:
             docs[f"{name}-library"] = library_document(spec.library, spec.library_root)
@@ -194,6 +194,27 @@ def built_documents():
     docs["chain20-backchain"] = build_document(build_bcbt(lib, root).model, abstraction, 1.0)
     docs["chain20-library"] = library_document(lib, root)
     return docs
+
+
+@pytest.mark.parametrize("name", bundled_names())
+def test_loaded_spec_keeps_no_reference_to_the_decoded_document(name, monkeypatch):
+    """Once load_path returns, the decoded JSON is garbage: the parsed spec
+    holds only what was built from it."""
+    import sys
+
+    from btconverge import specfile
+
+    decoded, real_load = [], specfile.json.load
+
+    def keep(fh):
+        decoded.append(real_load(fh))
+        return decoded[0]
+
+    monkeypatch.setattr(specfile.json, "load", keep)
+    spec = specfile.load_path(os.path.join(EXAMPLES, f"{name}.json"))
+    referrers = sys.getrefcount(decoded[0])  # outside an assert, which keeps its operands
+    assert referrers == 2  # the list's slot and getrefcount's argument
+    assert spec.world.cell_count == decoded[0]["universe"]["cells"]
 
 
 def test_built_documents_parse_without_a_json_round_trip():
@@ -1217,7 +1238,7 @@ def test_shipped_example_rebuilds_from_its_parsed_spec(name):
     else:
         substitution = None
         if spec.substitution is not None:
-            target = spec.document["substitution"]["target"]  # the document names it by a leaf
+            target = bundled_document(name)["substitution"]["target"]  # the document names it by a leaf
             substitution = substitution_block(spec.substitution, target)
         doc = build_document(spec.model, spec.abstraction, spec.delta, substitution)
     assert doc == bundled_document(name)
@@ -1323,6 +1344,23 @@ def test_one_exit_code_per_outcome(outcome, tmp_path, capsys):
         tree.write_text(dump_document(build_document(model, names, spec.delta)))
     got, out, err = run_cli("check", "--spec", str(tree), capsys=capsys)
     assert (got, check_line in (out + err).splitlines()) == (code, True), out + err
+
+
+@pytest.mark.parametrize("tokens", ["bogus", "", "a:ghost"])
+def test_malformed_seed_classes_exit_two_whatever_the_hypotheses(tokens, tmp_path, capsys):
+    """check reads --seed-classes before the hypotheses: a malformed list is the
+    same usage error on a spec whose deadlines fail as on the bundled one."""
+    doc = bundled_document("gridworld")
+    for leaf in doc["leaves"]:
+        if "doa" in leaf:
+            leaf["doa"]["horizon"] = 1
+    path = tmp_path / "slow.json"
+    path.write_text(dump_document(doc))
+    code, out, _err = run_cli("check", "--spec", str(path), capsys=capsys)
+    assert (code, out.splitlines()[:2]) == (1, ["status: refuted", "kind: fts-precondition"])
+    healthy = run_cli("check", "--spec", "bundled:gridworld", "--seed-classes", tokens, capsys=capsys)
+    assert healthy[0] == 2 and healthy[2].startswith("error: ")
+    assert run_cli("check", "--spec", str(path), "--seed-classes", tokens, capsys=capsys) == healthy
 
 
 def test_backchain_certify_prints_the_violations_check_prints(tmp_path, capsys):

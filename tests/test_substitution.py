@@ -889,7 +889,7 @@ def test_loop_exit_read_off_the_certificate_matches_the_walk(rng, monkeypatch):
     real_certify = substitution.certify_checked
 
     def certify_unchecked(result, members, seeds, condensed):
-        return certify_checked(result.new_model, members, None, seeds, condensed)
+        return certify_checked(result.new_model, condensed, seeds)
 
     def isolated_loop(model, members, delta=None):
         graph = real_build(model, members, delta)
@@ -1019,7 +1019,7 @@ def test_loop_rule_matches_the_edge_by_edge_comparison(rng, monkeypatch):
     real = substitution.build_prepares_graph
 
     def certify_unchecked(result, members, seeds, condensed):
-        return certify_checked(result.new_model, members, None, seeds, condensed)
+        return certify_checked(result.new_model, condensed, seeds)
 
     seen = Counter()
     for trial in range(320):
