@@ -17,7 +17,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import chain, compress
-from typing import Hashable, Iterable, Optional
+from typing import Iterable, Optional
 
 from .bt import BTModel, LeafData, NodeKind, NodeSpec, fal, seq
 from .prepares import (
@@ -30,8 +30,6 @@ from .prepares import (
 )
 from .statespace import BTConvergeError, Region, World, bit_selector
 
-Id = Hashable
-
 
 class LibraryError(BTConvergeError):
     pass
@@ -41,20 +39,16 @@ class AssumptionError(BTConvergeError):
     """A structural assumption the backchain closed forms need is violated."""
 
 
-def _id_key(x: Id):
-    return (0, x) if isinstance(x, int) else (1, str(x))
-
-
 @dataclass(frozen=True)
 class ActionEntry:
     leaf: LeafData
-    preconditions: tuple[Id, ...]
+    preconditions: tuple[str, ...]
 
 
 @dataclass(frozen=True)
 class ConditionEntry:
     leaf: LeafData
-    achievers: tuple[Id, ...]
+    achievers: tuple[str, ...]
 
 
 class ActionConditionLibrary:
@@ -65,12 +59,17 @@ class ActionConditionLibrary:
     def __init__(
         self,
         world: World,
-        actions: dict[Id, ActionEntry],
-        conditions: dict[Id, ConditionEntry],
+        actions: dict[str, ActionEntry],
+        conditions: dict[str, ConditionEntry],
     ) -> None:
+        for key, entry in chain(actions.items(), conditions.items()):
+            if key != entry.leaf.name:
+                raise LibraryError(
+                    f"library entry {key!r} must be keyed by its leaf name {entry.leaf.name!r}"
+                )
         overlap = set(actions) & set(conditions)
         if overlap:
-            raise LibraryError(f"action and condition ids overlap: {sorted(overlap, key=_id_key)}")
+            raise LibraryError(f"action and condition ids overlap: {sorted(overlap)}")
         universe = world.full_region()
         for cid, entry in conditions.items():
             if entry.leaf.kind is not NodeKind.CONDITION:
@@ -98,7 +97,7 @@ class ActionConditionLibrary:
                     raise LibraryError(
                         f"action {aid!r}: precondition intersection differs from its basin"
                     )
-        seen_pre: dict[Id, Id] = {}
+        seen_pre: dict[str, str] = {}
         for aid, entry in actions.items():
             for c in entry.preconditions:
                 if c in seen_pre:
@@ -106,7 +105,7 @@ class ActionConditionLibrary:
                         f"condition {c!r} is a precondition of both {seen_pre[c]!r} and {aid!r}"
                     )
                 seen_pre[c] = aid
-        seen_ach: dict[Id, Id] = {}
+        seen_ach: dict[str, str] = {}
         for cid, entry in conditions.items():
             for a in entry.achievers:
                 if a in seen_ach:
@@ -118,11 +117,11 @@ class ActionConditionLibrary:
         self.actions = dict(actions)
         self.conditions = dict(conditions)
 
-    def action_ids(self) -> list[Id]:
-        return sorted(self.actions, key=_id_key)
+    def action_ids(self) -> list[str]:
+        return sorted(self.actions)
 
-    def condition_ids(self) -> list[Id]:
-        return sorted(self.conditions, key=_id_key)
+    def condition_ids(self) -> list[str]:
+        return sorted(self.conditions)
 
 
 @dataclass(frozen=True)
@@ -134,10 +133,9 @@ class LinkStructure:
     before the one linked to it; both are printed.
     """
 
-    links: frozenset[tuple[Id, Id, Id]]
-    post: dict[Id, frozenset[Id]]
-    acc: dict[Id, frozenset[Id]]
-    rank: dict[Id, int]  # condition -> its place in condition_ids()
+    links: frozenset[tuple[str, str, str]]
+    post: dict[str, frozenset[str]]
+    acc: dict[str, frozenset[str]]
 
 
 def compute_links(lib: ActionConditionLibrary) -> LinkStructure:
@@ -148,8 +146,8 @@ def compute_links(lib: ActionConditionLibrary) -> LinkStructure:
     index = {a: k for k, a in enumerate(actions)}
     conditions = lib.condition_ids()
     rank = {c: k for k, c in enumerate(conditions)}
-    consumer_of: dict[Id, Id] = {}  # the library gives a condition at most one consumer
-    pending: dict[Id, int] = {}  # condition -> the consumer's preconditions listed before it
+    consumer_of: dict[str, str] = {}  # the library gives a condition at most one consumer
+    pending: dict[str, int] = {}  # condition -> the consumer's preconditions listed before it
     for consumer, aentry in lib.actions.items():
         before = 0
         for cid in aentry.preconditions:
@@ -171,15 +169,15 @@ def compute_links(lib: ActionConditionLibrary) -> LinkStructure:
         own_post[k] |= 1 << rank[b]
         own_acc[k] |= pending[b]
 
-    def decode(masks: list[int]) -> dict[Id, frozenset[Id]]:
+    def decode(masks: list[int]) -> dict[str, frozenset[str]]:
         return {i: frozenset(compress(conditions, bit_selector(m))) for i, m in zip(actions, masks)}
 
     post = decode(reach_masks(succ, own_post))
     acc = decode(reach_masks(succ, own_acc))
-    return LinkStructure(links, post, acc, rank)
+    return LinkStructure(links, post, acc)
 
 
-def validate_bc_assumptions(lib: ActionConditionLibrary, root: Id, links: LinkStructure) -> None:
+def validate_bc_assumptions(lib: ActionConditionLibrary, root: str, links: LinkStructure) -> None:
     """Enforce the structural assumptions the closed-form analysis needs.
 
     The top-level action must not sit below any link, every condition has
@@ -199,14 +197,13 @@ def validate_bc_assumptions(lib: ActionConditionLibrary, root: Id, links: LinkSt
 
 @dataclass(frozen=True)
 class BcBt:
-    """A generated tree plus the leaf-vertex <-> library-id correspondence."""
+    """A generated tree plus its leaf vertex per library entry (the model's ``leaf_by_name``)."""
 
     model: BTModel
-    vertex_of: dict[Id, int]
-    id_of: dict[int, Id]
+    vertex_of: dict[str, int]
 
 
-def build_bcbt(lib: ActionConditionLibrary, root: Id) -> BcBt:
+def build_bcbt(lib: ActionConditionLibrary, root: str) -> BcBt:
     """Expand the backchain recursion into a concrete model.
 
     A precondition with no achiever collapses to a bare condition leaf (a
@@ -216,9 +213,9 @@ def build_bcbt(lib: ActionConditionLibrary, root: Id) -> BcBt:
     """
     if root not in lib.actions:
         raise LibraryError(f"unknown root action {root!r}")
-    visiting: list[Id] = []
+    visiting: list[str] = []
 
-    def action_subtree(i: Id) -> NodeSpec:
+    def action_subtree(i: str) -> NodeSpec:
         if i in visiting:
             cycle = visiting[visiting.index(i) :] + [i]
             raise LibraryError(f"library recursion cycles through actions {cycle}")
@@ -229,7 +226,7 @@ def build_bcbt(lib: ActionConditionLibrary, root: Id) -> BcBt:
         visiting.pop()
         return seq(*children)
 
-    def condition_subtree(j: Id) -> NodeSpec:
+    def condition_subtree(j: str) -> NodeSpec:
         entry = lib.conditions[j]
         leaf = NodeSpec(NodeKind.CONDITION, leaf=entry.leaf)
         if not entry.achievers:
@@ -241,36 +238,27 @@ def build_bcbt(lib: ActionConditionLibrary, root: Id) -> BcBt:
     except RecursionError:  # the expansion recurses a few frames per nested action
         depth = len(visiting)  # an unwound expansion leaves its action chain here
         raise LibraryError(f"backchaining from {root!r} nests actions {depth} deep, past the recursion limit") from None
-    vertex_of: dict[Id, int] = {}
-    id_of: dict[int, Id] = {}
-    names = {lib.actions[i].leaf.name: i for i in lib.actions}
-    names.update({lib.conditions[j].leaf.name: j for j in lib.conditions})
-    for name, vertex in model.leaf_by_name.items():
-        lid = names[name]
-        vertex_of[lid] = vertex
-        id_of[vertex] = lid
-    return BcBt(model, vertex_of, id_of)
+    return BcBt(model, model.leaf_by_name)
 
 
 @dataclass(frozen=True)
 class InfluenceTerms:
     """Symbolic influence region of an action: success terms and failure terms."""
 
-    acc: tuple[Id, ...]
-    pre: tuple[Id, ...]
-    post: tuple[Id, ...]
+    acc: tuple[str, ...]
+    pre: tuple[str, ...]
+    post: tuple[str, ...]
 
 
-def bc_influence_terms(lib: ActionConditionLibrary, links: LinkStructure, i: Id) -> InfluenceTerms:
-    rank = links.rank.__getitem__  # condition_ids() order, without an _id_key call per entry
+def bc_influence_terms(lib: ActionConditionLibrary, links: LinkStructure, i: str) -> InfluenceTerms:
     return InfluenceTerms(
-        acc=tuple(sorted(links.acc[i], key=rank)),
+        acc=tuple(sorted(links.acc[i])),
         pre=tuple(lib.actions[i].preconditions),
-        post=tuple(sorted(links.post[i], key=rank)),
+        post=tuple(sorted(links.post[i])),
     )
 
 
-def bc_influence(lib: ActionConditionLibrary, links: LinkStructure, i: Id) -> Region:
+def bc_influence(lib: ActionConditionLibrary, links: LinkStructure, i: str) -> Region:
     """Closed-form influence region of action i in the backchained tree."""
     terms = bc_influence_terms(lib, links, i)
     region = lib.world.full_region()
@@ -318,7 +306,7 @@ def verify_bc_operating(lib: ActionConditionLibrary, built: BcBt, links: LinkStr
         v = vertex_of[j]
         if not analysis.omega[v].is_empty:
             violations.append(f"condition {j!r} has a nonempty operating region")
-    leaf_vertices = set(built.id_of)
+    leaf_vertices = set(vertex_of.values())
     expected_s = {vertex_of[i] for i in actions if i not in linked}
     expected_f = {vertex_of[i] for i in actions}
     expected_f |= {vertex_of[j] for j in conditions if not lib.conditions[j].achievers}
@@ -334,9 +322,9 @@ def verify_bc_operating(lib: ActionConditionLibrary, built: BcBt, links: LinkStr
 @dataclass(frozen=True)
 class BcConvergenceReport:
     hypothesis_ok: bool
-    hypothesis_witnesses: tuple[tuple[Id, int], ...]
+    hypothesis_witnesses: tuple[tuple[str, int], ...]
     pattern_ok: Optional[bool]
-    pattern_violations: tuple[tuple[Id, Id], ...]
+    pattern_violations: tuple[tuple[str, str], ...]
     result: Certificate | Refutation
 
     def __bool__(self) -> bool:
@@ -345,7 +333,7 @@ class BcConvergenceReport:
 
 def check_bc_convergence(
     lib: ActionConditionLibrary,
-    root: Id,
+    root: str,
     delta: Optional[float] = None,
     seeds: Optional[Iterable[int]] = None,
     built: Optional[BcBt] = None,
@@ -368,8 +356,8 @@ def check_bc_convergence(
     if links is None:
         links = compute_links(lib)
     validate_bc_assumptions(lib, root, links)
-    hypothesis_witnesses: list[tuple[Id, int]] = []
-    for i in sorted(lib.actions, key=_id_key):
+    hypothesis_witnesses: list[tuple[str, int]] = []
+    for i in sorted(lib.actions):
         entry = lib.actions[i]
         if entry.leaf.doa is None:
             continue
@@ -384,7 +372,7 @@ def check_bc_convergence(
     result = certify_convergence(built.model, abstraction, delta=delta, seeds=seeds)
     hypothesis_ok = not hypothesis_witnesses
     pattern_ok: Optional[bool] = None
-    violations: list[tuple[Id, Id]] = []
+    violations: list[tuple[str, str]] = []
     if hypothesis_ok and isinstance(result, Certificate):
         chosen_vertices = [
             v for ci in result.analysis_classes for v in result.condensed.classes[ci]
@@ -399,7 +387,7 @@ def check_bc_convergence(
 
 def _pattern_violations(
     lib: ActionConditionLibrary, links: LinkStructure, built: BcBt, bg: BehaviorGraph
-) -> list[tuple[Id, Id]]:
+) -> list[tuple[str, str]]:
     """The pairs (u, w) where u strictly reaches w in bg but post[u] misses acc[w] | pre[w].
 
     Sorted by (u vertex, w vertex).  Instead of listing every reachable pair,
@@ -420,12 +408,13 @@ def _pattern_violations(
         link_pred[index[c]].append(index[a])
     own = [1 << pos[built.vertex_of[a]] if built.vertex_of.get(a) in pos else 0 for a in index]
     link_anc = reach_masks(link_pred, own)
-    touches: dict[Id, int] = {}
+    touches: dict[str, int] = {}
     for a, b, _c in links.links:
         touches[b] = touches.get(b, 0) | link_anc[index[a]]
+    name_of = {v: i for i, v in built.vertex_of.items()}
     found: list[tuple[int, int]] = []
     for k, w in enumerate(nodes):
-        iw = built.id_of[w]
+        iw = name_of[w]
         good = 1 << k  # a node is never its own strict ancestor
         for b in chain(links.acc[iw], lib.actions[iw].preconditions):
             good |= touches.get(b, 0)
@@ -435,5 +424,5 @@ def _pattern_violations(
             found.append((low.bit_length() - 1, k))
             bad ^= low
     found.sort()
-    return [(built.id_of[nodes[u]], built.id_of[nodes[w]]) for u, w in found]
+    return [(name_of[nodes[u]], name_of[nodes[w]]) for u, w in found]
 

@@ -338,7 +338,7 @@ def cmd_backchain(args: argparse.Namespace) -> int:
                 )
             else:
                 report_lines.append(f"refuted: {report.result.detail}")
-    abstraction = [lib.actions[a].leaf.name for a in lib.action_ids() if a in built.vertex_of]
+    abstraction = [a for a in lib.action_ids() if a in built.vertex_of]
     _emit_document(build_document(built.model, abstraction, spec.delta), report_lines, args.out)
     return EXIT_OK if ok else EXIT_REFUTED
 

@@ -153,7 +153,6 @@ class Augmentation(World):
         "base",
         "time_cap",
         "hyst_cap",
-        "rok_base",
         "base_delta",
         "block",
         "_base_steps",
@@ -176,7 +175,6 @@ class Augmentation(World):
         self.base = base
         self.time_cap = time_cap
         self.hyst_cap = hyst_cap
-        self.rok_base = rok_base
         self.base_delta = base_delta
         self.block = block
         steps, stays = base._steps(base_delta)
@@ -710,5 +708,5 @@ def _counter_blind_exit(result: SubstitutionResult, region: Region) -> Optional[
     base_max = None if None in exits else max(exits)
     time_max = max(map(len, finite.split("0"))) if len(finite) == len(times) else None
     if base_max is None and time_max is None:
-        return ExitResult(None, starts[exits.index(None)] * k + len(finite) * stride)
+        return ExitResult(None, aug.encode(starts[exits.index(None)], len(finite), 0))
     return ExitResult(min(x for x in (base_max, time_max) if x is not None))

@@ -305,6 +305,19 @@ def test_library_invariant_validation():
             },
             {"c": good_cond},
         )
+    # an entry is addressed by its leaf name: a key that differs from it is refused
+    with pytest.raises(LibraryError, match=r"^library entry 'a' must be keyed by its leaf name 'b'$"):
+        ActionConditionLibrary(
+            world,
+            {
+                "a": ActionEntry(
+                    LeafData("b", NodeKind.ACTION, full, Region.empty(n), SuccessorMap.identity(n), None), ()
+                )
+            },
+            {"c": good_cond},
+        )
+    with pytest.raises(LibraryError, match=r"^library entry 'd' must be keyed by its leaf name 'c'$"):
+        ActionConditionLibrary(world, {}, {"d": good_cond})
 
 
 def test_specialized_influence_equals_generic(rng):
@@ -534,7 +547,7 @@ def _random_behavior_graph(rng, lib):
     nodes = tuple(sorted(rng.sample(ids, rng.randint(0, len(ids)))))
     density = rng.choice([0.1, 0.3, 0.6])
     edges = frozenset((u, w) for u in nodes for w in nodes if rng.random() < density)
-    built = BcBt(None, vertex_of, {v: a for a, v in vertex_of.items()})
+    built = BcBt(None, vertex_of)
     return built, BehaviorGraph(nodes, edges)
 
 
@@ -544,7 +557,7 @@ def test_pattern_masks_match_the_pair_list(rng):
         lib = random_link_library(rng)
         links = compute_links(lib)
         built, bg = _random_behavior_graph(rng, lib)
-        want = pair_list_pattern_violations(lib, links, built.id_of, bg)
+        want = pair_list_pattern_violations(lib, links, {v: a for a, v in built.vertex_of.items()}, bg)
         assert backchain._pattern_violations(lib, links, built, bg) == want
         seen["violations" if want else "clean"] += 1
         _pairs, order, _downstream = pairwise_links(lib)
@@ -576,7 +589,7 @@ def test_check_reports_the_pair_list_pattern(library):
     chosen = [v for ci in cert.analysis_classes for v in cert.condensed.classes[ci]]
     bg = behavior_graph(cert.graph, chosen)
     built = build_bcbt(lib, root)
-    want = pair_list_pattern_violations(lib, compute_links(lib), built.id_of, bg)
+    want = pair_list_pattern_violations(lib, compute_links(lib), {v: a for a, v in built.vertex_of.items()}, bg)
     assert report.pattern_violations == tuple(want)
     assert report.pattern_ok is (not want)
 
