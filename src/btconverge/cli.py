@@ -4,9 +4,11 @@ Spec files are JSON documents (see specfile).  The --spec argument accepts a
 path or ``bundled:<name>`` for one of the shipped examples.  Exit codes are
 a stable contract: ``main(argv)`` returns 0 for a certificate / success, 1
 for a refuted or failed verdict and 2 for a spec error; an argparse usage
-error raises ``SystemExit(2)``, in process too.  ``main`` builds its parser
-on the first call, not at import, and reuses it for every later call in the
-process: parsing leaves no state on it.
+error raises ``SystemExit(2)``, in process too.  ``check`` and ``backchain
+--certify`` take their verdict as one value, and ``_verdict_code`` alone
+maps it to 0 or 1.  ``main`` builds its parser on the first call, not at
+import, and reuses it for every later call in the process: parsing leaves
+no state on it.
 """
 
 from __future__ import annotations
@@ -21,7 +23,7 @@ from .specfile import LoadedSpec, SpecError, build_document, dump_document, load
 from .statespace import BTConvergeError, step_bound
 
 if TYPE_CHECKING:  # each subcommand imports the analysis modules it runs
-    from .prepares import Certificate
+    from .prepares import Certificate, CondensedGraph, FtsPreconditionError, Refutation
 
 EXIT_OK = 0
 EXIT_REFUTED = 1
@@ -93,9 +95,10 @@ def _abstraction_vertices(spec: LoadedSpec) -> list[int]:
     return [v for v in model.action_vertices()]
 
 
-def _seed_leaves(tokens: Optional[str], model) -> Optional[list[tuple[str, int]]]:
-    """--seed-classes' flavor:leaf tokens as (flavor, leaf vertex) pairs, each
-    checked as it is read; None without the flag."""
+def _seed_classes(tokens: Optional[str], model) -> Optional[Callable[[CondensedGraph], list[int]]]:
+    """--seed-classes' flavor:leaf tokens, each checked as it is read, as the map
+    from a condensation to the classes of the leaves' slices; None without the
+    flag.  A leaf with no slice of its token's flavor is an error of the map."""
     if tokens is None:
         return None
     named = [token.strip() for token in tokens.split(",") if token.strip()]
@@ -107,16 +110,18 @@ def _seed_leaves(tokens: Optional[str], model) -> Optional[list[tuple[str, int]]
             flavor, name = token.split(":", 1)
         except ValueError:
             raise SpecError(f"seed class {token!r} is not flavor:leaf") from None
-        leaves.append((flavor, model.vertex_of(name)))
-    return leaves
+        if flavor not in ("a", "b", "c"):  # the slice flavors: outside, basin, goal
+            raise SpecError(f"seed class {token!r}: flavor {flavor!r} is not a, b or c")
+        leaves.append((token, (model.vertex_of(name), flavor)))
 
+    def classes(condensed: CondensedGraph) -> list[int]:
+        index = condensed.graph.index
+        for token, (owner, flavor) in leaves:
+            if (owner, flavor) not in index:
+                raise SpecError(f"seed class {token!r}: leaf {model.names[owner]!r} has no {flavor} slice")
+        return [condensed.class_of[index[key]] for _token, key in leaves]
 
-def _seed_classes(leaves: Optional[list[tuple[str, int]]], condensed) -> Optional[list[int]]:
-    """The classes of the seed leaves' slices; a flavor the leaf has no slice of
-    is an error."""
-    if leaves is None:
-        return None
-    return [condensed.class_of[condensed.graph.vertex(owner, flavor)] for flavor, owner in leaves]
+    return classes
 
 
 def _class_label(model, condensed, ci: int) -> list[str]:
@@ -146,71 +151,64 @@ def _emit_document(doc: dict, report_lines: list[str], out: Optional[str]) -> No
 
 
 def cmd_check(args: argparse.Namespace) -> int:
-    from .execution import simulate
-    from .prepares import (
-        FtsPreconditionError,
-        Refutation,
-        build_prepares_graph,
-        certify_checked,
-        check_hypotheses,
-        condense,
-    )
+    from .prepares import decide
 
     spec = _load_spec(args.spec)
     if spec.model is None:
         raise SpecError("check needs a spec with a tree block")
     model = spec.model
     delta = _resolve_delta(spec, args.delta, model)
-    members = sorted(set(_abstraction_vertices(spec)))
-    leaves = _seed_leaves(args.seed_classes, model)  # a usage error, whatever the hypotheses
-    try:  # certify_convergence's order: hypotheses first, so a member without basin data is reported
-        check_hypotheses(model, members, delta)
-    except FtsPreconditionError as exc:
-        report = {
-            "status": "refuted",
-            "kind": "fts-precondition",
-            "violations": {
-                name: {"kind": v.kind, "witness_cell": v.witness, "step": v.step}
-                for name, v in exc.failures.items()
-            },
+    members = _abstraction_vertices(spec)
+    seeds = _seed_classes(args.seed_classes, model)  # a usage error, whatever the hypotheses
+    outcome = decide(model, members, delta, seeds)
+    _print_report(_verdict_report(model, outcome), args)
+    return _verdict_code(outcome)
+
+
+def _verdict_code(outcome: Certificate | Refutation | FtsPreconditionError) -> int:
+    """The exit code of a verdict, for check and backchain --certify: 0 for a
+    certificate, 1 for a refutation or failed hypotheses."""
+    from .prepares import Certificate
+
+    return EXIT_OK if isinstance(outcome, Certificate) else EXIT_REFUTED
+
+
+def _verdict_report(model, outcome: Certificate | Refutation | FtsPreconditionError) -> dict:
+    """check's report of a verdict, for text or JSON output."""
+    from .execution import simulate
+    from .prepares import FtsPreconditionError, Refutation
+
+    if isinstance(outcome, FtsPreconditionError):
+        violations = {
+            name: {"kind": v.kind, "witness_cell": v.witness, "step": v.step}
+            for name, v in outcome.failures.items()
         }
-        _print_report(report, args)
-        return EXIT_REFUTED
-    condensed = condense(build_prepares_graph(model, members, delta))
-    outcome = certify_checked(model, condensed, _seed_classes(leaves, condensed))
+        return {"status": "refuted", "kind": "fts-precondition", "violations": violations}
+    condensed = outcome.condensed
     if isinstance(outcome, Refutation):
         report = {
             "status": "refuted",
             "kind": outcome.kind,
             "witness_cell": outcome.witness_cell,
-            "class": _class_label(model, outcome.condensed, outcome.witness_class),
+            "class": _class_label(model, condensed, outcome.witness_class),
             "detail": outcome.detail,
         }
         if outcome.witness_cell is not None:
-            trace = simulate(model, outcome.witness_cell, 12)
-            report["witness_trace"] = list(trace.states)
-        _print_report(report, args)
-        return EXIT_REFUTED
-    report = _certificate_report(model, outcome)
-    _print_report(report, args)
-    return EXIT_OK
-
-
-def _certificate_report(model, cert: Certificate) -> dict:
-    condensed = cert.condensed
-    worst = max(cert.per_class_exit.values(), default=0)
+            report["witness_trace"] = list(simulate(model, outcome.witness_cell, 12).states)
+        return report
+    worst = max(outcome.per_class_exit.values(), default=0)
     return {
         "status": "certified",
-        "bound": cert.bound,
-        "classes_in_analysis_set": len(cert.analysis_classes),
+        "bound": outcome.bound,
+        "classes_in_analysis_set": len(outcome.analysis_classes),
         "max_exit_time": worst,
-        "bound_formula": f"{len(cert.analysis_classes)} * T = {cert.bound} (T = {worst})",
-        "transitions_bound": cert.transitions_bound,
-        "refined_bound": cert.refined_bound,
-        "sinks": [_class_label(model, condensed, ci) for ci in cert.sink_classes],
+        "bound_formula": f"{len(outcome.analysis_classes)} * T = {outcome.bound} (T = {worst})",
+        "transitions_bound": outcome.transitions_bound,
+        "refined_bound": outcome.refined_bound,
+        "sinks": [_class_label(model, condensed, ci) for ci in outcome.sink_classes],
         "per_class_exit": [
             {"class": _class_label(model, condensed, ci), "exit_time": t}
-            for ci, t in sorted(cert.per_class_exit.items())
+            for ci, t in sorted(outcome.per_class_exit.items())
         ],
     }
 
@@ -266,7 +264,7 @@ def cmd_export(args: argparse.Namespace) -> int:
         raise SpecError("export needs a spec with a tree block")
     model = spec.model
     if args.which == "tree":
-        _seed_leaves(args.seed_classes, model)  # unused, but refused where the other exports refuse it
+        _seed_classes(args.seed_classes, model)  # unused, but refused where the other exports refuse it
         _emit(tree_dot(model), args.out)
         return EXIT_OK
     from .prepares import analysis_set, behavior_graph, build_prepares_graph, condense
@@ -274,8 +272,8 @@ def cmd_export(args: argparse.Namespace) -> int:
     delta = _resolve_delta(spec, args.delta, model)
     graph = build_prepares_graph(model, _abstraction_vertices(spec), delta)
     condensed = condense(graph)
-    seeds = _seed_classes(_seed_leaves(args.seed_classes, model), condensed)
-    chosen = analysis_set(condensed, seeds if seeds is not None else range(len(condensed.classes)))
+    seeds = _seed_classes(args.seed_classes, model)
+    chosen = analysis_set(condensed, range(len(condensed.classes)) if seeds is None else seeds(condensed))
     chosen_vertices = [v for ci in chosen for v in condensed.classes[ci]]
     if args.which == "prepares":
         _emit(prepares_dot(graph, model, chosen_vertices), args.out)
@@ -316,31 +314,29 @@ def cmd_backchain(args: argparse.Namespace) -> int:
     report_lines.append(f"operating-region facts hold: {bool(operating)}")
     for issue in operating.violations:
         report_lines.append(f"  violation: {issue}")
-    ok = bool(operating)  # with --certify, also the verdict, mapped to exit codes as check maps it
+    code = EXIT_OK if operating else EXIT_REFUTED
     if args.certify:
         delta = _resolve_delta(spec, None, built.model)
         try:
             report = check_bc_convergence(lib, root, delta=delta, built=built, links=links)
         except FtsPreconditionError as exc:
-            ok = False
+            outcome, pattern_ok = exc, None
             report_lines.append(f"refuted: {exc}")
             for name, v in exc.failures.items():
                 report_lines.append(_violation_line(name, v.kind, v.witness, v.step))
         else:
-            ok = ok and bool(report)
-            if report.pattern_ok is None:
+            outcome, pattern_ok = report.result, report.pattern_ok
+            pattern = pattern_ok
+            if pattern_ok is None:
                 pattern = "n/a (basin hypothesis fails; general certification used)"
+            if isinstance(outcome, Certificate):
+                report_lines.append(f"certified: bound {outcome.bound}, pattern holds: {pattern}")
             else:
-                pattern = str(report.pattern_ok)
-            if isinstance(report.result, Certificate):
-                report_lines.append(
-                    f"certified: bound {report.result.bound}, pattern holds: {pattern}"
-                )
-            else:
-                report_lines.append(f"refuted: {report.result.detail}")
+                report_lines.append(f"refuted: {outcome.detail}")
+        code = _verdict_code(outcome) if operating and pattern_ok is not False else EXIT_REFUTED
     abstraction = [a for a in lib.action_ids() if a in built.vertex_of]
     _emit_document(build_document(built.model, abstraction, spec.delta), report_lines, args.out)
-    return EXIT_OK if ok else EXIT_REFUTED
+    return code
 
 
 def cmd_substitute(args: argparse.Namespace) -> int:

@@ -314,62 +314,64 @@ def certify_convergence(
 ) -> Certificate | Refutation:
     """Run the full pipeline: hypotheses, slices, condensation, exit times, step bound.
 
-    The members' hypotheses must hold (``check_hypotheses``).  A sink class
-    containing non-goal slices, or a class some cell never leaves, yields a
-    Refutation.
+    ``decide``, with the hypothesis failures raised as FtsPreconditionError.
+    A sink class containing non-goal slices, or a class some cell never
+    leaves, yields a Refutation.
+    """
+    outcome = decide(model, abstraction, delta, seeds)
+    if isinstance(outcome, FtsPreconditionError):
+        raise outcome
+    return outcome
+
+
+def decide(
+    model: BTModel,
+    abstraction: Iterable[int],
+    delta: Optional[float] = None,
+    seeds: Optional[Iterable[int] | Callable[[CondensedGraph], Iterable[int]]] = None,
+    *,
+    checked: Optional[Iterable[int]] = None,
+    condensed: Optional[CondensedGraph] = None,
+    exit_time: Optional[Callable[[Region], ExitResult]] = None,
+) -> Certificate | Refutation | FtsPreconditionError:
+    """The one verdict pipeline: the hypothesis failures, a Refutation or a Certificate.
+
+    First the theorem's per-member hypotheses, for the members in checked
+    (by default every member), in that order.  Each member's controller
+    must move every cell of its operating region at most one step: within
+    delta, or to the cell itself or a neighbour, as the slice graph's edges
+    assume; a longer step raises StepError at once.  Every member must then
+    pass its finite-time-success check; the failures are returned together
+    as an FtsPreconditionError, not raised.  Then the slice graph and its
+    condensation, unless the caller passes ``condensed``; the seed classes,
+    every class by default, or ``seeds(condensed)`` for a callable; and
+    each non-sink class's exit time, walked (``empirical_exit_time``)
+    unless the caller knows a faster exact ``exit_time``.
     """
     members = sorted(set(abstraction))
-    check_hypotheses(model, members, delta)
-    return certify_checked(model, condense(build_prepares_graph(model, members, delta)), seeds)
-
-
-def check_hypotheses(model: BTModel, members: Sequence[int], delta: Optional[float] = None) -> None:
-    """Check the theorem's per-member hypotheses, in the order of members.
-
-    Each member's controller must move every cell of its operating region
-    at most one step: within delta, or to the cell itself or a neighbour,
-    as the slice graph's edges assume; a longer step raises StepError at
-    once.  Every member must then pass its finite-time-success check; the
-    failures are raised together as FtsPreconditionError after the loop.
-    """
     omega = model.analysis().omega
-    ids = list(range(model.world.cell_count))  # shared by every member's cell list
+    ids: list[int] = []  # every cell, shared by the members' cell lists; built for the first
     failures: dict[str, FtsVerdict] = {}
-    for i in members:
+    for i in members if checked is None else checked:
         leaf = model.leaves.get(i)
         if leaf is not None and leaf.controller is not None and not omega[i].is_empty:
+            ids = ids or list(range(model.world.cell_count))
             cells = omega[i].pick(ids)
             model.world.check_steps(cells, leaf.controller.targets, delta, f"leaf {leaf.name!r}")
         if leaf is None or model.kinds[i] is not NodeKind.ACTION or leaf.doa is None:
-            if omega[i].is_empty:
-                continue
-            failures[model.names[i] or str(i)] = FtsVerdict(False, "missing-basin-data")
+            if not omega[i].is_empty:
+                failures[model.names[i] or str(i)] = FtsVerdict(False, "missing-basin-data")
             continue
         verdict = leaf_fts(leaf)
         if not verdict:
             failures[leaf.name] = verdict
     if failures:
-        raise FtsPreconditionError(failures)
-
-
-def certify_checked(
-    model: BTModel,
-    condensed: CondensedGraph,
-    seeds: Optional[Iterable[int]] = None,
-    exit_time: Optional[Callable[[Region], ExitResult]] = None,
-) -> Certificate | Refutation:
-    """certify_convergence on condensed, the condensed slice graph of members
-    whose hypotheses are known to hold.
-
-    A caller that knows a faster exact exit time for a class's cells passes
-    it as ``exit_time``; by default each non-sink class is walked
-    (``empirical_exit_time``).
-    """
-    graph = condensed.graph
-    if seeds is None:
-        chosen = analysis_set(condensed, range(len(condensed.classes)))
-    else:
-        chosen = analysis_set(condensed, seeds)
+        return FtsPreconditionError(failures)
+    if condensed is None:
+        condensed = condense(build_prepares_graph(model, members, delta))
+    if callable(seeds):
+        seeds = seeds(condensed)
+    chosen = analysis_set(condensed, range(len(condensed.classes)) if seeds is None else seeds)
     ordered = tuple(sorted(chosen))
     sinks_in = tuple(sorted(condensed.sinks & chosen))
     for ci in sinks_in:
@@ -401,7 +403,7 @@ def certify_checked(
     bound = len(ordered) * worst
     refined = _longest_path_bound(condensed, chosen, per_class)
     return Certificate(
-        graph=graph,
+        graph=condensed.graph,
         condensed=condensed,
         analysis_classes=ordered,
         sink_classes=sinks_in,

@@ -62,6 +62,7 @@ its own, its exit time is read off the certificate instead of walked again.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
+from functools import partial
 from itertools import chain, repeat
 from operator import add, mul
 from typing import Iterator, Mapping, Optional, Sequence
@@ -74,11 +75,11 @@ from .prepares import (
     FLAVOR_OUTSIDE,
     Certificate,
     CondensedGraph,
+    FtsPreconditionError,
     Refutation,
     build_prepares_graph,
-    certify_checked,
-    check_hypotheses,
     condense,
+    decide,
 )
 from .statespace import BTConvergeError, Region, SuccessorMap, World, WorldError, check_targets
 
@@ -600,6 +601,8 @@ def verify_substituted_convergence(
 
     condensed = condense(new_graph)
     outcome = _certify_substituted(result, abstraction, seeds, condensed)
+    if isinstance(outcome, FtsPreconditionError):
+        raise outcome
     loop = tuple(i for i, vtx in enumerate(new_graph.vertices) if vtx.owner in loop_owners)
     loop_exit: Optional[int] = None
     if loop:
@@ -635,15 +638,15 @@ def _certify_substituted(
     members: Sequence[int],
     seeds: Optional[Sequence[int]],
     condensed: CondensedGraph,
-) -> Certificate | Refutation:
-    """certify_convergence(result.new_model, members, seeds=seeds) on condensed,
-    with the hypotheses of each lifted member checked on the base universe.
+) -> Certificate | Refutation | FtsPreconditionError:
+    """decide(result.new_model, members, seeds=seeds) on condensed, with the
+    hypotheses of each lifted member checked on the base universe.
 
     The one-step check covers the base cells under the member's operating
     region; the module docstring says why both checks are exact.  A member
-    that fails on the base is checked on the product, which raises what
-    certify_convergence raises.  A counter-blind class's exit time is read
-    off a base walk, and any other class is walked on the product.
+    that fails on the base is checked on the product, which gives what
+    decide gives.  A counter-blind class's exit time is read off a base
+    walk, and any other class is walked on the product.
     """
     model, aug = result.new_model, result.augmentation
     omega = model.analysis().omega
@@ -659,8 +662,9 @@ def _certify_substituted(
                 return False
         return leaf_fts(base).ok
 
-    check_hypotheses(model, [v for v in members if not holds_on_base(v)])
-    return certify_checked(model, condensed, seeds, exit_time=lambda cells: _class_exit(result, cells))
+    unproven = [v for v in members if not holds_on_base(v)]
+    exit_time = partial(_class_exit, result)
+    return decide(model, members, None, seeds, checked=unproven, condensed=condensed, exit_time=exit_time)
 
 
 def _class_exit(result: SubstitutionResult, region: Region) -> ExitResult:

@@ -986,7 +986,14 @@ def reference_verify_substituted_convergence(old_cert, result, seeds=None):
     that monkeypatches substitution.build_prepares_graph feeds both.
     """
     from btconverge.execution import empirical_exit_time
-    from btconverge.prepares import FLAVOR_BASIN, FLAVOR_GOAL, FLAVOR_OUTSIDE, Certificate, condense
+    from btconverge.prepares import (
+        FLAVOR_BASIN,
+        FLAVOR_GOAL,
+        FLAVOR_OUTSIDE,
+        Certificate,
+        FtsPreconditionError,
+        condense,
+    )
     from btconverge.substitution import (
         DD_NAME,
         RR_NAME,
@@ -1107,9 +1114,113 @@ def reference_verify_substituted_convergence(old_cert, result, seeds=None):
             )
 
     outcome = _certify_substituted(result, abstraction, seeds, condense(new_graph))
+    if isinstance(outcome, FtsPreconditionError):
+        raise outcome
     return SubstitutionReport(
         ok=not diffs and isinstance(outcome, Certificate),
         graph_diffs=tuple(diffs),
         loop_exit_steps=loop_exit,
         result=outcome,
     )
+
+
+# ----------------------------------------------------------------------
+# the verdict pipeline, stage by stage, from the oracles
+
+
+def reference_certify_convergence(model: BTModel, abstraction, delta=None, seeds=None):
+    """certify_convergence as its stages ran one by one, each from an oracle.
+
+    Per member in ascending order: the one-step check over its operating
+    region (StepError at once), then the finite-time-success rules walked
+    by generator_fts; the failures are raised together as
+    FtsPreconditionError.  The slice graph's edges come from
+    oracle_prepares_edges, every non-sink class's exit time from
+    generator_exit_time, and the refined bound from path_bound.
+    """
+    from btconverge.prepares import (
+        Certificate,
+        FtsPreconditionError,
+        PreparesGraph,
+        PrepVertex,
+        Refutation,
+        analysis_set,
+        condense,
+    )
+    from btconverge.execution import FtsVerdict
+
+    members = sorted(set(abstraction))
+    omega = model.analysis().omega
+    failures = {}
+    for i in members:
+        leaf = model.leaves.get(i)
+        if leaf is not None and leaf.controller is not None and not omega[i].is_empty:
+            cells = list(omega[i].cells())
+            model.world.check_steps(cells, leaf.controller.targets, delta, f"leaf {leaf.name!r}")
+        if leaf is None or model.kinds[i] is not NodeKind.ACTION or leaf.doa is None:
+            if not omega[i].is_empty:
+                failures[model.names[i] or str(i)] = FtsVerdict(False, "missing-basin-data")
+        else:
+            ok, kind, witness, step = generator_fts(model, i)
+            if not ok:
+                failures[leaf.name] = FtsVerdict(False, kind, witness, step)
+    if failures:
+        raise FtsPreconditionError(failures)
+
+    vertices = []
+    for i in members:
+        if omega[i].is_empty:
+            continue
+        basin, goal = model.leaves[i].doa.basin, model.leaves[i].doa.goal
+        for flavor, cells in (("a", omega[i] - basin), ("b", omega[i] & (basin - goal)), ("c", omega[i] & goal)):
+            if not cells.is_empty:
+                vertices.append(PrepVertex(i, flavor, cells))
+    index = {v.key(): k for k, v in enumerate(vertices)}
+    edges = {(index[u], index[w]) for u, w in oracle_prepares_edges(model, members, delta)}
+    condensed = condense(PreparesGraph(vertices, edges))
+    chosen = analysis_set(condensed, range(len(condensed.classes)) if seeds is None else seeds)
+    sinks = sorted(condensed.sinks & chosen)
+    for ci in sinks:
+        if not condensed.is_goal_class(ci):
+            detail = f"sink class {condensed.class_keys(ci)} contains non-goal slices"
+            return Refutation("non-goal-sink", ci, condensed.class_cells(ci).any_cell(), detail, condensed)
+    per_class = {}
+    for ci in sorted(chosen - condensed.sinks):
+        steps, witness = generator_exit_time(model, condensed.class_cells(ci))
+        if steps is None:
+            detail = f"cell {witness} never leaves class {condensed.class_keys(ci)}"
+            return Refutation("no-exit", ci, witness, detail, condensed)
+        per_class[ci] = steps
+    return Certificate(
+        graph=condensed.graph,
+        condensed=condensed,
+        analysis_classes=tuple(sorted(chosen)),
+        sink_classes=tuple(sinks),
+        per_class_exit=per_class,
+        bound=len(chosen) * max(per_class.values(), default=0),
+        transitions_bound=len(chosen) - len(sinks),
+        refined_bound=path_bound(condensed.succ, chosen, per_class),
+    )
+
+
+def verdict_fields(call: Callable[[], object]) -> tuple:
+    """What a verdict call gave: the type and fields of its Certificate or
+    Refutation, or the type, text and failures of the error it raised."""
+    from btconverge.prepares import Certificate
+    from btconverge.statespace import BTConvergeError
+
+    try:
+        outcome = call()
+    except BTConvergeError as exc:
+        return type(exc), str(exc), getattr(exc, "failures", None)
+    if isinstance(outcome, Certificate):
+        return (
+            Certificate,
+            outcome.bound,
+            outcome.refined_bound,
+            outcome.transitions_bound,
+            outcome.analysis_classes,
+            outcome.sink_classes,
+            outcome.per_class_exit,
+        )
+    return type(outcome), outcome.kind, outcome.witness_class, outcome.witness_cell, outcome.detail

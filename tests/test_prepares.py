@@ -2,12 +2,18 @@
 
 import dataclasses
 import random
+from collections import Counter
 
 import pytest
 
-from btconverge.backchain import build_bcbt
-
-from btconverge.bt import NodeKind
+from btconverge.backchain import (
+    ActionConditionLibrary,
+    build_bcbt,
+    check_bc_convergence,
+    compute_links,
+    validate_bc_assumptions,
+)
+from btconverge.bt import NodeKind, NodeSpec, fal
 from btconverge.execution import FtsVerdict, check_fts, hitting_time, simulate
 from btconverge.prepares import (
     AbstractionError,
@@ -20,14 +26,14 @@ from btconverge.prepares import (
     behavior_graph,
     build_prepares_graph,
     certificate_as_fts_leaf,
-    certify_checked,
     certify_convergence,
     check_acyclic_case,
     condense,
+    decide,
     _longest_path_bound,
 )
 from btconverge.specfile import parse_document
-from btconverge.statespace import Region, StepError, World
+from btconverge.statespace import Region, StepError, SuccessorMap, World
 from btconverge.substitution import DD_NAME, RR_NAME, substitute
 
 from helpers import (
@@ -39,8 +45,11 @@ from helpers import (
     path_bound,
     random_funnel_model,
     random_gridworld_model,
+    random_library,
     random_reverification_instance,
+    reference_certify_convergence,
     staged_chain_library,
+    verdict_fields,
 )
 
 # ----------------------------------------------------------------------
@@ -501,13 +510,13 @@ def test_single_goal_seed_gives_zero_bound():
     assert cert.bound == 0
 
 
-def test_certify_checked_reuses_a_prebuilt_condensation():
+def test_decide_reuses_a_prebuilt_condensation():
     sr = bundled_spec("surveying_robot")
     model = sr.model
     members = sorted(model.vertex_of(n) for n in sr.abstraction)
     condensed = condense(build_prepares_graph(model, members, sr.delta))
     fresh = certify_convergence(model, members, sr.delta)
-    reused = certify_checked(model, condensed)
+    reused = decide(model, members, sr.delta, condensed=condensed)
     assert reused.condensed is condensed and reused.graph is condensed.graph
     assert (reused.bound, reused.refined_bound, reused.per_class_exit) == (
         fresh.bound,
@@ -665,3 +674,77 @@ def test_verdicts_hold_in_the_closed_loop_under_an_honest_delta(rng):
             with pytest.raises(StepError, match="apart, past delta"):
                 certify_convergence(model, members, delta=delta * (1 - 1e-9))
     assert len(seen) == 4, seen
+
+
+def _weakened(rng, model, members):
+    """model, a fallback of the action leaves members, with some basins dropped
+    and some deadlines cut."""
+    leaves = []
+    for v in members:
+        leaf = model.leaves[v]
+        roll = rng.random()
+        if roll < 0.3:
+            empty = Region.empty(model.world.cell_count)
+            leaf = dataclasses.replace(leaf, doa=dataclasses.replace(leaf.doa, basin=empty, goal=empty))
+        elif roll < 0.7:
+            doa = dataclasses.replace(leaf.doa, horizon=rng.randint(1, leaf.doa.horizon))
+            leaf = dataclasses.replace(leaf, doa=doa)
+        leaves.append(NodeSpec(NodeKind.ACTION, leaf=leaf))
+    return type(model)(model.world, fal(*leaves))
+
+
+def _moving_library(rng, lib, root):
+    """lib over a complete-adjacency world, where most actions jump to a goal cell
+    and keep it; the rest stay put and miss their deadlines."""
+    n = lib.world.cell_count
+    actions = {}
+    for name, entry in lib.actions.items():
+        goal = entry.leaf.doa.goal
+        if not goal.is_empty and rng.random() < 0.9:
+            controller = SuccessorMap([c if c in goal else goal.any_cell() for c in range(n)])
+            entry = dataclasses.replace(entry, leaf=dataclasses.replace(entry.leaf, controller=controller))
+        actions[name] = entry
+    world = World(n, adjacency=[(a, b) for a in range(n) for b in range(a + 1, n)])
+    return ActionConditionLibrary(world, actions, lib.conditions), root
+
+
+def test_verdicts_match_the_stage_by_stage_reference(rng):
+    """Seeded corpus: certify_convergence and check_bc_convergence give what the
+    stages give one by one from the oracles (reference_certify_convergence).
+
+    Both sides must agree on the outcome type, the bounds, the analysis set
+    and exit times, or the witness class and cell, or the error and its
+    failures.  Funnel models get some basins dropped, some deadlines cut
+    and, on metric grids, a step bound that some jumps pass; in each
+    library most actions jump to a goal cell and the rest, which stay put,
+    miss their deadlines.  Every outcome must occur.
+    """
+    seen = Counter()
+    for trial in range(160):
+        metric = trial % 2 == 0
+        model, members = random_funnel_model(rng, rng.randint(3, 5), rng.randint(1, 3), metric)
+        if rng.random() < 0.4:
+            model = _weakened(rng, model, members)
+            members = list(model.action_vertices())
+        delta = rng.choice([1.0, 1.5, 8.0]) if metric else None
+        seeds = rng.choice([None, None, [0], [rng.randrange(4)]])
+        got = verdict_fields(lambda: certify_convergence(model, members, delta, seeds))
+        want = verdict_fields(lambda: reference_certify_convergence(model, members, delta, seeds))
+        assert got == want, (trial, got, want)
+        seen["funnel", got[0].__name__ if got[0] is not Refutation else got[1]] += 1
+    for trial in range(60):
+        lib, root = _moving_library(rng, *random_library(rng, rng.randint(6, 14)))
+        seeds = rng.choice([None, None, [0]])
+        built = build_bcbt(lib, root)
+        abstraction = [built.vertex_of[i] for i in lib.actions if i in built.vertex_of]
+
+        def reference():
+            validate_bc_assumptions(lib, root, compute_links(lib))
+            return reference_certify_convergence(built.model, abstraction, None, seeds)
+
+        got = verdict_fields(lambda: check_bc_convergence(lib, root, seeds=seeds).result)
+        assert got == verdict_fields(reference), (trial, got)
+        seen["library", got[0].__name__] += 1
+    kinds = ["Certificate", "no-exit", "non-goal-sink", "StepError", "FtsPreconditionError"]
+    assert all(seen["funnel", kind] >= 3 for kind in kinds), seen
+    assert seen["library", "Certificate"] >= 3 and seen["library", "FtsPreconditionError"] >= 3, seen

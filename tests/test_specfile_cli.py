@@ -725,6 +725,7 @@ def test_seed_classes_naming_no_class_exit_two(command, tokens, capsys):
         ("bogus", "seed class 'bogus' is not flavor:leaf"),
         ("b:eat_apple,bogus", "seed class 'bogus' is not flavor:leaf"),
         ("b:ghost", "unknown leaf 'ghost'"),
+        ("z:eat_apple", "seed class 'z:eat_apple': flavor 'z' is not a, b or c"),
     ],
 )
 @pytest.mark.parametrize("command", SEED_COMMANDS)
@@ -732,6 +733,14 @@ def test_malformed_seed_token_exits_two(command, tokens, message, capsys):
     argv = [command[0], "--spec", "bundled:eat_tree", *command[1:], "--seed-classes", tokens]
     code, out, err = run_cli(*argv, capsys=capsys)
     assert (code, out, err) == (2, "", f"error: {message}\n")
+
+
+@pytest.mark.parametrize("command", SEED_COMMANDS[:2])
+def test_seed_leaf_without_a_slice_of_its_flavor_exits_two_naming_token_and_leaf(command, capsys):
+    """gridworld's go_right has no goal slice: only the slice graph shows it."""
+    argv = [command[0], "--spec", "bundled:gridworld", *command[1:], "--seed-classes", "b:dock,c:go_right"]
+    code, out, err = run_cli(*argv, capsys=capsys)
+    assert (code, out, err) == (2, "", "error: seed class 'c:go_right': leaf 'go_right' has no c slice\n")
 
 
 def test_tree_export_takes_well_formed_seed_classes(capsys):
@@ -1346,7 +1355,7 @@ def test_one_exit_code_per_outcome(outcome, tmp_path, capsys):
     assert (got, check_line in (out + err).splitlines()) == (code, True), out + err
 
 
-@pytest.mark.parametrize("tokens", ["bogus", "", "a:ghost"])
+@pytest.mark.parametrize("tokens", ["bogus", "", "a:ghost", "z:go_right"])
 def test_malformed_seed_classes_exit_two_whatever_the_hypotheses(tokens, tmp_path, capsys):
     """check reads --seed-classes before the hypotheses: a malformed list is the
     same usage error on a spec whose deadlines fail as on the bundled one."""

@@ -13,9 +13,9 @@ from btconverge.prepares import (
     FtsPreconditionError,
     PreparesGraph,
     build_prepares_graph,
-    certify_checked,
     certify_convergence,
     condense,
+    decide,
 )
 from btconverge.statespace import BTConvergeError, Region, SuccessorMap, World, WorldError
 from btconverge import substitution
@@ -40,6 +40,7 @@ from helpers import (
     random_reverification_instance,
     random_substitution_instance,
     rebuild_old_with_mb,
+    reference_certify_convergence,
     reference_verify_substituted_convergence,
 )
 
@@ -739,6 +740,41 @@ def test_substitution_and_reverification_do_no_per_cell_work(monkeypatch):
     assert gated.new_model.world._neighbors is not None
 
 
+def test_reverification_with_every_member_proven_on_the_base_builds_no_product_sized_list(
+    monkeypatch,
+):
+    """decide checks on the product only the members the base does not prove.
+    On patrol at (100, 10) that is none of them, so the pipeline builds no
+    list of the 11,110 product cells for the hypotheses' cell lists."""
+    import builtins
+
+    from btconverge import prepares
+
+    b = bundled_spec("patrol")
+    members = [b.model.vertex_of(n) for n in b.abstraction]
+    cert = certify_convergence(b.model, members, b.delta)
+    spec = dataclasses.replace(b.substitution, time_budget=100, hysteresis_cap=10)
+    result = substitute(b.model, spec, base_delta=b.delta)
+    sizes, checked = [], []
+    real_decide = substitution.decide
+
+    def counting_list(*args):
+        made = builtins.list(*args)
+        sizes.append(len(made))
+        return made
+
+    def spy_decide(*args, **kwargs):
+        checked.append(kwargs["checked"])
+        return real_decide(*args, **kwargs)
+
+    monkeypatch.setattr(prepares, "list", counting_list, raising=False)
+    monkeypatch.setattr(substitution, "decide", spy_decide)
+    report = verify_substituted_convergence(cert, result)
+    assert report and result.new_model.world.cell_count == 11_110
+    assert checked == [[]]
+    assert sizes and max(sizes) < 100
+
+
 def test_counter_blind_exit_times_match_the_product_walk(rng):
     """Seeded corpus: wherever the counter-blind rule answers, it gives the walk's
     exit time and witness.
@@ -874,6 +910,44 @@ def test_base_cost_hypotheses_match_the_product_path(rng, monkeypatch):
     assert {"Certificate", "StepError", "FtsPreconditionError", "deadline", "basin-invariance"} <= seen
 
 
+def test_reverification_verdicts_match_the_stage_by_stage_reference(rng, monkeypatch):
+    """Seeded corpus: verify_substituted_convergence gives the report or error it
+    gives when its certification runs stage by stage from the oracles over the
+    product (reference_certify_convergence on every member), with the
+    hysteresis guard on and off.  Certificates, both errors and a refutation
+    must occur; refutations are rare on these instances, which the funnel
+    corpus of test_verdicts_match_the_stage_by_stage_reference covers."""
+
+    def reference(result, members, seeds, condensed):
+        return reference_certify_convergence(result.new_model, members, None, seeds)
+
+    seen = Counter()
+    for trial in range(240):
+        metric, hysteresis, per_aug_dd = trial % 2 == 1, trial // 2 % 2 == 1, trial // 4 % 2 == 1
+        model, spec, delta, names = random_reverification_instance(
+            rng, rng.randint(5, 8), metric, hysteresis, per_aug_dd
+        )
+        result = substitute(model, spec, base_delta=delta)
+        old = SimpleNamespace(
+            graph=build_prepares_graph(model, [model.vertex_of(x) for x in names], delta)
+        )
+        seeds = rng.choice([None, None, [0], [1]])
+
+        def verify(old_cert, result):
+            return verify_substituted_convergence(old_cert, result, seeds)
+
+        got = _reverification_outcome(old, result, verify)
+        with monkeypatch.context() as m:
+            m.setattr(substitution, "_certify_substituted", reference)
+            want = _reverification_outcome(old, result, verify)
+        assert got == want, (trial, got, want)
+        seen[hysteresis, (got[0] if isinstance(got[0], type) else got[3]).__name__] += 1
+    for hysteresis in (False, True):
+        assert seen[hysteresis, "Certificate"] >= 2, seen
+        assert seen[hysteresis, "FtsPreconditionError"] >= 10 and seen[hysteresis, "StepError"] >= 3, seen
+    assert seen[False, "Refutation"] + seen[True, "Refutation"] >= 1, seen
+
+
 def test_loop_exit_read_off_the_certificate_matches_the_walk(rng, monkeypatch):
     """Seeded corpus: reading the loop's exit off its certified class changes no report or error.
 
@@ -886,10 +960,10 @@ def test_loop_exit_read_off_the_certificate_matches_the_walk(rng, monkeypatch):
     outside certification) must occur at least five times.
     """
     real_build, real_class_exit = substitution.build_prepares_graph, substitution._class_exit
-    real_certify = substitution.certify_checked
+    real_decide = substitution.decide
 
     def certify_unchecked(result, members, seeds, condensed):
-        return certify_checked(result.new_model, condensed, seeds)
+        return decide(result.new_model, members, seeds=seeds, checked=[], condensed=condensed)
 
     def isolated_loop(model, members, delta=None):
         graph = real_build(model, members, delta)
@@ -912,10 +986,10 @@ def test_loop_exit_read_off_the_certificate_matches_the_walk(rng, monkeypatch):
         seeds = rng.choice([None, None, [0], [1]])
         certifying, fallback = [], []
 
-        def flagged_certify(*args, **kwargs):
+        def flagged_decide(*args, **kwargs):
             certifying.append(True)
             try:
-                return real_certify(*args, **kwargs)
+                return real_decide(*args, **kwargs)
             finally:
                 certifying.pop()
 
@@ -929,7 +1003,7 @@ def test_loop_exit_read_off_the_certificate_matches_the_walk(rng, monkeypatch):
                 m.setattr(substitution, "_certify_substituted", certify_unchecked)
             if trial // 16 % 2:
                 m.setattr(substitution, "build_prepares_graph", isolated_loop)
-            m.setattr(substitution, "certify_checked", flagged_certify)
+            m.setattr(substitution, "decide", flagged_decide)
             m.setattr(substitution, "_class_exit", counting_class_exit)
             got = _reverification_outcome(
                 old, result, lambda o, r: verify_substituted_convergence(o, r, seeds)
@@ -1019,7 +1093,7 @@ def test_loop_rule_matches_the_edge_by_edge_comparison(rng, monkeypatch):
     real = substitution.build_prepares_graph
 
     def certify_unchecked(result, members, seeds, condensed):
-        return certify_checked(result.new_model, condensed, seeds)
+        return decide(result.new_model, members, seeds=seeds, checked=[], condensed=condensed)
 
     seen = Counter()
     for trial in range(320):
