@@ -153,18 +153,19 @@ def leaf_fts(data: LeafData) -> FtsVerdict:
     """The finite-time-success verdict of one action leaf's data, over its regions' universe.
 
     The leaf's own dynamics are iterated from every basin cell: the basin
-    and the goal must each be closed under one step, and every basin cell
-    must reach the goal within the leaf's step deadline.  A goal cell hits
-    at step 0, so only basin - goal is walked.  An empty basin is vacuously
+    and the goal must each be closed under one step, which only a moved
+    cell can break (``SuccessorMap.moved``), and every basin cell must
+    reach the goal within the leaf's step deadline.  A goal cell hits at
+    step 0, so only basin - goal is walked.  An empty basin is vacuously
     fine.  The data must carry a controller and basin data, and pass
     ``bt.check_leaf``.
     """
     basin, goal, horizon = data.doa.basin, data.doa.goal, data.doa.horizon
     if basin.is_empty:
         return FtsVerdict(True)
-    nxt = data.controller.targets
+    nxt, moved = data.controller.targets, data.controller.moved
     for kind, closed in (("basin-invariance", basin), ("goal-invariance", goal)):
-        cells = list(closed.cells())
+        cells = list((closed & moved).cells())  # a cell kept in place stays in closed
         ok = _gather(closed.digits(), _gather(nxt, cells))
         if "0" in ok:
             return FtsVerdict(False, kind, cells[ok.index("0")], 1)

@@ -340,7 +340,8 @@ def decide(
     (by default every member), in that order.  Each member's controller
     must move every cell of its operating region at most one step: within
     delta, or to the cell itself or a neighbour, as the slice graph's edges
-    assume; a longer step raises StepError at once.  Every member must then
+    assume, so only the cells it moves are tested (``SuccessorMap.moved``);
+    a longer step raises StepError at once.  Every member must then
     pass its finite-time-success check; the failures are returned together
     as an FtsPreconditionError, not raised.  Then the slice graph and its
     condensation, unless the caller passes ``condensed``; the seed classes,
@@ -356,7 +357,7 @@ def decide(
         leaf = model.leaves.get(i)
         if leaf is not None and leaf.controller is not None and not omega[i].is_empty:
             ids = ids or list(range(model.world.cell_count))
-            cells = omega[i].pick(ids)
+            cells = (omega[i] & leaf.controller.moved).pick(ids)
             model.world.check_steps(cells, leaf.controller.targets, delta, f"leaf {leaf.name!r}")
         if leaf is None or model.kinds[i] is not NodeKind.ACTION or leaf.doa is None:
             if not omega[i].is_empty:

@@ -58,11 +58,12 @@ def parse_document(doc: dict) -> LoadedSpec:
     if doc.get("format") != FORMAT:
         raise SpecError(f"format must be {FORMAT!r}, got {doc.get('format')!r}")
     world = _parse_world(_obj(doc.get("universe"), "universe"))
+    regions = _Regions(world)
     delta = _optional(_number, doc.get("delta"), "delta")
 
     leaves: dict[str, LeafData] = {}
     for i, entry in enumerate(_list(doc.get("leaves", []), "leaves", of=dict)):
-        leaf = _parse_leaf(entry, world, f"leaves[{i}]")
+        leaf = _parse_leaf(entry, regions, f"leaves[{i}]")
         if leaf.name in leaves:
             raise SpecError(f"leaves[{i}].name: duplicate leaf {leaf.name!r}")
         leaves[leaf.name] = leaf
@@ -87,13 +88,13 @@ def parse_document(doc: dict) -> LoadedSpec:
 
     library, library_root = None, None
     if "library" in doc:
-        library, library_root = _parse_library(_obj(doc["library"], "library"), world)
+        library, library_root = _parse_library(_obj(doc["library"], "library"), regions)
 
     substitution = None
     if "substitution" in doc:
         if model is None:
             raise SpecError("substitution: block without a tree")
-        substitution = _parse_substitution(_obj(doc["substitution"], "substitution"), world, model)
+        substitution = _parse_substitution(_obj(doc["substitution"], "substitution"), regions, model)
 
     return LoadedSpec(world, model, abstraction, delta, library, library_root, substitution)
 
@@ -158,9 +159,29 @@ def _optional(read: Callable[..., Any], value: Any, path: str, *args: Any) -> An
     return None if value is None else read(value, path, *args)
 
 
-def _region(value: Any, path: str, world: World) -> Region:
+class _Regions(dict):
+    """cell tuple -> its Region of world, each made on first use; one table per document.
+
+    A document lists the same region many times (a postcondition is the
+    next action's precondition), so each distinct cell list is marked once
+    and its repeats share one immutable Region.
+    """
+
+    __slots__ = ("world",)
+
+    def __init__(self, world: World) -> None:
+        self.world = world
+
+    def __missing__(self, cells: tuple[int, ...]) -> Region:
+        region = self[cells] = Region.from_cells(self.world.cell_count, cells)
+        return region
+
+
+def _region(value: Any, path: str, regions: _Regions) -> Region:
+    """A list of cells, read through the document's table.  The type scan
+    comes first: ``True == 1`` and they hash alike, so only it refuses ``[true]``."""
     try:
-        return Region.from_cells(world.cell_count, _list(value, path, of=int))
+        return regions[tuple(_list(value, path, of=int))]
     except WorldError as exc:
         raise SpecError(f"{path}: {exc}") from exc
 
@@ -249,16 +270,17 @@ def _parse_world(block: dict) -> World:
         raise SpecError(f"universe: {exc}") from exc
 
 
-def _parse_leaf(entry: dict, world: World, path: str, kind: Optional[str] = None) -> LeafData:
+def _parse_leaf(entry: dict, regions: _Regions, path: str, kind: Optional[str] = None) -> LeafData:
     """One leaf entry; a library entry passes its kind instead of carrying one."""
+    world = regions.world
     name = _name(entry.get("name"), f"{path}.name")
     if kind is None:
         kind = entry.get("kind")
         if kind not in ("action", "condition"):
             raise SpecError(f"{path}.kind must be action or condition")
-    success = _region(entry.get("success", []), f"{path}.success", world)
+    success = _region(entry.get("success", []), f"{path}.success", regions)
     if "failure" in entry:
-        failure = _region(entry["failure"], f"{path}.failure", world)
+        failure = _region(entry["failure"], f"{path}.failure", regions)
     elif kind == "condition":
         failure = success.complement()
     else:
@@ -266,7 +288,7 @@ def _parse_leaf(entry: dict, world: World, path: str, kind: Optional[str] = None
     controller = None
     if kind == "action":
         controller = _targets(entry.get("next"), f"{path}.next", world.cell_count)
-    doa = _optional(_parse_doa, entry.get("doa"), f"{path}.doa", world)
+    doa = _optional(_parse_doa, entry.get("doa"), f"{path}.doa", regions)
     leaf = LeafData(name, NodeKind(kind), success, failure, controller, doa)
     try:
         check_leaf(leaf, world)
@@ -275,12 +297,12 @@ def _parse_leaf(entry: dict, world: World, path: str, kind: Optional[str] = None
     return leaf
 
 
-def _parse_doa(value: Any, path: str, world: World) -> Doa:
+def _parse_doa(value: Any, path: str, regions: _Regions) -> Doa:
     block = _obj(value, path)
     return Doa(  # keyword order is the order the fields are checked in
         horizon=_int(block.get("horizon"), f"{path}.horizon", 1),
-        basin=_region(block.get("basin", []), f"{path}.basin", world),
-        goal=_region(block.get("goal", []), f"{path}.goal", world),
+        basin=_region(block.get("basin", []), f"{path}.basin", regions),
+        goal=_region(block.get("goal", []), f"{path}.goal", regions),
     )
 
 
@@ -302,13 +324,13 @@ def _parse_tree(node: Any, leaves: dict[str, LeafData], path: str) -> NodeSpec:
     return NodeSpec(NodeKind(key), tuple(children))
 
 
-def _parse_library(block: dict, world: World) -> tuple[ActionConditionLibrary, Optional[str]]:
+def _parse_library(block: dict, regions: _Regions) -> tuple[ActionConditionLibrary, Optional[str]]:
     from .backchain import ActionConditionLibrary, ActionEntry, ConditionEntry, LibraryError
 
     actions = {}
     for i, entry in enumerate(_list(block.get("actions", []), "library.actions", of=dict)):
         path = f"library.actions[{i}]"
-        leaf = _parse_leaf(entry, world, path, "action")
+        leaf = _parse_leaf(entry, regions, path, "action")
         pre = _list(entry.get("preconditions", []), f"{path}.preconditions", of=str)
         if leaf.name in actions:
             raise SpecError(f"{path}.name: duplicate action {leaf.name!r}")
@@ -316,13 +338,13 @@ def _parse_library(block: dict, world: World) -> tuple[ActionConditionLibrary, O
     conditions = {}
     for i, entry in enumerate(_list(block.get("conditions", []), "library.conditions", of=dict)):
         path = f"library.conditions[{i}]"
-        leaf = _parse_leaf(entry, world, path, "condition")
+        leaf = _parse_leaf(entry, regions, path, "condition")
         ach = _list(entry.get("achievers", []), f"{path}.achievers", of=str)
         if leaf.name in conditions:
             raise SpecError(f"{path}.name: duplicate condition {leaf.name!r}")
         conditions[leaf.name] = ConditionEntry(leaf, tuple(ach))
     try:
-        lib = ActionConditionLibrary(world, actions, conditions)
+        lib = ActionConditionLibrary(regions.world, actions, conditions)
     except LibraryError as exc:
         raise SpecError(f"library: {exc}") from exc
     root = block.get("root")
@@ -331,14 +353,14 @@ def _parse_library(block: dict, world: World) -> tuple[ActionConditionLibrary, O
     return lib, root
 
 
-def _parse_substitution(block: dict, world: World, model: BTModel) -> SubstitutionSpec:
+def _parse_substitution(block: dict, regions: _Regions, model: BTModel) -> SubstitutionSpec:
     from .substitution import RrLeaf, SubstitutionError, SubstitutionSpec, _target_shape
 
     target = _fallback(block.get("target"), model)
     budget = _int(block.get("time_budget"), "substitution.time_budget", 0)
     hyst_cap = _int(block.get("hysteresis_cap", 0), "substitution.hysteresis_cap", 0)
     dd_next = _list(block.get("dd_next"), "substitution.dd_next", of=int)
-    cells = world.cell_count
+    cells = regions.world.cell_count
     if len(dd_next) not in (cells, cells * (budget + 1) * (hyst_cap + 1)):
         raise SpecError("substitution.dd_next must list one target per base or augmented cell")
     try:  # every target is a base cell
@@ -353,13 +375,13 @@ def _parse_substitution(block: dict, world: World, model: BTModel) -> Substituti
         dd_targets=dd_next,
         rr=RrLeaf(
             controller=_targets(rr.get("next"), "substitution.rr.next", cells),
-            doa=_optional(_parse_doa, rr.get("doa"), "substitution.rr.doa", world),
-            success=_region(rr.get("success", []), "substitution.rr.success", world),
-            failure=_region(rr.get("failure", []), "substitution.rr.failure", world),
+            doa=_optional(_parse_doa, rr.get("doa"), "substitution.rr.doa", regions),
+            success=_region(rr.get("success", []), "substitution.rr.success", regions),
+            failure=_region(rr.get("failure", []), "substitution.rr.failure", regions),
         ),
-        dd_success=_optional(_region, block.get("dd_success"), "substitution.dd_success", world),
-        dd_failure=_optional(_region, block.get("dd_failure"), "substitution.dd_failure", world),
-        rok_success=_region(block.get("risk_ok", []), "substitution.risk_ok", world),
+        dd_success=_optional(_region, block.get("dd_success"), "substitution.dd_success", regions),
+        dd_failure=_optional(_region, block.get("dd_failure"), "substitution.dd_failure", regions),
+        rok_success=_region(block.get("risk_ok", []), "substitution.risk_ok", regions),
         hysteresis=_bool(block.get("hysteresis", False), "substitution.hysteresis"),
     )
     try:  # once every field reads: the target must be a fallback of a condition and an action
@@ -389,26 +411,38 @@ def _world_block(world: World) -> dict:
 class _Ints(list):
     """An array of plain ints that this module built: a region's cells or a
     successor map's targets.  The writer trusts it and skips its per-entry
-    type scan; the reader scans it like every other list."""
+    type scan; the reader scans it like every other list.  A built document
+    shares one array among its equal regions, so none may be changed."""
 
     __slots__ = ()
 
 
-def _cells(region: Region, ids: list[int]) -> _Ints:
-    """region's cells, picked in C from ids = ``list(range(cells))``, which one
-    document's regions share, so no new int object is made per cell."""
-    return _Ints(compress(ids, bit_selector(region.mask)))
+class _CellLists(dict):
+    """mask -> its cells as one ``_Ints``, made on first use; one table per built document.
+
+    The cells are picked in C from ``list(range(cells))``, so no new int
+    object is made per cell, and a region listed again shares the array.
+    """
+
+    __slots__ = ("ids",)
+
+    def __init__(self, cells: int) -> None:
+        self.ids = list(range(cells))
+
+    def __missing__(self, mask: int) -> _Ints:
+        cells = self[mask] = _Ints(compress(self.ids, bit_selector(mask)))
+        return cells
 
 
-def _leaf_entry(leaf: LeafData | RrLeaf, ids: list[int], **fields: Any) -> dict:
-    """fields plus the leaf's regions and dynamics; ids as in ``_cells``."""
-    entry = {**fields, "success": _cells(leaf.success, ids), "failure": _cells(leaf.failure, ids)}
+def _leaf_entry(leaf: LeafData | RrLeaf, cells: _CellLists, **fields: Any) -> dict:
+    """fields plus the leaf's regions, read through the document's table, and dynamics."""
+    entry = {**fields, "success": cells[leaf.success.mask], "failure": cells[leaf.failure.mask]}
     if leaf.controller is not None:
         entry["next"] = _Ints(leaf.controller.targets)
     if leaf.doa is not None:
         entry["doa"] = {
-            "basin": _cells(leaf.doa.basin, ids),
-            "goal": _cells(leaf.doa.goal, ids),
+            "basin": cells[leaf.doa.basin.mask],
+            "goal": cells[leaf.doa.goal.mask],
             "horizon": leaf.doa.horizon,
         }
     return entry
@@ -427,12 +461,12 @@ def build_document(
     delta: Optional[float] = None,
     substitution: Optional[dict] = None,
 ) -> dict:
-    ids = list(range(model.world.cell_count))
+    cells = _CellLists(model.world.cell_count)
     doc: dict[str, Any] = {
         "format": FORMAT,
         "universe": _world_block(model.world),
         "leaves": [
-            _leaf_entry(leaf, ids, name=leaf.name, kind=leaf.kind.value)
+            _leaf_entry(leaf, cells, name=leaf.name, kind=leaf.kind.value)
             for leaf in map(model.leaves.__getitem__, sorted(model.leaves))
         ],
         "tree": _tree_block(model, model.tree.root),
@@ -447,31 +481,31 @@ def build_document(
 
 
 def substitution_block(spec: SubstitutionSpec, target_name: Optional[str] = None) -> dict:
-    ids = list(range(spec.rok_success.n))
+    cells = _CellLists(spec.rok_success.n)
     block: dict[str, Any] = {
         "target": target_name if target_name is not None else spec.target,
         "time_budget": spec.time_budget,
         "hysteresis_cap": spec.hysteresis_cap,
         "hysteresis": spec.hysteresis,
-        "risk_ok": _cells(spec.rok_success, ids),
+        "risk_ok": cells[spec.rok_success.mask],
         "dd_next": list(spec.dd_targets),
-        "rr": _leaf_entry(spec.rr, ids),
+        "rr": _leaf_entry(spec.rr, cells),
     }
     if spec.dd_success is not None:
-        block["dd_success"] = _cells(spec.dd_success, ids)
+        block["dd_success"] = cells[spec.dd_success.mask]
     if spec.dd_failure is not None:
-        block["dd_failure"] = _cells(spec.dd_failure, ids)
+        block["dd_failure"] = cells[spec.dd_failure.mask]
     return block
 
 
 def library_document(lib: ActionConditionLibrary, root: Optional[str] = None) -> dict:
-    ids = list(range(lib.world.cell_count))
+    cells = _CellLists(lib.world.cell_count)
     actions = [
-        _leaf_entry(a.leaf, ids, name=a.leaf.name, preconditions=list(a.preconditions))
+        _leaf_entry(a.leaf, cells, name=a.leaf.name, preconditions=list(a.preconditions))
         for a in map(lib.actions.__getitem__, lib.action_ids())
     ]
     conditions = [
-        _leaf_entry(c.leaf, ids, name=c.leaf.name, achievers=list(c.achievers))
+        _leaf_entry(c.leaf, cells, name=c.leaf.name, achievers=list(c.achievers))
         for c in map(lib.conditions.__getitem__, lib.condition_ids())
     ]
     block: dict[str, Any] = {"actions": actions, "conditions": conditions}
@@ -491,11 +525,12 @@ def dump_document(doc: dict) -> str:
     value.  This writer does the same walk but writes a list of plain ints
     (cell arrays, successor targets: most of a document) with one gather
     from a per-call table of decimal texts and one join; an ``_Ints`` array
-    skips the type scan that tells such a list apart.
+    skips the type scan that tells such a list apart, and its text is made
+    once per indent however many times a built document shares it.
     Keys must be strings, as they are in every document.
     """
     out: list[str] = []
-    _write(doc, "\n", out, _Decimals())
+    _write(doc, "\n", out, _Decimals(), {})
     out.append("\n")
     return "".join(out)
 
@@ -515,8 +550,12 @@ class _Decimals(dict):
         return text
 
 
-def _write(value: Any, newline: str, out: list[str], decimals: _Decimals) -> None:
-    """Append value's indented JSON text; newline is "\\n" plus its indent."""
+def _write(value: Any, newline: str, out: list[str], decimals: _Decimals, arrays: dict) -> None:
+    """Append value's indented JSON text; newline is "\\n" plus its indent.
+
+    arrays maps (id, newline) of each ``_Ints`` written so far to its text;
+    the document holds every such array while it is written, so no id is reused.
+    """
     inner = newline + "  "
     if isinstance(value, dict):
         if not value:
@@ -527,24 +566,35 @@ def _write(value: Any, newline: str, out: list[str], decimals: _Decimals) -> Non
             out.append(sep)
             out.append(encode_basestring_ascii(key))
             out.append(": ")
-            _write(item, inner, out, decimals)
+            _write(item, inner, out, decimals, arrays)
             sep = "," + inner
         out.append(newline + "}")
     elif isinstance(value, (list, tuple)):
         if not value:
             out.append("[]")
-        elif type(value) is _Ints or _INT.issuperset(map(type, value)):  # bools print as true/false
-            body = ("," + inner).join(_gather(decimals, value))
-            out.append("[" + inner + body + newline + "]")
+        elif type(value) is _Ints:
+            key = (id(value), newline)
+            text = arrays.get(key)
+            if text is None:
+                text = arrays[key] = _int_array(value, newline, decimals)
+            out.append(text)
+        elif _INT.issuperset(map(type, value)):  # bools print as true/false
+            out.append(_int_array(value, newline, decimals))
         else:
             sep = "[" + inner
             for item in value:
                 out.append(sep)
-                _write(item, inner, out, decimals)
+                _write(item, inner, out, decimals, arrays)
                 sep = "," + inner
             out.append(newline + "]")
     else:
         out.append(_scalar(value))
+
+
+def _int_array(value: list[int], newline: str, decimals: _Decimals) -> str:
+    """A nonempty list of plain ints at newline's indent: one gather of texts and one join."""
+    inner = newline + "  "
+    return "[" + inner + ("," + inner).join(_gather(decimals, value)) + newline + "]"
 
 
 def _scalar(value: Any) -> str:

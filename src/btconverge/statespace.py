@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import math
 from itertools import chain, compress, count, filterfalse, repeat
-from operator import add, contains, eq, itemgetter, le, or_, sub
+from operator import add, contains, eq, itemgetter, le, ne, or_, sub
 from typing import Callable, Iterable, Iterator, Optional, Sequence
 
 
@@ -47,8 +47,10 @@ class Region:
         cell given, and the marks become the mask in one base-2 parse, not
         one whole-mask OR per cell.  So the cost follows the cells, not n:
         a handful of cells of a huge universe costs a handful of bytes.
+        A list or tuple is read as given; any other iterable is copied once.
         """
-        cells = list(cells)
+        if not isinstance(cells, (list, tuple)):
+            cells = list(cells)
         if not cells:
             return cls(n, 0)
         top = max(cells)
@@ -174,9 +176,15 @@ def check_targets(targets: Sequence[int], n: int) -> None:
 
 
 class SuccessorMap:
-    """Total one-step dynamics for one action leaf: cell -> cell."""
+    """Total one-step dynamics for one action leaf: cell -> cell.
 
-    __slots__ = ("n", "targets", "_fill")
+    ``moved`` is the region of the cells whose target is not the cell
+    itself, built in C on first read.  An unmoved cell stays in every region
+    that holds it and is its own one step, so the invariance and one-step
+    checks read only moved cells.
+    """
+
+    __slots__ = ("n", "targets", "moved", "_fill")
 
     def __init__(self, targets: Sequence[int]) -> None:
         targets = tuple(targets)
@@ -191,13 +199,17 @@ class SuccessorMap:
         m.n, m._fill = n, fill
         return m
 
-    def __getattr__(self, name: str) -> tuple[int, ...]:
-        # reached only for an unset slot; a lazy map's targets are the one answer
-        if name != "targets":
-            raise AttributeError(f"{type(self).__name__!r} object has no attribute {name!r}")
-        self.targets = targets = tuple(self._fill())
-        del self._fill
-        return targets
+    def __getattr__(self, name: str) -> tuple[int, ...] | Region:
+        # reached only for an unset slot: a lazy map's targets, or the moved cells
+        if name == "targets":
+            self.targets = targets = tuple(self._fill())
+            del self._fill
+            return targets
+        if name == "moved":
+            marks = bytes(map(ne, self.targets, count())).translate(_MARK_DIGITS)
+            self.moved = moved = Region(self.n, int(b"0" + marks[::-1], 2))
+            return moved
+        raise AttributeError(f"{type(self).__name__!r} object has no attribute {name!r}")
 
     @classmethod
     def from_function(cls, n: int, fn: Callable[[int], int]) -> "SuccessorMap":
@@ -425,7 +437,7 @@ class World:
         return self.neighbors, True
 
     def steps_hold(self, cells: list[int], targets: Sequence[int], delta: Optional[float]) -> bool:
-        """Whether every cell's target is the cell itself or one step away; cells is nonempty.
+        """Whether every cell's target is the cell itself or one step away.
 
         One step is within delta (metric) or a neighbour (adjacency).  The
         targets and the distance or membership tests are gathered in C.

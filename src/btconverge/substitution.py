@@ -657,7 +657,7 @@ def _certify_substituted(
         if base is None or base.controller is None or base.doa is None:
             return False
         if not omega[v].is_empty:
-            cells = aug.project_region(omega[v]).pick(ids)
+            cells = (aug.project_region(omega[v]) & base.controller.moved).pick(ids)
             if not aug.base.steps_hold(cells, base.controller.targets, aug.base_delta):
                 return False
         return leaf_fts(base).ok

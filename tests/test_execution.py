@@ -336,12 +336,14 @@ def naive_fts(model, leaf):
     return None
 
 
-def random_fts_model(rng, n):
-    """One action over n cells whose basin data passes or fails each dynamic FTS rule."""
-    if rng.random() < 0.3:  # every walk runs down to cell 0, in up to n - 1 steps
-        ctrl = SuccessorMap([rng.randrange(x) if x else 0 for x in range(n)])
-    else:
-        ctrl = SuccessorMap([x if rng.random() < 0.2 else rng.randrange(n) for x in range(n)])
+def random_fts_model(rng, n, ctrl=None):
+    """One action over n cells whose basin data passes or fails each dynamic FTS rule;
+    ctrl, when given, is its controller."""
+    if ctrl is None:
+        if rng.random() < 0.3:  # every walk runs down to cell 0, in up to n - 1 steps
+            ctrl = SuccessorMap([rng.randrange(x) if x else 0 for x in range(n)])
+        else:
+            ctrl = SuccessorMap([x if rng.random() < 0.2 else rng.randrange(n) for x in range(n)])
     if rng.random() < 0.7:
         basin = _forward_closure(ctrl, n, rng.sample(range(n), min(n, rng.randint(0, 3))))
     else:
@@ -357,12 +359,19 @@ def random_fts_model(rng, n):
     return BTModel(World(n), seq(spec))
 
 
+def mostly_kept_map(rng, n):
+    """A controller that keeps about four cells in five in place and sends the rest anywhere."""
+    return SuccessorMap([rng.randrange(n) if rng.random() < 0.2 else x for x in range(n)])
+
+
 def test_exact_walks_match_naive_stepper(rng):
     """check_fts, empirical_exit_time and hitting_time against the naive stepper and the generator.
 
     The corpus reaches every failing FTS kind that BTModel lets through (it
     rejects the static ones) with its witness and step, and exits from 0, 1
-    and more cells both ways.
+    and more cells both ways.  Controllers that keep most cells in place
+    put each invariance witness above a kept cell of its region, since the
+    checks read only moved cells, and miss deadlines at kept cells.
     """
     seen = set()
 
@@ -373,6 +382,7 @@ def test_exact_walks_match_naive_stepper(rng):
         want = naive_fts(model, leaf)
         assert got == ((True, None, None, None) if want is None else (False, *want))
         seen.add(verdict.kind if verdict.kind != "deadline" else ("deadline", verdict.step is None))
+        return verdict
 
     for _ in range(60):
         n = rng.choice([5, 9, 16])
@@ -400,7 +410,22 @@ def test_exact_walks_match_naive_stepper(rng):
     for _ in range(300):
         model = random_fts_model(rng, rng.randint(1, 12))
         check_leaf(model, model.vertex_of("a"))
+    for _ in range(300):
+        n = rng.randint(1, 16)
+        ctrl = mostly_kept_map(rng, n)
+        model = random_fts_model(rng, n, ctrl)
+        data = model.leaves[model.vertex_of("a")]
+        verdict = check_leaf(model, model.vertex_of("a"))
+        kept = [c for c in range(n) if ctrl.next(c) == c]
+        if verdict.kind == "deadline" and verdict.witness in kept:
+            seen.add(("kept", "deadline"))
+        elif verdict.kind in ("basin-invariance", "goal-invariance"):
+            closed = data.doa.basin if verdict.kind == "basin-invariance" else data.doa.goal
+            if any(c in closed for c in kept if c < verdict.witness):
+                seen.add(("kept below", verdict.kind))
     assert {None, "basin-invariance", "goal-invariance", ("deadline", True), ("deadline", False)} <= seen
+    kept = {("kept", "deadline"), ("kept below", "basin-invariance"), ("kept below", "goal-invariance")}
+    assert kept <= seen
     exits = {("exit", 0, False), ("exit", 1, False), ("exit", 1, True), ("exit", 2, False), ("exit", 2, True)}
     assert exits <= seen
 

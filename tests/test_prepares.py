@@ -676,6 +676,32 @@ def test_verdicts_hold_in_the_closed_loop_under_an_honest_delta(rng):
     assert len(seen) == 4, seen
 
 
+def test_one_step_check_names_a_far_jump_planted_among_kept_cells(rng):
+    """The one-step check reads only the cells a member moves: a far jump
+    planted among kept cells and one-step moves is named with the text the
+    check over every operating cell gives (reference_certify_convergence)."""
+    from btconverge.bt import BTModel, action, seq
+
+    for trial in range(60):
+        n = rng.randint(4, 30)
+        if trial % 2:
+            world, delta = World(n, adjacency=[(c, c + 1) for c in range(n - 1)]), None
+        else:
+            world, delta = World(n, coords=[(float(c),) for c in range(n)]), 1.0
+        targets = [c + 1 if c < n - 1 and rng.random() < 0.2 else c for c in range(n)]
+        far = rng.randrange(1, n - 2)
+        targets[far] = rng.randrange(far + 2, n)
+        success = Region.from_cells(n, [n - 1])
+        model = BTModel(world, seq(action("a", success, controller=SuccessorMap(targets))))
+        members = [model.vertex_of("a")]
+        with pytest.raises(StepError) as got:
+            certify_convergence(model, members, delta)
+        with pytest.raises(StepError) as want:
+            reference_certify_convergence(model, members, delta)
+        assert str(got.value) == str(want.value)
+        assert str(got.value).startswith(f"leaf 'a' moves cell {far} to {targets[far]}: ")
+
+
 def _weakened(rng, model, members):
     """model, a fallback of the action leaves members, with some basins dropped
     and some deadlines cut."""

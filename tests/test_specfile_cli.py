@@ -173,6 +173,141 @@ def test_dump_document_matches_json_dumps_on_program_documents():
         assert dump_document(doc) == json.dumps(doc, indent=2, sort_keys=True) + "\n", name
 
 
+def interning_document(rng):
+    """A leaves-and-tree document over a few cells whose region lists repeat.
+
+    Every list is drawn from a pool of four cell lists, their complements
+    and the full and empty lists; each occurrence is the pool's list object
+    or an equal copy.  Actions reach the goal of their own success region,
+    so a built document shares one array between a success and a goal.
+    """
+    from btconverge.specfile import FORMAT
+
+    n = rng.randint(2, 12)
+    full, empty = list(range(n)), []
+    pool = [sorted(rng.sample(full, rng.randint(0, n))) for _ in range(4)]
+    outside = [[c for c in full if c not in cells] for cells in pool]
+
+    def occurrence(cells):
+        return cells if rng.random() < 0.5 else list(cells)
+
+    leaves = []
+    for k in range(rng.randint(2, 6)):
+        p = rng.randrange(len(pool))
+        if rng.random() < 0.3:
+            entry = {"name": f"c{k}", "kind": "condition", "success": occurrence(pool[p])}
+            if rng.random() < 0.5:
+                entry["failure"] = occurrence(outside[p])
+            leaves.append(entry)
+            continue
+        own_basin = rng.random() < 0.5  # the basin is the success region, the failure all else
+        leaves.append({
+            "name": f"a{k}",
+            "kind": "action",
+            "success": occurrence(pool[p]),
+            "failure": occurrence(outside[p] if own_basin else empty),
+            "next": [rng.randrange(n) for _ in full],
+            "doa": {
+                "horizon": rng.randint(1, 3),
+                "basin": occurrence(pool[p] if own_basin else full),
+                "goal": occurrence(pool[p] if rng.random() < 0.8 else empty),
+            },
+        })
+    tree = {"seq": [{"leaf": entry["name"]} for entry in leaves]}
+    return {"format": FORMAT, "universe": {"cells": n}, "leaves": leaves, "tree": tree}
+
+
+def region_fields(doc):
+    """(JSON path, owning object, key) of each cell list in doc's leaves, in the order they are read."""
+    for i, entry in enumerate(doc["leaves"]):
+        for owner, key, path in (
+            (entry, "success", f"leaves[{i}].success"),
+            (entry, "failure", f"leaves[{i}].failure"),
+            (entry.get("doa", {}), "basin", f"leaves[{i}].doa.basin"),
+            (entry.get("doa", {}), "goal", f"leaves[{i}].doa.goal"),
+        ):
+            if key in owner:
+                yield path, owner, key
+
+
+def parsed_region(spec, doc, path):
+    """The parsed region that path names."""
+    i, field = re.fullmatch(r"leaves\[(\d+)\]\.(?:doa\.)?(\w+)", path).groups()
+    data = spec.model.leaves[spec.model.vertex_of(doc["leaves"][int(i)]["name"])]
+    return getattr(data.doa if ".doa." in path else data, field)
+
+
+def test_region_interning_reads_each_list_as_its_own_cells(rng):
+    """Each parsed region is its own list's cells, and equal lists, whether one
+    object or copies, share one Region."""
+    from btconverge.statespace import Region
+
+    same = copies = 0
+    for _ in range(200):
+        doc = interning_document(rng)
+        spec = parse_document(doc)
+        n = doc["universe"]["cells"]
+        earlier = {}  # cell tuple -> (the lists read so far, their region)
+        for path, owner, key in region_fields(doc):
+            cells, region = owner[key], parsed_region(spec, doc, path)
+            assert region == Region.from_cells(n, cells), path
+            lists, first = earlier.setdefault(tuple(cells), ([], region))
+            assert region is first, path
+            if lists:
+                same += any(cells is other for other in lists)
+                copies += all(cells is not other for other in lists)
+            lists.append(cells)
+    assert same >= 100 and copies >= 100, (same, copies)
+
+
+def test_region_interning_refuses_a_bad_repeat_at_its_own_path(rng):
+    """A repeat of a list already read that carries true for 1, or a cell
+    outside the universe, is refused with the reader's message at that
+    occurrence's JSON path: the type scan comes before the table, whose
+    keys cannot tell True from 1."""
+    tried = {"bool": 0, "range": 0}
+    for _ in range(300):
+        doc = interning_document(rng)
+        n = doc["universe"]["cells"]
+        seen, repeats = set(), []
+        for path, owner, key in region_fields(doc):
+            if tuple(owner[key]) in seen:
+                repeats.append((path, owner, key))
+            seen.add(tuple(owner[key]))
+        if not repeats:
+            continue
+        path, owner, key = rng.choice(repeats)
+        cells = list(owner[key])
+        if 1 in cells and rng.random() < 0.5:
+            at = cells.index(1)
+            cells[at] = True
+            message = f"{path}: expected integers, got True at [{at}]"
+            tried["bool"] += 1
+        else:
+            bad = n + rng.randrange(3)
+            cells.insert(rng.randint(0, len(cells)), bad)
+            message = f"{path}: cell {bad} outside universe of {n} cells"
+            tried["range"] += 1
+        owner[key] = cells
+        with pytest.raises(SpecError) as err:
+            parse_document(doc)
+        assert str(err.value) == message
+    assert min(tried.values()) >= 30, tried
+
+
+def test_writer_interning_dumps_a_shared_array_at_each_indent(rng):
+    """A built document shares one cell array among its equal regions, here
+    leaves[i].success and leaves[j].doa.goal at two indents, and the writer
+    still gives json.dumps' text."""
+    shared = 0
+    for _ in range(200):
+        built = build_document(parse_document(interning_document(rng)).model)
+        goals = {id(entry["doa"]["goal"]) for entry in built["leaves"] if "doa" in entry}
+        shared += any(id(entry["success"]) in goals for entry in built["leaves"] if entry["success"])
+        assert dump_document(built) == json.dumps(built, indent=2, sort_keys=True) + "\n"
+    assert shared >= 100
+
+
 def built_documents():
     """Documents the writers build themselves, whose cell and target arrays are the writer's own."""
     from btconverge.backchain import build_bcbt
