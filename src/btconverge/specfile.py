@@ -526,7 +526,8 @@ def dump_document(doc: dict) -> str:
     (cell arrays, successor targets: most of a document) with one gather
     from a per-call table of decimal texts and one join; an ``_Ints`` array
     skips the type scan that tells such a list apart, and its text is made
-    once per indent however many times a built document shares it.
+    once however many times, and at however many indents, a built document
+    shares it.
     Keys must be strings, as they are in every document.
     """
     out: list[str] = []
@@ -553,8 +554,10 @@ class _Decimals(dict):
 def _write(value: Any, newline: str, out: list[str], decimals: _Decimals, arrays: dict) -> None:
     """Append value's indented JSON text; newline is "\\n" plus its indent.
 
-    arrays maps (id, newline) of each ``_Ints`` written so far to its text;
-    the document holds every such array while it is written, so no id is reused.
+    arrays maps the id of each ``_Ints`` written so far to its text per
+    newline; the document holds every such array while it is written, so no
+    id is reused.  An array met again at another indent re-indents its first
+    text with one ``str.replace`` instead of a second gather and join.
     """
     inner = newline + "  "
     if isinstance(value, dict):
@@ -573,10 +576,15 @@ def _write(value: Any, newline: str, out: list[str], decimals: _Decimals, arrays
         if not value:
             out.append("[]")
         elif type(value) is _Ints:
-            key = (id(value), newline)
-            text = arrays.get(key)
+            texts = arrays.setdefault(id(value), {})
+            text = texts.get(newline)
             if text is None:
-                text = arrays[key] = _int_array(value, newline, decimals)
+                if texts:  # re-indent the first text: its every line break starts with its newline
+                    first, first_text = next(iter(texts.items()))
+                    text = first_text.replace(first, newline)
+                else:
+                    text = _int_array(value, newline, decimals)
+                texts[newline] = text
             out.append(text)
         elif _INT.issuperset(map(type, value)):  # bools print as true/false
             out.append(_int_array(value, newline, decimals))

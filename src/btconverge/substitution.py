@@ -54,8 +54,12 @@ T never leaves.  Any other region, and every region of a non-product
 model, is walked.
 
 The augmentation is itself the product world.  It keeps that step rule,
-not a neighbour tuple per augmented cell, so a slice is dilated block by
-block.  When the guarded loop is a class of the certified condensation on
+not a neighbour tuple per augmented cell, and works on whole product masks
+with integer shifts: a block pattern's counter image, a lifted region, a
+pattern placed in some blocks, a projection and the test of condition 2
+each take a few shift, AND, OR and subtract operations on masks built once
+per augmentation by doubling, with no Python step per cell or counter
+value.  When the guarded loop is a class of the certified condensation on
 its own, its exit time is read off the certificate instead of walked again.
 """
 
@@ -64,7 +68,7 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 from functools import partial
 from itertools import chain, repeat
-from operator import add, mul
+from operator import add, lshift, mul, or_
 from typing import Iterator, Mapping, Optional, Sequence
 
 from .bt import BTModel, Doa, LeafData, NodeKind, NodeSpec, condition as condition_spec
@@ -88,6 +92,32 @@ RR_NAME = "rr_controller"
 ROK_NAME = "risk_ok"
 TOK_DD_NAME = "time_ok_dd"
 TOK_RR_NAME = "time_ok_rr"
+
+
+def _repeat(unit: int, width: int, count: int) -> int:
+    """unit at each of the offsets 0, width, ..., (count - 1) * width, built by
+    doubling: one shift and OR per binary digit of count, not one per copy."""
+    out, done, piece, size = 0, 0, unit, 1
+    while True:
+        if count & 1:
+            out |= piece << done * width
+            done += size
+        count >>= 1
+        if not count:
+            return out
+        piece |= piece << size * width
+        size *= 2
+
+
+def _join(parts: list[int], width: int) -> int:
+    """The sum of parts[i] << i * width for parts below 2 ** width, joined
+    pairwise: one pass in C per doubling of the width."""
+    while len(parts) > 1:
+        if len(parts) % 2:
+            parts.append(0)
+        parts = list(map(or_, parts[::2], map(lshift, parts[1::2], repeat(width))))
+        width *= 2
+    return parts[0] if parts else 0
 
 
 class SubstitutionError(BTConvergeError):
@@ -138,16 +168,22 @@ class Augmentation(World):
     The layout is base-cell-major: base cell c owns the block of
     ``block = (time_cap + 1) * (hyst_cap + 1)`` augmented cells starting at
     ``c * block``, and (t, h) sits at offset ``t * (hyst_cap + 1) + h``
-    inside it.  Lifted regions, counter regions and maps are therefore
-    built per block from in-block patterns and offsets; ``encode`` /
-    ``decode`` convert single cells.
+    inside it; ``encode`` / ``decode`` convert single cells.  A lifted or
+    counter region is an in-block pattern P placed in some blocks: with S
+    the mask of those blocks' first cells, the blocks are (S << block) - S,
+    and ANDing them with P repeated in every block (``_tile``, built by
+    doubling and kept per pattern while the augmentation lives) cuts them
+    to P.  S comes from the base mask in one shift level per binary digit
+    of the base cell count; the levels run backwards to project.
 
-    The cell at offset o of base cell c's block steps to offset
-    ``successors[rok[c]][o]`` of the block of every base step q of c (c
-    included).  The world keeps that rule, not a neighbour tuple per cell:
-    ``dilate`` applies it block by block, at a cost that grows with base
-    steps, and the tuples are built only when ``neighbors`` is read, by
-    the spec writer and by a one-step check on the product.
+    The cell at offset o of base cell c's block steps to the block of every
+    base step q of c (c included), at the offset of its counters'
+    successor.  The world keeps that rule, not a neighbour tuple per cell:
+    ``dilate`` maps each distinct block pattern with a few shifts and masks
+    (``_image``) and ORs the image into the blocks of the base steps, and
+    the per-offset successor table and the tuples are built only when
+    read, by lifted maps, the spec writer and a one-step check on the
+    product.
     """
 
     __slots__ = (
@@ -159,6 +195,11 @@ class Augmentation(World):
         "_base_steps",
         "_rok",
         "_successors",
+        "_col0",
+        "_last",
+        "_rises",
+        "_spread",
+        "_tiles",
     )
 
     def __init__(
@@ -179,18 +220,46 @@ class Augmentation(World):
         self.base_delta = base_delta
         self.block = block
         steps, stays = base._steps(base_delta)
-        # in-block offset of the counters' successor, per in-block offset,
-        # outside ("0") and inside ("1") the risk-ok region: t -> min(t + 1, T)
-        # and h -> 0 or min(h + 1, H)
         stride = hyst_cap + 1
-        times = chain(range(stride, time_cap * stride + 1, stride), (time_cap * stride,))
-        reset = tuple(chain.from_iterable(map(repeat, times, repeat(stride))))
-        hysts = chain.from_iterable(repeat((*range(1, stride), hyst_cap), time_cap + 1))
-        self._successors = {"0": reset, "1": tuple(map(add, reset, hysts))}
+        self._successors: Optional[dict[str, tuple[int, ...]]] = None
         self._rok = rok_base.digits()
         if stays:  # adjacency lists leave out the cell, which a step may keep
             steps = [tuple(sorted({c, *near})) for c, near in enumerate(steps)]
         self._base_steps = steps
+        # in-block masks, each built by doubling: column h = 0, its cell in
+        # the last row, and the cells whose counters step by +s+1, +s, +1 and
+        # +0 inside the risk-ok region (t < T and h < H, t < T and h = H,
+        # t = T and h < H, and (T, H))
+        self._col0 = _repeat(1, stride, time_cap + 1)
+        self._last = 1 << time_cap * stride
+        self._rises = (
+            _repeat((1 << hyst_cap) - 1, stride, time_cap),
+            (self._col0 ^ self._last) << hyst_cap,
+            (1 << hyst_cap) - 1 << time_cap * stride,
+            self._last << hyst_cap,
+        )
+        # the levels that move bit c of a base mask to bit c * block, highest
+        # first: level g moves the upper half of each group of 2g bits by g * (block - 1)
+        levels, g = [], 1
+        while g < base.cell_count:
+            groups = -(-base.cell_count // (2 * g))
+            levels.append((g * (block - 1), _repeat((1 << g) - 1 << g, 2 * g * block, groups)))
+            g *= 2
+        self._spread = levels[::-1]
+        self._tiles: dict[int, int] = {}
+
+    def _counter_steps(self) -> dict[str, tuple[int, ...]]:
+        """Per in-block offset, the in-block offset of the counters' successor,
+        outside ("0") and inside ("1") the risk-ok region: t -> min(t + 1, T)
+        and h -> 0 or min(h + 1, H).  Built on first read; only the per-cell
+        readers (neighbour tuples, lifted targets) read it."""
+        if self._successors is None:
+            time_cap, hyst_cap, stride = self.time_cap, self.hyst_cap, self.hyst_cap + 1
+            times = chain(range(stride, time_cap * stride + 1, stride), (time_cap * stride,))
+            reset = tuple(chain.from_iterable(map(repeat, times, repeat(stride))))
+            hysts = chain.from_iterable(repeat((*range(1, stride), hyst_cap), time_cap + 1))
+            self._successors = {"0": reset, "1": tuple(map(add, reset, hysts))}
+        return self._successors
 
     @property
     def neighbors(self) -> tuple[tuple[int, ...], ...]:
@@ -201,7 +270,7 @@ class Augmentation(World):
             starts = range(0, self.cell_count, self.block)
             columns = {
                 flag: [tuple(map(q.__add__, offsets)) for q in starts]
-                for flag, offsets in self._successors.items()
+                for flag, offsets in self._counter_steps().items()
                 if flag in self._rok
             }
             near_aug: list[tuple[int, ...]] = []
@@ -213,30 +282,66 @@ class Augmentation(World):
     def dilate(self, region: Region, delta: Optional[float] = None) -> Region:
         """The cells at most one step from region, region included; delta is unused.
 
-        Each base cell's block of region is an in-block pattern.  Its image
-        under the counter successor, memoised per (pattern, risk-ok flag),
-        is ORed into the block of each of the cell's base steps, and the
-        blocks become the mask in one base-2 parse.
+        Each base cell's block of region is an in-block pattern, read off the
+        mask's bytes.  Its image under the counter step (``_image``: a few
+        shifts and masks, once per distinct pattern and risk-ok flag) is ORed
+        into the block of each of the cell's base steps, and the blocks are
+        joined pairwise (``_join``).  Placing each distinct image with
+        ``_blocks`` instead costs a whole-mask pass per image, which loses
+        once a region holds many distinct patterns.
         """
         if region.n != self.cell_count:
             raise WorldError("regions belong to a different universe")
-        n, k = self.cell_count, self.block
-        digits = format(region.mask, f"0{n}b")  # the last base cell's block first
-        blocks = [0] * len(self._base_steps)
-        images: dict[tuple[str, str], int] = {}
-        for c, near in enumerate(self._base_steps):
-            pattern = digits[n - (c + 1) * k : n - c * k]
-            if "1" not in pattern:
-                continue
-            key = (pattern, self._rok[c])
-            image = images.get(key)
-            if image is None:
-                moved = Region(k, int(pattern, 2)).pick(self._successors[key[1]])
-                image = images[key] = Region.from_cells(k, moved).mask
-            for q in near:
-                blocks[q] |= image
-        mask = int("".join(format(b, f"0{k}b") for b in reversed(blocks)), 2)
-        return Region(n, mask | region.mask)
+        k, whole = self.block, (1 << self.block) - 1
+        data = region.mask.to_bytes(-(-self.cell_count // 8), "little")
+        images: dict[tuple[int, str], int] = {}
+        blocks = [0] * self.base.cell_count
+        for c, start in enumerate(range(0, self.cell_count, k)):
+            pattern = int.from_bytes(data[start >> 3 : (start + k >> 3) + 1], "little")
+            pattern = pattern >> (start & 7) & whole
+            if pattern:
+                key = (pattern, self._rok[c])
+                image = images.get(key)
+                if image is None:
+                    image = images[key] = self._image(pattern, key[1] == "1")
+                for q in self._base_steps[c]:
+                    blocks[q] |= image
+        return Region(self.cell_count, _join(blocks, k) | region.mask)
+
+    def _image(self, pattern: int, rok: bool) -> int:
+        """The in-block pattern's image under the counter step, inside (rok) or
+        outside the risk-ok region."""
+        stride = self.hyst_cap + 1
+        if rok:  # t -> min(t + 1, T), h -> min(h + 1, H)
+            both, time, hyst, still = self._rises
+            return (
+                (pattern & both) << stride + 1
+                | (pattern & time) << stride
+                | (pattern & hyst) << 1
+                | pattern & still
+            )
+        # t -> min(t + 1, T), h -> 0: each nonempty row lands on column 0 of the next
+        rows = self._row_or(pattern)
+        last = rows & self._last
+        return (rows ^ last) << stride | last
+
+    def _row_or(self, pattern: int) -> int:
+        """Column 0 of each row of the in-block pattern that holds a cell:
+        each row ORed onto its first offset by floor(log2 stride) + 1 shift-ORs."""
+        stride, width = self.hyst_cap + 1, 1
+        while 2 * width <= stride:
+            pattern |= pattern >> width
+            width *= 2
+        return (pattern | pattern >> stride - width) & self._col0
+
+    def _time_set(self, pattern: int) -> Optional[str]:
+        """"1" at each counter value t of S, t = 0 first, when the in-block
+        pattern is {(t, h) : t in S} and so reads the time counter only; else None."""
+        stride = self.hyst_cap + 1
+        rows = self._row_or(pattern)
+        if pattern != (rows << stride) - rows:
+            return None
+        return bin(rows)[:1:-1][::stride].ljust(self.time_cap + 1, "0")
 
     # ------------------------------------------------------------------
     def encode(self, c: int, t: int, h: int) -> int:
@@ -247,14 +352,32 @@ class Augmentation(World):
         c, t = divmod(cell, self.time_cap + 1)
         return c, t, h
 
-    def _blocks(self, base_mask: int, pattern: int) -> Region:
-        """The in-block pattern placed in the block of every base cell of base_mask."""
-        digits = format(pattern, f"0{self.block}b")
-        mask = int(bin(base_mask)[2:].translate({48: "0" * self.block, 49: digits}), 2)
-        return Region(self.base.cell_count * self.block, mask)
+    def _lift(self, base_mask: int) -> int:
+        """The mask of every cell in the blocks of base_mask's cells: (S << block) - S,
+        with S holding the first cell of each of those blocks."""
+        starts = base_mask  # bit c moves to bit c * block, one level at a time
+        for shift, upper in self._spread:
+            moved = starts & upper
+            starts ^= moved ^ moved << shift
+        return (starts << self.block) - starts
+
+    def _tile(self, pattern: int) -> int:
+        """The in-block pattern in every block, built by doubling once per pattern."""
+        tile = self._tiles.get(pattern)
+        if tile is None:
+            tile = self._tiles[pattern] = _repeat(pattern, self.block, self.base.cell_count)
+        return tile
+
+    def _blocks(self, base_mask: int, pattern: int) -> int:
+        """The mask of the in-block pattern placed in the block of every base cell of base_mask."""
+        if not (base_mask and pattern):
+            return 0
+        return self._lift(base_mask) & self._tile(pattern)
 
     def lift_region(self, base_region: Region) -> Region:
-        return self._blocks(base_region.mask, (1 << self.block) - 1)
+        if base_region.is_empty:
+            return Region(self.cell_count)
+        return Region(self.cell_count, self._lift(base_region.mask))
 
     def project_region(self, region: Region) -> Region:
         """The base cells some augmented cell of region lies over."""
@@ -263,23 +386,23 @@ class Augmentation(World):
                 f"region over {region.n} cells is not over the augmented universe "
                 f"of {self.cell_count} cells"
             )
-        digits = format(region.mask, f"0{self.cell_count}b")[::-1]
-        k = self.block
-        return Region.from_cells(
-            self.base.cell_count,
-            (c for c in range(self.base.cell_count) if "1" in digits[c * k : (c + 1) * k]),
-        )
+        top = self.block - 1
+        rest = self._tile((1 << top) - 1)  # every cell of a block but its last
+        # adding rest to a block's other cells carries into its last cell iff one is set
+        held = ((region.mask & rest) + rest | region.mask) & self._tile(1 << top)
+        cells = held >> top  # bit c * block moves back to bit c, the lowest level first
+        for shift, upper in reversed(self._spread):
+            moved = cells & upper << shift
+            cells ^= moved ^ moved >> shift
+        return Region(self.base.cell_count, cells)
 
     def time_ok_region(self) -> Region:
         """Cells whose time counter is below the budget: t < time_cap."""
-        pattern = (1 << self.time_cap * (self.hyst_cap + 1)) - 1
-        return self._blocks(self.base.full_region().mask, pattern)
+        return Region(self.cell_count, self._tile((1 << self.time_cap * (self.hyst_cap + 1)) - 1))
 
     def hysteresis_ready_region(self) -> Region:
         """Cells whose hysteresis counter sits at its cap."""
-        stride = self.hyst_cap + 1
-        pattern = sum(1 << (t * stride + self.hyst_cap) for t in range(self.time_cap + 1))
-        return self._blocks(self.base.full_region().mask, pattern)
+        return Region(self.cell_count, self._tile(self._col0 << self.hyst_cap))
 
     def lift_map(self, base_targets: Sequence[int]) -> SuccessorMap:
         """Lift base-cell targets (indexed by base or augmented cell), checked
@@ -296,7 +419,7 @@ class Augmentation(World):
             starts = map(mul, base_targets, repeat(k))
             if not per_aug:
                 starts = chain.from_iterable(map(repeat, starts, repeat(k)))
-            offsets = chain.from_iterable(map(self._successors.__getitem__, self._rok))
+            offsets = chain.from_iterable(map(self._counter_steps().__getitem__, self._rok))
             return map(add, starts, offsets)
 
         return SuccessorMap.lazy(self.cell_count, fill)
@@ -682,14 +805,13 @@ def _counter_blind_exit(result: SubstitutionResult, region: Region) -> Optional[
     The conditions and the proof are in the module docstring.
     """
     model, aug = result.new_model, result.augmentation
-    k, stride = aug.block, aug.hyst_cap + 1
+    k = aug.block
     base = aug.project_region(region)
     # P, read off region's first block; condition 3 below implies condition 1
     pattern = region.mask >> base.any_cell() * k & (1 << k) - 1
     # 2: each counter value t is in the pattern with every h or with none
-    digits = format(pattern, f"0{k}b")[::-1]  # offset t * stride + h first to last
-    times = digits[::stride]  # "1" at each t of S
-    if digits != "".join(d * stride for d in times):
+    times = aug._time_set(pattern)
+    if times is None:
         return None
     # 3: each leaf reached on region lifts a base action leaf, on base cells x pattern
     reached = model.analysis().reached
@@ -702,7 +824,7 @@ def _counter_blind_exit(result: SubstitutionResult, region: Region) -> Optional[
         if lift is None or lift.controller is None:  # no lift, or a condition resolves here
             return None
         cells = aug.project_region(here)
-        if aug._blocks(cells.mask, pattern) != here:
+        if aug._blocks(cells.mask, pattern) != here.mask:
             return None
         for c in cells.cells():
             targets[c] = lift.controller.targets[c]

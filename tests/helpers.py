@@ -974,6 +974,84 @@ def eager_augmented_neighbors(
 
 
 # ----------------------------------------------------------------------
+# the product world's digit-string and per-cell-mark builders
+
+
+def reference_image(aug, pattern: int, flag: str) -> int:
+    """An in-block pattern's image under the counter step, outside ("0") or
+    inside ("1") the risk-ok region, picked through the per-offset successor
+    table and marked cell by cell, as ``Augmentation.dilate`` built it."""
+    k = aug.block
+    moved = Region(k, pattern).pick(aug._counter_steps()[flag])
+    return Region.from_cells(k, moved).mask
+
+
+def reference_dilate(aug, region: Region) -> Region:
+    """``Augmentation.dilate`` as it read each block off the mask's digit string,
+    memoised each image per (pattern, risk-ok flag), and parsed the joined blocks.
+
+    The body is kept verbatim as the oracle for the shift kernels, apart
+    from the image, which is ``reference_image``.
+    """
+    n, k = aug.cell_count, aug.block
+    digits = format(region.mask, f"0{n}b")  # the last base cell's block first
+    blocks = [0] * len(aug._base_steps)
+    images: dict[tuple[str, str], int] = {}
+    for c, near in enumerate(aug._base_steps):
+        pattern = digits[n - (c + 1) * k : n - c * k]
+        if "1" not in pattern:
+            continue
+        key = (pattern, aug._rok[c])
+        image = images.get(key)
+        if image is None:
+            image = images[key] = reference_image(aug, int(pattern, 2), key[1])
+        for q in near:
+            blocks[q] |= image
+    mask = int("".join(format(b, f"0{k}b") for b in reversed(blocks)), 2)
+    return Region(n, mask | region.mask)
+
+
+def reference_blocks(aug, base_mask: int, pattern: int) -> Region:
+    """The in-block pattern placed in the block of every base cell of base_mask,
+    by translating the base mask's digits into block digits."""
+    digits = format(pattern, f"0{aug.block}b")
+    mask = int(bin(base_mask)[2:].translate({48: "0" * aug.block, 49: digits}), 2)
+    return Region(aug.base.cell_count * aug.block, mask)
+
+
+def reference_time_ok_pattern(aug) -> int:
+    """The in-block pattern of t < time_cap."""
+    return (1 << aug.time_cap * (aug.hyst_cap + 1)) - 1
+
+
+def reference_hysteresis_ready_pattern(aug) -> int:
+    """The in-block pattern of h = hyst_cap, one bit per counter value."""
+    stride = aug.hyst_cap + 1
+    return sum(1 << (t * stride + aug.hyst_cap) for t in range(aug.time_cap + 1))
+
+
+def reference_project_region(aug, region: Region) -> Region:
+    """The base cells whose block of region's digit string holds a "1"."""
+    digits = format(region.mask, f"0{aug.cell_count}b")[::-1]
+    k = aug.block
+    return Region.from_cells(
+        aug.base.cell_count,
+        (c for c in range(aug.base.cell_count) if "1" in digits[c * k : (c + 1) * k]),
+    )
+
+
+def reference_time_set(aug, pattern: int) -> Optional[str]:
+    """"1" at each t of S when the in-block pattern is {(t, h) : t in S}, else
+    None, read off the pattern's digits as the counter-blind test read it."""
+    k, stride = aug.block, aug.hyst_cap + 1
+    digits = format(pattern, f"0{k}b")[::-1]  # offset t * stride + h first to last
+    times = digits[::stride]  # "1" at each t of S
+    if digits != "".join(d * stride for d in times):
+        return None
+    return times
+
+
+# ----------------------------------------------------------------------
 # reference guarded-loop comparison
 
 

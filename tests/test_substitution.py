@@ -40,7 +40,14 @@ from helpers import (
     random_reverification_instance,
     random_substitution_instance,
     rebuild_old_with_mb,
+    reference_blocks,
     reference_certify_convergence,
+    reference_dilate,
+    reference_hysteresis_ready_pattern,
+    reference_image,
+    reference_project_region,
+    reference_time_ok_pattern,
+    reference_time_set,
     reference_verify_substituted_convergence,
 )
 
@@ -600,6 +607,84 @@ def test_blockwise_dilation_matches_the_eager_neighbour_tuples(rng):
         assert aug.neighbors == oracle
     assert {(k, r) for k, r, _t, _h in seen} == {(k, r) for k in range(3) for r in range(3)}
     assert {(t, h) for _k, _r, t, h in seen} == {(a, b) for a in (True, False) for b in (True, False)}
+
+
+def test_counter_kernels_match_the_string_and_mark_references(rng):
+    """Seeded corpus: the shift kernels equal the digit-string and per-cell-mark builders.
+
+    Counter caps 0, 1 and 2^m - 1, 2^m, 2^m + 1 around 30 and 64, plus
+    (100, 10); metric, symmetric and directed bases of 1 to 9 cells; empty,
+    full and mixed risk-ok regions; block patterns empty, full, first offset,
+    last offset, time-only and random.
+    """
+    caps = (0, 1, 31, 32, 33, 63, 64, 65)
+    seen = set()
+    for trial, (T, H) in enumerate([(t, h) for t in caps for h in caps] + [(100, 10)]):
+        n_base = rng.randint(1, 9)
+        kind, rok_case = trial % 3, trial // 3 % 3
+        if kind == 0:
+            base = World(n_base, coords=[(rng.uniform(0, 4),) for _ in range(n_base)])
+            delta = rng.uniform(0, 2)
+        else:
+            pairs = [(rng.randrange(n_base), rng.randrange(n_base)) for _ in range(n_base + 2)]
+            base, delta = World(n_base, adjacency=pairs, symmetric=kind == 1), None
+        rok = [Region.empty(n_base), Region.full(n_base), random_region(rng, n_base)][rok_case]
+        seen.add((kind, rok_case))
+        aug = Augmentation(base, T, H, rok, delta)
+        k, stride = aug.block, H + 1
+        rows = sum(1 << t * stride for t in range(T + 1) if rng.random() < 0.5)
+        patterns = [0, (1 << k) - 1, 1, 1 << k - 1, (rows << stride) - rows, rng.getrandbits(k)]
+        base_masks = [0, (1 << n_base) - 1, random_region(rng, n_base).mask]
+        for p in patterns:
+            for flag in "01":
+                assert aug._image(p, flag == "1") == reference_image(aug, p, flag), (T, H, p, flag)
+            assert aug._time_set(p) == reference_time_set(aug, p), (T, H, p)
+            for b in base_masks:
+                assert aug._blocks(b, p) == reference_blocks(aug, b, p).mask, (T, H, b, p)
+        for b in base_masks:
+            lifted = aug.lift_region(Region(n_base, b))
+            assert lifted == reference_blocks(aug, b, (1 << k) - 1)
+            assert aug.project_region(lifted) == Region(n_base, b)
+        full = (1 << n_base) - 1
+        assert aug.time_ok_region() == reference_blocks(aug, full, reference_time_ok_pattern(aug))
+        ready = reference_blocks(aug, full, reference_hysteresis_ready_pattern(aug))
+        assert aug.hysteresis_ready_region() == ready
+        for _ in range(3):
+            region = Region(aug.cell_count, sum(rng.choice(patterns) << c * k for c in range(n_base)))
+            assert aug.dilate(region) == reference_dilate(aug, region), (T, H, region.mask)
+            assert aug.project_region(region) == reference_project_region(aug, region)
+    assert seen == {(kind, r) for kind in range(3) for r in range(3)}
+
+
+def test_product_verdicts_mark_no_block_cell_by_cell(monkeypatch):
+    """Patrol at (1000, 10), hysteresis guard off: substitution, preservation and
+    re-verification hand neither ``Region.pick`` nor ``Region.from_cells`` a list
+    as long as a block of 11,011 cells; block images and placements are shifts.
+    """
+    b = bundled_spec("patrol")
+    members = [b.model.vertex_of(n) for n in b.abstraction]
+    cert = certify_convergence(b.model, members, b.delta)
+    spec = dataclasses.replace(b.substitution, time_budget=1000, hysteresis_cap=10)
+    sizes = []
+    real_pick, real_from_cells = Region.pick, Region.from_cells.__func__
+
+    def counting_pick(self, items):
+        sizes.append(len(items))
+        return real_pick(self, items)
+
+    def counting_from_cells(cls, n, cells):
+        cells = cells if isinstance(cells, (list, tuple)) else list(cells)
+        sizes.append(len(cells))
+        return real_from_cells(cls, n, cells)
+
+    monkeypatch.setattr(Region, "pick", counting_pick)
+    monkeypatch.setattr(Region, "from_cells", classmethod(counting_from_cells))
+    result = substitute(b.model, spec, base_delta=b.delta)
+    assert verify_preservation(result)
+    report = verify_substituted_convergence(cert, result)
+    assert report and report.loop_exit_steps is not None
+    assert result.augmentation.block == 11_011
+    assert sizes and max(sizes) < result.augmentation.block
 
 
 def test_augmentation_stores_neighbour_lists_not_bitsets():
