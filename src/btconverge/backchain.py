@@ -15,9 +15,8 @@ cross-checked against it in the tests.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import chain, compress
-from typing import Iterable, Optional
+from typing import Iterable, NamedTuple, Optional
 
 from .bt import BTModel, LeafData, NodeKind, NodeSpec, fal, seq
 from .prepares import (
@@ -39,14 +38,12 @@ class AssumptionError(BTConvergeError):
     """A structural assumption the backchain closed forms need is violated."""
 
 
-@dataclass(frozen=True)
-class ActionEntry:
+class ActionEntry(NamedTuple):
     leaf: LeafData
     preconditions: tuple[str, ...]
 
 
-@dataclass(frozen=True)
-class ConditionEntry:
+class ConditionEntry(NamedTuple):
     leaf: LeafData
     achievers: tuple[str, ...]
 
@@ -124,8 +121,7 @@ class ActionConditionLibrary:
         return sorted(self.conditions)
 
 
-@dataclass(frozen=True)
-class LinkStructure:
+class LinkStructure(NamedTuple):
     """Triplets (achiever, condition, consumer) plus the derived closures.
 
     ``post[i]`` holds the conditions achieved at or below action i in the
@@ -195,8 +191,7 @@ def validate_bc_assumptions(lib: ActionConditionLibrary, root: str, links: LinkS
             raise AssumptionError(f"achiever-less condition {cid!r} can fail")
 
 
-@dataclass(frozen=True)
-class BcBt:
+class BcBt(NamedTuple):
     """A generated tree plus its leaf vertex per library entry (the model's ``leaf_by_name``)."""
 
     model: BTModel
@@ -241,8 +236,7 @@ def build_bcbt(lib: ActionConditionLibrary, root: str) -> BcBt:
     return BcBt(model, model.leaf_by_name)
 
 
-@dataclass(frozen=True)
-class InfluenceTerms:
+class InfluenceTerms(NamedTuple):
     """Symbolic influence region of an action: success terms and failure terms."""
 
     acc: tuple[str, ...]
@@ -271,8 +265,7 @@ def bc_influence(lib: ActionConditionLibrary, links: LinkStructure, i: str) -> R
     return region
 
 
-@dataclass(frozen=True)
-class OperatingVerdict:
+class OperatingVerdict(NamedTuple):
     ok: bool
     violations: tuple[str, ...]
 
@@ -319,8 +312,7 @@ def verify_bc_operating(lib: ActionConditionLibrary, built: BcBt, links: LinkStr
     return OperatingVerdict(not violations, tuple(violations))
 
 
-@dataclass(frozen=True)
-class BcConvergenceReport:
+class BcConvergenceReport(NamedTuple):
     hypothesis_ok: bool
     hypothesis_witnesses: tuple[tuple[str, int], ...]
     pattern_ok: Optional[bool]

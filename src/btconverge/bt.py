@@ -24,8 +24,7 @@ cascade.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass
-from typing import Iterable, Optional
+from typing import Iterable, NamedTuple, Optional
 
 from .ordered_tree import OrderedTree
 from .statespace import BTConvergeError, Region, SuccessorMap, World
@@ -48,21 +47,62 @@ class Status(enum.Enum):
     FAILURE = "failure"
 
 
-@dataclass(frozen=True)
-class Doa:
+class FrozenRecord:
+    """Base of the records that cannot be NamedTuples, because their
+    constructor checks its arguments or they define ``__len__``.
+
+    Like a NamedTuple, a record holds its fields in ``__slots__`` order,
+    refuses assignment, hashes as the tuple of its fields and prints as
+    ``Name(field=value, ...)``; it equals only records of its own type with
+    equal fields.
+    """
+
+    __slots__ = ()
+
+    def __init__(self, *values: object) -> None:
+        for name, value in zip(self.__slots__, values, strict=True):
+            object.__setattr__(self, name, value)
+
+    def _values(self) -> tuple:
+        return tuple(getattr(self, name) for name in self.__slots__)
+
+    def __setattr__(self, name: str, value: object) -> None:
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name: str) -> None:
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __eq__(self, other: object) -> bool:
+        if type(other) is not type(self):
+            return NotImplemented
+        return self._values() == other._values()
+
+    def __hash__(self) -> int:
+        return hash(self._values())
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self.__slots__)
+        return f"{type(self).__name__}({fields})"
+
+    def __reduce__(self) -> tuple:  # copy and pickle call the constructor, which may check
+        return type(self), self._values()
+
+
+class Doa(FrozenRecord):
     """Attraction basin data for one action: basin, goal, step deadline."""
 
+    __slots__ = ("basin", "goal", "horizon")
     basin: Region
     goal: Region
     horizon: int
 
-    def __post_init__(self) -> None:
-        if self.horizon <= 0:
+    def __init__(self, basin: Region, goal: Region, horizon: int) -> None:
+        if horizon <= 0:
             raise ModelError("doa horizon must be a positive step count")
+        super().__init__(basin, goal, horizon)
 
 
-@dataclass(frozen=True)
-class LeafData:
+class LeafData(NamedTuple):
     name: str
     kind: NodeKind
     success: Region
@@ -71,8 +111,7 @@ class LeafData:
     doa: Optional[Doa] = None
 
 
-@dataclass(frozen=True)
-class NodeSpec:
+class NodeSpec(NamedTuple):
     kind: NodeKind
     children: tuple["NodeSpec", ...] = ()
     leaf: Optional[LeafData] = None
@@ -248,8 +287,7 @@ class BTModel:
         return f"BTModel(vertices={self.n}, cells={self.world.cell_count})"
 
 
-@dataclass(frozen=True)
-class NodeAnalysis:
+class NodeAnalysis(NamedTuple):
     """Per-vertex regions, pathway memberships and tick regions of one model (see analyze)."""
 
     running: tuple[Region, ...]
@@ -383,8 +421,7 @@ def tick(model: BTModel, x: int) -> tuple[int, Status]:
     return leaf, Status.RUNNING
 
 
-@dataclass(frozen=True)
-class AbstractionVerdict:
+class AbstractionVerdict(NamedTuple):
     valid: bool
     overlaps: tuple[tuple[int, int], ...]
     uncovered: Region

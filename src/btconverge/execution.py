@@ -23,10 +23,9 @@ from the leaves' tick regions (``NodeAnalysis.reached``) on the first tick.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Callable, Optional, Sequence
+from typing import Callable, NamedTuple, Optional, Sequence
 
-from .bt import BTModel, LeafData, NodeKind, Status, tick
+from .bt import BTModel, FrozenRecord, LeafData, NodeKind, Status, tick
 from .statespace import BTConvergeError, Region, _gather
 
 HALT_STOP = "stop"
@@ -38,14 +37,19 @@ class ExecutionError(BTConvergeError):
     pass
 
 
-@dataclass(frozen=True)
-class Trace:
+class Trace(FrozenRecord):
     """One closed-loop run: per step the cell, the resolved leaf, the root status."""
 
+    __slots__ = ("states", "leaves", "statuses", "halt")
     states: tuple[int, ...]
     leaves: tuple[int, ...]
     statuses: tuple[Status, ...]
     halt: str
+
+    def __init__(
+        self, states: tuple[int, ...], leaves: tuple[int, ...], statuses: tuple[Status, ...], halt: str
+    ) -> None:
+        super().__init__(states, leaves, statuses, halt)
 
     def __len__(self) -> int:
         return len(self.states)
@@ -119,8 +123,7 @@ def simulate(
     return Trace(tuple(states), tuple(leaves), tuple(statuses), halt)
 
 
-@dataclass(frozen=True)
-class FtsVerdict:
+class FtsVerdict(NamedTuple):
     """Outcome of a finite-time-success check.
 
     kind is one of basin-invariance, goal-invariance, deadline, or
@@ -179,8 +182,7 @@ def leaf_fts(data: LeafData) -> FtsVerdict:
     return FtsVerdict(True)
 
 
-@dataclass(frozen=True)
-class ExitResult:
+class ExitResult(NamedTuple):
     """Max first-exit step over all start cells, or the cell that never exits."""
 
     steps: Optional[int]

@@ -13,8 +13,7 @@ tests compare it against these orders.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Iterable, Iterator, Optional, Sequence
+from typing import Iterable, Iterator, NamedTuple, Optional, Sequence
 
 
 class TreeStructureError(ValueError):
@@ -135,8 +134,7 @@ def compose(a: Relation, b: Relation) -> Relation:
     return Relation._from_rows(a.n, rows)
 
 
-@dataclass(frozen=True)
-class TreeOrders:
+class TreeOrders(NamedTuple):
     """All derived orders of an ordered tree.
 
     parent_order holds (ancestor-or-self, descendant) pairs, sibling_order

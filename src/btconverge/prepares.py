@@ -12,9 +12,8 @@ reaching the goals.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from itertools import compress, count
-from typing import Callable, Iterable, Mapping, Optional, Sequence
+from typing import Callable, Iterable, Mapping, NamedTuple, Optional, Sequence
 
 from .bt import BTModel, Doa, NodeKind, action as action_spec, validate_abstraction
 from .execution import ExitResult, FtsVerdict, empirical_exit_time, leaf_fts
@@ -35,8 +34,7 @@ class FtsPreconditionError(BTConvergeError):
         self.failures = failures
 
 
-@dataclass(frozen=True)
-class PrepVertex:
+class PrepVertex(NamedTuple):
     owner: int
     flavor: str
     cells: Region
@@ -236,8 +234,7 @@ def reach_masks(succ: Sequence[Sequence[int]], own: Sequence[int]) -> list[int]:
     return [masks[c] for c in comp]
 
 
-@dataclass(frozen=True)
-class BehaviorGraph:
+class BehaviorGraph(NamedTuple):
     """Projection of an analysis set's edges back onto abstraction members."""
 
     nodes: tuple[int, ...]
@@ -263,8 +260,7 @@ def behavior_graph(graph: PreparesGraph, vertex_subset: Iterable[int]) -> Behavi
     return BehaviorGraph(nodes, edges)
 
 
-@dataclass(frozen=True)
-class Certificate:
+class Certificate(NamedTuple):
     """A successful convergence verdict with an explicit step bound.
 
     bound is |analysis set| times the largest per-class exit time, the shape
@@ -277,7 +273,7 @@ class Certificate:
     condensed: CondensedGraph
     analysis_classes: tuple[int, ...]
     sink_classes: tuple[int, ...]
-    per_class_exit: dict[int, int] = field(compare=False)
+    per_class_exit: dict[int, int]
     bound: int = 0
     transitions_bound: int = 0
     refined_bound: int = 0
@@ -295,8 +291,7 @@ class Certificate:
         return cells
 
 
-@dataclass(frozen=True)
-class Refutation:
+class Refutation(NamedTuple):
     """Why certification failed: a non-goal sink or a never-exiting cell."""
 
     kind: str  # "non-goal-sink" | "no-exit"
@@ -415,8 +410,7 @@ def decide(
     )
 
 
-@dataclass(frozen=True)
-class AcyclicVerdict:
+class AcyclicVerdict(NamedTuple):
     acyclic: bool
     transition_bound: Optional[int]
     per_class_deadline: Optional[dict[int, int]]

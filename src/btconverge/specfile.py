@@ -12,10 +12,9 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass
 from itertools import chain, compress
 from json.encoder import encode_basestring_ascii
-from typing import TYPE_CHECKING, Any, Callable, Optional
+from typing import TYPE_CHECKING, Any, Callable, NamedTuple, Optional
 
 from .bt import BTModel, Doa, LeafData, ModelError, NodeKind, NodeSpec, check_leaf
 from .statespace import BTConvergeError, Region, SuccessorMap, World, WorldError, _gather, bit_selector, check_targets
@@ -31,8 +30,7 @@ class SpecError(BTConvergeError):
     pass
 
 
-@dataclass
-class LoadedSpec:
+class LoadedSpec(NamedTuple):
     world: World
     model: Optional[BTModel]
     abstraction: Optional[list[str]]

@@ -65,7 +65,7 @@ its own, its exit time is read off the certificate instead of walked again.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from functools import partial
 from itertools import chain, repeat
 from operator import add, lshift, mul, or_
@@ -524,7 +524,7 @@ def substitute(
         no_doa,
     )
     # the targets may be given per augmented cell, so they are lifted on their own
-    dd_leaf = replace(aug.lift_leaf(dd_base), controller=aug.lift_map(spec.dd_targets))
+    dd_leaf = aug.lift_leaf(dd_base)._replace(controller=aug.lift_map(spec.dd_targets))
     rr_base = LeafData(
         RR_NAME,
         NodeKind.ACTION,
@@ -536,7 +536,7 @@ def substitute(
     rr_leaf = aug.lift_leaf(rr_base)
     lifts = {leaf.name: leaf for leaf in model.leaves.values()}
     if len(spec.dd_targets) == model.world.cell_count:
-        lifts[DD_NAME] = replace(dd_base, controller=SuccessorMap(spec.dd_targets))
+        lifts[DD_NAME] = dd_base._replace(controller=SuccessorMap(spec.dd_targets))
     if spec.hysteresis:
         # the counter guard applies to the risk condition and, with it, to
         # what counts as finished risk reduction; gating only the condition
@@ -545,8 +545,7 @@ def substitute(
         ready = aug.hysteresis_ready_region()
         rok_region &= ready
         doa = rr_leaf.doa
-        rr_leaf = replace(
-            rr_leaf,
+        rr_leaf = rr_leaf._replace(
             success=rr_leaf.success & ready,
             doa=Doa(doa.basin, doa.goal & ready, doa.horizon + spec.hysteresis_cap),
         )

@@ -31,13 +31,14 @@ CLI_MODULES = [
     "btconverge.specfile",
     "btconverge.statespace",
 ]
-# runs one call in a fresh interpreter, output silenced, and prints the package modules loaded
+# runs one call in a fresh interpreter, output silenced, and prints the
+# package modules loaded and those of the watched modules that were
 PROBE = """
 import contextlib, io, json, sys
 import btconverge.cli
 with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
     {call}
-print(json.dumps(sorted(m for m in sys.modules if m.startswith("btconverge"))))
+print(json.dumps(sorted(m for m in sys.modules if m.startswith("btconverge") or m in {watch!r})))
 """
 
 
@@ -49,8 +50,8 @@ def fresh_python(*args: str, **environ: str) -> subprocess.CompletedProcess:
     )
 
 
-def loaded_after(call: str, *argv: str) -> list[str]:
-    run = fresh_python("-c", PROBE.format(call=call), *argv)
+def loaded_after(call: str, *argv: str, watch: tuple[str, ...] = ()) -> list[str]:
+    run = fresh_python("-c", PROBE.format(call=call, watch=watch), *argv)
     assert run.returncode == 0, run.stderr
     return json.loads(run.stdout)
 
@@ -153,6 +154,28 @@ def test_each_subcommand_imports_what_it_runs(argv, added, specs):
     argv = [specs.get(word, word) for word in argv]
     want = sorted(CLI_MODULES + [f"btconverge.{name}" for name in added])
     assert loaded_after("btconverge.cli.main(sys.argv[1:])", *argv) == want
+
+
+@pytest.mark.parametrize(
+    "argv, loaded",
+    [
+        ([], []),
+        (["check", "--spec", "surveying_robot"], []),
+        (["simulate", "--spec", "surveying_robot", "--x0", "0"], []),
+        (["export", "--spec", "surveying_robot", "--which", "behavior"], []),
+        (["backchain", "--spec", "surveying_robot_library", "--certify"], []),
+        (["substitute", "--spec", "patrol"], ["dataclasses", "inspect"]),
+    ],
+    ids=["import", "check", "simulate", "export", "backchain", "substitute"],
+)
+def test_only_the_substitution_layer_loads_dataclasses(argv, loaded, specs):
+    """The records outside ``substitution`` are NamedTuples, so no other
+    command pays for ``dataclasses`` and the ``inspect`` it imports."""
+    argv = [specs.get(word, word) for word in argv]
+    call = "btconverge.cli.main(sys.argv[1:])" if argv else "pass"
+    watch = ("dataclasses", "inspect")
+    got = loaded_after(call, *argv, watch=watch)
+    assert [m for m in got if m in watch] == loaded
 
 
 # (argv, exit code); a word naming a file spec in the fixture stands for its path

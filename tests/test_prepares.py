@@ -13,7 +13,7 @@ from btconverge.backchain import (
     compute_links,
     validate_bc_assumptions,
 )
-from btconverge.bt import NodeKind, NodeSpec, fal
+from btconverge.bt import Doa, NodeKind, NodeSpec, fal
 from btconverge.execution import FtsVerdict, check_fts, hitting_time, simulate
 from btconverge.prepares import (
     AbstractionError,
@@ -711,10 +711,10 @@ def _weakened(rng, model, members):
         roll = rng.random()
         if roll < 0.3:
             empty = Region.empty(model.world.cell_count)
-            leaf = dataclasses.replace(leaf, doa=dataclasses.replace(leaf.doa, basin=empty, goal=empty))
+            leaf = leaf._replace(doa=Doa(empty, empty, leaf.doa.horizon))
         elif roll < 0.7:
-            doa = dataclasses.replace(leaf.doa, horizon=rng.randint(1, leaf.doa.horizon))
-            leaf = dataclasses.replace(leaf, doa=doa)
+            doa = Doa(leaf.doa.basin, leaf.doa.goal, rng.randint(1, leaf.doa.horizon))
+            leaf = leaf._replace(doa=doa)
         leaves.append(NodeSpec(NodeKind.ACTION, leaf=leaf))
     return type(model)(model.world, fal(*leaves))
 
@@ -728,7 +728,7 @@ def _moving_library(rng, lib, root):
         goal = entry.leaf.doa.goal
         if not goal.is_empty and rng.random() < 0.9:
             controller = SuccessorMap([c if c in goal else goal.any_cell() for c in range(n)])
-            entry = dataclasses.replace(entry, leaf=dataclasses.replace(entry.leaf, controller=controller))
+            entry = entry._replace(leaf=entry.leaf._replace(controller=controller))
         actions[name] = entry
     world = World(n, adjacency=[(a, b) for a in range(n) for b in range(a + 1, n)])
     return ActionConditionLibrary(world, actions, lib.conditions), root

@@ -1,7 +1,6 @@
 """Document round-trips, validation diagnostics, CLI contract."""
 
 import argparse
-import dataclasses
 import json
 import os
 import re
@@ -1547,7 +1546,7 @@ def test_a_failed_pattern_claim_fails_backchain_certify(pattern, code, monkeypat
     real = backchain.check_bc_convergence
 
     def with_pattern(*args, **kwargs):
-        return dataclasses.replace(real(*args, **kwargs), pattern_ok=pattern)
+        return real(*args, **kwargs)._replace(pattern_ok=pattern)
 
     monkeypatch.setattr(backchain, "check_bc_convergence", with_pattern)
     got, out, _err = run_cli(

@@ -155,9 +155,7 @@ def test_old_flow_into_the_model_based_slice_may_route_via_the_loop(patrol_setup
     old = cert.graph
     park_b = old.vertex(b.model.vertex_of("park"), "b")
     mb_b = old.vertex(b.model.vertex_of("mb_patrol"), "b")
-    old_cert = dataclasses.replace(
-        cert, graph=PreparesGraph(old.vertices, old.edges | {(park_b, mb_b)})
-    )
+    old_cert = cert._replace(graph=PreparesGraph(old.vertices, old.edges | {(park_b, mb_b)}))
     real = substitution.build_prepares_graph
     new_model = result.new_model
 
