@@ -78,6 +78,8 @@ def parse_document(doc: dict) -> LoadedSpec:
     abstraction = None
     if doc.get("abstraction") is not None:
         abstraction = _list(doc["abstraction"], "abstraction", of=str)
+        if not abstraction:
+            raise SpecError("abstraction must be a nonempty list")
         if model is None:
             raise SpecError("abstraction: block without a tree")
         for i, name in enumerate(abstraction):
@@ -256,6 +258,10 @@ def _parse_world(block: dict) -> World:
     cells = _int(block.get("cells"), "universe.cells", 1)
     coords = block.get("coords")
     adjacency = block.get("adjacency")
+    if coords is not None and adjacency is not None:
+        raise SpecError("universe: give coords or adjacency, not both")
+    if adjacency is None and "adjacency_directed" in block:
+        raise SpecError("universe.adjacency_directed without universe.adjacency")
     try:
         if coords is not None:
             return World(cells, coords=_coords(coords, cells))

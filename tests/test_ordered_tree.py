@@ -1,15 +1,8 @@
-"""Closure, composition, and derived-order tests for ordered trees."""
+"""Validation and derived-order tests for ordered trees."""
 
 import pytest
-from hypothesis import given, strategies as st
 
-from btconverge.ordered_tree import (
-    OrderedTree,
-    Relation,
-    TreeStructureError,
-    compose,
-    reflexive_transitive_closure,
-)
+from btconverge.ordered_tree import OrderedTree, TreeStructureError
 
 from helpers import oracle_orders, random_tree_model, walk_tree_check
 
@@ -32,47 +25,10 @@ def test_closure_includes_transitive_and_reflexive_pairs(example_tree):
     assert (E, A) not in orders.parent_order
 
 
-def test_closure_of_empty_relation_is_identity():
-    rel = reflexive_transitive_closure(Relation(2))
-    assert set(rel.pairs()) == {(0, 0), (1, 1)}
-
-
-def test_closure_of_chain_yields_all_upper_pairs():
-    rel = reflexive_transitive_closure(Relation(3, [(0, 1), (1, 2)]))
-    assert set(rel.pairs()) == {(i, j) for i in range(3) for j in range(3) if i <= j}
-
-
-def test_closure_is_idempotent_on_random_relations():
-    import random
-
-    rng = random.Random(7)
-    for _ in range(25):
-        n = rng.randint(1, 8)
-        pairs = [(rng.randrange(n), rng.randrange(n)) for _ in range(rng.randint(0, 12))]
-        closed = reflexive_transitive_closure(Relation(n, pairs))
-        assert reflexive_transitive_closure(closed) == closed
-        assert closed.is_reflexive() and closed.is_transitive()
-
-
 def test_compose_produces_left_uncles(example_tree):
-    orders = example_tree.orders()
-    sib_strict = orders.sibling_order.strict()
-    lu = compose(sib_strict, orders.parent_order)
+    lu = example_tree.orders().left_uncle
     assert (B, H) in lu  # left sibling of an ancestor
     assert (G, H) in lu  # ancestor-or-self keeps direct left siblings
-    assert lu == orders.left_uncle
-
-
-def test_compose_with_empty_right_factor_is_empty():
-    r = Relation(3, [(0, 1), (1, 2)])
-    assert set(compose(r, Relation(3)).pairs()) == set()
-
-
-def test_compose_identity_neutral():
-    r = Relation(3, [(0, 1), (1, 2)])
-    ident = Relation(3, [(i, i) for i in range(3)])
-    assert compose(ident, r) == r
-    assert compose(r, ident) == r
 
 
 def test_left_to_right_chain(example_tree):
@@ -202,11 +158,10 @@ def test_strict_orders_are_complementary(rng):
     for _ in range(30):
         model = random_tree_model(rng, 4, max_depth=4, max_leaves=8)
         orders = model.tree.orders()
-        strict_parent = orders.parent_order.strict()
-        strict_sib_closed = orders.sibling_order.strict()
-        for pair in strict_parent.pairs():
-            assert pair not in strict_sib_closed
-            assert (pair[1], pair[0]) not in strict_sib_closed
+        for i, j in orders.parent_order.pairs():
+            if i != j:
+                assert (i, j) not in orders.sibling_order
+                assert (j, i) not in orders.sibling_order
 
 
 def test_parent_map_is_direct_parent(example_tree):
@@ -214,26 +169,28 @@ def test_parent_map_is_direct_parent(example_tree):
     assert pm[E] == B and pm[B] == A and pm[A] is None
 
 
+def deep_child_lists(rng, depth):
+    """A random tree at least ``depth`` levels deep, over shuffled vertex ids."""
+    order = list(range(depth + 1 + rng.randint(0, 2 * depth)))
+    rng.shuffle(order)
+    children = [[] for _ in order]
+    for k in range(1, len(order)):  # a spine first, then each vertex under an earlier one
+        children[order[k - 1 if k <= depth else rng.randrange(k)]].append(order[k])
+    for group in children:
+        rng.shuffle(group)
+    return children
+
+
 def test_derived_orders_match_path_chasing_oracle(rng):
-    for _ in range(40):
-        model = random_tree_model(rng, 4, max_depth=4, max_leaves=10)
-        orders = model.tree.orders()
-        expected = oracle_orders(model)
+    trees = [random_tree_model(rng, 4, max_depth=4, max_leaves=10).tree for _ in range(40)]
+    trees += [OrderedTree(random_child_lists(rng, rng.randint(1, 14))) for _ in range(40)]
+    trees += [OrderedTree(deep_child_lists(rng, rng.randint(20, 30))) for _ in range(4)]
+    for tree in trees:
+        orders = tree.orders()
+        expected = oracle_orders(tree)
         assert set(orders.parent_order.pairs()) == expected["parent"]
         assert set(orders.sibling_order.pairs()) == expected["sibling"]
         assert set(orders.left_uncle.pairs()) == expected["left_uncle"]
         assert set(orders.right_uncle.pairs()) == expected["right_uncle"]
         assert set(orders.left_to_right.pairs()) == expected["left_to_right"]
         assert set(orders.right_to_left.pairs()) == expected["right_to_left"]
-
-
-@given(st.integers(1, 7), st.data())
-def test_relation_closure_properties(n, data):
-    pairs = data.draw(
-        st.lists(st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)), max_size=15)
-    )
-    closed = reflexive_transitive_closure(Relation(n, pairs))
-    assert closed.is_reflexive()
-    assert closed.is_transitive()
-    for pair in pairs:
-        assert pair in closed

@@ -375,6 +375,7 @@ def test_built_documents_parse_without_a_json_round_trip():
         (lambda d: d["leaves"].append(dict(d["leaves"][0])), "duplicate"),
         (lambda d: d["leaves"][0].pop("next"), "one target per cell"),
         (lambda d: d.update(abstraction=["ghost"]), "unknown leaf"),
+        (lambda d: d.update(abstraction=[]), "abstraction must be a nonempty list"),
         (lambda d: d.update(delta=float("nan")), "delta"),
         (lambda d: d.update(delta=-1), "delta"),
         (lambda d: d.update(delta=True), "delta"),
@@ -390,6 +391,20 @@ def test_built_documents_parse_without_a_json_round_trip():
         (lambda d: d["universe"].update(cells=54.0), "universe.cells"),
         (lambda d: d["universe"].update(coords=None, adjacency=[[0, True]]), "universe.adjacency"),
         (lambda d: d["universe"].update(coords=None, adjacency=[[0, 1.0]]), "universe.adjacency"),
+        # a universe is metric or a graph: neither block is dropped silently
+        (lambda d: d["universe"].update(adjacency=[[0, 1]]), "universe: give coords or adjacency, not both"),
+        (
+            lambda d: d["universe"].update(adjacency=[[0, 1]], adjacency_directed="yes"),
+            "universe: give coords or adjacency, not both",
+        ),
+        (
+            lambda d: d["universe"].update(adjacency_directed=True),
+            "universe.adjacency_directed without universe.adjacency",
+        ),
+        (
+            lambda d: d["universe"].update(coords=None, adjacency_directed=False),
+            "universe.adjacency_directed without universe.adjacency",
+        ),
         (lambda d: d.update(substitution={"target": True}), "substitution.target"),
         (lambda d: d.update(substitution={"target": 1.0}), "substitution.target"),
         (
