@@ -2,7 +2,7 @@
 
 import pytest
 
-from btconverge.ordered_tree import OrderedTree, TreeStructureError
+from btconverge.ordered_tree import OrderedTree, Relation, TreeStructureError
 
 from helpers import oracle_orders, random_tree_model, walk_tree_check
 
@@ -194,3 +194,27 @@ def test_derived_orders_match_path_chasing_oracle(rng):
         assert set(orders.right_uncle.pairs()) == expected["right_uncle"]
         assert set(orders.left_to_right.pairs()) == expected["left_to_right"]
         assert set(orders.right_to_left.pairs()) == expected["right_to_left"]
+
+
+def test_parent_and_sibling_orders_are_partial_orders(rng):
+    trees = [OrderedTree(random_child_lists(rng, rng.randint(1, 12))) for _ in range(30)]
+    trees += [OrderedTree(deep_child_lists(rng, rng.randint(10, 15))) for _ in range(3)]
+    for tree in trees:
+        orders = tree.orders()
+        for rel in (orders.parent_order, orders.sibling_order):
+            assert rel.n == tree.n
+            for i, j in rel.pairs():
+                assert (i, i) in rel and (j, j) in rel  # reflexive
+                assert i == j or (j, i) not in rel  # antisymmetric
+                assert rel.rows[j] & ~rel.rows[i] == 0  # transitive: j's successors are i's
+
+
+def test_relation_is_a_value_over_its_rows():
+    rel = Relation([0b011, 0b010, 0])
+    assert rel.n == 3
+    assert sorted(rel.pairs()) == [(0, 0), (0, 1), (1, 1)]
+    assert (0, 1) in rel and (1, 0) not in rel and (2, 2) not in rel
+    assert rel == Relation((3, 2, 0)) and hash(rel) == hash(Relation([3, 2, 0]))
+    assert rel != Relation([3, 2]) and rel != rel.rows
+    assert repr(rel) == "Relation(3, [(0, 0), (0, 1), (1, 1)])"
+    assert Relation([]).n == 0 and list(Relation([]).pairs()) == []
