@@ -22,6 +22,7 @@ from .bt import BTModel, LeafData, NodeKind, NodeSpec, fal, seq
 from .prepares import (
     BehaviorGraph,
     Certificate,
+    FtsPreconditionError,
     Refutation,
     behavior_graph,
     certify_convergence,
@@ -317,7 +318,7 @@ class BcConvergenceReport(NamedTuple):
     hypothesis_witnesses: tuple[tuple[str, int], ...]
     pattern_ok: Optional[bool]
     pattern_violations: tuple[tuple[str, str], ...]
-    result: Certificate | Refutation
+    result: Certificate | Refutation | FtsPreconditionError
 
     def __bool__(self) -> bool:
         return self.pattern_ok is not False and isinstance(self.result, Certificate)
@@ -340,7 +341,8 @@ def check_bc_convergence(
     of the conditions upstream of it.  A library whose actions undo
     upstream conditions, like a recharge cycle, fails that hypothesis; the
     violation is reported with a witness cell per action, the pattern claim
-    is skipped, and the general certification still runs.  A caller
+    is skipped, and the general certification still runs; its verdict, a
+    failed finite-time-success hypothesis too, is ``result``.  A caller
     that already ran ``build_bcbt(lib, root)`` passes the result as
     ``built`` so the tree is not built and analysed again, and one that
     already ran ``compute_links(lib)`` passes it as ``links``.

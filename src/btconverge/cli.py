@@ -317,23 +317,19 @@ def cmd_backchain(args: argparse.Namespace) -> int:
     code = EXIT_OK if operating else EXIT_REFUTED
     if args.certify:
         delta = _resolve_delta(spec, None, built.model)
-        try:
-            report = check_bc_convergence(lib, root, delta=delta, built=built, links=links)
-        except FtsPreconditionError as exc:
-            outcome, pattern_ok = exc, None
-            report_lines.append(f"refuted: {exc}")
-            for name, v in exc.failures.items():
+        report = check_bc_convergence(lib, root, delta=delta, built=built, links=links)
+        outcome, pattern = report.result, report.pattern_ok
+        if isinstance(outcome, FtsPreconditionError):
+            report_lines.append(f"refuted: {outcome}")
+            for name, v in outcome.failures.items():
                 report_lines.append(_violation_line(name, v.kind, v.witness, v.step))
-        else:
-            outcome, pattern_ok = report.result, report.pattern_ok
-            pattern = pattern_ok
-            if pattern_ok is None:
+        elif isinstance(outcome, Certificate):
+            if pattern is None:
                 pattern = "n/a (basin hypothesis fails; general certification used)"
-            if isinstance(outcome, Certificate):
-                report_lines.append(f"certified: bound {outcome.bound}, pattern holds: {pattern}")
-            else:
-                report_lines.append(f"refuted: {outcome.detail}")
-        code = _verdict_code(outcome) if operating and pattern_ok is not False else EXIT_REFUTED
+            report_lines.append(f"certified: bound {outcome.bound}, pattern holds: {pattern}")
+        else:
+            report_lines.append(f"refuted: {outcome.detail}")
+        code = _verdict_code(outcome) if operating and report.pattern_ok is not False else EXIT_REFUTED
     abstraction = [a for a in lib.action_ids() if a in built.vertex_of]
     _emit_document(build_document(built.model, abstraction, spec.delta), report_lines, args.out)
     return code

@@ -29,6 +29,9 @@ class AbstractionError(BTConvergeError):
 
 
 class FtsPreconditionError(BTConvergeError):
+    """The failed finite-time-success hypotheses, by member name: a verdict
+    that decide returns, not an error it raises."""
+
     def __init__(self, failures: dict[str, FtsVerdict]) -> None:
         super().__init__(f"finite-time-success check failed for: {sorted(failures)}")
         self.failures = failures
@@ -301,24 +304,6 @@ class Refutation(NamedTuple):
     condensed: CondensedGraph
 
 
-def certify_convergence(
-    model: BTModel,
-    abstraction: Iterable[int],
-    delta: Optional[float] = None,
-    seeds: Optional[Iterable[int]] = None,
-) -> Certificate | Refutation:
-    """Run the full pipeline: hypotheses, slices, condensation, exit times, step bound.
-
-    ``decide``, with the hypothesis failures raised as FtsPreconditionError.
-    A sink class containing non-goal slices, or a class some cell never
-    leaves, yields a Refutation.
-    """
-    outcome = decide(model, abstraction, delta, seeds)
-    if isinstance(outcome, FtsPreconditionError):
-        raise outcome
-    return outcome
-
-
 def decide(
     model: BTModel,
     abstraction: Iterable[int],
@@ -408,6 +393,10 @@ def decide(
         transitions_bound=len(ordered) - len(sinks_in),
         refined_bound=refined,
     )
+
+
+# the public name of the pipeline, which the README, backchain and the benchmark call
+certify_convergence = decide
 
 
 class AcyclicVerdict(NamedTuple):

@@ -27,7 +27,7 @@ regions are whole blocks, so basin and goal invariance, the static rules
 and every hit time equal their base counterparts.  The risk-reduction leaf
 with hysteresis on (its success and goal read the hysteresis counter) and
 a data-driven leaf with per-augmented-cell targets are checked on the
-product, as is any member whose base check fails, so every error is the
+product, as is any member whose base check fails, so every failure is the
 one the product check names.
 
 Most classes' exit times are read off a base walk too.  Call a product
@@ -642,7 +642,7 @@ class SubstitutionReport:
     ok: bool
     graph_diffs: tuple[str, ...]
     loop_exit_steps: Optional[int]
-    result: Certificate | Refutation
+    result: Certificate | Refutation | FtsPreconditionError
 
     def __bool__(self) -> bool:
         return self.ok and isinstance(self.result, Certificate)
@@ -658,9 +658,11 @@ def verify_substituted_convergence(
     The new graph may differ from the old one only by the guarded loop of
     the data-driven slice (dd, a) and the risk-reduction slice (rr, b),
     plus (rr, a) with the hysteresis guard on, and the loop must be left
-    within the time budget.  Both graphs' edges are read as pairs of (new
-    owner, flavor) keys, old owners mapped by leaf name, and must meet three
-    set conditions; an edge breaking 1 or 2 raises, and a break of 3 is a
+    within the time budget.  old_cert is the old model's certificate, or
+    any object with its ``graph``; a Refutation or failed hypotheses raise
+    SubstitutionError.  Both graphs' edges are read as pairs of (new owner,
+    flavor) keys, old owners mapped by leaf name, and must meet three set
+    conditions; an edge breaking 1 or 2 raises, and a break of 3 is a
     reported graph diff:
 
     1. an edge out of dd or rr ends in a loop slice, (mb, b) or an old
@@ -674,7 +676,10 @@ def verify_substituted_convergence(
     The loop's exit time is read off the certificate when the loop is
     exactly one of its non-sink classes.  Otherwise it is read off a base
     walk when the loop is counter-blind, and walked on the product if not.
+    The report carries the diffs and the loop exit whatever the verdict.
     """
+    if isinstance(old_cert, (Refutation, FtsPreconditionError)):
+        raise SubstitutionError(f"old verdict is not a certificate: {type(old_cert).__name__}")
     new_model, old_model = result.new_model, result.old_model
     mb_v = new_model.leaf_by_name[old_model.names[_target_shape(old_model, result.target_old)[1]]]
     dd_v, rr_v = new_model.vertex_of(DD_NAME), new_model.vertex_of(RR_NAME)
@@ -723,8 +728,6 @@ def verify_substituted_convergence(
 
     condensed = condense(new_graph)
     outcome = _certify_substituted(result, abstraction, seeds, condensed)
-    if isinstance(outcome, FtsPreconditionError):
-        raise outcome
     loop = tuple(i for i, vtx in enumerate(new_graph.vertices) if vtx.owner in loop_owners)
     loop_exit: Optional[int] = None
     if loop:

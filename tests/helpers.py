@@ -1283,14 +1283,17 @@ def reference_certify_convergence(model: BTModel, abstraction, delta=None, seeds
 
 def verdict_fields(call: Callable[[], object]) -> tuple:
     """What a verdict call gave: the type and fields of its Certificate or
-    Refutation, or the type, text and failures of the error it raised."""
+    Refutation, or the type, text and failures of the error it raised or of
+    the hypothesis failures it returned, which compare equal either way."""
     from btconverge.prepares import Certificate
     from btconverge.statespace import BTConvergeError
 
     try:
         outcome = call()
     except BTConvergeError as exc:
-        return type(exc), str(exc), getattr(exc, "failures", None)
+        outcome = exc
+    if isinstance(outcome, BTConvergeError):
+        return type(outcome), str(outcome), getattr(outcome, "failures", None)
     if isinstance(outcome, Certificate):
         return (
             Certificate,

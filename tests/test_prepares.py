@@ -548,7 +548,9 @@ def test_refutation_on_fixed_point():
     assert len(set(trace.states)) == 1
 
 
-def test_fts_precondition_failure_raises():
+def test_fts_precondition_failure_is_returned():
+    """The failed hypotheses are a verdict value, as a refutation is, not a raise."""
+    assert certify_convergence is decide
     model, names = two_stage_sequence_model()
     bad = names[0]
     leaf = model.leaves[model.vertex_of(bad)]
@@ -571,8 +573,9 @@ def test_fts_precondition_failure_raises():
             ),
         ),
     )
-    with pytest.raises(FtsPreconditionError):
-        certify_convergence(broken, [broken.vertex_of(n) for n in names], 1.0)
+    outcome = certify_convergence(broken, [broken.vertex_of(n) for n in names], 1.0)
+    assert isinstance(outcome, FtsPreconditionError)
+    assert list(outcome.failures) == [bad] and outcome.failures[bad].kind == "deadline"
 
 
 def test_member_without_basin_data_is_an_fts_verdict():
@@ -582,9 +585,9 @@ def test_member_without_basin_data_is_an_fts_verdict():
             del entry["doa"]
     spec = parse_document(doc)
     members = [spec.model.vertex_of(n) for n in spec.abstraction]
-    with pytest.raises(FtsPreconditionError) as exc:
-        certify_convergence(spec.model, members, spec.delta)
-    assert exc.value.failures == {"go_up": FtsVerdict(False, "missing-basin-data")}
+    outcome = certify_convergence(spec.model, members, spec.delta)
+    assert isinstance(outcome, FtsPreconditionError)
+    assert outcome.failures == {"go_up": FtsVerdict(False, "missing-basin-data")}
 
 
 def test_transition_soundness_on_surveying_robot():

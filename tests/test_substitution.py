@@ -12,12 +12,14 @@ from btconverge.prepares import (
     Certificate,
     FtsPreconditionError,
     PreparesGraph,
+    Refutation,
     build_prepares_graph,
     certify_convergence,
     condense,
     decide,
 )
-from btconverge.statespace import BTConvergeError, Region, SuccessorMap, World, WorldError
+from btconverge.specfile import parse_document
+from btconverge.statespace import BTConvergeError, Region, StepError, SuccessorMap, World, WorldError
 from btconverge import substitution
 from btconverge.substitution import (
     DD_NAME,
@@ -32,6 +34,7 @@ from btconverge.substitution import (
 )
 
 from helpers import (
+    bundled_document,
     bundled_spec,
     eager_augmented_neighbors,
     naive_tick_path,
@@ -937,12 +940,17 @@ def test_project_region_refuses_a_region_over_another_universe():
 
 
 def _reverification_outcome(old_cert, result, verify=verify_substituted_convergence):
-    """Every field of the report, or the type, text and failures of what it raised."""
+    """Every field of the report, or the type, text and failures of what it raised.
+
+    A report whose verdict is the hypothesis failures reads as those failures
+    raised, the contract the stage-by-stage references keep."""
     try:
         report = verify(old_cert, result)
     except BTConvergeError as exc:
         return type(exc), str(exc), getattr(exc, "failures", None)
     verdict = report.result
+    if isinstance(verdict, FtsPreconditionError):
+        return type(verdict), str(verdict), verdict.failures
     if isinstance(verdict, Certificate):
         fields = (
             [v.key() for v in verdict.graph.vertices],
@@ -1029,6 +1037,61 @@ def test_reverification_verdicts_match_the_stage_by_stage_reference(rng, monkeyp
         assert seen[hysteresis, "Certificate"] >= 2, seen
         assert seen[hysteresis, "FtsPreconditionError"] >= 10 and seen[hysteresis, "StepError"] >= 3, seen
     assert seen[False, "Refutation"] + seen[True, "Refutation"] >= 1, seen
+
+
+def test_a_failing_reverification_keeps_its_report(rng, monkeypatch):
+    """Seeded corpus: when lifted members fail their finite-time-success
+    checks, the report still carries the graph diffs and the loop exit that
+    it carries with the hypotheses taken as given."""
+
+    def certify_unchecked(result, members, seeds, condensed):
+        return decide(result.new_model, members, seeds=seeds, checked=[], condensed=condensed)
+
+    failing = 0
+    for trial in range(240):
+        metric, hysteresis, per_aug_dd = trial % 2 == 1, trial // 2 % 2 == 1, trial // 4 % 2 == 1
+        model, spec, delta, names = random_reverification_instance(
+            rng, rng.randint(5, 8), metric, hysteresis, per_aug_dd
+        )
+        result = substitute(model, spec, base_delta=delta)
+        old = SimpleNamespace(
+            graph=build_prepares_graph(model, [model.vertex_of(x) for x in names], delta)
+        )
+        try:
+            report = verify_substituted_convergence(old, result)
+        except (SubstitutionError, StepError):
+            continue
+        if not isinstance(report.result, FtsPreconditionError):
+            continue
+        failing += 1
+        assert not report
+        with monkeypatch.context() as m:
+            m.setattr(substitution, "_certify_substituted", certify_unchecked)
+            given = verify_substituted_convergence(old, result)
+        assert (report.graph_diffs, report.loop_exit_steps) == (
+            given.graph_diffs,
+            given.loop_exit_steps,
+        ), trial
+    assert failing >= 100, failing
+
+
+def test_reverification_refuses_an_old_verdict_that_is_not_a_certificate():
+    """Only a certificate has the old graph that re-verification compares against."""
+    doc = bundled_document("patrol")
+    for entry in doc["leaves"]:
+        if entry.get("doa"):
+            entry["doa"]["horizon"] = 1
+    spec = parse_document(doc)
+    members = [spec.model.vertex_of(n) for n in spec.abstraction]
+    failures = certify_convergence(spec.model, members, spec.delta)
+    assert isinstance(failures, FtsPreconditionError)
+    eat = bundled_spec("eat_tree")
+    refutation = certify_convergence(eat.model, [eat.model.vertex_of(n) for n in eat.abstraction])
+    assert isinstance(refutation, Refutation)
+    result = substitute(spec.model, spec.substitution, base_delta=spec.delta)
+    for old in (failures, refutation):
+        with pytest.raises(SubstitutionError, match=f"not a certificate: {type(old).__name__}$"):
+            verify_substituted_convergence(old, result)
 
 
 def test_loop_exit_read_off_the_certificate_matches_the_walk(rng, monkeypatch):
