@@ -3,8 +3,9 @@
 An ordered tree is a rooted tree with an additional left-to-right order
 among the children of every vertex.  It is stored as one ordered child
 tuple per vertex over a dense vertex range 0..n-1; the parent map and the
-root follow from them.  Each derived order is one bitset row per vertex,
-read straight off the child tuples: the subtrees bottom-up, the sibling and
+root follow from them.  Each derived order is a tuple of bitset rows, one
+per vertex (row i holds i's successors), derived anew on each ``orders()``
+call straight from the child tuples: the subtrees bottom-up, the sibling and
 uncle rows from the suffix and prefix ORs of each tuple, and the uncle rows
 of all ancestors top-down, so a derivation costs O(n) big-int ORs.  Influence
 regions and pathway sets are defined through the uncle orders; the region
@@ -15,63 +16,33 @@ oracle.
 
 from __future__ import annotations
 
-from typing import Iterable, Iterator, NamedTuple, Optional, Sequence
+from typing import Iterable, NamedTuple, Optional, Sequence
+
+from .statespace import BTConvergeError
 
 
-class TreeStructureError(ValueError):
+class TreeStructureError(BTConvergeError):
     """Raised when child lists do not describe a valid ordered tree."""
 
 
-class Relation:
-    """A binary relation over vertices 0..n-1: rows[i] is the bitset of i's successors.
-
-    Instances are treated as immutable values.
-    """
-
-    __slots__ = ("n", "rows")
-
-    def __init__(self, rows: Iterable[int]) -> None:
-        self.rows = tuple(rows)
-        self.n = len(self.rows)
-
-    def __contains__(self, pair: tuple[int, int]) -> bool:
-        i, j = pair
-        return bool(self.rows[i] >> j & 1)
-
-    def __eq__(self, other: object) -> bool:
-        return isinstance(other, Relation) and self.rows == other.rows
-
-    def __hash__(self) -> int:
-        return hash(self.rows)
-
-    def __repr__(self) -> str:
-        return f"Relation({self.n}, {sorted(self.pairs())})"
-
-    def pairs(self) -> Iterator[tuple[int, int]]:
-        for i, row in enumerate(self.rows):
-            while row:
-                low = row & -row
-                yield (i, low.bit_length() - 1)
-                row ^= low
-
-
 class TreeOrders(NamedTuple):
-    """All derived orders of an ordered tree.
+    """All derived orders of an ordered tree, as bitset rows over its vertices.
 
-    parent_order holds (ancestor-or-self, descendant) pairs, sibling_order
-    holds (left-or-self, right) pairs among siblings.  left_uncle and
-    right_uncle are strict: (j, i) in left_uncle means j is a left sibling
-    of some ancestor-or-self of i; right_uncle is the mirror image.  left_to_right / right_to_left extend the uncle orders
-    downward through descendants and are exposed for diagnostics only.
+    Each field holds one row per vertex: bit j of row i is set when i
+    precedes j in that order.  parent_order relates ancestor-or-self to
+    descendant, sibling_order left-or-self to right among siblings.
+    left_uncle and right_uncle are strict: bit i of left_uncle[j] means j is
+    a left sibling of some ancestor-or-self of i; right_uncle is the mirror
+    image.  left_to_right / right_to_left extend the uncle orders downward
+    through descendants and are exposed for diagnostics only.
     """
 
-    parent_order: Relation
-    sibling_order: Relation
-    left_uncle: Relation
-    right_uncle: Relation
-    left_to_right: Relation
-    right_to_left: Relation
-    parent_map: tuple[Optional[int], ...]
+    parent_order: tuple[int, ...]
+    sibling_order: tuple[int, ...]
+    left_uncle: tuple[int, ...]
+    right_uncle: tuple[int, ...]
+    left_to_right: tuple[int, ...]
+    right_to_left: tuple[int, ...]
 
 
 class OrderedTree:
@@ -82,7 +53,7 @@ class OrderedTree:
     listed twice, and every vertex must be reached from the root.
     """
 
-    __slots__ = ("n", "parent", "children", "root", "_orders")
+    __slots__ = ("n", "parent", "children", "root")
 
     def __init__(self, children: Sequence[Iterable[int]]) -> None:
         children = tuple(map(tuple, children))
@@ -122,14 +93,8 @@ class OrderedTree:
         self.parent = tuple(parent)
         self.children = children
         self.root = root
-        self._orders: Optional[TreeOrders] = None
 
     def orders(self) -> TreeOrders:
-        if self._orders is None:
-            self._orders = self._derive()
-        return self._orders
-
-    def _derive(self) -> TreeOrders:
         n = self.n
         kids = self.children
         order = [self.root]  # every parent before its children, whatever the ids
@@ -160,13 +125,8 @@ class OrderedTree:
                 left_to_right[c] |= left_to_right[v]
                 right_to_left[c] |= right_to_left[v]
         return TreeOrders(
-            parent_order=Relation(below),
-            sibling_order=Relation(sibling),
-            left_uncle=Relation(left),
-            right_uncle=Relation(right),
-            left_to_right=Relation(left_to_right),
-            right_to_left=Relation(right_to_left),
-            parent_map=self.parent,
+            tuple(below), tuple(sibling), tuple(left), tuple(right),
+            tuple(left_to_right), tuple(right_to_left),
         )
 
     def __repr__(self) -> str:

@@ -328,6 +328,10 @@ def decide(
     every class by default, or ``seeds(condensed)`` for a callable; and
     each non-sink class's exit time, walked (``empirical_exit_time``)
     unless the caller knows a faster exact ``exit_time``.
+
+    The seed class ids are read only once the hypotheses hold: when a member
+    fails, the failures are the verdict whatever ``seeds`` names, and a seed
+    naming no class raises AbstractionError only when every member passes.
     """
     members = sorted(set(abstraction))
     omega = model.analysis().omega

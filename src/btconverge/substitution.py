@@ -140,8 +140,11 @@ class SubstitutionSpec:
 
     dd_targets gives the data-driven controller's base-cell target per base
     cell (length N) or per augmented cell (length N * budgets), so a learned
-    policy may read the counters.  dd_success / dd_failure exist only to
-    let tests inject a violation of the full-running-region requirement.
+    policy may read the counters.  dd_success / dd_failure are the
+    data-driven leaf's base success and failure regions, read from the
+    document's optional ``dd_success`` / ``dd_failure`` cell lists; absent
+    means empty.  The requirement that R_DD is the whole universe holds
+    exactly when both are empty, and ``substitute`` checks it that way.
     """
 
     target: int
@@ -494,10 +497,13 @@ def substitute(
     td, mb = _target_shape(model, spec.target)
     td_leaf = model.leaves[td]
     mb_leaf = model.leaves[mb]
+    base_empty = Region.empty(model.world.cell_count)
+    dd_success = spec.dd_success if spec.dd_success is not None else base_empty
+    dd_failure = spec.dd_failure if spec.dd_failure is not None else base_empty
     if enforce:
         if not mb_leaf.success.issubset(td_leaf.success):
             raise SubstitutionError("violated requirement: S_MB inside S_TD")
-        if spec.dd_success is not None or spec.dd_failure is not None:
+        if not (dd_success | dd_failure).is_empty:
             raise SubstitutionError("violated requirement: R_DD is the whole universe")
         if not spec.rr.success.issubset(spec.rok_success):
             raise SubstitutionError("violated requirement: S_RR inside S_ROK")
@@ -513,13 +519,12 @@ def substitute(
 
     time_ok = aug.time_ok_region()
     rok_region = aug.lift_region(spec.rok_success)
-    base_empty = Region.empty(model.world.cell_count)
     no_doa = Doa(base_empty, base_empty, 1)  # an empty basin: the FTS check holds vacuously
     dd_base = LeafData(
         DD_NAME,
         NodeKind.ACTION,
-        spec.dd_success if spec.dd_success is not None else base_empty,
-        spec.dd_failure if spec.dd_failure is not None else base_empty,
+        dd_success,
+        dd_failure,
         None,
         no_doa,
     )
@@ -677,6 +682,9 @@ def verify_substituted_convergence(
     exactly one of its non-sink classes.  Otherwise it is read off a base
     walk when the loop is counter-blind, and walked on the product if not.
     The report carries the diffs and the loop exit whatever the verdict.
+    seeds are class ids of the new model's condensation, read as ``decide``
+    reads them: only once the hypotheses hold, so with failed hypotheses the
+    result is the failures value whatever seeds names.
     """
     if isinstance(old_cert, (Refutation, FtsPreconditionError)):
         raise SubstitutionError(f"old verdict is not a certificate: {type(old_cert).__name__}")

@@ -229,20 +229,19 @@ def deep_tree_model(rng, levels, n_cells=256):
 def assert_matches_uncle_enumeration(model):
     """Influence and pathways against the uncle orders, pair by pair."""
     analysis = model.analysis()
-    orders = model.tree.orders()
-    lu = set(orders.left_uncle.pairs())
-    ru = set(orders.right_uncle.pairs())
+    orders = model.tree.orders()  # bit i of row j: (j, i) is in the order
+    lu, ru = orders.left_uncle, orders.right_uncle
     parent_kind = [None if p is None else model.kinds[p] for p in model.tree.parent]
     for i in range(model.n):
         expected = model.world.full_region()
         seq_right_uncle = fal_right_uncle = False
         for j in range(model.n):
-            if (j, i) in lu:
+            if lu[j] >> i & 1:
                 if parent_kind[j] is NodeKind.SEQUENCE:
                     expected &= analysis.success[j]
                 elif parent_kind[j] is NodeKind.FALLBACK:
                     expected &= analysis.failure[j]
-            if (j, i) in ru:
+            if ru[j] >> i & 1:
                 seq_right_uncle |= parent_kind[j] is NodeKind.SEQUENCE
                 fal_right_uncle |= parent_kind[j] is NodeKind.FALLBACK
         assert analysis.influence[i] == expected

@@ -195,6 +195,24 @@ def test_an_empty_seed_set_is_refused(funnel_graph):
         certify_convergence(eat.model, members, eat.delta, seeds=[])
 
 
+def test_seed_classes_are_read_only_once_the_hypotheses_hold():
+    """decide resolves its seed class ids after the per-member hypotheses, as the
+    stage-by-stage reference does: failed hypotheses are the verdict whatever the
+    seeds name, and a seed naming no class raises only when the hypotheses hold."""
+    grid = bundled_spec("gridworld")
+    members = [grid.model.vertex_of(n) for n in grid.abstraction]
+    with pytest.raises(AbstractionError, match="seed class 999 does not exist"):
+        decide(grid.model, members, grid.delta, [999])
+    doc = bundled_document("gridworld")
+    for leaf in doc["leaves"]:
+        if leaf.get("doa"):
+            leaf["doa"]["horizon"] = 1
+    cut = parse_document(doc)
+    members = [cut.model.vertex_of(n) for n in cut.abstraction]
+    verdict = decide(cut.model, members, cut.delta, [999])
+    assert isinstance(verdict, FtsPreconditionError) and verdict.failures
+
+
 def test_funnel_behavior_graph(funnel_graph):
     vertex_subset = [funnel_graph.vertex(*key) for key in FUNNEL_ANALYSIS]
     bg = behavior_graph(funnel_graph, vertex_subset)

@@ -35,7 +35,7 @@ RECORDS = {
     NodeSpec: ("kind children leaf", {"children": (), "leaf": None}),
     NodeAnalysis: ("running success failure influence omega success_pathway failure_pathway reached", {}),
     AbstractionVerdict: ("valid overlaps uncovered", {}),
-    TreeOrders: ("parent_order sibling_order left_uncle right_uncle left_to_right right_to_left parent_map", {}),
+    TreeOrders: ("parent_order sibling_order left_uncle right_uncle left_to_right right_to_left", {}),
     LoadedSpec: ("world model abstraction delta library library_root substitution", {}),
     Trace: ("states leaves statuses halt", {}),
     FtsVerdict: ("ok kind witness step", {"kind": None, "witness": None, "step": None}),

@@ -1302,6 +1302,24 @@ def test_substitute_patrol(tmp_path, capsys):
     assert loaded.model.world.cell_count == 120
 
 
+def test_empty_dd_regions_state_the_whole_universe_requirement(tmp_path, capsys):
+    """Empty dd_success / dd_failure lists substitute exactly like leaving them out;
+    one cell in dd_success violates R_DD."""
+    plain_out = tmp_path / "plain.json"
+    plain = run_cli("substitute", "--spec", "bundled:patrol", "--out", str(plain_out), capsys=capsys)
+    doc = bundled_document("patrol")
+    doc["substitution"].update(dd_success=[], dd_failure=[])
+    spec_path, empty_out = tmp_path / "spec.json", tmp_path / "empty.json"
+    spec_path.write_text(json.dumps(doc))
+    empty = run_cli("substitute", "--spec", str(spec_path), "--out", str(empty_out), capsys=capsys)
+    assert empty == plain and plain[0] == 0
+    assert empty_out.read_bytes() == plain_out.read_bytes()
+    doc["substitution"]["dd_success"] = [0]
+    spec_path.write_text(json.dumps(doc))
+    code, out, err = run_cli("substitute", "--spec", str(spec_path), capsys=capsys)
+    assert (code, out, err) == (2, "", "error: violated requirement: R_DD is the whole universe\n")
+
+
 def test_hysteresis_on_substitution_output_certifies(tmp_path, capsys):
     """The written (30, 4) product with the hysteresis guard on re-certifies from the file."""
     doc = bundled_document("patrol")
