@@ -9,8 +9,9 @@ a step bound) or declared through an explicit adjacency relation.
 from __future__ import annotations
 
 import math
-from itertools import chain, compress, count, filterfalse, repeat
-from operator import add, contains, eq, itemgetter, le, ne, or_, sub
+from bisect import bisect_right
+from itertools import accumulate, chain, compress, count, filterfalse, product, repeat
+from operator import add, contains, eq, itemgetter, le, mul, ne, or_, sub
 from typing import Callable, Iterable, Iterator, Optional, Sequence
 
 
@@ -168,6 +169,21 @@ def _gather(seq: Sequence, keys: Sequence[int]) -> tuple:
     return tuple(seq[k] for k in keys)  # itemgetter returns no tuple for 0 or 1 keys
 
 
+def _repeat(unit: int, width: int, count: int) -> int:
+    """unit at each of the offsets 0, width, ..., (count - 1) * width, built by
+    doubling: one shift and OR per binary digit of count, not one per copy."""
+    out, done, piece, size = 0, 0, unit, 1
+    while True:
+        if count & 1:
+            out |= piece << done * width
+            done += size
+        count >>= 1
+        if not count:
+            return out
+        piece |= piece << size * width
+        size *= 2
+
+
 def check_targets(targets: Sequence[int], n: int) -> None:
     """Raise WorldError naming the first of targets outside range(n)."""
     if targets and not (0 <= min(targets) and max(targets) < n):
@@ -232,6 +248,153 @@ class SuccessorMap:
         return f"SuccessorMap(n={self.n})"
 
 
+class _Lattice:
+    """The integer box that a metric world's cells fill, one cell per point.
+
+    The coordinates are integers below 2 ** 53 in magnitude and the points
+    are exactly the box lo..hi, in any cell order.  Box position
+    sum((x_i - lo_i) * stride_i), axis 0 fastest, numbers the points, and a
+    mask moves between cell order and box order with one C gather of its
+    binary digits each way.  In box order the integer offset v moves every
+    cell by sum(v_i * stride_i) bits, so a dilation is a few masked shifts.
+
+    The difference of two cells is an exact integer vector v, so their
+    ``math.dist`` is ``math.dist(v, 0)``; and with squared box lengths below
+    2 ** 50 that distance, rounded within an ulp, never falls as some |v_i|
+    grows.  So the offsets to try lie inside |v_i| <= min(delta, span_i - 1),
+    all of them are within a delta that reaches the box diagonal, and along
+    axis 0 those within delta form a run -r..r for each row of offsets along
+    the other axes.
+    """
+
+    __slots__ = (
+        "n",
+        "spans",
+        "strides",
+        "diagonal",
+        "_in_box",
+        "_in_cells",
+        "_rows",
+        "_plans",
+        "_slabs",
+    )
+
+    def __init__(
+        self, spans: list[int], strides: list[int], place: list[int], cell_at: list[int]
+    ) -> None:
+        n = self.n = len(place)
+        self.spans = spans
+        self.strides = strides
+        self.diagonal = math.dist([s - 1 for s in spans], [0] * len(spans))
+        # gathers of a mask's binary digits, lowest first, into the other order
+        self._in_box = itemgetter(*cell_at)
+        self._in_cells = itemgetter(*place)
+        # the rows along axis 0 of even and of odd rank
+        width = spans[0]
+        even = _repeat((1 << width) - 1, 2 * width, (n // width + 1) // 2)
+        self._rows = (even, even ^ (1 << n) - 1)
+        self._plans: dict[float, list[tuple[int, int, tuple[int, ...]]]] = {}
+        self._slabs: dict[tuple[int, int], int] = {}
+
+    @classmethod
+    def of(cls, pts: Sequence[Sequence[float]]) -> Optional["_Lattice"]:
+        """The lattice of the points, or None unless they fill an integer box exactly."""
+        # one C map per axis: zip(*pts) makes an iterator per point
+        axes = [list(map(itemgetter(i), pts)) for i in range(len(pts[0]))]
+        if not axes:
+            return None  # zero-dimensional: every cell at the one point
+        n, lows, highs = len(pts), list(map(min, axes)), list(map(max, axes))
+        if not (-(2.0**53) < min(lows) and max(highs) < 2.0**53):
+            return None
+        spans = [int(hi) - int(lo) + 1 for lo, hi in zip(lows, highs)]
+        if math.prod(spans) != n or sum((s - 1) ** 2 for s in spans) >= 2**50:
+            return None
+        if not all(map(float.is_integer, chain.from_iterable(axes))):
+            return None
+        strides = list(accumulate(spans[:-1], mul, initial=1))
+        shifted = [map(sub, axis, repeat(lo)) if lo else axis for axis, lo in zip(axes, lows)]
+        sums = shifted[0]
+        for axis, stride in zip(shifted[1:], strides[1:]):
+            sums = map(add, sums, map(mul, axis, repeat(stride)))
+        place = list(map(int, sums))  # cell -> box position
+        cell_at = [-1] * n  # box position -> cell
+        for c, at in enumerate(place):
+            cell_at[at] = c
+        if -1 in cell_at:
+            return None  # a point held twice, so another is missing
+        return cls(spans, strides, place, cell_at)
+
+    def _permute(self, mask: int, gather: itemgetter) -> int:
+        return int("".join(gather(bin(mask)[:1:-1].ljust(self.n, "0")))[::-1], 2)
+
+    def dilate(self, mask: int, delta: float) -> int:
+        """The cell mask of mask's cells and every cell within delta of one.
+
+        In box order each row of the delta's plan ORs in the mask grown by
+        its run along axis 0 (``_run``, grown further as the runs lengthen),
+        cut to the cells that its offset along the other axes keeps inside
+        the box and shifted by that offset.
+        """
+        if not mask or not delta >= 1:  # no two cells lie nearer than 1
+            return mask
+        if delta >= self.diagonal:
+            return (1 << self.n) - 1
+        grown, reach, out = self._permute(mask, self._in_box), 0, 0
+        for r, shift, slabs in self._plan(delta):
+            if r > reach:
+                grown, reach = self._run(grown, r - reach), r
+            moved = grown
+            for slab in slabs:
+                moved &= slab
+            out |= moved << shift if shift >= 0 else moved >> -shift
+        return self._permute(out, self._in_cells)
+
+    def _run(self, grown: int, d: int) -> int:
+        """A box-order mask grown by d cells each way along axis 0, inside its rows.
+
+        The run is built by doubling (``_repeat``), for the rows of even and
+        of odd rank apart: d is below the row length, so what a run spills
+        over a row's end lands on a row of the other rank, which the AND
+        clears.
+        """
+        out = 0
+        for rows in self._rows:
+            out |= _repeat(grown & rows, 1, 2 * d + 1) >> d & rows
+        return out
+
+    def _plan(self, delta: float) -> list[tuple[int, int, tuple[int, ...]]]:
+        """For 1 <= delta < the diagonal, built on first use: per row of offsets
+        along axes 1.. that some offset within delta reaches, its run's reach r
+        along axis 0, its shift, and the slabs that keep its source cells
+        inside the box; ascending in r."""
+        plan = self._plans.get(delta)
+        if plan is None:
+            reach = [min(s - 1, math.floor(delta)) for s in self.spans]
+            dist, zero, head = math.dist, [0] * len(reach), range(reach[0] + 1)
+            plan = []
+            for rest in product(*[range(-k, k + 1) for k in reach[1:]]):
+                r = bisect_right(head, delta, key=lambda v: dist((v, *rest), zero)) - 1
+                if r >= 0:
+                    shift = sum(map(mul, rest, self.strides[1:]))
+                    slabs = tuple(self._slab(i, v) for i, v in enumerate(rest, 1) if v)
+                    plan.append((r, shift, slabs))
+            plan.sort(key=itemgetter(0))
+            self._plans[delta] = plan
+        return plan
+
+    def _slab(self, axis: int, v: int) -> int:
+        """The box-order mask of the cells that offset v along axis keeps inside
+        the box: a run along the lower axes, repeated by doubling along the higher."""
+        slab = self._slabs.get((axis, v))
+        if slab is None:
+            stride, span = self.strides[axis], self.spans[axis]
+            low, high = max(0, -v), span - max(0, v)
+            block = stride * span
+            unit = (1 << (high - low) * stride) - 1 << low * stride
+            slab = self._slabs[axis, v] = _repeat(unit, block, self.n // block)
+        return slab
+
+
 class World:
     """A finite cell universe with optional metric coordinates or adjacency.
 
@@ -243,12 +406,16 @@ class World:
     stay symmetric.
 
     An adjacency world keeps per-cell ascending neighbour tuples, built from
-    the pairs on first use.  A metric world keeps no per-cell neighbours: it
-    keeps one bucket index per delta (``_index``), and dilation and the
-    one-step checks read distances through it.  Memory grows with cells.
+    the pairs on first use.  A metric world keeps no per-cell neighbours.
+    On its first dilation it looks once at its coordinates: if they are
+    integers that fill an axis-aligned box exactly, in any cell order, it
+    keeps that lattice (``_lattice``), and dilation is masked shifts of the
+    region in box order.  Any other metric world keeps one bucket index per
+    delta (``_index``), and dilation tests distances through it.  Memory
+    grows with cells.
     """
 
-    __slots__ = ("cell_count", "coords", "_pairs", "_neighbors", "_indexes")
+    __slots__ = ("cell_count", "coords", "_pairs", "_neighbors", "_indexes", "_lattice")
 
     def __init__(
         self,
@@ -286,6 +453,7 @@ class World:
                     raise WorldError(f"adjacency pair ({p}, {q}) outside universe")
             self._pairs = (pairs, symmetric)
         self._indexes: dict[float, tuple[list[int], dict[int, list[int]], list[int]]] = {}
+        self._lattice: Optional[_Lattice | bool] = None  # None until the first metric dilation
 
     # ------------------------------------------------------------------
     @property
@@ -406,15 +574,20 @@ class World:
     def dilate(self, region: Region, delta: Optional[float] = None) -> Region:
         """The cells at most one step from region, region included.
 
-        Metric: region plus the outside cells within delta of it
-        (``_reach``).  Adjacency: region plus the neighbours of its cells.
-        Either way the cells become a mask through ``Region.from_cells``,
-        and a slice is dilated once and then tested against any number of
-        targets with one mask AND each.
+        Metric: region plus the cells within delta of it, as masked shifts
+        on a box lattice (``_Lattice.dilate``), or else as the outside cells
+        that the bucket index finds (``_reach``).  Adjacency: region plus the
+        neighbours of its cells.  Listed cells become a mask through
+        ``Region.from_cells``, and a slice is dilated once and then tested
+        against any number of targets with one mask AND each.
         """
         if region.n != self.cell_count:
             raise WorldError("regions belong to a different universe")
         if self._metric(delta):
+            if self._lattice is None:
+                self._lattice = _Lattice.of(self.coords) or False
+            if self._lattice:
+                return Region(self.cell_count, self._lattice.dilate(region.mask, delta))
             cells = self._reach(region, delta)
         else:
             cells = chain.from_iterable(map(self.neighbors.__getitem__, region.cells()))

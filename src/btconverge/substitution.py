@@ -85,28 +85,21 @@ from .prepares import (
     condense,
     decide,
 )
-from .statespace import BTConvergeError, Region, SuccessorMap, World, WorldError, check_targets
+from .statespace import (
+    BTConvergeError,
+    Region,
+    SuccessorMap,
+    World,
+    WorldError,
+    _repeat,
+    check_targets,
+)
 
 DD_NAME = "dd_controller"
 RR_NAME = "rr_controller"
 ROK_NAME = "risk_ok"
 TOK_DD_NAME = "time_ok_dd"
 TOK_RR_NAME = "time_ok_rr"
-
-
-def _repeat(unit: int, width: int, count: int) -> int:
-    """unit at each of the offsets 0, width, ..., (count - 1) * width, built by
-    doubling: one shift and OR per binary digit of count, not one per copy."""
-    out, done, piece, size = 0, 0, unit, 1
-    while True:
-        if count & 1:
-            out |= piece << done * width
-            done += size
-        count >>= 1
-        if not count:
-            return out
-        piece |= piece << size * width
-        size *= 2
 
 
 def _join(parts: list[int], width: int) -> int:

@@ -1,7 +1,10 @@
 """Region algebra, step bound, and neighboring predicate tests."""
 
+import importlib.util
 import json
 import math
+from itertools import product
+from pathlib import Path
 
 import pytest
 from hypothesis import given, strategies as st
@@ -332,6 +335,7 @@ def test_metric_dilation_tests_only_the_boundary(monkeypatch):
     side = 100
     n = side * side
     w = World(n, coords=[(float(c % side), float(c // side)) for c in range(n)])
+    monkeypatch.setattr(w, "_lattice", False)  # the bucket path, which a full box skips
     half = Region.where(n, lambda c: c % side < side // 2)
     calls = 0
     real_dist = math.dist
@@ -347,14 +351,120 @@ def test_metric_dilation_tests_only_the_boundary(monkeypatch):
     assert grown == Region.where(n, lambda c: c % side <= side // 2)
 
 
-def test_metric_check_builds_no_balls(monkeypatch, capsys):
+def benchmark_specs():
+    """The benchmark's document generators (benchmark/specs.py), which import nothing of the program."""
+    path = Path(__file__).resolve().parent.parent / "benchmark" / "specs.py"
+    spec = importlib.util.spec_from_file_location("benchmark_specs", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_metric_check_builds_no_balls(monkeypatch, capsys, tmp_path, rng):
+    """No metric check builds per-cell balls, and only a world that does not
+    fill an integer box builds the bucket index."""
+
     def no_balls(self, delta):
         raise AssertionError("a per-cell ball was built")
 
+    indexed = []
+    real_index = World._index
+
+    def index(self, delta):
+        indexed.append(delta)
+        return real_index(self, delta)
+
     monkeypatch.setattr(World, "_balls", no_balls)
-    for name in ("gridworld", "surveying_robot"):
-        assert cli.main(["check", "--spec", f"bundled:{name}", "--format", "json"]) == 0
+    monkeypatch.setattr(World, "_index", index)
+    specs = benchmark_specs()
+    grid = specs.relabel(specs.grid_document(12), specs.permutation(144, rng))
+    specs.write_document(grid, tmp_path / "grid.json")
+    for spec, lattice in (
+        ("bundled:gridworld", True),
+        ("bundled:patrol", True),
+        (str(tmp_path / "grid.json"), True),
+        ("bundled:surveying_robot", False),  # 54 cells in a box of 60 points
+    ):
+        indexed.clear()
+        assert cli.main(["check", "--spec", spec, "--format", "json"]) == 0
         assert json.loads(capsys.readouterr().out)["status"] == "certified"
+        assert bool(indexed) is not lattice, spec
+
+
+def box_world(rng, spans: list[int], lows: list[int], shuffle: bool) -> World:
+    """The integer box lows + [0, spans), row-major with axis 0 fastest, or
+    with the ids shuffled as the benchmark relabels a document."""
+    points = [
+        tuple(float(lo + x) for lo, x in zip(lows, reversed(p)))
+        for p in product(*map(range, reversed(spans)))
+    ]
+    if shuffle:
+        perm = list(range(len(points)))
+        rng.shuffle(perm)  # cell c moves to perm[c]
+        coords = [None] * len(points)
+        for c, point in enumerate(points):
+            coords[perm[c]] = point
+        points = coords
+    return World(len(points), coords=points)
+
+
+def test_lattice_dilation_matches_the_definition_and_the_buckets(rng, monkeypatch):
+    """Full integer boxes of 1-3 dimensions, in row-major and shuffled order:
+    dilate and neighboring against the cell-pair definition and against the
+    bucket path, at every kind of delta, the box diagonal included."""
+    for _ in range(24):
+        dim = rng.randint(1, 3)
+        top = (16, 8, 4)[dim - 1]  # at most 64 cells
+        spans = [rng.choice([1, rng.randint(2, top)]) for _ in range(dim)]
+        lows = [rng.choice([0, rng.randint(-9, 9)]) for _ in range(dim)]
+        diagonal = math.dist([s - 1 for s in spans], [0] * dim)
+        deltas = [0.0, -0.0, 0.5, 1.0, math.sqrt(2), 2.5, diagonal, math.nextafter(diagonal, 0)]
+        deltas += [math.inf, math.nan, -1.0]
+        for shuffle in (False, True):
+            w = box_world(rng, spans, lows, shuffle)
+            n, pts = w.cell_count, w.coords
+            buckets = World(n, coords=pts)
+            monkeypatch.setattr(buckets, "_lattice", False)
+            regions = [Region(n, rng.getrandbits(n)) for _ in range(4)]
+            regions += [Region.empty(n), Region.full(n), Region.from_cells(n, [rng.randrange(n)])]
+            for delta in deltas:
+                near = [sum(1 << q for q in range(n) if math.dist(pts[p], pts[q]) <= delta) for p in range(n)]
+                for a in regions:
+                    want = a.mask
+                    for p in a.cells():
+                        want |= near[p]
+                    grown = w.dilate(a, delta)
+                    assert grown.mask == want, (spans, lows, delta, a)
+                    assert buckets.dilate(a, delta) == grown
+                    b = Region(n, rng.getrandbits(n) | 1 << rng.randrange(n))
+                    if not a.is_empty:  # a cell always reaches itself, whatever the delta
+                        want = oracle_neighboring(w, a, b, delta) or not a.isdisjoint(b)
+                        assert w.neighboring(a, b, delta) == want
+            assert w._lattice and not w._indexes
+            # a delta below 1 shifts nothing, and one at least the diagonal fills the box at once
+            assert set(w._lattice._plans) <= {d for d in deltas if 1 <= d < diagonal}
+
+
+def test_near_lattices_take_the_bucket_path():
+    box = [(float(x), float(y)) for y in range(4) for x in range(4)]
+    worlds = {
+        "one cell moved": box[:-1] + [(4.0, 3.0)],
+        "one coordinate 0.5": [(0.5, 0.0)] + box[1:],
+        "a missing cell": box[:-1],
+        "a duplicated point": box[:5] + [(2.0, 2.0)] + box[6:],
+        "a coordinate at 2 ** 53": [(2.0**53 - 1,), (2.0**53,)],
+        "a spread past the float range": [(-1e308,), (0.0,), (1e308,)],
+        "zero-dimensional": [(), (), ()],
+    }
+    for name, pts in worlds.items():
+        w = World(len(pts), coords=pts)
+        n = w.cell_count
+        dists = sorted({math.dist(p, q) for p in w.coords for q in w.coords})
+        for delta in [0.0, 1.0, 1.5, *dists[-2:], math.inf]:
+            for a in (Region(n, 1), Region(n, 0b101 % (1 << n)), Region.full(n)):
+                within = lambda q: any(math.dist(w.coords[p], w.coords[q]) <= delta for p in a.cells())
+                assert list(w.dilate(a, delta).cells()) == [q for q in range(n) if within(q)], name
+        assert w._lattice is False and w._indexes, name
 
 
 def test_world_rejects_non_finite_coordinates():
