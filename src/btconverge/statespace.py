@@ -412,7 +412,8 @@ class World:
     keeps that lattice (``_lattice``), and dilation is masked shifts of the
     region in box order.  Any other metric world keeps one bucket index per
     delta (``_index``), and dilation tests distances through it.  Memory
-    grows with cells.
+    grows with cells.  Dilation and the pairwise ``_steps_ok`` state one
+    step; a substitution's product world answers both through its base world.
     """
 
     __slots__ = ("cell_count", "coords", "_pairs", "_neighbors", "_indexes", "_lattice")
@@ -520,31 +521,6 @@ class World:
         index = self._indexes[delta] = (keys, buckets, offsets)
         return index
 
-    def _balls(self, delta: float) -> tuple[tuple[int, ...], ...]:
-        """Per-cell ascending tuple of the cells within delta, the cell itself included.
-
-        Built from the bucket index: only pairs in the same or adjacent
-        buckets reach the exact test ``math.dist(p, q) <= delta``, so the
-        number of distance tests grows with cells x neighbours, not cells
-        squared.  A negative or NaN delta relates no two cells.  Only the
-        product world of a substitution reads these tuples.
-        """
-        pts = self.coords
-        near = [[c] for c in range(self.cell_count)]
-        if delta >= 0:
-            dist = math.dist
-            _keys, buckets, offsets = self._index(delta)
-            forward = [o for o in offsets if o > 0]
-            for key, members in buckets.items():
-                others = [q for o in forward for q in buckets.get(key + o, ())]
-                for i, p in enumerate(members):
-                    here, mine = pts[p], near[p]
-                    for q in members[i + 1:] + others:
-                        if dist(here, pts[q]) <= delta:
-                            mine.append(q)
-                            near[q].append(p)
-        return tuple(map(tuple, map(sorted, near)))
-
     def _reach(self, region: Region, delta: float) -> list[int]:
         """The cells outside region within delta of one of its cells.
 
@@ -603,25 +579,21 @@ class World:
             raise WorldError("world has neither coordinates nor adjacency")
         return False
 
-    def _steps(self, delta: Optional[float]) -> tuple[tuple[tuple[int, ...], ...], bool]:
-        """Per cell, the cells one step reaches, and whether the cell itself is left out of them."""
-        if self._metric(delta):
-            return self._balls(delta), False
-        return self.neighbors, True
-
     def steps_hold(self, cells: list[int], targets: Sequence[int], delta: Optional[float]) -> bool:
-        """Whether every cell's target is the cell itself or one step away.
+        """Whether every cell's target is the cell itself or one step away."""
+        return all(self._steps_ok(cells, _gather(targets, cells), delta))
 
-        One step is within delta (metric) or a neighbour (adjacency).  The
-        targets and the distance or membership tests are gathered in C.
-        """
-        moved = _gather(targets, cells)
+    def _steps_ok(
+        self, cells: list[int], moved: Sequence[int], delta: Optional[float]
+    ) -> Iterator[bool]:
+        """Per cell, whether its target in moved is itself or one step away:
+        within delta (metric) or a neighbour (adjacency), tested in C."""
         if self._metric(delta):
             pts = self.coords
             ok = map(le, map(math.dist, _gather(pts, cells), _gather(pts, moved)), repeat(delta))
         else:
             ok = map(contains, _gather(self.neighbors, cells), moved)
-        return all(map(or_, map(eq, cells, moved), ok))
+        return map(or_, map(eq, cells, moved), ok)
 
     def check_steps(
         self, cells: list[int], targets: Sequence[int], delta: Optional[float], who: str

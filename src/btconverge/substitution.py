@@ -68,7 +68,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import partial
 from itertools import chain, repeat
-from operator import add, lshift, mul, or_
+from operator import add, and_, eq, floordiv, getitem, lshift, mod, mul, or_
 from typing import Iterator, Mapping, Optional, Sequence
 
 from .bt import BTModel, Doa, LeafData, NodeKind, NodeSpec, condition as condition_spec
@@ -91,6 +91,7 @@ from .statespace import (
     SuccessorMap,
     World,
     WorldError,
+    _gather,
     _repeat,
     check_targets,
 )
@@ -174,12 +175,13 @@ class Augmentation(World):
 
     The cell at offset o of base cell c's block steps to the block of every
     base step q of c (c included), at the offset of its counters'
-    successor.  The world keeps that rule, not a neighbour tuple per cell:
-    ``dilate`` maps each distinct block pattern with a few shifts and masks
-    (``_image``) and ORs the image into the blocks of the base steps, and
-    the per-offset successor table and the tuples are built only when
-    read, by lifted maps, the spec writer and a one-step check on the
-    product.
+    successor.  The world keeps that rule and asks the base world for every
+    base step: ``dilate`` ORs each block pattern's image under the counter
+    step (``_image``) into the blocks of the base world's dilation of its
+    base cells, and ``_steps_ok`` tests the counter offset and hands the
+    base pair to the base world's test.  The per-offset successor table is
+    built only when read, by lifted maps and the one-step check, and the
+    neighbour tuples only by the spec writer.
     """
 
     __slots__ = (
@@ -188,7 +190,6 @@ class Augmentation(World):
         "hyst_cap",
         "base_delta",
         "block",
-        "_base_steps",
         "_rok",
         "_successors",
         "_col0",
@@ -215,13 +216,10 @@ class Augmentation(World):
         self.hyst_cap = hyst_cap
         self.base_delta = base_delta
         self.block = block
-        steps, stays = base._steps(base_delta)
+        base._metric(base_delta)  # raises unless the base world can answer for base_delta
         stride = hyst_cap + 1
         self._successors: Optional[dict[str, tuple[int, ...]]] = None
         self._rok = rok_base.digits()
-        if stays:  # adjacency lists leave out the cell, which a step may keep
-            steps = [tuple(sorted({c, *near})) for c, near in enumerate(steps)]
-        self._base_steps = steps
         # in-block masks, each built by doubling: column h = 0, its cell in
         # the last row, and the cells whose counters step by +s+1, +s, +1 and
         # +0 inside the risk-ok region (t < T and h < H, t < T and h = H,
@@ -248,7 +246,7 @@ class Augmentation(World):
         """Per in-block offset, the in-block offset of the counters' successor,
         outside ("0") and inside ("1") the risk-ok region: t -> min(t + 1, T)
         and h -> 0 or min(h + 1, H).  Built on first read; only the per-cell
-        readers (neighbour tuples, lifted targets) read it."""
+        readers (neighbour tuples, lifted targets, the one-step check) read it."""
         if self._successors is None:
             time_cap, hyst_cap, stride = self.time_cap, self.hyst_cap, self.hyst_cap + 1
             times = chain(range(stride, time_cap * stride + 1, stride), (time_cap * stride,))
@@ -259,6 +257,8 @@ class Augmentation(World):
 
     @property
     def neighbors(self) -> tuple[tuple[int, ...], ...]:
+        """Per augmented cell, the ascending cells one step away: built on first
+        read, by the spec writer only, from one base dilation per base cell."""
         if self._neighbors is None:
             # Column q of a source block: where each of its cells goes when the
             # base part moves to q.  Zipping the columns of a base cell's sorted
@@ -270,7 +270,8 @@ class Augmentation(World):
                 if flag in self._rok
             }
             near_aug: list[tuple[int, ...]] = []
-            for c, near in enumerate(self._base_steps):
+            for c in range(self.base.cell_count):
+                near = self.base.dilate(self.base.region([c]), self.base_delta).cells()
                 near_aug.extend(zip(*map(columns[self._rok[c]].__getitem__, near)))
             self._neighbors = tuple(near_aug)
         return self._neighbors
@@ -279,30 +280,43 @@ class Augmentation(World):
         """The cells at most one step from region, region included; delta is unused.
 
         Each base cell's block of region is an in-block pattern, read off the
-        mask's bytes.  Its image under the counter step (``_image``: a few
-        shifts and masks, once per distinct pattern and risk-ok flag) is ORed
-        into the block of each of the cell's base steps, and the blocks are
-        joined pairwise (``_join``).  Placing each distinct image with
-        ``_blocks`` instead costs a whole-mask pass per image, which loses
-        once a region holds many distinct patterns.
+        mask's bytes.  The base cells of each (pattern, risk-ok flag) are
+        dilated once in the base world, and the pattern's image under the
+        counter step (``_image``: a few shifts and masks) is ORed into the
+        block of each cell reached; the blocks are joined pairwise
+        (``_join``).  A product slice, lifts cut by counter patterns, holds
+        few such groups; each distinct pattern costs one base dilation.
         """
         if region.n != self.cell_count:
             raise WorldError("regions belong to a different universe")
-        k, whole = self.block, (1 << self.block) - 1
+        n, k, whole = self.base.cell_count, self.block, (1 << self.block) - 1
         data = region.mask.to_bytes(-(-self.cell_count // 8), "little")
-        images: dict[tuple[int, str], int] = {}
-        blocks = [0] * self.base.cell_count
+        groups: dict[tuple[int, str], list[int]] = {}
         for c, start in enumerate(range(0, self.cell_count, k)):
             pattern = int.from_bytes(data[start >> 3 : (start + k >> 3) + 1], "little")
             pattern = pattern >> (start & 7) & whole
             if pattern:
-                key = (pattern, self._rok[c])
-                image = images.get(key)
-                if image is None:
-                    image = images[key] = self._image(pattern, key[1] == "1")
-                for q in self._base_steps[c]:
-                    blocks[q] |= image
+                groups.setdefault((pattern, self._rok[c]), []).append(c)
+        blocks = [0] * n
+        for (pattern, flag), cells in groups.items():
+            image = self._image(pattern, flag == "1")
+            for q in self.base.dilate(Region.from_cells(n, cells), self.base_delta).cells():
+                blocks[q] |= image
         return Region(self.cell_count, _join(blocks, k) | region.mask)
+
+    def _steps_ok(
+        self, cells: list[int], moved: Sequence[int], delta: Optional[float]
+    ) -> Iterator[bool]:
+        """Per cell, whether its target in moved is itself or one step away; delta
+        is unused.  A step moves the counters to their successor and the base
+        cell by a base step, which the base world tests with the base bound."""
+        k = self.block
+        offsets = map(mod, cells, repeat(k))
+        owners = list(map(floordiv, cells, repeat(k)))
+        successors = map(self._counter_steps().__getitem__, _gather(self._rok, owners))
+        counters_ok = map(eq, map(mod, moved, repeat(k)), map(getitem, successors, offsets))
+        base_ok = self.base._steps_ok(owners, tuple(map(floordiv, moved, repeat(k))), self.base_delta)
+        return map(or_, map(eq, cells, moved), map(and_, counters_ok, base_ok))
 
     def _image(self, pattern: int, rok: bool) -> int:
         """The in-block pattern's image under the counter step, inside (rok) or

@@ -938,16 +938,31 @@ def generator_exit_time(model: BTModel, region: Region) -> tuple[Optional[int], 
 # eager augmented neighbour tuples
 
 
+def reference_base_steps(base: World, delta: Optional[float]) -> tuple[tuple[int, ...], ...]:
+    """Per base cell, the ascending cells one step reaches, the cell itself
+    included, from the cell-pair definition: every q with
+    ``math.dist(p, q) <= delta`` on a metric base, the neighbours on an
+    adjacency base."""
+    n = base.cell_count
+    if base.coords is not None:
+        pts = base.coords
+        return tuple(
+            tuple(q for q in range(n) if q == p or math.dist(pts[p], pts[q]) <= delta) for p in range(n)
+        )
+    return tuple(tuple(sorted({p, *base.neighbors[p]})) for p in range(n))
+
+
 def eager_augmented_neighbors(
     base: World, time_cap: int, hyst_cap: int, rok_base: Region, base_delta: Optional[float] = None
 ) -> tuple[tuple[int, ...], ...]:
     """The product world's neighbour tuples as Augmentation built them per augmented cell.
 
     The body is kept verbatim as the oracle for the product world's lazy
-    ``neighbors`` and block-wise ``dilate``.
+    ``neighbors`` and block-wise ``dilate``, apart from the base steps,
+    which are ``reference_base_steps``.
     """
     block = (time_cap + 1) * (hyst_cap + 1)
-    steps, stays = base._steps(base_delta)
+    steps, stays = reference_base_steps(base, base_delta), False
     # in-block offset of the counters' successor, per in-block offset,
     # outside ("0") and inside ("1") the risk-ok region
     times = [min(t + 1, time_cap) * (hyst_cap + 1) for t in range(time_cap + 1)]
@@ -991,13 +1006,14 @@ def reference_dilate(aug, region: Region) -> Region:
     memoised each image per (pattern, risk-ok flag), and parsed the joined blocks.
 
     The body is kept verbatim as the oracle for the shift kernels, apart
-    from the image, which is ``reference_image``.
+    from the image and the base steps, which are ``reference_image`` and
+    ``reference_base_steps``.
     """
     n, k = aug.cell_count, aug.block
     digits = format(region.mask, f"0{n}b")  # the last base cell's block first
-    blocks = [0] * len(aug._base_steps)
+    blocks = [0] * aug.base.cell_count
     images: dict[tuple[str, str], int] = {}
-    for c, near in enumerate(aug._base_steps):
+    for c, near in enumerate(reference_base_steps(aug.base, aug.base_delta)):
         pattern = digits[n - (c + 1) * k : n - c * k]
         if "1" not in pattern:
             continue

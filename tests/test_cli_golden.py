@@ -9,7 +9,9 @@ as a changed entry.  Regenerate the file after an intended change with
 and review its diff.  The cases cover ``check`` in text and JSON on the six
 bundled documents, ``backchain --certify --out`` on every action root of
 both bundled libraries and on a 120-stage chain library, ``substitute
---out`` on patrol and ``check`` on the product it writes, the
+--out`` on patrol at its own delta and at 0.5, 2 and inf and on patrol
+with the hysteresis guard on at its own delta and at 2, ``check`` on the
+own-delta products (text and JSON unguarded, JSON guarded), the
 ``--seed-classes`` refusals, and the hypothesis failures of a gridworld and
 a library whose deadlines are cut to one step.
 """
@@ -39,6 +41,18 @@ def _chain120(tmp: Path) -> None:
 
 def _patrol_product(tmp: Path) -> None:
     assert main(["substitute", "--spec", "bundled:patrol", "--out", str(tmp / "patrol-sub.json")]) == 0
+
+
+def _guarded_patrol(tmp: Path) -> None:
+    """Write bundled patrol with the hysteresis guard on as guarded.json."""
+    doc = bundled_document("patrol")
+    doc["substitution"]["hysteresis"] = True
+    (tmp / "guarded.json").write_text(dump_document(doc))
+
+
+def _guarded_patrol_product(tmp: Path) -> None:
+    _guarded_patrol(tmp)
+    assert main(["substitute", "--spec", f"{tmp}/guarded.json", "--out", str(tmp / "guarded-sub.json")]) == 0
 
 
 def _one_step_deadlines(name: str) -> Callable[[Path], None]:
@@ -75,6 +89,14 @@ def cases() -> dict[str, tuple[Optional[Callable[[Path], None]], list[str]]]:
         found[f"backchain-{library}-{root}"] = (None, argv)
     found["backchain-chain120"] = (_chain120, ["backchain", "--spec", f"{TMP}/chain120.json", "--certify", *out])
     found["substitute-patrol"] = (None, ["substitute", "--spec", "bundled:patrol", *out])
+    for delta in ("0.5", "2", "inf"):
+        argv = ["substitute", "--spec", "bundled:patrol", "--delta", delta, *out]
+        found[f"substitute-patrol-delta-{delta}"] = (None, argv)
+    found["substitute-guarded-patrol"] = (_guarded_patrol, ["substitute", "--spec", f"{TMP}/guarded.json", *out])
+    argv = ["substitute", "--spec", f"{TMP}/guarded.json", "--delta", "2", *out]
+    found["substitute-guarded-patrol-delta-2"] = (_guarded_patrol, argv)
+    argv = ["check", "--spec", f"{TMP}/guarded-sub.json", "--format", "json"]
+    found["check-guarded-patrol-product-json"] = (_guarded_patrol_product, argv)
     for fmt in ("text", "json"):
         argv = ["check", "--spec", f"{TMP}/patrol-sub.json", "--format", fmt]
         found[f"check-patrol-product-{fmt}"] = (_patrol_product, argv)

@@ -1,5 +1,6 @@
 """Region algebra, step bound, and neighboring predicate tests."""
 
+import dataclasses
 import importlib.util
 import json
 import math
@@ -10,9 +11,11 @@ import pytest
 from hypothesis import given, strategies as st
 
 from btconverge import cli
+from btconverge.prepares import certify_convergence
 from btconverge.statespace import Region, StepError, SuccessorMap, World, WorldError, step_bound
+from btconverge.substitution import substitute, verify_preservation, verify_substituted_convergence
 
-from helpers import oracle_neighboring
+from helpers import bundled_spec, oracle_neighboring
 
 
 def cells(region: Region) -> set[int]:
@@ -222,59 +225,6 @@ def random_metric_world(rng) -> World:
     return World(n, coords=[tuple(coord() for _ in range(dim)) for _ in range(n)])
 
 
-def test_balls_match_all_pairs(rng):
-    for _ in range(80):
-        w = random_metric_world(rng)
-        n, pts = w.cell_count, w.coords
-        dists = {(p, q): math.dist(pts[p], pts[q]) for p in range(n) for q in range(p + 1, n)}
-        spread = max(dists.values(), default=0.0)
-        deltas = [0.0, 1e-9, rng.uniform(0, 1.5) * spread, math.inf, -math.inf, -1.0, math.nan]
-        deltas += rng.sample(sorted(dists.values()), min(4, len(dists)))  # ties
-        for delta in deltas:
-            rows = [{c} for c in range(n)]
-            for (p, q), d in dists.items():
-                if d <= delta:
-                    rows[p].add(q)
-                    rows[q].add(p)
-            assert w._balls(delta) == tuple(tuple(sorted(row)) for row in rows), (pts, delta)
-            assert w.neighbors is None
-            if not delta >= 0:
-                continue
-            for _ in range(5):
-                a = Region(n, rng.getrandbits(n))
-                b = Region(n, rng.getrandbits(n))
-                if a.is_empty or b.is_empty:
-                    continue
-                nearest = min(math.dist(pts[p], pts[q]) for p in a.cells() for q in b.cells())
-                assert w.neighboring(a, b, delta) == (nearest <= delta)
-
-
-def test_balls_compare_only_adjacent_buckets(monkeypatch):
-    side = 100
-    n = side * side
-    w = World(n, coords=[(float(c % side), float(c // side)) for c in range(n)])
-    calls = 0
-    real_dist = math.dist
-
-    def counting_dist(p, q):
-        nonlocal calls
-        calls += 1
-        return real_dist(p, q)
-
-    monkeypatch.setattr(math, "dist", counting_dist)
-    balls = w._balls(1.0)
-    assert calls <= 10 * n  # the all-pairs loop makes n * (n - 1) / 2
-    assert sum(map(len, balls)) == n + 2 * (2 * side * (side - 1))
-    assert balls[side + 1] == (1, side, side + 1, side + 2, 2 * side + 1)
-
-
-def test_balls_when_the_coordinate_spread_overflows():
-    w = World(3, coords=[(-1e308,), (0.0,), (1e308,)])
-    assert w._balls(1.0) == ((0,), (1,), (2,))
-    assert w._balls(1e308) == ((0, 1), (0, 1, 2), (1, 2))
-    assert w._balls(math.inf) == ((0, 1, 2),) * 3
-
-
 def grid_slices(rng, side: int) -> tuple[World, list[Region]]:
     """A side x side grid with its cells relabelled, and contiguous regions
     of it: boxes and unions of two half planes, as a slice of a funnel grid is."""
@@ -314,6 +264,10 @@ def test_metric_dilation_and_steps_match_the_definition(rng):
             for a in regions:
                 want = [q for q in range(n) if q in a or any(within(p, q) for p in a.cells())]
                 assert list(w.dilate(a, delta).cells()) == want, (pts, delta, a)
+                for b in (regions[0], regions[-1]):
+                    if not (a.is_empty or b.is_empty):
+                        near = any(within(p, q) for p in a.cells() for q in b.cells())
+                        assert w.neighboring(a, b, delta) == (near or not a.isdisjoint(b))
             for _ in range(4):
                 targets = [rng.randrange(n) if rng.random() < 0.2 else c for c in range(n)]
                 if rng.random() < 0.5:  # targets within delta, so the check often holds
@@ -349,6 +303,8 @@ def test_metric_dilation_tests_only_the_boundary(monkeypatch):
     grown = w.dilate(half, 1.0)
     assert calls <= 10 * side  # a test per cell and neighbour makes over 4 * n
     assert grown == Region.where(n, lambda c: c % side <= side // 2)
+    ball = w.dilate(Region.from_cells(n, [side + 1]), 1.0)
+    assert list(ball.cells()) == [1, side, side + 1, side + 2, 2 * side + 1]
 
 
 def benchmark_specs():
@@ -360,13 +316,11 @@ def benchmark_specs():
     return module
 
 
-def test_metric_check_builds_no_balls(monkeypatch, capsys, tmp_path, rng):
-    """No metric check builds per-cell balls, and only a world that does not
-    fill an integer box builds the bucket index."""
-
-    def no_balls(self, delta):
-        raise AssertionError("a per-cell ball was built")
-
+def test_only_a_world_off_an_integer_box_builds_the_bucket_index(monkeypatch, capsys, tmp_path, rng):
+    """Of the metric checks, only that of a world that does not fill an
+    integer box builds the bucket index; certify, substitute, preservation
+    and re-verification on patrol's box build none, with the hysteresis
+    guard off and on, and leave the product's neighbour tuples unbuilt."""
     indexed = []
     real_index = World._index
 
@@ -374,7 +328,6 @@ def test_metric_check_builds_no_balls(monkeypatch, capsys, tmp_path, rng):
         indexed.append(delta)
         return real_index(self, delta)
 
-    monkeypatch.setattr(World, "_balls", no_balls)
     monkeypatch.setattr(World, "_index", index)
     specs = benchmark_specs()
     grid = specs.relabel(specs.grid_document(12), specs.permutation(144, rng))
@@ -389,6 +342,16 @@ def test_metric_check_builds_no_balls(monkeypatch, capsys, tmp_path, rng):
         assert cli.main(["check", "--spec", spec, "--format", "json"]) == 0
         assert json.loads(capsys.readouterr().out)["status"] == "certified"
         assert bool(indexed) is not lattice, spec
+    patrol = bundled_spec("patrol")
+    members = [patrol.model.vertex_of(name) for name in patrol.abstraction]
+    for hysteresis in (False, True):
+        indexed.clear()
+        cert = certify_convergence(patrol.model, members, patrol.delta)
+        spec = dataclasses.replace(patrol.substitution, hysteresis=hysteresis)
+        result = substitute(patrol.model, spec, base_delta=patrol.delta)
+        assert verify_preservation(result)
+        assert verify_substituted_convergence(cert, result)
+        assert indexed == [] and result.new_model.world._neighbors is None, hysteresis
 
 
 def box_world(rng, spans: list[int], lows: list[int], shuffle: bool) -> World:

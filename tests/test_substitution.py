@@ -448,7 +448,9 @@ def test_augmentation_lift_and_project_roundtrip():
 
 
 def test_augmentation_reads_the_base_step_rule_of_the_world():
-    """The base steps come from World._steps, so its errors name what is missing."""
+    """The product world asks its base world for every step: the constructor asks
+    whether the base can answer for the step bound, so its errors name what is
+    missing, and the steps of the base cells are the base world's dilations."""
     rok = Region.from_cells(4, [1])
     metric = World(4, coords=[(float(x),) for x in range(4)])
     with pytest.raises(WorldError, match="^metric neighboring needs a step bound delta$"):
@@ -559,6 +561,66 @@ def test_augmented_neighbour_lists_and_dilation_match_oracles(rng):
             one = lambda q: oracle_neighboring(aug, a, Region.from_cells(n_aug, [q]), None)
             assert list(aug.dilate(a).cells()) == [q for q in range(n_aug) if one(q)]
     assert len(seen) == 9
+
+
+def test_product_step_check_matches_the_eager_neighbour_tuples(rng):
+    """Seeded corpus: the product world's one-step check against its eager
+    neighbour tuples, over a full integer box, a metric world off a box and
+    an adjacency world with a self-loop.  Each target is legal, has a wrong
+    counter offset, takes an illegal base step or is the cell itself; a
+    failing check names the first bad cell as the neighbour-tuple check did.
+    """
+    seen = set()
+    for trial in range(60):
+        kind = trial % 3
+        if kind == 0:
+            spans = [rng.randint(1, 4), rng.randint(1, 3)]
+            pts = [(float(x), float(y)) for y in range(spans[1]) for x in range(spans[0])]
+            rng.shuffle(pts)
+            base, delta = World(len(pts), coords=pts), rng.choice([0.5, 1.0, 1.5, 2.0])
+        elif kind == 1:
+            n_base = rng.randint(2, 7)
+            base = World(n_base, coords=[(rng.uniform(0, 4),) for _ in range(n_base)])
+            delta = rng.uniform(0, 2)
+        else:
+            n_base = rng.randint(1, 7)
+            pairs = [(rng.randrange(n_base), rng.randrange(n_base)) for _ in range(n_base)]
+            pairs.append((rng.randrange(n_base),) * 2)
+            base, delta = World(n_base, adjacency=pairs, symmetric=rng.random() < 0.5), None
+        n_base = base.cell_count
+        T, H = rng.choice([0, 1, 3]), rng.choice([0, 1, 2])
+        rok = random_region(rng, n_base)
+        aug = Augmentation(base, T, H, rok, delta)
+        n_aug, k = aug.cell_count, aug.block
+        eager = eager_augmented_neighbors(base, T, H, rok, delta)
+
+        def draw(cell: int, legal_only: bool) -> int:
+            way = "legal" if legal_only else rng.choice(["legal", "counter", "base", "self"])
+            q, o = divmod(rng.choice(eager[cell]), k)
+            others = [x for x in range(k) if x != o]
+            off_base = sorted(set(range(n_base)) - {t // k for t in eager[cell]})
+            if way == "counter" and others:
+                o = rng.choice(others)
+            elif way == "base" and off_base:
+                q = rng.choice(off_base)
+            elif way != "self":
+                way = "legal"
+            seen.add((kind, way))
+            return cell if way == "self" else q * k + o
+
+        for legal_only in (True, False, False, False):
+            targets = [draw(cell, legal_only) for cell in range(n_aug)]
+            cells = rng.sample(range(n_aug), rng.randrange(1, n_aug + 1))
+            bad = [c for c in cells if not (targets[c] == c or targets[c] in eager[c])]
+            assert aug.steps_hold(cells, targets, None) == (not bad)
+            if not bad:
+                aug.check_steps(cells, targets, None, "leaf 'x'")
+                continue
+            with pytest.raises(StepError) as err:
+                aug.check_steps(cells, targets, None, "leaf 'x'")
+            assert str(err.value) == f"leaf 'x' moves cell {bad[0]} to {targets[bad[0]]}: not a neighbour"
+        assert aug._neighbors is None
+    assert seen == {(kind, way) for kind in range(3) for way in ("legal", "counter", "base", "self")}
 
 
 def test_blockwise_dilation_matches_the_eager_neighbour_tuples(rng):
@@ -822,8 +884,8 @@ def test_substitution_and_reverification_do_no_per_cell_work(monkeypatch):
     assert len(in_loop) == 2 and len(gated_cert.per_class_exit) == 4
     assert walks == [("substitution", n_aug)] * 3 and gated.new_model._loop is not None
     assert steps.count(n_aug) == 1 and steps.count(n_base) == 3
-    # the product step check reads the per-cell neighbour tuples, built on demand
-    assert gated.new_model.world._neighbors is not None
+    # the product step check asks the base world, so no neighbour tuple is built
+    assert gated.new_model.world._neighbors is None
 
 
 def test_reverification_with_every_member_proven_on_the_base_builds_no_product_sized_list(
